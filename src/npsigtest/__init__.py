@@ -2,15 +2,7 @@
 regression, with wild-bootstrap critical values, competitor tests, and a
 Monte Carlo experiment harness."""
 
-from .bootstrap import (
-    MultiplierLaw,
-    TestConfig,
-    TestResult,
-    bootstrap_critical_value,
-    draw_multipliers,
-    resample_response,
-    run_test,
-)
+from .bootstrap import TestConfig, TestResult, decide_scaled, draw_multipliers, run_test
 from .data import (
     ColumnKind,
     ColumnSchema,
@@ -23,7 +15,6 @@ from .data import (
 )
 from .kernels import (
     Bandwidths,
-    KernelSpec,
     PsiSpec,
     default_bandwidths,
     eval_kernel,
@@ -43,18 +34,13 @@ from .simulation import (
 )
 from .smoother import SmootherOutput, compute_smoother
 from .statistics import (
+    CvmEngine,
     DegenerateStatisticError,
     DiagonalTerms,
+    StatEngine,
     StatisticValue,
-    diagonal_terms,
-    dgm_statistic,
     fisher_test,
-    lv_statistic,
     standardize_statistic,
-    stat_ihat,
-    stat_itilde,
-    var_hat,
-    var_tilde,
 )
 
 __version__ = "0.1.0"
@@ -64,27 +50,25 @@ __all__ = [
     "Cell",
     "ColumnKind",
     "ColumnSchema",
+    "CvmEngine",
     "DataError",
     "Dataset",
     "DegenerateStatisticError",
     "DgpSpec",
     "DiagonalTerms",
     "ExperimentConfig",
-    "KernelSpec",
-    "MultiplierLaw",
     "PsiSpec",
     "ResultTable",
     "ScaledDataset",
     "SmootherOutput",
+    "StatEngine",
     "StatisticValue",
     "TestConfig",
     "TestResult",
     "TestTemplate",
-    "bootstrap_critical_value",
     "compute_smoother",
+    "decide_scaled",
     "default_bandwidths",
-    "dgm_statistic",
-    "diagonal_terms",
     "draw_multipliers",
     "eval_kernel",
     "eval_mixed_kernel",
@@ -94,15 +78,9 @@ __all__ = [
     "gen_discrete",
     "grid_cells",
     "load_dataset",
-    "lv_statistic",
-    "resample_response",
     "run_experiment",
     "run_test",
     "save_dataset",
     "standardize",
     "standardize_statistic",
-    "stat_ihat",
-    "stat_itilde",
-    "var_hat",
-    "var_tilde",
 ]

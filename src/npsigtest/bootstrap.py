@@ -10,15 +10,14 @@ execution order or worker count.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.stats
 
-from .data import ColumnKind, Dataset, ScaledDataset, standardize
-from .kernels import Bandwidths, KernelSpec, PsiSpec
+from .data import Dataset, ScaledDataset, standardize
+from .kernels import Bandwidths, PsiSpec
 from .smoother import SmootherOutput, compute_smoother, recompute_uf
 from .statistics import (
     CvmEngine,
@@ -41,23 +40,17 @@ CRITICALS = ("asymptotic", "bootstrap")
 MAX_DEGENERATE_DRAW_FRACTION = 0.10
 
 
-class MultiplierLaw(enum.Enum):
-    MAMMEN_TWO_POINT = "mammen_two_point"
-
-
 @dataclass(frozen=True)
 class TestConfig:
     __test__ = False  # not a pytest class
     bandwidths: Bandwidths
     statistic: str = "itilde"
     psi: PsiSpec = field(default_factory=PsiSpec)
-    kernel: KernelSpec = field(default_factory=KernelSpec)
     variance: str = "var_hat"
     critical: str = "bootstrap"
     alpha: float = 0.05
     B: int = 199
     seed: int = 0
-    multiplier: MultiplierLaw = MultiplierLaw.MAMMEN_TWO_POINT
 
     def __post_init__(self):
         if self.statistic not in STATISTICS:
@@ -118,41 +111,24 @@ class TestResult:
         }
 
 
-def _stream(seed: int, *path: int) -> np.random.Generator:
+def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for a derived, order-independent substream."""
     entropy = [seed % (1 << 64), *path]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def draw_multipliers(
-    n: int, law: MultiplierLaw, rng: np.random.Generator
-) -> np.ndarray:
-    """i.i.d. multipliers with mean 0 and second and third moments 1."""
+def draw_multipliers(n: int, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. Mammen two-point multipliers with mean 0 and second and third
+    moments 1."""
     if n < 1:
         raise ValueError("need at least one multiplier")
-    if law is MultiplierLaw.MAMMEN_TWO_POINT:
-        u = rng.random(n)
-        return np.where(u < MAMMEN_P_LOW, MAMMEN_LOW, MAMMEN_HIGH)
-    raise ValueError(f"unknown multiplier law {law!r}")
-
-
-def resample_response(sm: SmootherOutput, eta: np.ndarray) -> np.ndarray:
-    """Null-imposing resample rhat + eta * (y - rhat).
-
-    Refuses to run when any observation has zero leave-one-out density, since
-    its local regression value is undefined. The bootstrap itself uses
-    ``null_resample``, which neutralizes such observations instead.
-    """
-    if np.any(sm.fhat <= 0.0):
-        raise DegenerateStatisticError(
-            "leave-one-out density is zero for some observation; increase g "
-            "or drop isolated observations"
-        )
-    return sm.rhat + eta * sm.resid
+    u = rng.random(n)
+    return np.where(u < MAMMEN_P_LOW, MAMMEN_LOW, MAMMEN_HIGH)
 
 
 def null_resample(sm: SmootherOutput, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Guarded resample: isolated observations keep their original response.
+    """Null-imposing resample rhat + eta * (y - rhat); isolated observations
+    keep their original response.
 
     Where fhat_i = 0 the kernel row L_i. vanishes identically, so Y*_i is
     multiplied by zero in every pairwise statistic; carrying y_i through is
@@ -177,12 +153,6 @@ class _Runner:
         self.sm = sm
         self.n = d.n
         self.y = d.dataset.y
-        self.p_c = d.dataset.p_cont
-        h = cfg.bandwidths.h
-        if cfg.statistic == "lv" and any(
-            k is not ColumnKind.CONTINUOUS for k in d.dataset.x_kinds
-        ):
-            raise ValueError("LV requires continuous X")
         if cfg.statistic == "dgm":
             if self.n < 3:
                 raise ValueError("dgm statistic needs n >= 3")
@@ -198,7 +168,7 @@ class _Runner:
                     f"n >= {floor}"
                 )
             mode = "joint" if cfg.statistic == "lv" else "psi"
-            self.engine = StatEngine(d, sm, h, cfg.kernel, cfg.psi, mode=mode)
+            self.engine = StatEngine(d, sm, cfg.bandwidths.h, cfg.psi, mode=mode)
             self.cvm = None
 
     def evaluate(self, y: np.ndarray, uf: np.ndarray) -> tuple[StatisticValue, bool]:
@@ -227,7 +197,6 @@ class _Runner:
 def _bootstrap_draws(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, dict]:
     """Standardized bootstrap statistics, one per multiplier draw."""
     sm = runner.sm
-    pair = sm.require_pairwise("the bootstrap")
     n = runner.n
     y = runner.y
     draws = np.empty(cfg.B)
@@ -235,9 +204,9 @@ def _bootstrap_draws(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, dict
     n_fallback = 0
     kept = 0
     for b in range(cfg.B):
-        eta = draw_multipliers(n, cfg.multiplier, _stream(cfg.seed, b))
+        eta = draw_multipliers(n, substream(cfg.seed, b))
         ystar = null_resample(sm, y, eta)
-        ufstar = recompute_uf(pair, ystar)
+        ufstar = recompute_uf(sm.pairwise, ystar)
         sv, fallback = runner.evaluate(ystar, ufstar)
         n_fallback += fallback
         if sv.degenerate:
@@ -254,33 +223,10 @@ def _bootstrap_draws(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, dict
     return draws[:kept], diag
 
 
-def bootstrap_critical_value(
-    d: ScaledDataset,
-    sm: SmootherOutput,
-    cfg: TestConfig,
-    rng: int | None = None,
-) -> tuple[float, np.ndarray]:
-    """Upper-alpha empirical quantile of the bootstrapped statistics.
-
-    ``rng`` optionally overrides cfg.seed as the stream root; draws are
-    otherwise fully determined by (cfg.seed, draw index).
-    """
-    if cfg.critical != "bootstrap":
-        raise ValueError("config does not request bootstrap critical values")
-    effective = cfg if rng is None else replace(cfg, seed=int(rng))
-    runner = _Runner(d, sm, effective)
-    draws, _ = _bootstrap_draws(runner, effective)
-    if len(draws) == 0:
-        raise DegenerateStatisticError("all bootstrap draws were degenerate")
-    ordered = np.sort(draws)
-    critical = float(ordered[_quantile_rank(cfg.alpha, len(ordered)) - 1])
-    return critical, draws
-
-
 def run_test(d: Dataset, cfg: TestConfig) -> TestResult:
     """Standardize, smooth, compute the configured statistic, and decide."""
     sd = standardize(d)
-    sm = compute_smoother(sd, cfg.bandwidths.g, cfg.kernel)
+    sm = compute_smoother(sd, cfg.bandwidths.g)
     return decide_scaled(sd, sm, cfg)
 
 

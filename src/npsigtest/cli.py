@@ -18,7 +18,7 @@ import time
 from .bootstrap import TestConfig, run_test
 from .data import ColumnSchema, DataError, load_dataset
 from .designs import FIGURE_TAGS, TEMPLATES, figure_config
-from .kernels import KernelSpec, PsiSpec, default_bandwidths
+from .kernels import PsiSpec, default_bandwidths
 from .selfcheck import run_all
 from .simulation import ExperimentConfig, grid_cells, run_experiment
 from .statistics import DegenerateStatisticError
@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--disc", default="", help="comma-separated discrete columns")
     t.add_argument("--stat", default="itilde", choices=["itilde", "ihat", "lv", "dgm"])
     t.add_argument("--psi", default="normal", choices=["normal", "triangular", "indicator"])
-    t.add_argument("--kernel", default="epanechnikov", choices=["epanechnikov"])
     t.add_argument("--variance", default="var_hat", choices=["var_hat", "var_tilde"])
     t.add_argument("--c", type=float, default=2.0, help="test bandwidth factor")
     t.add_argument("--alpha", type=float, default=0.05)
@@ -183,7 +182,6 @@ def _cmd_test(args) -> int:
         bandwidths=default_bandwidths(data.n, args.c),
         statistic=args.stat,
         psi=PsiSpec(args.psi),
-        kernel=KernelSpec(args.kernel),
         variance=args.variance,
         critical="asymptotic" if args.asymptotic else "bootstrap",
         alpha=args.alpha,

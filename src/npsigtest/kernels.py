@@ -16,20 +16,7 @@ import numpy as np
 SQRT6 = math.sqrt(6.0)
 _NORMAL_C = 1.0 / math.sqrt(2.0 * math.pi)
 
-KERNEL_SHAPES = ("epanechnikov",)
 PSI_FAMILIES = ("triangular", "normal", "indicator")
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Radial smoothing kernel. Only the Epanechnikov profile is implemented;
-    the tag exists so higher-order profiles can be added without API churn."""
-
-    shape: str = "epanechnikov"
-
-    def __post_init__(self):
-        if self.shape not in KERNEL_SHAPES:
-            raise ValueError(f"unknown kernel shape {self.shape!r}")
 
 
 @dataclass(frozen=True)
@@ -73,18 +60,13 @@ def _epanechnikov_of_sqnorm(s):
     return np.where(s < 1.0, 0.75 * (1.0 - s), 0.0)
 
 
-def eval_kernel(spec: KernelSpec, u: np.ndarray) -> float:
+def eval_kernel(u: np.ndarray) -> float:
     """Kernel value at a difference vector: 0.75 (1 - ||u||^2) 1{||u|| < 1}."""
     u = np.asarray(u, dtype=float)
     return float(_epanechnikov_of_sqnorm(np.dot(u.ravel(), u.ravel())))
 
 
-def eval_mixed_kernel(
-    spec: KernelSpec,
-    cont_diff: np.ndarray,
-    disc_equal,
-    bandwidth: float,
-) -> float:
+def eval_mixed_kernel(cont_diff: np.ndarray, disc_equal, bandwidth: float) -> float:
     """h^(-p_c) K(cont_diff / h) times the product of discrete-equality flags."""
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
@@ -92,7 +74,7 @@ def eval_mixed_kernel(
     if not all(bool(f) for f in disc_equal):
         return 0.0
     p_c = cont_diff.size
-    return bandwidth ** (-p_c) * eval_kernel(spec, cont_diff / bandwidth)
+    return bandwidth ** (-p_c) * eval_kernel(cont_diff / bandwidth)
 
 
 def psi_profile(spec: PsiSpec, t):
@@ -123,70 +105,50 @@ def eval_psi(spec: PsiSpec, x_diff: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Vectorized pairwise builders. These produce the n-by-n weight matrices the
-# statistics reuse across bootstrap replications; block variants exist so
-# callers can stream when materializing n^2 floats is not affordable.
+# statistics reuse across bootstrap replications.
 # ---------------------------------------------------------------------------
 
 
-def _sq_dists_block(a_rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between each row of a_rows and each row of b."""
-    if a_rows.shape[1] == 0:
-        return np.zeros((a_rows.shape[0], b.shape[0]))
-    diff = a_rows[:, None, :] - b[None, :, :]
+def _sq_dists(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between every pair of rows of a."""
+    if a.shape[1] == 0:
+        return np.zeros((a.shape[0], a.shape[0]))
+    diff = a[:, None, :] - a[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _disc_equal_block(a_rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1.0 where all discrete coordinates agree exactly, else 0.0."""
-    if a_rows.shape[1] == 0:
-        return np.ones((a_rows.shape[0], b.shape[0]))
-    eq = a_rows[:, None, :] == b[None, :, :]
+def _disc_equal(a: np.ndarray) -> np.ndarray:
+    """1.0 where all discrete coordinates of two rows agree exactly, else 0.0."""
+    if a.shape[1] == 0:
+        return np.ones((a.shape[0], a.shape[0]))
+    eq = a[:, None, :] == a[None, :, :]
     return eq.all(axis=2).astype(float)
-
-
-def mixed_kernel_block(
-    cont: np.ndarray,
-    disc: np.ndarray,
-    bandwidth: float,
-    rows: slice,
-) -> np.ndarray:
-    """Rows [rows] of the pairwise mixed-kernel matrix at the given bandwidth."""
-    s = _sq_dists_block(cont[rows], cont) / (bandwidth * bandwidth)
-    vals = _epanechnikov_of_sqnorm(s) * bandwidth ** (-cont.shape[1])
-    if disc.shape[1]:
-        vals = vals * _disc_equal_block(disc[rows], disc)
-    return vals
 
 
 def mixed_kernel_matrix(cont: np.ndarray, disc: np.ndarray, bandwidth: float) -> np.ndarray:
     """Full pairwise mixed-kernel matrix with a zeroed diagonal."""
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    n = cont.shape[0]
-    m = mixed_kernel_block(cont, disc, bandwidth, slice(0, n))
+    s = _sq_dists(cont) / (bandwidth * bandwidth)
+    m = _epanechnikov_of_sqnorm(s) * bandwidth ** (-cont.shape[1])
+    if disc.shape[1]:
+        m = m * _disc_equal(disc)
     np.fill_diagonal(m, 0.0)
     return m
 
 
-def psi_block(spec: PsiSpec, cont: np.ndarray, disc: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows [rows] of the pairwise psi-weight matrix."""
-    if spec.family == "indicator":
-        both = np.hstack([cont, disc])
-        return _disc_equal_block(both[rows], both)
-    both = np.hstack([cont, disc])
-    t = np.sqrt(_sq_dists_block(both[rows], both))
-    return psi_profile(spec, t)
-
-
 def psi_matrix(spec: PsiSpec, cont: np.ndarray, disc: np.ndarray) -> np.ndarray:
-    n = cont.shape[0]
-    return psi_block(spec, cont, disc, slice(0, n))
+    """Full pairwise psi-weight matrix over the covariates under test."""
+    both = np.hstack([cont, disc])
+    if spec.family == "indicator":
+        return _disc_equal(both)
+    return psi_profile(spec, np.sqrt(_sq_dists(both)))
 
 
-def joint_x_kernel_matrix(spec: KernelSpec, x: np.ndarray, bandwidth: float) -> np.ndarray:
+def joint_x_kernel_matrix(x: np.ndarray, bandwidth: float) -> np.ndarray:
     """h^(-q) K((x_i - x_j)/h) pairwise; identically 1 when x is empty."""
     n = x.shape[0]
     if x.shape[1] == 0:
         return np.ones((n, n))
-    s = _sq_dists_block(x, x) / (bandwidth * bandwidth)
+    s = _sq_dists(x) / (bandwidth * bandwidth)
     return _epanechnikov_of_sqnorm(s) * bandwidth ** (-x.shape[1])

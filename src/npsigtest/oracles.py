@@ -16,10 +16,10 @@ from itertools import permutations
 import numpy as np
 
 from .data import ScaledDataset
-from .kernels import KernelSpec, PsiSpec, eval_mixed_kernel, eval_psi
+from .kernels import PsiSpec, eval_mixed_kernel, eval_psi
 
 
-def _pair_tables(d: ScaledDataset, g: float, h: float, kernel: KernelSpec, psi: PsiSpec | None, joint: bool):
+def _pair_tables(d: ScaledDataset, g: float, h: float, psi: PsiSpec | None, joint: bool):
     """Scalar-built L, K, and psi pair tables (plain nested loops)."""
     ds = d.dataset
     n = ds.n
@@ -33,8 +33,8 @@ def _pair_tables(d: ScaledDataset, g: float, h: float, kernel: KernelSpec, psi: 
             if i == j:
                 continue
             wd_eq = w_disc[i] == w_disc[j]
-            L[i][j] = eval_mixed_kernel(kernel, w_cont[i] - w_cont[j], wd_eq, g)
-            K[i][j] = eval_mixed_kernel(kernel, w_cont[i] - w_cont[j], wd_eq, h)
+            L[i][j] = eval_mixed_kernel(w_cont[i] - w_cont[j], wd_eq, g)
+            K[i][j] = eval_mixed_kernel(w_cont[i] - w_cont[j], wd_eq, h)
             if joint:
                 if ds.q == 0:
                     P[i][j] = 1.0
@@ -57,13 +57,12 @@ class OracleTables:
         d: ScaledDataset,
         g: float,
         h: float,
-        kernel: KernelSpec = KernelSpec(),
         psi: PsiSpec = PsiSpec(),
         joint: bool = False,
     ):
         self.n = d.n
         self.y = [float(v) for v in d.dataset.y]
-        self.L, self.K, self.P = _pair_tables(d, g, h, kernel, psi, joint)
+        self.L, self.K, self.P = _pair_tables(d, g, h, psi, joint)
         self.h_power = h ** (d.dataset.p_cont + (d.dataset.q if joint else 0))
 
     def arrangements(self, m: int) -> float:
@@ -73,9 +72,9 @@ class OracleTables:
         return out
 
 
-def oracle_smoother(d: ScaledDataset, g: float, kernel: KernelSpec = KernelSpec()):
+def oracle_smoother(d: ScaledDataset, g: float):
     """Scalar-loop leave-one-out estimates: (fhat, rhat, uf)."""
-    t = OracleTables(d, g, g, kernel)
+    t = OracleTables(d, g, g)
     n, y, L = t.n, t.y, t.L
     fhat, rhat, uf = [], [], []
     for i in range(n):

@@ -12,14 +12,9 @@ import math
 
 import numpy as np
 
-from .bootstrap import (
-    MAMMEN_P_LOW,
-    MultiplierLaw,
-    draw_multipliers,
-    null_resample,
-)
+from .bootstrap import MAMMEN_P_LOW, draw_multipliers, null_resample
 from .data import ColumnKind, Dataset, all_continuous, standardize
-from .kernels import Bandwidths, KernelSpec, PsiSpec, default_bandwidths
+from .kernels import Bandwidths, PsiSpec, default_bandwidths
 from .oracles import (
     OracleTables,
     oracle_diagonal_terms,
@@ -28,14 +23,7 @@ from .oracles import (
     oracle_var_hat,
 )
 from .smoother import compute_smoother
-from .statistics import (
-    StatEngine,
-    diagonal_terms,
-    lv_statistic,
-    stat_ihat,
-    stat_itilde,
-    var_hat,
-)
+from .statistics import StatEngine
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
@@ -80,7 +68,7 @@ def oracle_case(seed: int, n: int, q: int, psi_family: str):
     bw = Bandwidths(g=1.5, h=1.2, c=1.0)
     sm = compute_smoother(sd, bw.g)
     psi = PsiSpec(psi_family)
-    tables = OracleTables(sd, bw.g, bw.h, KernelSpec(), psi)
+    tables = OracleTables(sd, bw.g, bw.h, psi)
     return data, sd, sm, bw, psi, tables
 
 
@@ -92,20 +80,22 @@ def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
             q = 1 + (si % 2)
             psi_family = families[si % 3]
             _, sd, sm, bw, psi, tables = oracle_case(seed, n, q, psi_family)
+            y = sd.dataset.y
+            eng = StatEngine(sd, sm, bw.h, psi=psi)
             pairs = [
-                ("ihat", stat_ihat(sm, sd, bw.h, psi=psi), oracle_ihat(tables)),
-                ("itilde", stat_itilde(sm, sd, bw.h, psi=psi), oracle_itilde(tables)),
-                ("var_hat", var_hat(sm, sd, bw.h, psi=psi), oracle_var_hat(tables, sm.uf)),
+                ("ihat", eng.ihat(sm.uf), oracle_ihat(tables)),
+                ("itilde", eng.itilde(y), oracle_itilde(tables)),
+                ("var_hat", eng.var_hat(sm.uf), oracle_var_hat(tables, sm.uf)),
             ]
-            dt = diagonal_terms(sm, sd, bw.h, psi=psi)
+            dt = eng.diagonal_terms(y)
             ov1, ov2, ov3 = oracle_diagonal_terms(tables)
             pairs += [("v1", dt.v1, ov1), ("v2", dt.v2, ov2), ("v3", dt.v3, ov3)]
             if psi_family != "indicator":
                 joint = OracleTables(sd, bw.g, bw.h, joint=True)
-                got_lv = lv_statistic(sm, sd, bw.h)
-                pairs.append(("lv", got_lv.raw, oracle_itilde(joint)))
+                lv = StatEngine(sd, sm, bw.h, mode="joint")
+                pairs.append(("lv", lv.itilde(y), oracle_itilde(joint)))
                 pairs.append(
-                    ("lv-variance", got_lv.variance, oracle_var_hat(joint, sm.uf))
+                    ("lv-variance", lv.var_hat(sm.uf), oracle_var_hat(joint, sm.uf))
                 )
             for name, fast, slow in pairs:
                 if not close(fast, slow):
@@ -189,9 +179,7 @@ def check_multiplier_moments(seed: int = 20240, ndraws: int = 1_000_000):
     )
     if not probs_ok:
         return ("multiplier-moments", False, "two-point probabilities do not sum to 1")
-    draws = draw_multipliers(
-        ndraws, MultiplierLaw.MAMMEN_TWO_POINT, np.random.default_rng(seed)
-    )
+    draws = draw_multipliers(ndraws, np.random.default_rng(seed))
     # exact moment variances: Var eta = 1, Var eta^2 = 1, Var eta^3 = 4
     for k, mean_k, var_k in ((1, 0.0, 1.0), (2, 1.0, 1.0), (3, 1.0, 4.0)):
         emp = float(np.mean(draws**k))
@@ -222,9 +210,13 @@ def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
     bw = default_bandwidths(n, 2.0)
     sm = compute_smoother(sd, bw.g)
     psi = PsiSpec("normal")
-    raw_ihat = stat_ihat(sm, sd, bw.h, psi=psi)
-    raw_itilde = stat_itilde(sm, sd, bw.h, psi=psi)
-    raw_var = var_hat(sm, sd, bw.h, psi=psi)
+
+    def raw_statistics(sd_, sm_):
+        """(ihat, itilde, var_hat) of a smoothed sample."""
+        eng_ = StatEngine(sd_, sm_, bw.h, psi=psi)
+        return eng_.ihat(sm_.uf), eng_.itilde(sd_.dataset.y), eng_.var_hat(sm_.uf)
+
+    raw_ihat, raw_itilde, raw_var = raw_statistics(sd, sm)
     t_base = _tn(data)
 
     def remake(y=None, w=None, x=None):
@@ -242,10 +234,10 @@ def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
     shifted = remake(y=data.y + 3.7)
     sds = standardize(shifted)
     sms = compute_smoother(sds, bw.g)
-    for name, a, b in (
-        ("shift-ihat", stat_ihat(sms, sds, bw.h, psi=psi), raw_ihat),
-        ("shift-itilde", stat_itilde(sms, sds, bw.h, psi=psi), raw_itilde),
-        ("shift-var", var_hat(sms, sds, bw.h, psi=psi), raw_var),
+    for name, a, b in zip(
+        ("shift-ihat", "shift-itilde", "shift-var"),
+        raw_statistics(sds, sms),
+        (raw_ihat, raw_itilde, raw_var),
     ):
         if not close(a, b):
             failures.append(name)
@@ -257,9 +249,10 @@ def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
     scaled = remake(y=lam * data.y)
     sdl = standardize(scaled)
     sml = compute_smoother(sdl, bw.g)
-    if not close(stat_itilde(sml, sdl, bw.h, psi=psi), lam ** 2 * raw_itilde):
+    _, scaled_itilde, scaled_var = raw_statistics(sdl, sml)
+    if not close(scaled_itilde, lam ** 2 * raw_itilde):
         failures.append("scale-raw")
-    if not close(var_hat(sml, sdl, bw.h, psi=psi), lam ** 4 * raw_var):
+    if not close(scaled_var, lam ** 4 * raw_var):
         failures.append("scale-var")
 
     # rescaling an input column is absorbed by standardization

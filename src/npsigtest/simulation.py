@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import TestConfig, decide_scaled
+from .bootstrap import TestConfig, decide_scaled, substream
 from .data import ColumnKind, Dataset, all_continuous, standardize
 from .kernels import PsiSpec, default_bandwidths
 from .smoother import compute_smoother
@@ -244,12 +244,6 @@ class ResultTable:
 _ACCEPT, _REJECT, _FAIL = 0, 1, 2
 
 
-def _substream(master_seed: int, *path: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed % (1 << 64), *path])
-    )
-
-
 def _subseed(master_seed: int, *path: int) -> int:
     seq = np.random.SeedSequence([master_seed % (1 << 64), *path])
     return int(seq.generate_state(1, dtype=np.uint64)[0])
@@ -271,7 +265,7 @@ def _template_config(t: TestTemplate, cell: Cell, alpha: float, B: int, seed: in
 def _run_replication(args) -> list[int]:
     """One dataset, every test of the cell. Returns an outcome code per test."""
     cell, tests, alpha, B, master_seed, ci, r = args
-    data = generate(cell.dgp, _substream(master_seed, ci, r, 0))
+    data = generate(cell.dgp, substream(master_seed, ci, r, 0))
     sd = standardize(data)
     sm = None
     outcomes = []

@@ -7,9 +7,9 @@ For each observation i the smoother produces, using every other observation:
 * ``uf``: the density-weighted residual (y_i - rhat_i) * fhat_i, accumulated
   directly from pairwise differences so it stays finite even where fhat is 0.
 
-The pairwise kernel matrix is retained up to ``store_threshold`` rows so the
-statistics and the bootstrap can reuse it; above the threshold the vectors
-are accumulated in row blocks and the matrix is not kept.
+The pairwise kernel matrix is kept so the statistics and the bootstrap can
+reuse it. Every test holds a few n-by-n float64 matrices in memory at once,
+so samples are limited to ``MAX_OBSERVATIONS`` rows.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ScaledDataset
-from .kernels import KernelSpec, mixed_kernel_block
+from .kernels import mixed_kernel_matrix
 
-DEFAULT_STORE_THRESHOLD = 4000
-_BLOCK_ROWS = 256
+# largest sample whose n-by-n pair-weight matrices fit comfortably in memory
+MAX_OBSERVATIONS = 4000
 
 
 @dataclass(frozen=True)
@@ -37,55 +37,33 @@ class SmootherOutput:
     rhat: np.ndarray
     uf: np.ndarray
     resid: np.ndarray
-    pairwise: np.ndarray | None
+    pairwise: np.ndarray
 
     @property
     def has_undefined_rhat(self) -> bool:
         return bool(np.any(np.isnan(self.rhat)))
 
-    def require_pairwise(self, who: str) -> np.ndarray:
-        if self.pairwise is None:
-            raise ValueError(
-                f"{who} needs the stored pairwise kernel matrix; recompute the "
-                "smoother with a larger store_threshold"
-            )
-        return self.pairwise
 
-
-def compute_smoother(
-    d: ScaledDataset,
-    g: float,
-    kernel: KernelSpec = KernelSpec(),
-    store_threshold: int = DEFAULT_STORE_THRESHOLD,
-) -> SmootherOutput:
+def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
     """Leave-one-out density, regression, and weighted-residual vectors."""
     n = d.n
     if n < 3:
         raise ValueError("leave-one-out smoothing needs n >= 3")
+    if n > MAX_OBSERVATIONS:
+        raise ValueError(
+            f"{n} observations exceed the limit of {MAX_OBSERVATIONS}: the test "
+            "holds several n-by-n matrices in memory; subsample the data to at "
+            f"most {MAX_OBSERVATIONS} rows"
+        )
     if not g > 0:
         raise ValueError("estimation bandwidth g must be positive")
     y = d.dataset.y
     cont, disc = d.dataset.w_split()
 
-    if n <= store_threshold:
-        pair = mixed_kernel_block(cont, disc, g, slice(0, n))
-        np.fill_diagonal(pair, 0.0)
-        row_sum = pair.sum(axis=1)
-        y_sum = pair @ y
-        uf = recompute_uf(pair, y)
-    else:
-        pair = None
-        row_sum = np.empty(n)
-        y_sum = np.empty(n)
-        uf = np.empty(n)
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = slice(start, min(start + _BLOCK_ROWS, n))
-            block = mixed_kernel_block(cont, disc, g, rows)
-            for i in range(rows.start, rows.stop):
-                block[i - rows.start, i] = 0.0
-            row_sum[rows] = block.sum(axis=1)
-            y_sum[rows] = block @ y
-            uf[rows] = ((y[rows, None] - y[None, :]) * block).sum(axis=1) / (n - 1)
+    pair = mixed_kernel_matrix(cont, disc, g)
+    row_sum = pair.sum(axis=1)
+    y_sum = pair @ y
+    uf = recompute_uf(pair, y)
 
     fhat = row_sum / (n - 1)
     rhat = np.full(n, np.nan)

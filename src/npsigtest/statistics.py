@@ -1,13 +1,13 @@
 """Test statistics over pairwise kernel weights.
 
 The main statistic is a second-order arrangement average of density-weighted
-leave-one-out residual products, taken over pairs (``stat_ihat``) or with all
-coinciding-index ("diagonal") terms removed via a four-distinct-index
-arrangement average (``stat_itilde``). Two studentizations are provided, plus
-the competitor statistics used in the experiments: a jointly-smoothed variant
-(``lv_statistic``), a Cramer-von-Mises functional of the marked residual
-process (``dgm_statistic``), and an F-test against a linear specification
-(``fisher_test``).
+leave-one-out residual products, taken over pairs (``StatEngine.ihat``) or
+with all coinciding-index ("diagonal") terms removed via a four-distinct-index
+arrangement average (``StatEngine.itilde``). Two studentizations are
+provided, plus the competitor statistics used in the experiments: a
+jointly-smoothed variant (``StatEngine`` in ``joint`` mode), a Cramer-von-Mises
+functional of the marked residual process (``CvmEngine``), and an F-test
+against a linear specification (``fisher_test``).
 
 Everything here is organized around matrices of pairwise weights so the wild
 bootstrap can recompute statistics for thousands of response vectors while
@@ -25,18 +25,8 @@ import numpy as np
 import scipy.stats
 
 from .data import ColumnKind, ScaledDataset
-from .kernels import (
-    KernelSpec,
-    PsiSpec,
-    joint_x_kernel_matrix,
-    mixed_kernel_block,
-    mixed_kernel_matrix,
-    psi_block,
-    psi_matrix,
-)
+from .kernels import PsiSpec, joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
 from .smoother import SmootherOutput, recompute_uf
-
-_BLOCK_ROWS = 256
 
 
 class DegenerateStatisticError(RuntimeError):
@@ -108,7 +98,6 @@ class StatEngine:
         d: ScaledDataset,
         sm: SmootherOutput,
         h: float,
-        kernel: KernelSpec = KernelSpec(),
         psi: PsiSpec = PsiSpec(),
         mode: str = "psi",
     ):
@@ -116,7 +105,7 @@ class StatEngine:
             raise ValueError("test bandwidth h must be positive")
         ds = d.dataset
         self.n = ds.n
-        self.L = sm.require_pairwise("this statistic")
+        self.L = sm.pairwise
         w_cont, w_disc = ds.w_split()
         kmat = mixed_kernel_matrix(w_cont, w_disc, h)
         if mode == "psi":
@@ -125,8 +114,8 @@ class StatEngine:
             self.rate_dim = ds.p_cont
         elif mode == "joint":
             if any(k is not ColumnKind.CONTINUOUS for k in ds.x_kinds):
-                raise ValueError("joint smoothing requires continuous x columns")
-            pmat = joint_x_kernel_matrix(kernel, ds.x, h)
+                raise ValueError("LV requires continuous X")
+            pmat = joint_x_kernel_matrix(ds.x, h)
             self.rate_dim = ds.p_cont + ds.q
         else:
             raise ValueError(f"unknown engine mode {mode!r}")
@@ -209,130 +198,6 @@ class StatEngine:
         raise ValueError(f"unknown variance estimator {name!r}")
 
 
-# ---------------------------------------------------------------------------
-# One-shot operations. The pair statistic and its studentizer stream over row
-# blocks (they need only the uf vector), so they work past the pairwise
-# storage threshold; the arrangement statistics require the stored matrix.
-# ---------------------------------------------------------------------------
-
-
-def _pair_weight_blocks(d: ScaledDataset, h: float, psi: PsiSpec):
-    """Yield (rows, block) of the pairwise K*psi matrix with zeroed diagonal."""
-    ds = d.dataset
-    w_cont, w_disc = ds.w_split()
-    x_cont, x_disc = ds.x_split()
-    n = ds.n
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, n))
-        block = mixed_kernel_block(w_cont, w_disc, h, rows)
-        block *= psi_block(psi, x_cont, x_disc, rows)
-        for i in range(rows.start, rows.stop):
-            block[i - rows.start, i] = 0.0
-        yield rows, block
-
-
-def stat_ihat(
-    sm: SmootherOutput,
-    d: ScaledDataset,
-    h: float,
-    kernel: KernelSpec = KernelSpec(),
-    psi: PsiSpec = PsiSpec(),
-) -> float:
-    """Pair arrangement average of weighted-residual products."""
-    n = d.n
-    if n < 3:
-        raise ValueError("pair statistic needs n >= 3")
-    if not h > 0:
-        raise ValueError("test bandwidth h must be positive")
-    uf = sm.uf
-    partials = []
-    for rows, block in _pair_weight_blocks(d, h, psi):
-        partials.append(_fsum(uf[rows] * (block @ uf)))
-    return math.fsum(partials) / _arrangements(n, 2)
-
-
-def var_hat(
-    sm: SmootherOutput,
-    d: ScaledDataset,
-    h: float,
-    kernel: KernelSpec = KernelSpec(),
-    psi: PsiSpec = PsiSpec(),
-) -> float:
-    """Pair-sum variance estimator; nonnegative by construction."""
-    n = d.n
-    if n < 3:
-        raise ValueError("variance estimator needs n >= 3")
-    uf2 = sm.uf * sm.uf
-    partials = []
-    for rows, block in _pair_weight_blocks(d, h, psi):
-        np.square(block, out=block)
-        partials.append(_fsum(uf2[rows] * (block @ uf2)))
-    return 2.0 * h ** d.dataset.p_cont * math.fsum(partials) / _arrangements(n, 2)
-
-
-def diagonal_terms(
-    sm: SmootherOutput,
-    d: ScaledDataset,
-    h: float,
-    kernel: KernelSpec = KernelSpec(),
-    psi: PsiSpec = PsiSpec(),
-) -> DiagonalTerms:
-    """The three coinciding-index arrangement averages."""
-    if d.n < 5:
-        raise ValueError("diagonal terms need n >= 5")
-    eng = StatEngine(d, sm, h, kernel, psi)
-    return eng.diagonal_terms(d.dataset.y)
-
-
-def stat_itilde(
-    sm: SmootherOutput,
-    d: ScaledDataset,
-    h: float,
-    kernel: KernelSpec = KernelSpec(),
-    psi: PsiSpec = PsiSpec(),
-) -> float:
-    """Four-distinct-index arrangement average (diagonal terms removed)."""
-    if d.n < 5:
-        raise ValueError("distinct-index statistic needs n >= 5")
-    eng = StatEngine(d, sm, h, kernel, psi)
-    return eng.itilde(d.dataset.y)
-
-
-def var_tilde(
-    sm: SmootherOutput,
-    d: ScaledDataset,
-    h: float,
-    kernel: KernelSpec = KernelSpec(),
-    psi: PsiSpec = PsiSpec(),
-) -> float:
-    """Six-index variance estimator (nested-distinctness fast path)."""
-    if d.n < 7:
-        raise ValueError("six-index variance estimator needs n >= 7")
-    eng = StatEngine(d, sm, h, kernel, psi)
-    return eng.var_tilde(d.dataset.y)
-
-
-def lv_statistic(
-    sm: SmootherOutput,
-    d: ScaledDataset,
-    h: float,
-    kernel: KernelSpec = KernelSpec(),
-    variance: str = "var_hat",
-) -> StatisticValue:
-    """Jointly-smoothed competitor: the distinct-index statistic with the psi
-    weight replaced by an x kernel at the same bandwidth, standardized at the
-    joint-dimension rate."""
-    ds = d.dataset
-    if any(k is not ColumnKind.CONTINUOUS for k in ds.x_kinds):
-        raise ValueError("LV requires continuous X")
-    if ds.n < 5:
-        raise ValueError("LV statistic needs n >= 5")
-    eng = StatEngine(d, sm, h, kernel, mode="joint")
-    raw = eng.itilde(ds.y)
-    omega2 = eng.variance(variance, ds.y, sm.uf)
-    return standardize_statistic(raw, omega2, ds.n, h, eng.rate_dim)
-
-
 class CvmEngine:
     """Componentwise-dominance indicator matrix for the marked-process statistic."""
 
@@ -345,21 +210,6 @@ class CvmEngine:
     def statistic(self, uf: np.ndarray) -> float:
         inner = self.E @ uf
         return _fsum(inner * inner)
-
-
-def dgm_statistic(sm: SmootherOutput, d: ScaledDataset) -> float:
-    """Cramer-von-Mises functional of weighted residuals marked by (w, x)."""
-    ds = d.dataset
-    both = np.hstack([ds.w, ds.x])
-    n = ds.n
-    uf = sm.uf
-    partials = []
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, n))
-        block = np.all(both[None, :, :] <= both[rows][:, None, :], axis=2)
-        inner = block @ uf
-        partials.append(_fsum(inner * inner))
-    return math.fsum(partials)
 
 
 def fisher_test(d: ScaledDataset, alpha: float) -> tuple[float, bool]:

@@ -7,12 +7,10 @@ from npsigtest.bootstrap import (
     MAMMEN_HIGH,
     MAMMEN_LOW,
     MAMMEN_P_LOW,
-    MultiplierLaw,
     TestConfig,
-    bootstrap_critical_value,
+    decide_scaled,
     draw_multipliers,
     null_resample,
-    resample_response,
     run_test,
 )
 from npsigtest.data import Dataset, all_continuous, standardize
@@ -45,16 +43,12 @@ class TestMultipliers:
         assert multiplier_moment_exact(3) == _Q5(1)
 
     def test_two_point_support(self):
-        draws = draw_multipliers(
-            1000, MultiplierLaw.MAMMEN_TWO_POINT, np.random.default_rng(3)
-        )
+        draws = draw_multipliers(1000, np.random.default_rng(3))
         assert set(np.unique(draws)) == {MAMMEN_LOW, MAMMEN_HIGH}
 
     def test_empirical_moments(self):
         n = 1_000_000
-        draws = draw_multipliers(
-            n, MultiplierLaw.MAMMEN_TWO_POINT, np.random.default_rng(99)
-        )
+        draws = draw_multipliers(n, np.random.default_rng(99))
         assert abs(draws.mean()) < 3e-3
         assert abs((draws**2).mean() - 1.0) < 4e-3
         assert abs((draws**3).mean() - 1.0) < 8e-3
@@ -62,13 +56,13 @@ class TestMultipliers:
 
 class TestResample:
     def test_zero_eta_returns_fit(self):
-        _, _, sm, _ = wide_case()
-        ystar = resample_response(sm, np.zeros(25))
+        d, _, sm, _ = wide_case()
+        ystar = null_resample(sm, d.y, np.zeros(25))
         assert np.allclose(ystar, sm.rhat, atol=0)
 
     def test_unit_eta_returns_response(self):
         d, _, sm, _ = wide_case()
-        ystar = resample_response(sm, np.ones(25))
+        ystar = null_resample(sm, d.y, np.ones(25))
         assert np.allclose(ystar, d.y, rtol=1e-14)
 
     def test_constant_response_fixed_point(self):
@@ -82,15 +76,8 @@ class TestResample:
         )
         sd = standardize(d)
         sm = compute_smoother(sd, 5.0)
-        eta = draw_multipliers(12, MultiplierLaw.MAMMEN_TWO_POINT, rng)
-        assert np.allclose(resample_response(sm, eta), d.y, atol=1e-12)
-
-    def test_isolated_observation_errors(self):
-        d = make_dataset(42, 20, q=1)
-        sd = standardize(d)
-        sm = compute_smoother(sd, 1e-6)
-        with pytest.raises(DegenerateStatisticError, match="increase g"):
-            resample_response(sm, np.ones(20))
+        eta = draw_multipliers(12, rng)
+        assert np.allclose(null_resample(sm, d.y, eta), d.y, atol=1e-12)
 
     def test_null_resample_neutralizes_isolated(self):
         d = make_dataset(43, 40, q=1)
@@ -123,41 +110,36 @@ class TestBootstrapCriticalValue:
     def test_single_draw_is_critical(self):
         d, sd, sm, bw = wide_case()
         cfg = TestConfig(bandwidths=bw, B=1, seed=5, alpha=0.05)
-        critical, draws = bootstrap_critical_value(sd, sm, cfg)
-        assert len(draws) == 1
-        assert critical == draws[0]
+        res = decide_scaled(sd, sm, cfg)
+        assert len(res.bootstrap_draws) == 1
+        assert res.critical_value == res.bootstrap_draws[0]
 
     def test_rank_convention_199(self):
         d, sd, sm, bw = wide_case()
         cfg = TestConfig(bandwidths=bw, B=199, seed=6, alpha=0.05)
-        critical, draws = bootstrap_critical_value(sd, sm, cfg)
-        assert len(draws) == 199
-        assert critical == np.sort(draws)[189]  # ceil(0.95 * 200) = 190th
+        res = decide_scaled(sd, sm, cfg)
+        assert len(res.bootstrap_draws) == 199
+        # ceil(0.95 * 200) = 190th
+        assert res.critical_value == np.sort(res.bootstrap_draws)[189]
 
     def test_deterministic_bit_for_bit(self):
         d, sd, sm, bw = wide_case()
         cfg = TestConfig(bandwidths=bw, B=37, seed=123)
-        c1, d1 = bootstrap_critical_value(sd, sm, cfg)
-        c2, d2 = bootstrap_critical_value(sd, sm, cfg)
-        assert c1 == c2
-        assert np.array_equal(d1, d2)
+        r1 = decide_scaled(sd, sm, cfg)
+        r2 = decide_scaled(sd, sm, cfg)
+        assert r1.critical_value == r2.critical_value
+        assert np.array_equal(r1.bootstrap_draws, r2.bootstrap_draws)
 
     def test_alpha_monotonicity_on_stored_draws(self):
         d, sd, sm, bw = wide_case()
         cfg = TestConfig(bandwidths=bw, B=99, seed=9, alpha=0.05)
-        _, draws = bootstrap_critical_value(sd, sm, cfg)
+        draws = decide_scaled(sd, sm, cfg).bootstrap_draws
         ordered = np.sort(draws)
         crits = []
         for alpha in (0.01, 0.05, 0.10, 0.25, 0.5):
             rank = min(max(math.ceil((1 - alpha) * (len(draws) + 1)), 1), len(draws))
             crits.append(ordered[rank - 1])
         assert all(a >= b for a, b in zip(crits, crits[1:]))
-
-    def test_requires_bootstrap_config(self):
-        d, sd, sm, bw = wide_case()
-        cfg = TestConfig(bandwidths=bw, critical="asymptotic")
-        with pytest.raises(ValueError, match="bootstrap"):
-            bootstrap_critical_value(sd, sm, cfg)
 
 
 class TestRunTest:
@@ -190,6 +172,19 @@ class TestRunTest:
         assert r1.statistic_value.standardized == r2.statistic_value.standardized
         assert r1.critical_value == r2.critical_value
         assert np.array_equal(r1.bootstrap_draws, r2.bootstrap_draws)
+
+    def test_pinned_reference_values(self):
+        # recorded from an earlier implementation of the pair-weight path;
+        # a refactor of the statistics or the bootstrap must reproduce them
+        d = make_dataset(52, 50, q=2)
+        cfg = TestConfig(bandwidths=default_bandwidths(50, 2.0), B=99, seed=314)
+        res = run_test(d, cfg)
+        assert res.statistic_value.standardized == pytest.approx(
+            0.12955121253630508, rel=1e-12
+        )
+        assert res.critical_value == pytest.approx(0.5330923590625313, rel=1e-12)
+        assert res.p_value == pytest.approx(0.32, rel=1e-12)
+        assert res.reject is False
 
     def test_reject_consistency_flag(self):
         d = make_dataset(53, 50, q=1)
@@ -247,7 +242,7 @@ class TestReuseCorrectness:
     def test_scratch_equals_cached(self):
         d, sd, sm, bw = wide_case(seed=60, n=30)
         eng = StatEngine(sd, sm, bw.h, psi=PsiSpec("normal"))
-        eta = draw_multipliers(30, MultiplierLaw.MAMMEN_TWO_POINT, np.random.default_rng(17))
+        eta = draw_multipliers(30, np.random.default_rng(17))
         ystar = null_resample(sm, d.y, eta)
         fast_uf = eng.uf_of(ystar)
         fast_itilde = eng.itilde(ystar)
@@ -258,8 +253,8 @@ class TestReuseCorrectness:
         )
         sdf = standardize(fresh)
         smf = compute_smoother(sdf, bw.g)
-        from npsigtest.statistics import stat_itilde, var_hat
+        scratch = StatEngine(sdf, smf, bw.h, psi=PsiSpec("normal"))
 
         assert np.allclose(smf.uf, fast_uf, rtol=1e-12, atol=1e-15)
-        assert stat_itilde(smf, sdf, bw.h) == pytest.approx(fast_itilde, rel=1e-12)
-        assert var_hat(smf, sdf, bw.h) == pytest.approx(fast_var, rel=1e-12)
+        assert scratch.itilde(sdf.dataset.y) == pytest.approx(fast_itilde, rel=1e-12)
+        assert scratch.var_hat(smf.uf) == pytest.approx(fast_var, rel=1e-12)

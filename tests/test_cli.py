@@ -84,6 +84,16 @@ class TestCmdTest:
         assert code == EXIT_RUNTIME
         assert "missing column" in capsys.readouterr().err
 
+    def test_oversized_sample_runtime_error(self, tmp_path, capsys):
+        d = gen_continuous(
+            DgpSpec(family="continuous", n=4001, q=1), np.random.default_rng(3)
+        )
+        path = tmp_path / "big.csv"
+        save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1",)))
+        code = main(base_args(path) + ["--seed", "1", "--asymptotic"])
+        assert code == EXIT_RUNTIME
+        assert "4000" in capsys.readouterr().err
+
     def test_asymptotic_flag(self, null_csv, capsys):
         code = main(base_args(null_csv) + ["--seed", "99", "--asymptotic", "--json"])
         record = json.loads(capsys.readouterr().out)

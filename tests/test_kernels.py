@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from npsigtest.kernels import (
     Bandwidths,
-    KernelSpec,
     PsiSpec,
     default_bandwidths,
     eval_kernel,
@@ -19,25 +18,22 @@ from npsigtest.kernels import (
     psi_profile,
 )
 
-EPA = KernelSpec()
-
-
 class TestEvalKernel:
     def test_at_zero(self):
-        assert eval_kernel(EPA, np.zeros(3)) == pytest.approx(0.75)
+        assert eval_kernel(np.zeros(3)) == pytest.approx(0.75)
 
     def test_support_boundary(self):
-        assert eval_kernel(EPA, np.array([1.0, 0.0])) == 0.0
+        assert eval_kernel(np.array([1.0, 0.0])) == 0.0
 
     def test_half_norm(self):
-        assert eval_kernel(EPA, np.array([0.5])) == pytest.approx(0.5625)
+        assert eval_kernel(np.array([0.5])) == pytest.approx(0.5625)
 
     @given(st.lists(st.floats(-3, 3), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_even_and_compact(self, coords):
         u = np.array(coords)
-        v = eval_kernel(EPA, u)
-        assert v == eval_kernel(EPA, -u)
+        v = eval_kernel(u)
+        assert v == eval_kernel(-u)
         assert v >= 0.0
         if float(np.linalg.norm(u)) >= 1.0:
             assert v == 0.0
@@ -45,14 +41,14 @@ class TestEvalKernel:
 
 class TestMixedKernel:
     def test_all_continuous_reduces(self):
-        assert eval_mixed_kernel(EPA, np.zeros(2), [], 1.0) == pytest.approx(0.75)
+        assert eval_mixed_kernel(np.zeros(2), [], 1.0) == pytest.approx(0.75)
 
     def test_discrete_mismatch_annihilates(self):
-        v = eval_mixed_kernel(EPA, np.zeros(2), [True, False], 1.0)
+        v = eval_mixed_kernel(np.zeros(2), [True, False], 1.0)
         assert v == 0.0
 
     def test_bandwidth_power(self):
-        v = eval_mixed_kernel(EPA, np.zeros(1), [True], 0.5)
+        v = eval_mixed_kernel(np.zeros(1), [True], 0.5)
         assert v == pytest.approx(1.5)
 
     @given(
@@ -62,8 +58,8 @@ class TestMixedKernel:
     @settings(max_examples=60, deadline=None)
     def test_no_discrete_columns_reduces_exactly(self, coords, h):
         diff = np.array(coords)
-        got = eval_mixed_kernel(EPA, diff, [], h)
-        assert got == h ** (-diff.size) * eval_kernel(EPA, diff / h)
+        got = eval_mixed_kernel(diff, [], h)
+        assert got == h ** (-diff.size) * eval_kernel(diff / h)
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -75,9 +71,7 @@ class TestMixedKernel:
             for j in range(7):
                 if i == j:
                     continue
-                expected = eval_mixed_kernel(
-                    EPA, cont[i] - cont[j], disc[i] == disc[j], 0.9
-                )
+                expected = eval_mixed_kernel(cont[i] - cont[j], disc[i] == disc[j], 0.9)
                 assert m[i, j] == pytest.approx(expected, rel=1e-12)
 
 
@@ -123,17 +117,17 @@ class TestPsi:
 
 class TestJointXKernel:
     def test_empty_x_gives_ones(self):
-        m = joint_x_kernel_matrix(EPA, np.empty((4, 0)), 0.5)
+        m = joint_x_kernel_matrix(np.empty((4, 0)), 0.5)
         assert np.array_equal(m, np.ones((4, 4)))
 
     def test_matches_scaled_kernel(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 2))
         h = 0.8
-        m = joint_x_kernel_matrix(EPA, x, h)
+        m = joint_x_kernel_matrix(x, h)
         for i in range(5):
             for j in range(5):
-                expected = h ** -2 * eval_kernel(EPA, (x[i] - x[j]) / h)
+                expected = h ** -2 * eval_kernel((x[i] - x[j]) / h)
                 assert m[i, j] == pytest.approx(expected, rel=1e-12)
 
 

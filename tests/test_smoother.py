@@ -3,7 +3,7 @@ import pytest
 
 from npsigtest.data import Dataset, all_continuous, standardize
 from npsigtest.oracles import oracle_smoother
-from npsigtest.smoother import compute_smoother, recompute_uf
+from npsigtest.smoother import MAX_OBSERVATIONS, compute_smoother, recompute_uf
 
 from conftest import make_dataset
 
@@ -68,15 +68,13 @@ class TestComputeSmoother:
         with pytest.raises(ValueError, match="n >= 3"):
             compute_smoother(standardize(d), 1.0)
 
-    def test_streaming_matches_stored(self):
-        d = make_dataset(21, 40, q=1)
-        sd = standardize(d)
-        stored = compute_smoother(sd, 0.9, store_threshold=4000)
-        streamed = compute_smoother(sd, 0.9, store_threshold=10)
-        assert streamed.pairwise is None
-        assert np.array_equal(stored.fhat, streamed.fhat)
-        assert np.allclose(stored.uf, streamed.uf, rtol=1e-13)
-        assert np.allclose(stored.rhat, streamed.rhat, rtol=1e-13, equal_nan=True)
+    def test_refuses_more_than_max_observations(self):
+        d = make_dataset(21, MAX_OBSERVATIONS + 1, q=1)
+        with pytest.raises(ValueError) as exc:
+            compute_smoother(standardize(d), 0.9)
+        message = str(exc.value)
+        assert "4001" in message and "4000" in message
+        assert "subsample" in message
 
     def test_pairwise_symmetric_zero_diagonal(self):
         d = make_dataset(6, 15)

@@ -18,19 +18,8 @@ from npsigtest.oracles import (
     oracle_var_tilde_nested,
 )
 from npsigtest.selfcheck import close, oracle_case, random_dataset
-from npsigtest.smoother import SmootherOutput, compute_smoother
-from npsigtest.statistics import (
-    StatEngine,
-    diagonal_terms,
-    dgm_statistic,
-    fisher_test,
-    lv_statistic,
-    standardize_statistic,
-    stat_ihat,
-    stat_itilde,
-    var_hat,
-    var_tilde,
-)
+from npsigtest.smoother import compute_smoother
+from npsigtest.statistics import CvmEngine, StatEngine, fisher_test, standardize_statistic
 
 from conftest import make_dataset
 
@@ -55,10 +44,11 @@ class TestOracleEquivalence:
         psi_family = ("normal", "triangular", "indicator")[seed % 3]
         q = 1 + seed % 2
         _, sd, sm, bw, psi, tables = oracle_case(seed, n, q, psi_family)
-        assert close(stat_ihat(sm, sd, bw.h, psi=psi), oracle_ihat(tables))
-        assert close(stat_itilde(sm, sd, bw.h, psi=psi), oracle_itilde(tables))
-        assert close(var_hat(sm, sd, bw.h, psi=psi), oracle_var_hat(tables, sm.uf))
-        dt = diagonal_terms(sm, sd, bw.h, psi=psi)
+        eng = StatEngine(sd, sm, bw.h, psi=psi)
+        assert close(eng.ihat(sm.uf), oracle_ihat(tables))
+        assert close(eng.itilde(sd.dataset.y), oracle_itilde(tables))
+        assert close(eng.var_hat(sm.uf), oracle_var_hat(tables, sm.uf))
+        dt = eng.diagonal_terms(sd.dataset.y)
         ov1, ov2, ov3 = oracle_diagonal_terms(tables)
         assert close(dt.v1, ov1) and close(dt.v2, ov2) and close(dt.v3, ov3)
 
@@ -66,8 +56,8 @@ class TestOracleEquivalence:
         for seed in (5, 6):
             _, sd, sm, bw, _, _ = oracle_case(seed, 8, 2, "normal")
             joint = OracleTables(sd, bw.g, bw.h, joint=True)
-            got = lv_statistic(sm, sd, bw.h)
-            assert close(got.raw, oracle_itilde(joint))
+            lv = StatEngine(sd, sm, bw.h, mode="joint")
+            assert close(lv.itilde(sd.dataset.y), oracle_itilde(joint))
 
     def test_decomposition_identity_brute_force(self):
         for seed in (100, 101, 102):
@@ -91,52 +81,54 @@ class TestOracleEquivalence:
         sm = compute_smoother(sd, 1.5)
         psi = PsiSpec("indicator")
         tables = OracleTables(sd, 1.5, 1.2, psi=psi)
-        got = stat_itilde(sm, sd, 1.2, psi=psi)
+        got = StatEngine(sd, sm, 1.2, psi=psi).itilde(sd.dataset.y)
         assert close(got, oracle_itilde(tables))
 
     def test_var_tilde_matches_its_defining_sum(self):
         for seed in (7, 8, 9):
             _, sd, sm, bw, psi, tables = oracle_case(seed, 8, 1, "normal")
-            assert close(var_tilde(sm, sd, bw.h, psi=psi), oracle_var_tilde_nested(tables))
+            eng = StatEngine(sd, sm, bw.h, psi=psi)
+            assert close(eng.var_tilde(sd.dataset.y), oracle_var_tilde_nested(tables))
 
     def test_var_tilde_vs_exact_arrangement_average(self):
         # the production path relaxes cross-index constraints, so at n = 8
         # it only tracks the exact six-index average loosely; both must
         # vanish together and stay on a common scale
         _, sd, sm, bw, psi, tables = oracle_case(10, 8, 1, "normal")
-        fast = var_tilde(sm, sd, bw.h, psi=psi)
+        eng = StatEngine(sd, sm, bw.h, psi=psi)
+        fast = eng.var_tilde(sd.dataset.y)
         exact = oracle_var_tilde(tables)
-        scale = var_hat(sm, sd, bw.h, psi=psi)
+        scale = eng.var_hat(sm.uf)
         assert abs(fast - exact) <= 5.0 * scale
 
 
 class TestTrivialCases:
     def test_constant_response_zeroes_everything(self):
         sd, sm = constant_response_case()
-        assert stat_ihat(sm, sd, 1.0) == 0.0
-        assert stat_itilde(sm, sd, 1.0) == 0.0
-        assert var_hat(sm, sd, 1.0) == 0.0
-        assert var_tilde(sm, sd, 1.0) == 0.0
-        dt = diagonal_terms(sm, sd, 1.0)
+        y = sd.dataset.y
+        eng = StatEngine(sd, sm, 1.0)
+        assert eng.ihat(sm.uf) == 0.0
+        assert eng.itilde(y) == 0.0
+        assert eng.var_hat(sm.uf) == 0.0
+        assert eng.var_tilde(y) == 0.0
+        dt = eng.diagonal_terms(y)
         assert (dt.v1, dt.v2, dt.v3) == (0.0, 0.0, 0.0)
-        assert dgm_statistic(sm, sd) == 0.0
+        assert CvmEngine(sd).statistic(sm.uf) == 0.0
 
     def test_tiny_test_bandwidth_zeroes_pair_weights(self):
         d = make_dataset(2, 8)
         sd = standardize(d)
         sm = compute_smoother(sd, 1.5)
-        assert stat_ihat(sm, sd, 1e-9) == 0.0
-        dt = diagonal_terms(sm, sd, 1e-9)
+        eng = StatEngine(sd, sm, 1e-9)
+        assert eng.ihat(sm.uf) == 0.0
+        dt = eng.diagonal_terms(sd.dataset.y)
         assert (dt.v1, dt.v2, dt.v3) == (0.0, 0.0, 0.0)
 
     def test_var_hat_single_active_residual(self):
         sd, sm = constant_response_case()
         uf = np.zeros(sd.n)
         uf[3] = 2.0
-        lone = SmootherOutput(
-            fhat=sm.fhat, rhat=sm.rhat, uf=uf, resid=sm.resid, pairwise=sm.pairwise
-        )
-        assert var_hat(lone, sd, 1.0) == 0.0
+        assert StatEngine(sd, sm, 1.0).var_hat(uf) == 0.0
 
 
 class TestStandardize:
@@ -161,8 +153,8 @@ class TestLv:
         d = random_dataset(3, 10, q=1, discrete_x=True)
         sd = standardize(d)
         sm = compute_smoother(sd, 1.5)
-        with pytest.raises(ValueError, match="continuous"):
-            lv_statistic(sm, sd, 1.0)
+        with pytest.raises(ValueError, match="LV requires continuous X"):
+            StatEngine(sd, sm, 1.0, mode="joint")
 
     def test_empty_x_reduces_to_unit_psi(self):
         base = make_dataset(30, 10)
@@ -175,15 +167,18 @@ class TestLv:
         )
         sd = standardize(d)
         sm = compute_smoother(sd, 1.5)
-        got = lv_statistic(sm, sd, 1.1)
+        lv = StatEngine(sd, sm, 1.1, mode="joint")
         # the indicator psi over zero columns is identically one
-        ref = stat_itilde(sm, sd, 1.1, psi=PsiSpec("indicator"))
-        assert close(got.raw, ref)
-        assert got.p_effective == 2
+        ref = StatEngine(sd, sm, 1.1, psi=PsiSpec("indicator")).itilde(sd.dataset.y)
+        assert close(lv.itilde(sd.dataset.y), ref)
+        assert lv.rate_dim == 2
 
     def test_constant_response(self):
         sd, sm = constant_response_case()
-        got = lv_statistic(sm, sd, 1.0)
+        lv = StatEngine(sd, sm, 1.0, mode="joint")
+        got = standardize_statistic(
+            lv.itilde(sd.dataset.y), lv.var_hat(sm.uf), sd.n, 1.0, lv.rate_dim
+        )
         assert got.raw == 0.0
         assert got.degenerate
 
@@ -202,14 +197,7 @@ class TestDgm:
             )
         )
         uf = np.array([0.6, -0.2])
-        sm = SmootherOutput(
-            fhat=np.ones(2),
-            rhat=np.zeros(2),
-            uf=uf,
-            resid=np.zeros(2),
-            pairwise=np.zeros((2, 2)),
-        )
-        got = dgm_statistic(sm, sd_obj)
+        got = CvmEngine(sd_obj).statistic(uf)
         assert got == pytest.approx(0.6**2 + (0.6 - 0.2) ** 2, rel=1e-14)
 
     def test_matches_enumeration(self):
@@ -217,20 +205,20 @@ class TestDgm:
             d = random_dataset(seed, 12, q=2)
             sd = standardize(d)
             sm = compute_smoother(sd, 1.2)
-            assert close(dgm_statistic(sm, sd), oracle_dgm(sd, sm.uf))
+            assert close(CvmEngine(sd).statistic(sm.uf), oracle_dgm(sd, sm.uf))
 
     def test_permutation_invariant(self):
         d = make_dataset(23, 14, q=2)
         sd = standardize(d)
         sm = compute_smoother(sd, 1.2)
-        base = dgm_statistic(sm, sd)
+        base = CvmEngine(sd).statistic(sm.uf)
         perm = np.random.default_rng(5).permutation(14)
         dp = Dataset(
             y=d.y[perm], w=d.w[perm], x=d.x[perm], w_kinds=d.w_kinds, x_kinds=d.x_kinds
         )
         sdp = standardize(dp)
         smp = compute_smoother(sdp, 1.2)
-        assert dgm_statistic(smp, sdp) == pytest.approx(base, rel=1e-10)
+        assert CvmEngine(sdp).statistic(smp.uf) == pytest.approx(base, rel=1e-10)
 
 
 class TestFisher:
@@ -289,7 +277,7 @@ class TestFisher:
 class TestInvariancesSeeded:
     def test_shift_leaves_raw_statistics(self, small_case):
         data, sd, sm, bw, psi = small_case
-        base = stat_itilde(sm, sd, bw.h, psi=psi)
+        base = StatEngine(sd, sm, bw.h, psi=psi).itilde(sd.dataset.y)
         shifted = Dataset(
             y=data.y - 11.0,
             w=data.w,
@@ -299,7 +287,8 @@ class TestInvariancesSeeded:
         )
         sds = standardize(shifted)
         sms = compute_smoother(sds, bw.g)
-        assert stat_itilde(sms, sds, bw.h, psi=psi) == pytest.approx(base, rel=1e-10)
+        shifted_itilde = StatEngine(sds, sms, bw.h, psi=psi).itilde(sds.dataset.y)
+        assert shifted_itilde == pytest.approx(base, rel=1e-10)
 
     def test_pair_weight_symmetry(self, small_case):
         # transposing the cached pair matrices is a no-op for every statistic
