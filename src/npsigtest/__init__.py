@@ -36,7 +36,6 @@ from .smoother import SmootherOutput, compute_smoother
 from .statistics import (
     CvmEngine,
     DegenerateStatisticError,
-    DiagonalTerms,
     StatEngine,
     StatisticValue,
     fisher_test,
@@ -55,7 +54,6 @@ __all__ = [
     "Dataset",
     "DegenerateStatisticError",
     "DgpSpec",
-    "DiagonalTerms",
     "ExperimentConfig",
     "PsiSpec",
     "ResultTable",

@@ -154,19 +154,9 @@ class _Runner:
         self.n = d.n
         self.y = d.dataset.y
         if cfg.statistic == "dgm":
-            if self.n < 3:
-                raise ValueError("dgm statistic needs n >= 3")
             self.engine = None
             self.cvm = CvmEngine(d)
         else:
-            floor = 3 if cfg.statistic == "ihat" else 5
-            if cfg.variance == "var_tilde":
-                floor = max(floor, 7)
-            if self.n < floor:
-                raise ValueError(
-                    f"statistic {cfg.statistic!r} with {cfg.variance!r} needs "
-                    f"n >= {floor}"
-                )
             mode = "joint" if cfg.statistic == "lv" else "psi"
             self.engine = StatEngine(d, sm, cfg.bandwidths.h, cfg.psi, mode=mode)
             self.cvm = None
@@ -176,21 +166,14 @@ class _Runner:
         cfg = self.cfg
         if cfg.statistic == "dgm":
             raw = self.cvm.statistic(uf)
-            sv = StatisticValue(
-                raw=raw,
-                variance=math.nan,
-                standardized=raw,
-                n=self.n,
-                p_effective=0,
-            )
+            sv = StatisticValue(raw=raw, variance=math.nan, standardized=raw, n=self.n)
             return sv, False
         eng = self.engine
         raw = eng.ihat(uf) if cfg.statistic == "ihat" else eng.itilde(y)
-        fallback = False
-        omega2 = eng.variance(cfg.variance, y, uf)
-        if cfg.variance == "var_tilde" and omega2 <= 0.0:
+        omega2 = eng.var_hat(uf) if cfg.variance == "var_hat" else eng.var_tilde(y)
+        fallback = cfg.variance == "var_tilde" and omega2 <= 0.0
+        if fallback:
             omega2 = eng.var_hat(uf)
-            fallback = True
         return standardize_statistic(raw, omega2, self.n, cfg.bandwidths.h, eng.rate_dim), fallback
 
 

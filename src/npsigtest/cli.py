@@ -15,12 +15,18 @@ import os
 import sys
 import time
 
-from .bootstrap import TestConfig, run_test
+from .bootstrap import STATISTICS, VARIANCES, TestConfig, run_test
 from .data import ColumnSchema, DataError, load_dataset
-from .designs import FIGURE_TAGS, TEMPLATES, figure_config
-from .kernels import PsiSpec, default_bandwidths
+from .designs import (
+    DESK_LEVEL_REPS,
+    DESK_POWER_REPS,
+    FIGURE_TAGS,
+    TEMPLATES,
+    figure_config,
+)
+from .kernels import PSI_FAMILIES, PsiSpec, default_bandwidths
 from .selfcheck import run_all
-from .simulation import ExperimentConfig, grid_cells, run_experiment
+from .simulation import FAMILIES, ExperimentConfig, grid_cells, run_experiment
 from .statistics import DegenerateStatisticError
 
 EXIT_OK = 0
@@ -86,9 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--w", required=True, help="comma-separated null-covariate columns")
     t.add_argument("--x", required=True, help="comma-separated columns under test")
     t.add_argument("--disc", default="", help="comma-separated discrete columns")
-    t.add_argument("--stat", default="itilde", choices=["itilde", "ihat", "lv", "dgm"])
-    t.add_argument("--psi", default="normal", choices=["normal", "triangular", "indicator"])
-    t.add_argument("--variance", default="var_hat", choices=["var_hat", "var_tilde"])
+    t.add_argument("--stat", default="itilde", choices=STATISTICS)
+    t.add_argument("--psi", default="normal", choices=PSI_FAMILIES)
+    t.add_argument("--variance", default="var_hat", choices=VARIANCES)
     t.add_argument("--c", type=float, default=2.0, help="test bandwidth factor")
     t.add_argument("--alpha", type=float, default=0.05)
     group = t.add_mutually_exclusive_group()
@@ -101,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="run a Monte Carlo design, write a CSV table")
     s.add_argument("--figure", choices=list(FIGURE_TAGS), help="preset design tag")
-    s.add_argument("--family", choices=["continuous", "discrete_x"], help="explicit grid: DGP family")
+    s.add_argument("--family", choices=FAMILIES, help="explicit grid: DGP family")
     s.add_argument("--alt", default="null", help="explicit grid: comma-separated alternatives")
     s.add_argument("--n", default="100", help="explicit grid: sample sizes")
     s.add_argument("--q", default="1", help="explicit grid: dimensions under test")
@@ -209,7 +215,7 @@ def _explicit_grid_config(args, seed: int) -> ExperimentConfig:
     )
     reps = args.reps
     if reps is None:
-        reps = 500 if set(alternatives) == {"null"} else 300
+        reps = DESK_LEVEL_REPS if set(alternatives) == {"null"} else DESK_POWER_REPS
     return ExperimentConfig(
         cells=cells,
         tests=tuple(TEMPLATES[t] for t in names),

@@ -189,11 +189,15 @@ def oracle_var_tilde_nested(t: OracleTables) -> float:
     return 2.0 * t.h_power * total / denom
 
 
-def oracle_decomposition_sides(t: OracleTables) -> tuple[float, float]:
+def oracle_decomposition_sides(
+    t: OracleTables, v2_coefficient: float = 2.0
+) -> tuple[float, float]:
     """Both sides of the distinct-index decomposition, each by enumeration.
 
     Left: arrangements(4) times the four-distinct-index average. Right: the
-    pair-statistic total minus its coinciding-index sums.
+    pair-statistic total minus its coinciding-index sums, with the V2 sum
+    counted ``v2_coefficient`` times (2 in the identity; any other value
+    should break it).
     """
     n = t.n
     lhs = t.arrangements(4) * oracle_itilde(t)
@@ -201,7 +205,7 @@ def oracle_decomposition_sides(t: OracleTables) -> tuple[float, float]:
     rhs = (
         n * (n - 1) ** 3 * oracle_ihat(t)
         - t.arrangements(3) * v1
-        - 2.0 * t.arrangements(3) * v2
+        - v2_coefficient * t.arrangements(3) * v2
         + t.arrangements(2) * v3
     )
     return lhs, rhs

@@ -17,12 +17,12 @@ from .data import ColumnKind, Dataset, all_continuous, standardize
 from .kernels import Bandwidths, PsiSpec, default_bandwidths
 from .oracles import (
     OracleTables,
-    oracle_diagonal_terms,
+    oracle_decomposition_sides,
     oracle_ihat,
     oracle_itilde,
     oracle_var_hat,
 )
-from .smoother import compute_smoother
+from .smoother import compute_smoother, recompute_uf
 from .statistics import StatEngine
 
 REL_TOL = 1e-10
@@ -87,9 +87,6 @@ def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
                 ("itilde", eng.itilde(y), oracle_itilde(tables)),
                 ("var_hat", eng.var_hat(sm.uf), oracle_var_hat(tables, sm.uf)),
             ]
-            dt = eng.diagonal_terms(y)
-            ov1, ov2, ov3 = oracle_diagonal_terms(tables)
-            pairs += [("v1", dt.v1, ov1), ("v2", dt.v2, ov2), ("v3", dt.v3, ov3)]
             if psi_family != "indicator":
                 joint = OracleTables(sd, bw.g, bw.h, joint=True)
                 lv = StatEngine(sd, sm, bw.h, mode="joint")
@@ -115,15 +112,8 @@ def check_decomposition_identity(
     minus its coinciding-index sums (both sides brute force)."""
     for si, seed in enumerate(seeds):
         psi_family = ("normal", "triangular", "indicator")[si % 3]
-        _, sd, sm, bw, psi, tables = oracle_case(seed, n, 1 + si % 2, psi_family)
-        lhs = tables.arrangements(4) * oracle_itilde(tables)
-        v1, v2, v3 = oracle_diagonal_terms(tables)
-        rhs = (
-            n * (n - 1) ** 3 * oracle_ihat(tables)
-            - tables.arrangements(3) * v1
-            - v2_coefficient * tables.arrangements(3) * v2
-            + tables.arrangements(2) * v3
-        )
+        tables = oracle_case(seed, n, 1 + si % 2, psi_family)[-1]
+        lhs, rhs = oracle_decomposition_sides(tables, v2_coefficient)
         if not close(lhs, rhs):
             return (
                 "decomposition-identity",
@@ -273,7 +263,7 @@ def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
     eta = np.ones(n)
     ystar = null_resample(sm, data.y, eta)
     eng = StatEngine(sd, sm, bw.h, psi=psi)
-    ufstar = eng.uf_of(ystar)
+    ufstar = recompute_uf(sm.pairwise, ystar)
     if not close(eng.itilde(ystar), raw_itilde, rel=1e-12):
         failures.append("unit-eta-itilde")
     if not close(eng.var_hat(ufstar), raw_var, rel=1e-12):

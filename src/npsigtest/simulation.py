@@ -14,9 +14,13 @@ count and scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import io
 import math
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -287,12 +291,48 @@ def _run_replication(args) -> list[int]:
     return outcomes
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """Process pool whose workers each run one BLAS thread.
+
+    Workers are spawned rather than forked, so each loads its BLAS library
+    afresh under the thread-count variables set here instead of inheriting
+    the parent's thread pool; the parent's environment is restored on exit.
+    """
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            yield pool
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ResultTable:
     """Rejection-rate table over the grid; deterministic for a fixed seed.
 
-    ``progress`` is an optional callable taking a status line; replications
-    run in a process pool when cfg.workers > 1.
+    ``progress`` is an optional callable taking a status line. When
+    cfg.workers > 1, replications run in one pool of spawned worker
+    processes with one BLAS thread each, so a script calling this must
+    guard its entry point with ``if __name__ == "__main__":``.
     """
+    if cfg.workers == 1:
+        return _tabulate(cfg, map, progress)
+    chunk = max(1, cfg.replications // (cfg.workers * 4))
+    with _worker_pool(cfg.workers) as pool:
+        return _tabulate(cfg, functools.partial(pool.map, chunksize=chunk), progress)
+
+
+def _tabulate(cfg: ExperimentConfig, mapper, progress) -> ResultTable:
+    """The grid's rows, with ``mapper`` running the replications of a cell."""
     rows = []
     for ci, cell in enumerate(cfg.cells):
         t0 = time.perf_counter()
@@ -300,12 +340,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ResultTable:
             (cell, cfg.tests, cfg.alpha, cfg.B, cfg.master_seed, ci, r)
             for r in range(cfg.replications)
         ]
-        if cfg.workers == 1:
-            outcomes = [_run_replication(t) for t in tasks]
-        else:
-            chunk = max(1, cfg.replications // (cfg.workers * 4))
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                outcomes = list(pool.map(_run_replication, tasks, chunksize=chunk))
+        outcomes = list(mapper(_run_replication, tasks))
         per_test = np.array(outcomes)  # (reps, n_tests)
         for ti, t in enumerate(cfg.tests):
             col = per_test[:, ti]

@@ -26,7 +26,7 @@ import scipy.stats
 
 from .data import ColumnKind, ScaledDataset
 from .kernels import PsiSpec, joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
-from .smoother import SmootherOutput, recompute_uf
+from .smoother import SmootherOutput
 
 
 class DegenerateStatisticError(RuntimeError):
@@ -41,17 +41,7 @@ class StatisticValue:
     variance: float
     standardized: float
     n: int
-    p_effective: int
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class DiagonalTerms:
-    """Coinciding-index arrangement averages removed from the pair statistic."""
-
-    v1: float
-    v2: float
-    v3: float
 
 
 def _fsum(values) -> float:
@@ -71,16 +61,9 @@ def standardize_statistic(
     """Studentize: n h^(p_c/2) I_n / omega_n, flagging nonpositive variance."""
     if omega2 > 0.0:
         t = n * h ** (p_c / 2.0) * i_n / math.sqrt(omega2)
-        return StatisticValue(
-            raw=i_n, variance=omega2, standardized=t, n=n, p_effective=p_c
-        )
+        return StatisticValue(raw=i_n, variance=omega2, standardized=t, n=n)
     return StatisticValue(
-        raw=i_n,
-        variance=omega2,
-        standardized=math.nan,
-        n=n,
-        p_effective=p_c,
-        degenerate=True,
+        raw=i_n, variance=omega2, standardized=math.nan, n=n, degenerate=True
     )
 
 
@@ -90,7 +73,9 @@ class StatEngine:
     Builds the test-kernel matrix once (product of the w kernel at bandwidth
     h and either the psi weight or, in ``joint`` mode, an x kernel at the
     same bandwidth) and evaluates every statistic for an arbitrary response
-    vector. The wild bootstrap calls this once per multiplier draw.
+    vector. The wild bootstrap calls this once per multiplier draw. The
+    four-distinct-index ``itilde`` needs n >= 5 and the six-index
+    ``var_tilde`` n >= 7; both raise ``ValueError`` below their floor.
     """
 
     def __init__(
@@ -122,14 +107,11 @@ class StatEngine:
         self.M = kmat * pmat
         np.fill_diagonal(self.M, 0.0)
         self.M2 = self.M * self.M
-        self.h = h
         self.h_power = h**self.rate_dim
-        self.y = ds.y
-        self.uf = sm.uf
 
-    def uf_of(self, y: np.ndarray) -> np.ndarray:
-        """Leave-one-out weighted residuals for a replacement response vector."""
-        return recompute_uf(self.L, y)
+    def _require_n(self, floor: int, name: str) -> None:
+        if self.n < floor:
+            raise ValueError(f"{name} needs n >= {floor} observations, got n = {self.n}")
 
     def ihat(self, uf: np.ndarray) -> float:
         n = self.n
@@ -163,13 +145,8 @@ class StatEngine:
         s2 = _fsum(DM @ S) + s3
         return full, s1, s2, s3
 
-    def diagonal_terms(self, y: np.ndarray) -> DiagonalTerms:
-        n = self.n
-        _, s1, s2, s3 = self._arrangement_sums(y)
-        n3 = _arrangements(n, 3)
-        return DiagonalTerms(v1=s1 / n3, v2=s2 / n3, v3=s3 / _arrangements(n, 2))
-
     def itilde(self, y: np.ndarray) -> float:
+        self._require_n(5, "itilde")
         full, s1, s2, s3 = self._arrangement_sums(y)
         return (full - s1 - 2.0 * s2 + s3) / _arrangements(self.n, 4)
 
@@ -181,6 +158,7 @@ class StatEngine:
         indices are dropped, which costs an O(1/n) deviation from the exact
         arrangement average. Can be negative in finite samples.
         """
+        self._require_n(7, "var_tilde")
         n = self.n
         D = self._diff(y)
         S = D.sum(axis=1)
@@ -189,13 +167,6 @@ class StatEngine:
         total = _fsum(A * (self.M2 @ A))
         denom = _arrangements(n, 2) * (n - 2) ** 2 * (n - 3) ** 2
         return 2.0 * self.h_power * total / denom
-
-    def variance(self, name: str, y: np.ndarray, uf: np.ndarray) -> float:
-        if name == "var_hat":
-            return self.var_hat(uf)
-        if name == "var_tilde":
-            return self.var_tilde(y)
-        raise ValueError(f"unknown variance estimator {name!r}")
 
 
 class CvmEngine:

@@ -16,7 +16,7 @@ from npsigtest.bootstrap import (
 from npsigtest.data import Dataset, all_continuous, standardize
 from npsigtest.kernels import Bandwidths, PsiSpec, default_bandwidths
 from npsigtest.selfcheck import multiplier_moment_exact, _Q5
-from npsigtest.smoother import compute_smoother
+from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import DegenerateStatisticError, StatEngine
 
 from conftest import make_dataset
@@ -103,7 +103,9 @@ class TestResample:
         poked = ystar.copy()
         poked[isolated] += 123.0
         assert eng.itilde(ystar) == eng.itilde(poked)
-        assert eng.var_hat(eng.uf_of(ystar)) == eng.var_hat(eng.uf_of(poked))
+        assert eng.var_hat(recompute_uf(sm.pairwise, ystar)) == eng.var_hat(
+            recompute_uf(sm.pairwise, poked)
+        )
 
 
 class TestBootstrapCriticalValue:
@@ -244,7 +246,7 @@ class TestReuseCorrectness:
         eng = StatEngine(sd, sm, bw.h, psi=PsiSpec("normal"))
         eta = draw_multipliers(30, np.random.default_rng(17))
         ystar = null_resample(sm, d.y, eta)
-        fast_uf = eng.uf_of(ystar)
+        fast_uf = recompute_uf(sm.pairwise, ystar)
         fast_itilde = eng.itilde(ystar)
         fast_var = eng.var_hat(fast_uf)
 

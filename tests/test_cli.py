@@ -94,6 +94,16 @@ class TestCmdTest:
         assert code == EXIT_RUNTIME
         assert "4000" in capsys.readouterr().err
 
+    def test_var_tilde_below_its_floor_runtime_error(self, tmp_path, capsys):
+        d = gen_continuous(
+            DgpSpec(family="continuous", n=6, q=1), np.random.default_rng(4)
+        )
+        path = tmp_path / "six.csv"
+        save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1",)))
+        code = main(base_args(path) + ["--seed", "1", "--variance", "var_tilde"])
+        assert code == EXIT_RUNTIME
+        assert "var_tilde needs n >= 7" in capsys.readouterr().err
+
     def test_asymptotic_flag(self, null_csv, capsys):
         code = main(base_args(null_csv) + ["--seed", "99", "--asymptotic", "--json"])
         record = json.loads(capsys.readouterr().out)

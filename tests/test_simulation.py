@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -139,6 +140,15 @@ class TestRunExperiment:
         serial = run_experiment(self.tiny_config(workers=1)).to_csv_string()
         pooled = run_experiment(self.tiny_config(workers=2)).to_csv_string()
         assert serial == pooled
+
+    def test_pool_restores_environment(self, monkeypatch):
+        # one thread-count variable set to another value, one unset: the
+        # pool overrides both and must put each back as it was
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        run_experiment(self.tiny_config(workers=2, reps=2))
+        assert dict(os.environ) == before
 
     def test_csv_schema(self):
         table = run_experiment(self.tiny_config(reps=2))

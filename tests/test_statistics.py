@@ -8,7 +8,6 @@ from npsigtest.kernels import PsiSpec
 from npsigtest.oracles import (
     OracleTables,
     oracle_decomposition_sides,
-    oracle_diagonal_terms,
     oracle_dgm,
     oracle_ihat,
     oracle_itilde,
@@ -48,9 +47,6 @@ class TestOracleEquivalence:
         assert close(eng.ihat(sm.uf), oracle_ihat(tables))
         assert close(eng.itilde(sd.dataset.y), oracle_itilde(tables))
         assert close(eng.var_hat(sm.uf), oracle_var_hat(tables, sm.uf))
-        dt = eng.diagonal_terms(sd.dataset.y)
-        ov1, ov2, ov3 = oracle_diagonal_terms(tables)
-        assert close(dt.v1, ov1) and close(dt.v2, ov2) and close(dt.v3, ov3)
 
     def test_lv_against_joint_oracle(self):
         for seed in (5, 6):
@@ -111,8 +107,6 @@ class TestTrivialCases:
         assert eng.itilde(y) == 0.0
         assert eng.var_hat(sm.uf) == 0.0
         assert eng.var_tilde(y) == 0.0
-        dt = eng.diagonal_terms(y)
-        assert (dt.v1, dt.v2, dt.v3) == (0.0, 0.0, 0.0)
         assert CvmEngine(sd).statistic(sm.uf) == 0.0
 
     def test_tiny_test_bandwidth_zeroes_pair_weights(self):
@@ -121,14 +115,32 @@ class TestTrivialCases:
         sm = compute_smoother(sd, 1.5)
         eng = StatEngine(sd, sm, 1e-9)
         assert eng.ihat(sm.uf) == 0.0
-        dt = eng.diagonal_terms(sd.dataset.y)
-        assert (dt.v1, dt.v2, dt.v3) == (0.0, 0.0, 0.0)
+        assert eng.itilde(sd.dataset.y) == 0.0
 
     def test_var_hat_single_active_residual(self):
         sd, sm = constant_response_case()
         uf = np.zeros(sd.n)
         uf[3] = 2.0
         assert StatEngine(sd, sm, 1.0).var_hat(uf) == 0.0
+
+
+class TestSampleSizeFloors:
+    @staticmethod
+    def engine(n):
+        sd = standardize(make_dataset(1, n))
+        return sd, StatEngine(sd, compute_smoother(sd, 3.0), 3.0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_itilde_needs_five(self, n):
+        sd, eng = self.engine(n)
+        with pytest.raises(ValueError, match="n >= 5"):
+            eng.itilde(sd.dataset.y)
+
+    def test_var_tilde_needs_seven(self):
+        sd, eng = self.engine(6)
+        assert math.isfinite(eng.itilde(sd.dataset.y))
+        with pytest.raises(ValueError, match="n >= 7"):
+            eng.var_tilde(sd.dataset.y)
 
 
 class TestStandardize:
