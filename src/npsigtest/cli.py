@@ -125,12 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", required=True, help="output CSV path")
     s.add_argument("--paper-scale", action="store_true", help="full replication counts")
-    s.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("NPSIGTEST_THREADS", "1")),
-        help="worker processes (default from NPSIGTEST_THREADS)",
-    )
+    s.add_argument("--threads", type=int, default=1, help="worker processes")
 
     c = sub.add_parser("selfcheck", help="oracle, invariance, and multiplier checks")
     c.add_argument("--fast", action="store_true", help="fewer seeds per check")

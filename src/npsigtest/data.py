@@ -108,17 +108,11 @@ class Dataset:
         """Number of continuous w columns (the effective smoothing dimension)."""
         return sum(k is ColumnKind.CONTINUOUS for k in self.w_kinds)
 
-    def _split(self, m: np.ndarray, kinds) -> tuple[np.ndarray, np.ndarray]:
-        cont = [i for i, k in enumerate(kinds) if k is ColumnKind.CONTINUOUS]
-        disc = [i for i, k in enumerate(kinds) if k is ColumnKind.DISCRETE]
-        return m[:, cont], m[:, disc]
-
     def w_split(self) -> tuple[np.ndarray, np.ndarray]:
         """(continuous w columns, discrete w columns)."""
-        return self._split(self.w, self.w_kinds)
-
-    def x_split(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._split(self.x, self.x_kinds)
+        cont = [i for i, k in enumerate(self.w_kinds) if k is ColumnKind.CONTINUOUS]
+        disc = [i for i, k in enumerate(self.w_kinds) if k is ColumnKind.DISCRETE]
+        return self.w[:, cont], self.w[:, disc]
 
 
 def all_continuous(count: int) -> tuple[ColumnKind, ...]:

@@ -137,12 +137,11 @@ def mixed_kernel_matrix(cont: np.ndarray, disc: np.ndarray, bandwidth: float) ->
     return m
 
 
-def psi_matrix(spec: PsiSpec, cont: np.ndarray, disc: np.ndarray) -> np.ndarray:
+def psi_matrix(spec: PsiSpec, x: np.ndarray) -> np.ndarray:
     """Full pairwise psi-weight matrix over the covariates under test."""
-    both = np.hstack([cont, disc])
     if spec.family == "indicator":
-        return _disc_equal(both)
-    return psi_profile(spec, np.sqrt(_sq_dists(both)))
+        return _disc_equal(x)
+    return psi_profile(spec, np.sqrt(_sq_dists(x)))
 
 
 def joint_x_kernel_matrix(x: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -24,7 +24,6 @@ def _pair_tables(d: ScaledDataset, g: float, h: float, psi: PsiSpec | None, join
     ds = d.dataset
     n = ds.n
     w_cont, w_disc = ds.w_split()
-    x_cont, x_disc = ds.x_split()
     L = [[0.0] * n for _ in range(n)]
     K = [[0.0] * n for _ in range(n)]
     P = [[0.0] * n for _ in range(n)]
@@ -44,8 +43,7 @@ def _pair_tables(d: ScaledDataset, g: float, h: float, psi: PsiSpec | None, join
                         max(0.0, 0.75 * (1.0 - float(np.dot(xdiff, xdiff))))
                     )
             else:
-                xdiff = np.concatenate([x_cont[i] - x_cont[j], x_disc[i] - x_disc[j]])
-                P[i][j] = eval_psi(psi, xdiff)
+                P[i][j] = eval_psi(psi, ds.x[i] - ds.x[j])
     return L, K, P
 
 

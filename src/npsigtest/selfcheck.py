@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .bootstrap import MAMMEN_P_LOW, draw_multipliers, null_resample
+from .bootstrap import MAMMEN_P_LOW, TestConfig, draw_multipliers, null_resample, run_test
 from .data import ColumnKind, Dataset, all_continuous, standardize
 from .kernels import Bandwidths, PsiSpec, default_bandwidths
 from .oracles import (
@@ -183,14 +183,10 @@ def check_multiplier_moments(seed: int = 20240, ndraws: int = 1_000_000):
     return ("multiplier-moments", True, f"{ndraws} draws, 4-sigma bands")
 
 
-def _tn(data: Dataset, c: float = 2.0, psi_family: str = "normal") -> float:
-    sd = standardize(data)
-    bw = default_bandwidths(data.n, c)
-    sm = compute_smoother(sd, bw.g)
-    eng = StatEngine(sd, sm, bw.h, psi=PsiSpec(psi_family))
-    raw = eng.itilde(sd.dataset.y)
-    omega2 = eng.var_hat(sm.uf)
-    return data.n * bw.h ** (eng.rate_dim / 2.0) * raw / math.sqrt(omega2)
+def _tn(data: Dataset) -> float:
+    """Standardized itilde at the default bandwidths with c = 2."""
+    cfg = TestConfig(bandwidths=default_bandwidths(data.n, 2.0), critical="asymptotic")
+    return run_test(data, cfg).statistic_value.standardized
 
 
 def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
@@ -274,7 +270,7 @@ def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
     return ("invariances", True, f"n={n}, seed={seed}")
 
 
-def run_all(oracle_seeds=range(1, 11), deco_seeds=range(100, 110), out=print) -> bool:
+def run_all(oracle_seeds=range(1, 11), deco_seeds=range(100, 110)) -> bool:
     """Run every check, print one line per check, return overall success."""
     checks = [
         check_oracle_equivalence(list(oracle_seeds)),
@@ -284,6 +280,6 @@ def run_all(oracle_seeds=range(1, 11), deco_seeds=range(100, 110), out=print) ->
     ]
     ok_all = True
     for name, ok, detail in checks:
-        out(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         ok_all &= ok
     return ok_all

@@ -121,7 +121,6 @@ class TestTemplate:
     statistic: str = "itilde"  # itilde | ihat | lv | dgm | fisher
     psi: str = "normal"
     critical: str = "bootstrap"
-    variance: str = "var_hat"
 
 
 @dataclass(frozen=True)
@@ -253,24 +252,12 @@ def _subseed(master_seed: int, *path: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _template_config(t: TestTemplate, cell: Cell, alpha: float, B: int, seed: int) -> TestConfig:
-    return TestConfig(
-        bandwidths=default_bandwidths(cell.dgp.n, cell.c),
-        statistic=t.statistic,
-        psi=PsiSpec(t.psi),
-        variance=t.variance,
-        critical=t.critical,
-        alpha=alpha,
-        B=B,
-        seed=seed,
-    )
-
-
 def _run_replication(args) -> list[int]:
     """One dataset, every test of the cell. Returns an outcome code per test."""
     cell, tests, alpha, B, master_seed, ci, r = args
     data = generate(cell.dgp, substream(master_seed, ci, r, 0))
     sd = standardize(data)
+    bw = default_bandwidths(cell.dgp.n, cell.c)
     sm = None
     outcomes = []
     for ti, t in enumerate(tests):
@@ -279,10 +266,15 @@ def _run_replication(args) -> list[int]:
                 _, reject = fisher_test(sd, alpha)
             else:
                 if sm is None:
-                    bw = default_bandwidths(cell.dgp.n, cell.c)
                     sm = compute_smoother(sd, bw.g)
-                cfg = _template_config(
-                    t, cell, alpha, B, _subseed(master_seed, ci, r, 1 + ti)
+                cfg = TestConfig(
+                    bandwidths=bw,
+                    statistic=t.statistic,
+                    psi=PsiSpec(t.psi),
+                    critical=t.critical,
+                    alpha=alpha,
+                    B=B,
+                    seed=_subseed(master_seed, ci, r, 1 + ti),
                 )
                 reject = decide_scaled(sd, sm, cfg).reject
             outcomes.append(_REJECT if reject else _ACCEPT)

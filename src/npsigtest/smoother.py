@@ -39,10 +39,6 @@ class SmootherOutput:
     resid: np.ndarray
     pairwise: np.ndarray
 
-    @property
-    def has_undefined_rhat(self) -> bool:
-        return bool(np.any(np.isnan(self.rhat)))
-
 
 def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
     """Leave-one-out density, regression, and weighted-residual vectors."""

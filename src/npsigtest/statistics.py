@@ -12,8 +12,9 @@ against a linear specification (``fisher_test``).
 Everything here is organized around matrices of pairwise weights so the wild
 bootstrap can recompute statistics for thousands of response vectors while
 reusing the kernel evaluations. Reductions accumulate row partial sums
-(pairwise within a row) and combine them with exact compensated summation,
-keeping the brute-force-oracle tolerances honest at large n.
+(pairwise within a row) and combine them with exact compensated summation;
+the brute-force oracles pin these paths at 1e-10 relative for n = 6, 8
+and 10.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+from scipy.special import fdtri
 
 from .data import ColumnKind, ScaledDataset
 from .kernels import PsiSpec, joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
@@ -94,8 +95,7 @@ class StatEngine:
         w_cont, w_disc = ds.w_split()
         kmat = mixed_kernel_matrix(w_cont, w_disc, h)
         if mode == "psi":
-            x_cont, x_disc = ds.x_split()
-            pmat = psi_matrix(psi, x_cont, x_disc)
+            pmat = psi_matrix(psi, ds.x)
             self.rate_dim = ds.p_cont
         elif mode == "joint":
             if any(k is not ColumnKind.CONTINUOUS for k in ds.x_kinds):
@@ -207,5 +207,5 @@ def fisher_test(d: ScaledDataset, alpha: float) -> tuple[float, bool]:
             return 0.0, False
         return math.inf, True
     f = ((rss0 - rss1) / q) / (rss1 / df2)
-    crit = float(scipy.stats.f.ppf(1.0 - alpha, q, df2))
+    crit = float(fdtri(q, df2, 1.0 - alpha))
     return f, f > crit

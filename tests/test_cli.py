@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import npsigtest
 from npsigtest.cli import EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
 from npsigtest.data import ColumnSchema, save_dataset
 from npsigtest.simulation import DgpSpec, gen_continuous, gen_discrete
@@ -186,17 +190,6 @@ class TestCmdSimulate:
         assert ("lmp", "100", "1", "0.5") in cells
         assert ("dgm", "100", "5", "4") in cells
 
-    def test_thread_count_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NPSIGTEST_THREADS", "2")
-        out = tmp_path / "env.csv"
-        args = ["simulate", "--figure", "power-n", "--reps", "2", "--boot", "9",
-                "--seed", "7", "--out", str(out)]
-        assert main(args) == EXIT_OK
-        ref = tmp_path / "ref.csv"
-        monkeypatch.delenv("NPSIGTEST_THREADS")
-        assert main(args[:-1] + [str(ref)]) == EXIT_OK
-        assert out.read_bytes() == ref.read_bytes()
-
     def test_writes_deterministic_csv(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = [
@@ -218,6 +211,11 @@ class TestCmdSelfcheck:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
 
+    def test_thread_variable_is_ignored(self, monkeypatch):
+        # --threads alone sets the worker count; no variable is read
+        monkeypatch.setenv("NPSIGTEST_THREADS", "two")
+        assert main(["selfcheck", "--fast"]) == EXIT_OK
+
 
 class TestNegativeControl:
     def test_corrupted_decomposition_constant_fails(self):
@@ -226,3 +224,12 @@ class TestNegativeControl:
 
         name, ok, detail = check_decomposition_identity(range(100, 103), v2_coefficient=1.9)
         assert not ok
+
+
+def test_import_does_not_load_scipy_stats():
+    # the package needs three scalar functions from scipy.special; importing
+    # scipy.stats for them would take most of the start-up time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(npsigtest.__file__)))
+    code = "import npsigtest, npsigtest.cli, sys; assert 'scipy.stats' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -105,13 +105,14 @@ class TestPsi:
         rng = np.random.default_rng(1)
         cont = rng.standard_normal((6, 2))
         disc = rng.integers(0, 2, size=(6, 1)).astype(float)
+        # psi weighs the whole x difference, whatever the column kinds and order
+        x = np.hstack([disc, cont])
         for family in ("normal", "triangular", "indicator"):
-            m = psi_matrix(PsiSpec(family), cont, disc)
+            m = psi_matrix(PsiSpec(family), x)
             for i in range(6):
                 for j in range(6):
-                    diff = np.concatenate([cont[i] - cont[j], disc[i] - disc[j]])
                     assert m[i, j] == pytest.approx(
-                        eval_psi(PsiSpec(family), diff), rel=1e-12, abs=1e-300
+                        eval_psi(PsiSpec(family), x[i] - x[j]), rel=1e-12, abs=1e-300
                     )
 
 

@@ -33,7 +33,6 @@ class TestComputeSmoother:
         sm = compute_smoother(sd, 1e-9)
         assert np.all(sm.fhat == 0.0)
         assert np.all(np.isnan(sm.rhat))
-        assert sm.has_undefined_rhat
         assert np.all(sm.uf == 0.0)
 
     def test_n3_hand_oracle(self):
