@@ -5,7 +5,9 @@ multipliers eta of mean zero and second and third moments one, so the null
 regression is imposed while conditional heteroskedasticity is preserved.
 Each bootstrap replication b draws its multipliers from an RNG stream derived
 from (seed, b); results are therefore bit-for-bit reproducible regardless of
-execution order or worker count.
+execution order or worker count. The draws are evaluated together, one block
+of ``DRAW_BLOCK`` resampled responses at a time, as quadratic forms over the
+pair weights the observed statistic already built.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from scipy.special import ndtr, ndtri
 
 from .data import Dataset, ScaledDataset, standardize
 from .kernels import Bandwidths, PsiSpec
-from .smoother import SmootherOutput, compute_smoother, recompute_uf
+from .smoother import SmootherOutput, compute_smoother
 from .statistics import (
     CvmEngine,
     DegenerateStatisticError,
     StatEngine,
     StatisticValue,
+    standardize_batch,
     standardize_statistic,
 )
 
@@ -38,6 +41,11 @@ CRITICALS = ("asymptotic", "bootstrap")
 
 # fraction of degenerate bootstrap draws above which the test is abandoned
 MAX_DEGENERATE_DRAW_FRACTION = 0.10
+
+# bootstrap draws evaluated together; bounds the work arrays at DRAW_BLOCK x n
+# (at n = 100 a block of 256 draws raised the peak memory of a Monte Carlo
+# replication by about 2%, one of 64 by about 1%, at about the same speed)
+DRAW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -128,7 +136,7 @@ def draw_multipliers(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def null_resample(sm: SmootherOutput, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Null-imposing resample rhat + eta * (y - rhat); isolated observations
-    keep their original response.
+    keep their original response. ``eta`` may hold one draw per row.
 
     Where fhat_i = 0 the kernel row L_i. vanishes identically, so Y*_i is
     multiplied by zero in every pairwise statistic; carrying y_i through is
@@ -176,34 +184,63 @@ class _Runner:
             omega2 = eng.var_hat(uf)
         return standardize_statistic(raw, omega2, self.n, cfg.bandwidths.h, eng.rate_dim), fallback
 
+    def evaluate_batch(self, y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(standardized statistics, used-variance-fallback flags) for each
+        row of y, given its leave-one-out residual sums s; a degenerate draw
+        is NaN."""
+        cfg = self.cfg
+        uf = s / (self.n - 1)
+        fallback = np.zeros(len(y), dtype=bool)
+        if cfg.statistic == "dgm":
+            return self.cvm.statistic_batch(uf), fallback
+        eng = self.engine
+        raw = eng.ihat_batch(uf) if cfg.statistic == "ihat" else eng.itilde_batch(y)
+        if cfg.variance == "var_hat":
+            omega2 = eng.var_hat_batch(uf)
+        else:
+            omega2 = eng.var_tilde_batch(y, s)
+            fallback = omega2 <= 0.0
+            if fallback.any():
+                omega2 = np.where(fallback, eng.var_hat_batch(uf), omega2)
+        t = standardize_batch(raw, omega2, self.n, cfg.bandwidths.h, eng.rate_dim)
+        return t, fallback
 
-def _bootstrap_draws(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, dict]:
-    """Standardized bootstrap statistics, one per multiplier draw."""
+
+def _draw_statistics(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized statistic of every multiplier draw (NaN if degenerate)
+    and whether it used the variance fallback, ``DRAW_BLOCK`` draws at a
+    time."""
     sm = runner.sm
     n = runner.n
-    y = runner.y
-    draws = np.empty(cfg.B)
-    n_degenerate = 0
-    n_fallback = 0
-    kept = 0
-    for b in range(cfg.B):
-        eta = draw_multipliers(n, substream(cfg.seed, b))
-        ystar = null_resample(sm, y, eta)
-        ufstar = recompute_uf(sm.pairwise, ystar)
-        sv, fallback = runner.evaluate(ystar, ufstar)
-        n_fallback += fallback
-        if sv.degenerate:
-            n_degenerate += 1
-            continue
-        draws[kept] = sv.standardized
-        kept += 1
+    L = sm.pairwise
+    r = L.sum(axis=1)
+    blocks = []
+    for start in range(0, cfg.B, DRAW_BLOCK):
+        stop = min(start + DRAW_BLOCK, cfg.B)
+        eta = [draw_multipliers(n, substream(cfg.seed, b)) for b in range(start, stop)]
+        y = null_resample(sm, runner.y, np.stack(eta))
+        # centred by its median, which is exact for a constant draw (it then
+        # gives exact zeros) and keeps an outlying response from inflating
+        # the rounding error of the quadratic forms
+        y -= np.median(y, axis=1, keepdims=True)
+        blocks.append(runner.evaluate_batch(y, y * r - y @ L))
+    t, fallback = zip(*blocks)
+    return np.concatenate(t), np.concatenate(fallback)
+
+
+def _bootstrap_draws(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, dict]:
+    """Standardized bootstrap statistics of the nondegenerate draws."""
+    t, fallback = _draw_statistics(runner, cfg)
+    degenerate = np.isnan(t)
+    n_degenerate = int(degenerate.sum())
     if n_degenerate > MAX_DEGENERATE_DRAW_FRACTION * cfg.B:
         raise DegenerateStatisticError(
             f"{n_degenerate} of {cfg.B} bootstrap draws had degenerate "
-            "variance; the test is unreliable at this bandwidth"
+            "variance; the test is unreliable at this bandwidth",
+            cause="draws",
         )
-    diag = {"degenerate_draws": n_degenerate, "fallback_draws": n_fallback}
-    return draws[:kept], diag
+    diag = {"degenerate_draws": n_degenerate, "fallback_draws": int(fallback.sum())}
+    return t[~degenerate], diag
 
 
 def run_test(d: Dataset, cfg: TestConfig) -> TestResult:
@@ -226,7 +263,8 @@ def decide_scaled(sd: ScaledDataset, sm: SmootherOutput, cfg: TestConfig) -> Tes
         "degenerate_variance": sv.degenerate,
     }
     if sv.degenerate:
-        raise DegenerateStatisticError("test degenerate at this bandwidth")
+        cause = "observed" if np.any(sm.fhat > 0.0) else "no_support"
+        raise DegenerateStatisticError("test degenerate at this bandwidth", cause=cause)
 
     draws = None
     if cfg.critical == "asymptotic":

@@ -73,7 +73,8 @@ def oracle_case(seed: int, n: int, q: int, psi_family: str):
 
 
 def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
-    """Fast paths match enumeration oracles at 1e-10 relative."""
+    """Fast paths match enumeration oracles at 1e-10 relative; ``itilde`` and
+    ``lv`` both directly and as the bootstrap evaluates them, y' T y / (n)_4."""
     families = ("normal", "triangular", "indicator")
     for si, seed in enumerate(seeds):
         for n in sizes:
@@ -85,12 +86,16 @@ def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
             pairs = [
                 ("ihat", eng.ihat(sm.uf), oracle_ihat(tables)),
                 ("itilde", eng.itilde(y), oracle_itilde(tables)),
+                ("itilde-operator", eng.itilde_batch(y[None, :])[0], oracle_itilde(tables)),
                 ("var_hat", eng.var_hat(sm.uf), oracle_var_hat(tables, sm.uf)),
             ]
             if psi_family != "indicator":
                 joint = OracleTables(sd, bw.g, bw.h, joint=True)
                 lv = StatEngine(sd, sm, bw.h, mode="joint")
                 pairs.append(("lv", lv.itilde(y), oracle_itilde(joint)))
+                pairs.append(
+                    ("lv-operator", lv.itilde_batch(y[None, :])[0], oracle_itilde(joint))
+                )
                 pairs.append(
                     ("lv-variance", lv.var_hat(sm.uf), oracle_var_hat(joint, sm.uf))
                 )

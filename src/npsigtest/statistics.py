@@ -9,12 +9,15 @@ jointly-smoothed variant (``StatEngine`` in ``joint`` mode), a Cramer-von-Mises
 functional of the marked residual process (``CvmEngine``), and an F-test
 against a linear specification (``fisher_test``).
 
-Everything here is organized around matrices of pairwise weights so the wild
-bootstrap can recompute statistics for thousands of response vectors while
-reusing the kernel evaluations. Reductions accumulate row partial sums
-(pairwise within a row) and combine them with exact compensated summation;
-the brute-force oracles pin these paths at 1e-10 relative for n = 6, 8
-and 10.
+Everything here is organized around matrices of pairwise weights, and every
+statistic is a quadratic form in the response. An observed statistic is
+evaluated directly, with row partial sums combined by exact compensated
+summation. The wild bootstrap evaluates a whole block of resampled responses
+at once (the ``*_batch`` methods): ``itilde`` through one operator ``T``
+built per engine with four n^3 products (``itilde_operator``), after which
+each draw costs O(n^2); the batched sums are plain BLAS sums, not
+compensated. The brute-force oracles pin both paths at 1e-10 relative for
+n = 6, 8 and 10.
 """
 
 from __future__ import annotations
@@ -31,7 +34,16 @@ from .smoother import SmootherOutput
 
 
 class DegenerateStatisticError(RuntimeError):
-    """Raised when a test cannot be standardized (nonpositive variance)."""
+    """Raised when a test cannot be standardized (nonpositive variance).
+
+    ``cause`` names what was degenerate: ``"observed"``, the statistic of the
+    data; ``"no_support"``, the same when the design density estimate fhat is
+    zero at every observation; ``"draws"``, too many bootstrap draws.
+    """
+
+    def __init__(self, message: str, cause: str):
+        super().__init__(message)
+        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,11 @@ def _fsum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).tolist())
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b."""
+    return np.einsum("bi,bi->b", a, b)
+
+
 def _arrangements(n: int, m: int) -> float:
     out = 1.0
     for i in range(m):
@@ -56,16 +73,81 @@ def _arrangements(n: int, m: int) -> float:
     return out
 
 
+def standardize_batch(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
+    """Studentize: n h^(p_c/2) I_n / omega_n, elementwise; NaN marks a
+    degenerate (nonpositive-variance) value."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = n * h ** (p_c / 2.0) * i_n / np.sqrt(omega2)
+    return np.where(omega2 > 0.0, t, math.nan)
+
+
 def standardize_statistic(
     i_n: float, omega2: float, n: int, h: float, p_c: int
 ) -> StatisticValue:
-    """Studentize: n h^(p_c/2) I_n / omega_n, flagging nonpositive variance."""
-    if omega2 > 0.0:
-        t = n * h ** (p_c / 2.0) * i_n / math.sqrt(omega2)
-        return StatisticValue(raw=i_n, variance=omega2, standardized=t, n=n)
+    """``standardize_batch`` of one value, flagging nonpositive variance."""
+    t = float(standardize_batch(np.float64(i_n), np.float64(omega2), n, h, p_c))
     return StatisticValue(
-        raw=i_n, variance=omega2, standardized=math.nan, n=n, degenerate=True
+        raw=i_n, variance=omega2, standardized=t, n=n, degenerate=not omega2 > 0.0
     )
+
+
+def itilde_operator(L: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Symmetric T with (n)_4 * itilde(y) = y' T y for pair weights L and M.
+
+    Expands ``full - s1 - 2 s2 + s3`` of ``StatEngine.itilde`` in y, with
+    P = diag(r) - L (r the row sums of L), N = L∘M (c its row sums) and
+    W = M∘L∘L:
+
+        T = PMP - M∘LL' + 2 sym(L∘ML) - diag(LML)
+            - 2 sym(P(N - diag c)) - 2 (diag(W 1) - W).
+
+    Costs four n^3 products (LL', ML, L(MP), NL). Each temporary is folded
+    in and released before the next is made, so at most three n-by-n arrays
+    are held besides L and M, as in one direct ``itilde`` call.
+    """
+    n = L.shape[0]
+    r = L.sum(axis=1)
+    # 2 sym(L∘ML) and -diag(LML)
+    ML = M @ L
+    T = L * ML
+    T += T.T
+    diagonal = -np.einsum("ij,ji->i", L, ML)
+    # PMP = diag(r) MP - L MP, with MP = M diag(r) - ML
+    ML -= M * r
+    MP = np.negative(ML, out=ML)
+    T -= L @ MP
+    MP *= r[:, None]
+    T += MP
+    del ML, MP
+    # -M∘LL'
+    LL = L @ L.T
+    LL *= M
+    T -= LL
+    del LL
+    # -2 (diag(W 1) - W)
+    N = L * M
+    c = N.sum(axis=1)
+    W = N * L
+    W *= 2.0
+    T += W
+    diagonal -= W.sum(axis=1)
+    del W
+    # -2 sym(P(N - diag c)) = NL + LN - (r_i + r_j) N_ij - (c_i + c_j) L_ij + 2 diag(rc)
+    NL = N @ L
+    T += NL
+    T += NL.T
+    del NL
+    N *= r[:, None]
+    T -= N
+    T -= N.T
+    del N
+    Lc = L * c
+    T -= Lc
+    T -= Lc.T
+    del Lc
+    diagonal += 2.0 * r * c
+    T.flat[:: n + 1] += diagonal
+    return T
 
 
 class StatEngine:
@@ -74,8 +156,10 @@ class StatEngine:
     Builds the test-kernel matrix once (product of the w kernel at bandwidth
     h and either the psi weight or, in ``joint`` mode, an x kernel at the
     same bandwidth) and evaluates every statistic for an arbitrary response
-    vector. The wild bootstrap calls this once per multiplier draw. The
-    four-distinct-index ``itilde`` needs n >= 5 and the six-index
+    vector. The wild bootstrap evaluates a block of draws at once through
+    the ``*_batch`` methods, one draw per row; ``itilde_batch`` builds
+    ``itilde_operator`` on first use, so a test without a bootstrap never
+    does. The four-distinct-index ``itilde`` needs n >= 5 and the six-index
     ``var_tilde`` n >= 7; both raise ``ValueError`` below their floor.
     """
 
@@ -108,6 +192,7 @@ class StatEngine:
         np.fill_diagonal(self.M, 0.0)
         self.M2 = self.M * self.M
         self.h_power = h**self.rate_dim
+        self._T = None
 
     def _require_n(self, floor: int, name: str) -> None:
         if self.n < floor:
@@ -168,6 +253,39 @@ class StatEngine:
         denom = _arrangements(n, 2) * (n - 2) ** 2 * (n - 3) ** 2
         return 2.0 * self.h_power * total / denom
 
+    def ihat_batch(self, uf: np.ndarray) -> np.ndarray:
+        """``ihat`` of each row of uf."""
+        return _row_dots(uf, uf @ self.M) / _arrangements(self.n, 2)
+
+    def var_hat_batch(self, uf: np.ndarray) -> np.ndarray:
+        """``var_hat`` of each row of uf."""
+        uf2 = uf * uf
+        total = _row_dots(uf2, uf2 @ self.M2)
+        return 2.0 * self.h_power * total / _arrangements(self.n, 2)
+
+    def itilde_batch(self, y: np.ndarray) -> np.ndarray:
+        """``itilde`` of each row of y, as y' T y / (n)_4."""
+        self._require_n(5, "itilde")
+        if self._T is None:
+            self._T = itilde_operator(self.L, self.M)
+        return _row_dots(y, y @ self._T) / _arrangements(self.n, 4)
+
+    def var_tilde_batch(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """``var_tilde`` of each row of y, given its leave-one-out residual
+        sums s = (n - 1) uf; Q_i = sum_k (y_i - y_k)^2 L_ik^2 is expanded
+        with L∘L. A_i of an observation with fewer than two neighbours is an
+        empty sum, so it is set to exactly zero, as ``var_tilde`` gets it."""
+        self._require_n(7, "var_tilde")
+        n = self.n
+        L2 = self.L * self.L
+        y2 = y * y
+        Q = y2 * L2.sum(axis=1) - 2.0 * y * (y @ L2) + y2 @ L2
+        A = s * s - Q
+        A[:, np.count_nonzero(self.L, axis=1) < 2] = 0.0
+        total = _row_dots(A, A @ self.M2)
+        denom = _arrangements(n, 2) * (n - 2) ** 2 * (n - 3) ** 2
+        return 2.0 * self.h_power * total / denom
+
 
 class CvmEngine:
     """Componentwise-dominance indicator matrix for the marked-process statistic."""
@@ -181,6 +299,11 @@ class CvmEngine:
     def statistic(self, uf: np.ndarray) -> float:
         inner = self.E @ uf
         return _fsum(inner * inner)
+
+    def statistic_batch(self, uf: np.ndarray) -> np.ndarray:
+        """``statistic`` of each row of uf."""
+        inner = uf @ self.E.T
+        return _row_dots(inner, inner)
 
 
 def fisher_test(d: ScaledDataset, alpha: float) -> tuple[float, bool]:

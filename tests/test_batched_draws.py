@@ -1,0 +1,276 @@
+"""The batched bootstrap against per-draw statistic calls, the operator T
+behind the batched itilde, and the causes of degenerate tests."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import npsigtest.statistics as statistics
+from npsigtest.bootstrap import (
+    DRAW_BLOCK,
+    MAX_DEGENERATE_DRAW_FRACTION,
+    STATISTICS,
+    VARIANCES,
+    TestConfig,
+    _draw_statistics,
+    _Runner,
+    decide_scaled,
+    draw_multipliers,
+    null_resample,
+    run_test,
+    substream,
+)
+from npsigtest.data import ColumnKind, Dataset, all_continuous, standardize
+from npsigtest.kernels import PSI_FAMILIES, Bandwidths, PsiSpec, default_bandwidths
+from npsigtest.selfcheck import ABS_TOL, REL_TOL, close
+from npsigtest.smoother import compute_smoother, recompute_uf
+from npsigtest.statistics import (
+    CvmEngine,
+    DegenerateStatisticError,
+    StatEngine,
+    standardize_statistic,
+)
+
+from conftest import make_dataset
+
+
+def per_draw_reference(sd, sm, cfg):
+    """Per draw, as the bootstrap evaluated it before batching (one direct
+    engine call each): the standardized value (NaN if degenerate), whether
+    it used the variance fallback, whether its variance is rounding noise,
+    and the standardized value of the magnitude of the sums that cancel to
+    the statistic.
+
+    A variance estimate of the third kind is zero in exact arithmetic: two
+    neighbours' multipliers summing to exactly 1 can cancel their residuals,
+    and var_tilde vanishes identically over three tied neighbours. The
+    computed value is rounding noise that may land on zero, or on either
+    side of it, so whether the draw falls back or is dropped, and its
+    standardized value, are arbitrary on any evaluation path. Noise means
+    within 1e-12 of the same estimator at the residuals' rounding scale
+    sum_k L_ik (|y_i| + |y_k|) / (n - 1).
+    """
+    n, y = sd.n, sd.dataset.y
+    L = sm.pairwise
+    if cfg.statistic == "dgm":
+        cvm = CvmEngine(sd)
+    else:
+        mode = "joint" if cfg.statistic == "lv" else "psi"
+        eng = StatEngine(sd, sm, cfg.bandwidths.h, cfg.psi, mode=mode)
+    out = []
+    for b in range(cfg.B):
+        ystar = null_resample(sm, y, draw_multipliers(n, substream(cfg.seed, b)))
+        uf = recompute_uf(L, ystar)
+        uf_scale = (L.sum(axis=1) * np.abs(ystar) + L @ np.abs(ystar)) / (n - 1)
+        if cfg.statistic == "dgm":
+            out.append((cvm.statistic(uf), False, False, cvm.statistic(uf_scale)))
+            continue
+        if cfg.statistic == "ihat":
+            raw, raw_scale = eng.ihat(uf), eng.ihat(uf_scale)
+        else:
+            raw = eng.itilde(ystar)
+            full, s1, s2, s3 = eng._arrangement_sums(ystar)
+            sums = abs(full) + abs(s1) + 2.0 * abs(s2) + abs(s3)
+            raw_scale = sums / (n * (n - 1) * (n - 2) * (n - 3))
+        omega2 = eng.var_hat(uf) if cfg.variance == "var_hat" else eng.var_tilde(ystar)
+        rounding = 1e-12 * eng.var_hat(uf_scale)
+        noise = abs(omega2) <= rounding
+        fallback = cfg.variance == "var_tilde" and omega2 <= 0.0
+        if fallback:
+            omega2 = eng.var_hat(uf)
+            noise |= omega2 <= rounding
+        h, p = cfg.bandwidths.h, eng.rate_dim
+        t = standardize_statistic(raw, omega2, n, h, p).standardized
+        t_scale = standardize_statistic(raw_scale, omega2, n, h, p).standardized
+        out.append((t, fallback, noise, t_scale))
+    return out
+
+
+@st.composite
+def bootstrap_cases(draw):
+    """A small dataset with mixed discrete/continuous columns, optional ties
+    and isolated observations, and a bootstrap configuration for it."""
+    n = draw(st.integers(7, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    statistic = draw(st.sampled_from(STATISTICS))
+    w_kinds = (ColumnKind.CONTINUOUS, draw(st.sampled_from(ColumnKind)))
+    if statistic == "lv":
+        x_kinds = all_continuous(draw(st.integers(1, 2)))
+    else:
+        x_kinds = tuple(draw(st.lists(st.sampled_from(ColumnKind), min_size=1, max_size=2)))
+
+    def columns(kinds):
+        out = rng.standard_normal((n, len(kinds)))
+        for j, kind in enumerate(kinds):
+            if kind is ColumnKind.DISCRETE:
+                out[:, j] = rng.integers(0, 3, size=n)
+        return out
+
+    w, x = columns(w_kinds), columns(x_kinds)
+    tie_step = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    if tie_step:
+        w[:, 0] = np.round(w[:, 0] / tie_step) * tie_step
+    n_isolated = draw(st.integers(0, 2))
+    w[:n_isolated, 0] = (40.0, -40.0)[:n_isolated]
+    assume(np.ptp(w[:, 0]) > 0.0)
+    y = 0.5 * w[:, 0] + rng.standard_normal(n)
+    data = Dataset(y=y, w=w, x=x, w_kinds=w_kinds, x_kinds=x_kinds)
+    cfg = TestConfig(
+        bandwidths=Bandwidths(
+            g=draw(st.floats(0.3, 2.5)), h=draw(st.floats(0.3, 2.5))
+        ),
+        statistic=statistic,
+        psi=PsiSpec(draw(st.sampled_from(PSI_FAMILIES))),
+        variance=draw(st.sampled_from(VARIANCES)),
+        B=draw(st.integers(1, 140)),
+        seed=draw(st.integers(0, 2**63)),
+    )
+    return data, cfg
+
+
+class TestBatchedAgainstPerDraw:
+    @given(bootstrap_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_draws_and_counts_match(self, case):
+        data, cfg = case
+        sd = standardize(data)
+        sm = compute_smoother(sd, cfg.bandwidths.g)
+        reference = per_draw_reference(sd, sm, cfg)
+        t, fallback, noise, t_scale = (np.array(v) for v in zip(*reference))
+        t_batch, fallback_batch = _draw_statistics(_Runner(sd, sm, cfg), cfg)
+        for b in np.flatnonzero(~noise):
+            assert fallback_batch[b] == fallback[b]
+            assert np.isnan(t_batch[b]) == np.isnan(t[b])
+            # relative to the value, or to the sums that cancel to it
+            floor = max(ABS_TOL, REL_TOL * abs(t_scale[b]))
+            assert np.isnan(t[b]) or close(t_batch[b], t[b], abs_floor=floor), (
+                b, t_batch[b], t[b], t_scale[b]
+            )
+        if noise.any():
+            return
+        degenerate = np.isnan(t)
+        try:
+            res = decide_scaled(sd, sm, cfg)
+        except DegenerateStatisticError as exc:
+            if exc.cause == "draws":
+                assert degenerate.sum() > MAX_DEGENERATE_DRAW_FRACTION * cfg.B
+            return
+        assert res.diagnostics["degenerate_draws"] == degenerate.sum()
+        assert res.diagnostics["fallback_draws"] == fallback.sum()
+        assert np.array_equal(res.bootstrap_draws, t_batch[~degenerate])
+
+
+def wide_case(seed=41, n=25):
+    d = make_dataset(seed, n, q=1)
+    sd = standardize(d)
+    bw = Bandwidths(g=4.0, h=1.0, c=1.0)
+    return sd, compute_smoother(sd, bw.g), bw
+
+
+class TestDrawBlocks:
+    def test_blocks_do_not_change_the_draws(self):
+        # the first 199 draws of B = 300 are the B = 199 run's, although the
+        # last block of 199 draws is partial and the same draws of 300 are not
+        assert 199 % DRAW_BLOCK and 300 // DRAW_BLOCK > 199 // DRAW_BLOCK
+        sd, sm, bw = wide_case()
+        short = decide_scaled(sd, sm, TestConfig(bandwidths=bw, B=199, seed=11))
+        long = decide_scaled(sd, sm, TestConfig(bandwidths=bw, B=300, seed=11))
+        assert len(long.bootstrap_draws) == 300
+        assert np.allclose(long.bootstrap_draws[:199], short.bootstrap_draws, rtol=1e-12, atol=0)
+
+
+class TestItildeOperator:
+    @pytest.mark.parametrize("mode", ["psi", "joint"])
+    def test_quadratic_form_is_itilde(self, mode):
+        sd, sm, bw = wide_case(seed=44, n=30)
+        eng = StatEngine(sd, sm, bw.h, mode=mode)
+        y = sd.dataset.y
+        T = statistics.itilde_operator(eng.L, eng.M)
+        n4 = 30 * 29 * 28 * 27
+        assert close(float(y @ T @ y) / n4, eng.itilde(y))
+        assert close(float(eng.itilde_batch(y[None, :])[0]), eng.itilde(y))
+
+    def test_constant_rows_give_exact_zeros(self):
+        sd, sm, bw = wide_case()
+        eng = StatEngine(sd, sm, bw.h)
+        assert np.array_equal(eng.itilde_batch(np.zeros((3, sd.n))), np.zeros(3))
+
+    def test_var_tilde_of_lone_neighbours_is_exactly_zero(self):
+        # three isolated pairs and an isolated point: no observation has two
+        # neighbours, so every A_i is an empty sum and var_tilde vanishes
+        w = np.array([[0.0], [0.1], [3.0], [3.1], [6.0], [6.1], [-4.0]])
+        d = Dataset(
+            y=np.arange(7.0) ** 2,
+            w=w,
+            x=np.zeros((7, 1)),
+            w_kinds=all_continuous(1),
+            x_kinds=(ColumnKind.DISCRETE,),
+        )
+        sd = standardize(d)
+        sm = compute_smoother(sd, 0.3)
+        eng = StatEngine(sd, sm, 20.0, psi=PsiSpec("indicator"))
+        y = np.random.default_rng(3).standard_normal((5, 7))
+        s = y * sm.pairwise.sum(axis=1) - y @ sm.pairwise
+        assert eng.var_tilde(y[0]) == 0.0
+        assert np.array_equal(eng.var_tilde_batch(y, s), np.zeros(5))
+
+    def test_asymptotic_test_never_builds_the_operator(self, monkeypatch):
+        def refuse(L, M):
+            raise AssertionError("itilde_operator built on the asymptotic path")
+
+        monkeypatch.setattr(statistics, "itilde_operator", refuse)
+        d = make_dataset(57, 40, q=1)
+        bw = default_bandwidths(40, 2.0)
+        for statistic, variance in (
+            ("itilde", "var_hat"),
+            ("itilde", "var_tilde"),
+            ("lv", "var_hat"),
+        ):
+            cfg = TestConfig(
+                bandwidths=bw, statistic=statistic, variance=variance, critical="asymptotic"
+            )
+            run_test(d, cfg)
+        with pytest.raises(AssertionError, match="asymptotic path"):
+            run_test(d, TestConfig(bandwidths=bw, B=9))
+
+
+class TestDegenerateCause:
+    def test_observed(self):
+        rng = np.random.default_rng(12)
+        d = Dataset(
+            y=np.full(30, 1.0),
+            w=rng.standard_normal((30, 2)),
+            x=rng.standard_normal((30, 1)),
+            w_kinds=all_continuous(2),
+            x_kinds=all_continuous(1),
+        )
+        with pytest.raises(DegenerateStatisticError, match="test degenerate") as info:
+            run_test(d, TestConfig(bandwidths=default_bandwidths(30, 2.0)))
+        assert info.value.cause == "observed"
+
+    def test_no_support(self):
+        # a tiny estimation bandwidth leaves every observation isolated
+        d = make_dataset(58, 30, q=1)
+        cfg = TestConfig(bandwidths=Bandwidths(g=1e-6, h=1.0), critical="asymptotic")
+        with pytest.raises(DegenerateStatisticError, match="test degenerate") as info:
+            run_test(d, cfg)
+        assert info.value.cause == "no_support"
+
+    def test_draws(self):
+        # two mutually-nearest pairs, each isolated from the rest, with
+        # responses 0 and 1: a pair's resampled responses coincide exactly
+        # when its two multipliers differ (they sum to 1), so both pairs'
+        # weighted residuals vanish in about 16% of draws
+        w = np.array([[0.0, 0.0], [0.1, 0.05], [3.0, 0.0], [3.1, 0.05], [-4.0, 1.0]])
+        d = Dataset(
+            y=np.array([0.0, 1.0, 0.0, 1.0, 0.3]),
+            w=w,
+            x=np.array([[0.0], [1.0], [0.5], [1.5], [2.0]]),
+            w_kinds=all_continuous(2),
+            x_kinds=all_continuous(1),
+        )
+        cfg = TestConfig(bandwidths=Bandwidths(g=0.3, h=5.0), B=199, seed=1)
+        with pytest.raises(DegenerateStatisticError, match="29 of 199 bootstrap draws") as info:
+            run_test(d, cfg)
+        assert info.value.cause == "draws"
