@@ -39,7 +39,6 @@ from .statistics import (
     StatEngine,
     StatisticValue,
     fisher_test,
-    standardize_statistic,
 )
 
 __version__ = "0.1.0"
@@ -80,5 +79,4 @@ __all__ = [
     "run_test",
     "save_dataset",
     "standardize",
-    "standardize_statistic",
 ]

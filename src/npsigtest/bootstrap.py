@@ -6,8 +6,8 @@ regression is imposed while conditional heteroskedasticity is preserved.
 Each bootstrap replication b draws its multipliers from an RNG stream derived
 from (seed, b); results are therefore bit-for-bit reproducible regardless of
 execution order or worker count. The draws are evaluated together, one block
-of ``DRAW_BLOCK`` resampled responses at a time, as quadratic forms over the
-pair weights the observed statistic already built.
+of ``DRAW_BLOCK`` resampled responses at a time, through the same statistic
+bodies as the observed response, over the pair weights it already built.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from scipy.special import ndtr, ndtri
 
 from .data import Dataset, ScaledDataset, standardize
 from .kernels import Bandwidths, PsiSpec
-from .smoother import SmootherOutput, compute_smoother
+from .smoother import SmootherOutput, compute_smoother, recompute_uf
 from .statistics import (
     CvmEngine,
     DegenerateStatisticError,
     StatEngine,
     StatisticValue,
-    standardize_batch,
-    standardize_statistic,
+    studentize,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -169,41 +168,24 @@ class _Runner:
             self.engine = StatEngine(d, sm, cfg.bandwidths.h, cfg.psi, mode=mode)
             self.cvm = None
 
-    def evaluate(self, y: np.ndarray, uf: np.ndarray) -> tuple[StatisticValue, bool]:
-        """(statistic value, used-variance-fallback) for a response vector."""
+    def evaluate(self, y: np.ndarray, uf: np.ndarray):
+        """(raw statistic, variance estimate, standardized statistic,
+        used-variance-fallback) of a response vector, or of each row of a
+        block of responses, given its leave-one-out residuals uf. A
+        degenerate statistic standardizes to NaN; dgm is not studentized, so
+        its variance is NaN and its standardized value is the raw one."""
         cfg = self.cfg
         if cfg.statistic == "dgm":
             raw = self.cvm.statistic(uf)
-            sv = StatisticValue(raw=raw, variance=math.nan, standardized=raw, n=self.n)
-            return sv, False
+            return raw, np.full(np.shape(raw), math.nan), raw, np.zeros(np.shape(raw), dtype=bool)
         eng = self.engine
         raw = eng.ihat(uf) if cfg.statistic == "ihat" else eng.itilde(y)
         omega2 = eng.var_hat(uf) if cfg.variance == "var_hat" else eng.var_tilde(y)
-        fallback = cfg.variance == "var_tilde" and omega2 <= 0.0
-        if fallback:
-            omega2 = eng.var_hat(uf)
-        return standardize_statistic(raw, omega2, self.n, cfg.bandwidths.h, eng.rate_dim), fallback
-
-    def evaluate_batch(self, y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(standardized statistics, used-variance-fallback flags) for each
-        row of y, given its leave-one-out residual sums s; a degenerate draw
-        is NaN."""
-        cfg = self.cfg
-        uf = s / (self.n - 1)
-        fallback = np.zeros(len(y), dtype=bool)
-        if cfg.statistic == "dgm":
-            return self.cvm.statistic_batch(uf), fallback
-        eng = self.engine
-        raw = eng.ihat_batch(uf) if cfg.statistic == "ihat" else eng.itilde_batch(y)
-        if cfg.variance == "var_hat":
-            omega2 = eng.var_hat_batch(uf)
-        else:
-            omega2 = eng.var_tilde_batch(y, s)
-            fallback = omega2 <= 0.0
-            if fallback.any():
-                omega2 = np.where(fallback, eng.var_hat_batch(uf), omega2)
-        t = standardize_batch(raw, omega2, self.n, cfg.bandwidths.h, eng.rate_dim)
-        return t, fallback
+        fallback = (cfg.variance == "var_tilde") & (omega2 <= 0.0)
+        if fallback.any():
+            omega2 = np.where(fallback, eng.var_hat(uf), omega2)
+        t = studentize(raw, omega2, self.n, cfg.bandwidths.h, eng.rate_dim)
+        return raw, omega2, t, fallback
 
 
 def _draw_statistics(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -211,19 +193,12 @@ def _draw_statistics(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, np.n
     and whether it used the variance fallback, ``DRAW_BLOCK`` draws at a
     time."""
     sm = runner.sm
-    n = runner.n
-    L = sm.pairwise
-    r = L.sum(axis=1)
     blocks = []
     for start in range(0, cfg.B, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, cfg.B)
-        eta = [draw_multipliers(n, substream(cfg.seed, b)) for b in range(start, stop)]
+        eta = [draw_multipliers(runner.n, substream(cfg.seed, b)) for b in range(start, stop)]
         y = null_resample(sm, runner.y, np.stack(eta))
-        # centred by its median, which is exact for a constant draw (it then
-        # gives exact zeros) and keeps an outlying response from inflating
-        # the rounding error of the quadratic forms
-        y -= np.median(y, axis=1, keepdims=True)
-        blocks.append(runner.evaluate_batch(y, y * r - y @ L))
+        blocks.append(runner.evaluate(y, recompute_uf(sm.pairwise, y))[2:])
     t, fallback = zip(*blocks)
     return np.concatenate(t), np.concatenate(fallback)
 
@@ -254,11 +229,16 @@ def decide_scaled(sd: ScaledDataset, sm: SmootherOutput, cfg: TestConfig) -> Tes
     """Decision step on an already standardized and smoothed sample, so a
     Monte Carlo replication can share one smoother across several tests."""
     runner = _Runner(sd, sm, cfg)
-    uf = sm.uf
-    y = sd.dataset.y
-    sv, fallback = runner.evaluate(y, uf)
+    raw, omega2, t, fallback = runner.evaluate(sd.dataset.y, sm.uf)
+    sv = StatisticValue(
+        raw=float(raw),
+        variance=float(omega2),
+        standardized=float(t),
+        n=sd.n,
+        degenerate=bool(np.isnan(t)),
+    )
     diagnostics = {
-        "fallback_used": fallback,
+        "fallback_used": bool(fallback),
         "fhat_zeros": int(np.sum(sm.fhat <= 0.0)),
         "degenerate_variance": sv.degenerate,
     }

@@ -73,8 +73,9 @@ def oracle_case(seed: int, n: int, q: int, psi_family: str):
 
 
 def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
-    """Fast paths match enumeration oracles at 1e-10 relative; ``itilde`` and
-    ``lv`` both directly and as the bootstrap evaluates them, y' T y / (n)_4."""
+    """Fast paths match enumeration oracles at 1e-10 relative, each on a
+    vector and on the same vector stacked twice as rows (the bootstrap's
+    shape; for ``itilde`` and ``lv`` that is y' T y / (n)_4)."""
     families = ("normal", "triangular", "indicator")
     for si, seed in enumerate(seeds):
         for n in sizes:
@@ -83,30 +84,26 @@ def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
             _, sd, sm, bw, psi, tables = oracle_case(seed, n, q, psi_family)
             y = sd.dataset.y
             eng = StatEngine(sd, sm, bw.h, psi=psi)
-            pairs = [
-                ("ihat", eng.ihat(sm.uf), oracle_ihat(tables)),
-                ("itilde", eng.itilde(y), oracle_itilde(tables)),
-                ("itilde-operator", eng.itilde_batch(y[None, :])[0], oracle_itilde(tables)),
-                ("var_hat", eng.var_hat(sm.uf), oracle_var_hat(tables, sm.uf)),
+            checks = [
+                ("ihat", eng.ihat, sm.uf, oracle_ihat(tables)),
+                ("itilde", eng.itilde, y, oracle_itilde(tables)),
+                ("var_hat", eng.var_hat, sm.uf, oracle_var_hat(tables, sm.uf)),
             ]
             if psi_family != "indicator":
                 joint = OracleTables(sd, bw.g, bw.h, joint=True)
                 lv = StatEngine(sd, sm, bw.h, mode="joint")
-                pairs.append(("lv", lv.itilde(y), oracle_itilde(joint)))
-                pairs.append(
-                    ("lv-operator", lv.itilde_batch(y[None, :])[0], oracle_itilde(joint))
-                )
-                pairs.append(
-                    ("lv-variance", lv.var_hat(sm.uf), oracle_var_hat(joint, sm.uf))
-                )
-            for name, fast, slow in pairs:
-                if not close(fast, slow):
-                    return (
-                        "oracle-equivalence",
-                        False,
-                        f"{name} mismatch at seed={seed} n={n} q={q} "
-                        f"psi={psi_family}: {fast!r} vs {slow!r}",
-                    )
+                checks.append(("lv", lv.itilde, y, oracle_itilde(joint)))
+                checks.append(("lv-variance", lv.var_hat, sm.uf, oracle_var_hat(joint, sm.uf)))
+            for name, method, v, slow in checks:
+                for shape, fast in (("vector", [method(v)]), ("rows", method(np.stack([v, v])))):
+                    bad = [f for f in fast if not close(f, slow)]
+                    if bad:
+                        return (
+                            "oracle-equivalence",
+                            False,
+                            f"{name} ({shape}) mismatch at seed={seed} n={n} q={q} "
+                            f"psi={psi_family}: {bad[0]!r} vs {slow!r}",
+                        )
     return ("oracle-equivalence", True, f"{len(seeds)} seeds x {len(sizes)} sizes")
 
 

@@ -5,7 +5,8 @@ For each observation i the smoother produces, using every other observation:
 * ``fhat``: the local design density of w,
 * ``rhat``: the local regression of y on w (NaN where the local density is 0),
 * ``uf``: the density-weighted residual (y_i - rhat_i) * fhat_i, accumulated
-  directly from pairwise differences so it stays finite even where fhat is 0.
+  as sum_k L_ik (y_i - y_k) / (n - 1) so it stays finite (zero) even where
+  fhat is 0.
 
 The pairwise kernel matrix is kept so the statistics and the bootstrap can
 reuse it. Every test holds a few n-by-n float64 matrices in memory at once,
@@ -69,11 +70,27 @@ def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
 
 
 def recompute_uf(pairwise: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Leave-one-out weighted residuals for a replacement response vector,
-    reusing a stored pairwise kernel matrix.
+    """Leave-one-out weighted residuals of a response vector, or of each row
+    of a block of responses, reusing a stored pairwise kernel matrix.
 
-    Accumulated from pairwise differences so a constant (or shifted) response
-    yields exact zeros rather than cancellation residue.
+    The response is centred first (``centred``), so a constant response
+    yields exact zeros rather than cancellation residue. ``y @ pairwise``
+    is the row-sum product ``pairwise @ y`` because the matrix is symmetric.
     """
-    n = len(y)
-    return ((y[:, None] - y[None, :]) * pairwise).sum(axis=1) / (n - 1)
+    row_sum = pairwise.sum(axis=1)
+    y = centred(y, row_sum)
+    return (y * row_sum - y @ pairwise) / (pairwise.shape[0] - 1)
+
+
+def centred(y: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
+    """y, or each row of y, less its value at the first observation with a
+    neighbour (a positive kernel row sum).
+
+    Every statistic depends on the response only through differences
+    y_i - y_k of neighbours, so the shift changes none of them in exact
+    arithmetic. It makes a constant response exactly zero, and the response
+    of an isolated observation, whose kernel row and column vanish, enters
+    no sum at all.
+    """
+    centre = int(np.argmax(row_sum > 0.0))
+    return y - y[..., centre, None]

@@ -10,13 +10,14 @@ functional of the marked residual process (``CvmEngine``), and an F-test
 against a linear specification (``fisher_test``).
 
 Everything here is organized around matrices of pairwise weights, and every
-statistic is a quadratic form in the response. An observed statistic is
-evaluated directly, with row partial sums combined by exact compensated
-summation. The wild bootstrap evaluates a whole block of resampled responses
-at once (the ``*_batch`` methods): ``itilde`` through one operator ``T``
-built per engine with four n^3 products (``itilde_operator``), after which
-each draw costs O(n^2); the batched sums are plain BLAS sums, not
-compensated. The brute-force oracles pin both paths at 1e-10 relative for
+statistic is a quadratic form in the response. Each statistic has one body
+that takes either one response (or residual) vector or a block of them, one
+per row, so the observed data and the wild-bootstrap draws go through the
+same code; the sums are plain BLAS sums. Only ``itilde`` has two forms: a
+vector is evaluated directly, with row partial sums combined by exact
+compensated summation, and a block through one operator ``T`` built per
+engine with four n^3 products (``itilde_operator``), after which each row
+costs O(n^2). The brute-force oracles pin both shapes at 1e-10 relative for
 n = 6, 8 and 10.
 """
 
@@ -30,7 +31,7 @@ from scipy.special import fdtri
 
 from .data import ColumnKind, ScaledDataset
 from .kernels import PsiSpec, joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
-from .smoother import SmootherOutput
+from .smoother import SmootherOutput, centred, recompute_uf
 
 
 class DegenerateStatisticError(RuntimeError):
@@ -61,9 +62,10 @@ def _fsum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).tolist())
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of a with the same row of b."""
-    return np.einsum("bi,bi->b", a, b)
+def _dots(a: np.ndarray, b: np.ndarray):
+    """Dot product of a vector with a vector, or of each row of a with the
+    same row of b."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _arrangements(n: int, m: int) -> float:
@@ -73,22 +75,12 @@ def _arrangements(n: int, m: int) -> float:
     return out
 
 
-def standardize_batch(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
-    """Studentize: n h^(p_c/2) I_n / omega_n, elementwise; NaN marks a
-    degenerate (nonpositive-variance) value."""
+def studentize(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
+    """n h^(p_c/2) I_n / omega_n, elementwise; NaN marks a degenerate
+    (nonpositive-variance) value."""
     with np.errstate(invalid="ignore", divide="ignore"):
         t = n * h ** (p_c / 2.0) * i_n / np.sqrt(omega2)
     return np.where(omega2 > 0.0, t, math.nan)
-
-
-def standardize_statistic(
-    i_n: float, omega2: float, n: int, h: float, p_c: int
-) -> StatisticValue:
-    """``standardize_batch`` of one value, flagging nonpositive variance."""
-    t = float(standardize_batch(np.float64(i_n), np.float64(omega2), n, h, p_c))
-    return StatisticValue(
-        raw=i_n, variance=omega2, standardized=t, n=n, degenerate=not omega2 > 0.0
-    )
 
 
 def itilde_operator(L: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -156,11 +148,11 @@ class StatEngine:
     Builds the test-kernel matrix once (product of the w kernel at bandwidth
     h and either the psi weight or, in ``joint`` mode, an x kernel at the
     same bandwidth) and evaluates every statistic for an arbitrary response
-    vector. The wild bootstrap evaluates a block of draws at once through
-    the ``*_batch`` methods, one draw per row; ``itilde_batch`` builds
-    ``itilde_operator`` on first use, so a test without a bootstrap never
-    does. The four-distinct-index ``itilde`` needs n >= 5 and the six-index
-    ``var_tilde`` n >= 7; both raise ``ValueError`` below their floor.
+    vector, or for each row of a block of them. ``itilde`` builds
+    ``itilde_operator`` on first use with a block, so a test without a
+    bootstrap never does. The four-distinct-index ``itilde`` needs n >= 5
+    and the six-index ``var_tilde`` n >= 7; both raise ``ValueError`` below
+    their floor.
     """
 
     def __init__(
@@ -176,6 +168,7 @@ class StatEngine:
         ds = d.dataset
         self.n = ds.n
         self.L = sm.pairwise
+        self.row_sum = self.L.sum(axis=1)
         w_cont, w_disc = ds.w_split()
         kmat = mixed_kernel_matrix(w_cont, w_disc, h)
         if mode == "psi":
@@ -198,15 +191,15 @@ class StatEngine:
         if self.n < floor:
             raise ValueError(f"{name} needs n >= {floor} observations, got n = {self.n}")
 
-    def ihat(self, uf: np.ndarray) -> float:
-        n = self.n
-        return _fsum(uf * (self.M @ uf)) / _arrangements(n, 2)
+    def ihat(self, uf: np.ndarray):
+        """``ihat`` of a residual vector uf, or of each row of uf."""
+        return _dots(uf, uf @ self.M) / _arrangements(self.n, 2)
 
-    def var_hat(self, uf: np.ndarray) -> float:
-        n = self.n
+    def var_hat(self, uf: np.ndarray):
+        """``var_hat`` of a residual vector uf, or of each row of uf."""
         uf2 = uf * uf
-        total = _fsum(uf2 * (self.M2 @ uf2))
-        return 2.0 * self.h_power * total / _arrangements(n, 2)
+        total = _dots(uf2, uf2 @ self.M2)
+        return 2.0 * self.h_power * total / _arrangements(self.n, 2)
 
     def _diff(self, y: np.ndarray) -> np.ndarray:
         return (y[:, None] - y[None, :]) * self.L
@@ -230,59 +223,45 @@ class StatEngine:
         s2 = _fsum(DM @ S) + s3
         return full, s1, s2, s3
 
-    def itilde(self, y: np.ndarray) -> float:
-        self._require_n(5, "itilde")
-        full, s1, s2, s3 = self._arrangement_sums(y)
-        return (full - s1 - 2.0 * s2 + s3) / _arrangements(self.n, 4)
+    def itilde(self, y: np.ndarray):
+        """``itilde`` of a response vector, or of each row of y.
 
-    def var_tilde(self, y: np.ndarray) -> float:
-        """Six-index studentizer via nested distinctness.
+        A vector goes through ``_arrangement_sums``, whose one n^3 product is
+        cheaper than building T; rows go through y' T y / (n)_4, which costs
+        O(n^2) each once T is built.
+        """
+        self._require_n(5, "itilde")
+        if y.ndim == 1:
+            full, s1, s2, s3 = self._arrangement_sums(y)
+            return (full - s1 - 2.0 * s2 + s3) / _arrangements(self.n, 4)
+        if self._T is None:
+            self._T = itilde_operator(self.L, self.M)
+        y = centred(y, self.row_sum)
+        return _dots(y, y @ self._T) / _arrangements(self.n, 4)
+
+    def var_tilde(self, y: np.ndarray):
+        """Six-index studentizer via nested distinctness, of a response
+        vector or of each row of y.
 
         For each i, A_i sums (y_i - y_k)(y_i - y_k') L_ik L_ik' over k != k'
-        (both != i); the cross-restrictions tying k, k' to the other pair's
-        indices are dropped, which costs an O(1/n) deviation from the exact
-        arrangement average. Can be negative in finite samples.
+        (both != i): the square of s_i = (n - 1) uf_i less
+        Q_i = sum_k (y_i - y_k)^2 L_ik^2, which is expanded with L∘L. A_i of
+        an observation with fewer than two neighbours is an empty sum, so it
+        is set to exactly zero. The cross-restrictions tying k, k' to the
+        other pair's indices are dropped, which costs an O(1/n) deviation
+        from the exact arrangement average. Can be negative in finite
+        samples.
         """
         self._require_n(7, "var_tilde")
         n = self.n
-        D = self._diff(y)
-        S = D.sum(axis=1)
-        Q = np.einsum("ij,ij->i", D, D)
-        A = S * S - Q
-        total = _fsum(A * (self.M2 @ A))
-        denom = _arrangements(n, 2) * (n - 2) ** 2 * (n - 3) ** 2
-        return 2.0 * self.h_power * total / denom
-
-    def ihat_batch(self, uf: np.ndarray) -> np.ndarray:
-        """``ihat`` of each row of uf."""
-        return _row_dots(uf, uf @ self.M) / _arrangements(self.n, 2)
-
-    def var_hat_batch(self, uf: np.ndarray) -> np.ndarray:
-        """``var_hat`` of each row of uf."""
-        uf2 = uf * uf
-        total = _row_dots(uf2, uf2 @ self.M2)
-        return 2.0 * self.h_power * total / _arrangements(self.n, 2)
-
-    def itilde_batch(self, y: np.ndarray) -> np.ndarray:
-        """``itilde`` of each row of y, as y' T y / (n)_4."""
-        self._require_n(5, "itilde")
-        if self._T is None:
-            self._T = itilde_operator(self.L, self.M)
-        return _row_dots(y, y @ self._T) / _arrangements(self.n, 4)
-
-    def var_tilde_batch(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """``var_tilde`` of each row of y, given its leave-one-out residual
-        sums s = (n - 1) uf; Q_i = sum_k (y_i - y_k)^2 L_ik^2 is expanded
-        with L∘L. A_i of an observation with fewer than two neighbours is an
-        empty sum, so it is set to exactly zero, as ``var_tilde`` gets it."""
-        self._require_n(7, "var_tilde")
-        n = self.n
+        y = centred(y, self.row_sum)
+        s = (n - 1) * recompute_uf(self.L, y)
         L2 = self.L * self.L
         y2 = y * y
         Q = y2 * L2.sum(axis=1) - 2.0 * y * (y @ L2) + y2 @ L2
         A = s * s - Q
-        A[:, np.count_nonzero(self.L, axis=1) < 2] = 0.0
-        total = _row_dots(A, A @ self.M2)
+        A[..., np.count_nonzero(self.L, axis=1) < 2] = 0.0
+        total = _dots(A, A @ self.M2)
         denom = _arrangements(n, 2) * (n - 2) ** 2 * (n - 3) ** 2
         return 2.0 * self.h_power * total / denom
 
@@ -296,14 +275,10 @@ class CvmEngine:
         # E[i, j] = 1 iff observation j is componentwise <= observation i
         self.E = np.all(both[None, :, :] <= both[:, None, :], axis=2).astype(float)
 
-    def statistic(self, uf: np.ndarray) -> float:
-        inner = self.E @ uf
-        return _fsum(inner * inner)
-
-    def statistic_batch(self, uf: np.ndarray) -> np.ndarray:
-        """``statistic`` of each row of uf."""
+    def statistic(self, uf: np.ndarray):
+        """The CvM statistic of a residual vector uf, or of each row of uf."""
         inner = uf @ self.E.T
-        return _row_dots(inner, inner)
+        return _dots(inner, inner)
 
 
 def fisher_test(d: ScaledDataset, alpha: float) -> tuple[float, bool]:

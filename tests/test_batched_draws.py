@@ -1,6 +1,8 @@
 """The batched bootstrap against per-draw statistic calls, the operator T
 behind the batched itilde, and the causes of degenerate tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,23 +26,57 @@ from npsigtest.bootstrap import (
 from npsigtest.data import ColumnKind, Dataset, all_continuous, standardize
 from npsigtest.kernels import PSI_FAMILIES, Bandwidths, PsiSpec, default_bandwidths
 from npsigtest.selfcheck import ABS_TOL, REL_TOL, close
-from npsigtest.smoother import compute_smoother, recompute_uf
-from npsigtest.statistics import (
-    CvmEngine,
-    DegenerateStatisticError,
-    StatEngine,
-    standardize_statistic,
-)
+from npsigtest.smoother import compute_smoother
+from npsigtest.statistics import CvmEngine, DegenerateStatisticError, StatEngine
 
 from conftest import make_dataset
 
 
+def fsum_dot(a, b):
+    return math.fsum((a * b).tolist())
+
+
+def pairwise_uf(L, y):
+    """Leave-one-out weighted residuals from pairwise response differences."""
+    return ((y[:, None] - y[None, :]) * L).sum(axis=1) / (len(y) - 1)
+
+
+def fsum_ihat(eng, uf):
+    n = eng.n
+    return fsum_dot(uf, eng.M @ uf) / (n * (n - 1))
+
+
+def fsum_var_hat(eng, uf):
+    n, uf2 = eng.n, uf * uf
+    return 2.0 * eng.h_power * fsum_dot(uf2, eng.M2 @ uf2) / (n * (n - 1))
+
+
+def fsum_var_tilde(eng, y):
+    """The nested-distinctness studentizer from pairwise response differences:
+    A_i = S_i^2 - Q_i with S_i and Q_i the row sums of D and D∘D."""
+    n = eng.n
+    D = (y[:, None] - y[None, :]) * eng.L
+    A = D.sum(axis=1) ** 2 - np.einsum("ij,ij->i", D, D)
+    denom = n * (n - 1) * (n - 2) ** 2 * (n - 3) ** 2
+    return 2.0 * eng.h_power * fsum_dot(A, eng.M2 @ A) / denom
+
+
+def fsum_cvm(cvm, uf):
+    inner = cvm.E @ uf
+    return fsum_dot(inner, inner)
+
+
+def studentized(raw, omega2, n, h, p):
+    return n * h ** (p / 2.0) * raw / math.sqrt(omega2) if omega2 > 0.0 else math.nan
+
+
 def per_draw_reference(sd, sm, cfg):
-    """Per draw, as the bootstrap evaluated it before batching (one direct
-    engine call each): the standardized value (NaN if degenerate), whether
-    it used the variance fallback, whether its variance is rounding noise,
-    and the standardized value of the magnitude of the sums that cancel to
-    the statistic.
+    """Per draw, as the bootstrap evaluated it before batching, in plain
+    compensated sums over pairwise differences (itilde by the direct form
+    ``StatEngine.itilde`` takes for a vector): the standardized value (NaN
+    if degenerate), whether it used the variance fallback, whether its
+    variance is rounding noise, and the standardized value of the magnitude
+    of the sums that cancel to the statistic.
 
     A variance estimate of the third kind is zero in exact arithmetic: two
     neighbours' multipliers summing to exactly 1 can cancel their residuals,
@@ -61,28 +97,31 @@ def per_draw_reference(sd, sm, cfg):
     out = []
     for b in range(cfg.B):
         ystar = null_resample(sm, y, draw_multipliers(n, substream(cfg.seed, b)))
-        uf = recompute_uf(L, ystar)
+        uf = pairwise_uf(L, ystar)
         uf_scale = (L.sum(axis=1) * np.abs(ystar) + L @ np.abs(ystar)) / (n - 1)
         if cfg.statistic == "dgm":
-            out.append((cvm.statistic(uf), False, False, cvm.statistic(uf_scale)))
+            out.append((fsum_cvm(cvm, uf), False, False, fsum_cvm(cvm, uf_scale)))
             continue
         if cfg.statistic == "ihat":
-            raw, raw_scale = eng.ihat(uf), eng.ihat(uf_scale)
+            raw, raw_scale = fsum_ihat(eng, uf), fsum_ihat(eng, uf_scale)
         else:
             raw = eng.itilde(ystar)
             full, s1, s2, s3 = eng._arrangement_sums(ystar)
             sums = abs(full) + abs(s1) + 2.0 * abs(s2) + abs(s3)
             raw_scale = sums / (n * (n - 1) * (n - 2) * (n - 3))
-        omega2 = eng.var_hat(uf) if cfg.variance == "var_hat" else eng.var_tilde(ystar)
-        rounding = 1e-12 * eng.var_hat(uf_scale)
+        if cfg.variance == "var_hat":
+            omega2 = fsum_var_hat(eng, uf)
+        else:
+            omega2 = fsum_var_tilde(eng, ystar)
+        rounding = 1e-12 * fsum_var_hat(eng, uf_scale)
         noise = abs(omega2) <= rounding
         fallback = cfg.variance == "var_tilde" and omega2 <= 0.0
         if fallback:
-            omega2 = eng.var_hat(uf)
+            omega2 = fsum_var_hat(eng, uf)
             noise |= omega2 <= rounding
         h, p = cfg.bandwidths.h, eng.rate_dim
-        t = standardize_statistic(raw, omega2, n, h, p).standardized
-        t_scale = standardize_statistic(raw_scale, omega2, n, h, p).standardized
+        t = studentized(raw, omega2, n, h, p)
+        t_scale = studentized(raw_scale, omega2, n, h, p)
         out.append((t, fallback, noise, t_scale))
     return out
 
@@ -180,6 +219,32 @@ class TestDrawBlocks:
         assert np.allclose(long.bootstrap_draws[:199], short.bootstrap_draws, rtol=1e-12, atol=0)
 
 
+class TestIsolatedResponses:
+    @pytest.mark.parametrize(
+        "statistic, variance",
+        [("itilde", "var_hat"), ("itilde", "var_tilde"), ("ihat", "var_hat"), ("dgm", "var_hat")],
+    )
+    def test_isolated_responses_leave_the_draws_bit_identical(self, statistic, variance):
+        # an isolated observation's kernel row and column vanish, so its
+        # response may be anything: the draws must not move by one bit
+        d = make_dataset(43, 40, q=1)
+        cfg = TestConfig(
+            bandwidths=Bandwidths(g=0.35, h=0.5),
+            statistic=statistic,
+            variance=variance,
+            B=99,
+            seed=5,
+        )
+        isolated = compute_smoother(standardize(d), cfg.bandwidths.g).fhat == 0.0
+        assert isolated.sum() == 13
+        draws = []
+        for y in (d.y, d.y + 123.0 * isolated):
+            sd = standardize(Dataset(y=y, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds))
+            sm = compute_smoother(sd, cfg.bandwidths.g)
+            draws.append(decide_scaled(sd, sm, cfg).bootstrap_draws)
+        assert np.array_equal(draws[0], draws[1])
+
+
 class TestItildeOperator:
     @pytest.mark.parametrize("mode", ["psi", "joint"])
     def test_quadratic_form_is_itilde(self, mode):
@@ -189,12 +254,12 @@ class TestItildeOperator:
         T = statistics.itilde_operator(eng.L, eng.M)
         n4 = 30 * 29 * 28 * 27
         assert close(float(y @ T @ y) / n4, eng.itilde(y))
-        assert close(float(eng.itilde_batch(y[None, :])[0]), eng.itilde(y))
+        assert close(float(eng.itilde(y[None, :])[0]), eng.itilde(y))
 
     def test_constant_rows_give_exact_zeros(self):
         sd, sm, bw = wide_case()
         eng = StatEngine(sd, sm, bw.h)
-        assert np.array_equal(eng.itilde_batch(np.zeros((3, sd.n))), np.zeros(3))
+        assert np.array_equal(eng.itilde(np.zeros((3, sd.n))), np.zeros(3))
 
     def test_var_tilde_of_lone_neighbours_is_exactly_zero(self):
         # three isolated pairs and an isolated point: no observation has two
@@ -211,9 +276,8 @@ class TestItildeOperator:
         sm = compute_smoother(sd, 0.3)
         eng = StatEngine(sd, sm, 20.0, psi=PsiSpec("indicator"))
         y = np.random.default_rng(3).standard_normal((5, 7))
-        s = y * sm.pairwise.sum(axis=1) - y @ sm.pairwise
         assert eng.var_tilde(y[0]) == 0.0
-        assert np.array_equal(eng.var_tilde_batch(y, s), np.zeros(5))
+        assert np.array_equal(eng.var_tilde(y), np.zeros(5))
 
     def test_asymptotic_test_never_builds_the_operator(self, monkeypatch):
         def refuse(L, M):
