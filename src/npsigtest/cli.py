@@ -11,22 +11,17 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
 
 from .bootstrap import STATISTICS, VARIANCES, TestConfig, run_test
 from .data import ColumnSchema, DataError, load_dataset
-from .designs import (
-    DESK_LEVEL_REPS,
-    DESK_POWER_REPS,
-    FIGURE_TAGS,
-    TEMPLATES,
-    figure_config,
-)
+from .designs import FIGURE_TAGS, TEMPLATES, figure_design, replications
 from .kernels import PSI_FAMILIES, PsiSpec, default_bandwidths
 from .selfcheck import run_all
-from .simulation import FAMILIES, ExperimentConfig, grid_cells, run_experiment
+from .simulation import ALTERNATIVES, FAMILIES, ExperimentConfig, grid_cells, run_experiment
 from .statistics import DegenerateStatisticError
 
 EXIT_OK = 0
@@ -35,12 +30,47 @@ EXIT_USAGE = 2
 EXIT_REJECT = 3
 
 
-def _fresh_seed() -> int:
-    return int.from_bytes(os.urandom(8), "big") >> 1
+def _seed(args) -> int:
+    """The --seed value, or fresh OS entropy that is logged to stderr."""
+    if args.seed is not None:
+        return args.seed
+    seed = int.from_bytes(os.urandom(8), "big") >> 1
+    print(f"seed: {seed}", file=sys.stderr)
+    return seed
 
 
-def _split_cols(value: str) -> list[str]:
-    return [c.strip() for c in value.split(",") if c.strip()]
+def _listed(kind=str, choices=(), allow_empty=False):
+    """argparse type: a comma-separated list of ``kind`` values, each one of
+    ``choices`` when those are given."""
+
+    def parse(text: str) -> tuple:
+        words = [v.strip() for v in text.split(",") if v.strip()]
+        if not words and not allow_empty:
+            raise argparse.ArgumentTypeError("expected at least one comma-separated value")
+        unknown = [v for v in words if choices and v not in choices]
+        if unknown:
+            raise argparse.ArgumentTypeError(f"unknown {unknown}; known: {', '.join(choices)}")
+        return tuple(kind(v) for v in words)
+
+    parse.__name__ = f"{kind.__name__} list"  # argparse names it in "invalid ... value"
+    return parse
+
+
+def _bounded(kind, low: float, high: float = math.inf):
+    """argparse type: one ``kind`` value strictly between ``low`` and ``high``
+    (NaN is refused)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low < value < high:
+            span = f"> {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} {span}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _load_config_args(argv: list[str]) -> list[str]:
@@ -86,19 +116,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("test", help="run the test on a CSV dataset")
+    t = sub.add_parser(
+        "test",
+        help="run the test on a CSV dataset",
+        description="Column lists are comma-separated.",
+    )
     t.add_argument("--data", required=True, help="CSV file with a header row")
     t.add_argument("--y", required=True, help="response column")
-    t.add_argument("--w", required=True, help="comma-separated null-covariate columns")
-    t.add_argument("--x", required=True, help="comma-separated columns under test")
-    t.add_argument("--disc", default="", help="comma-separated discrete columns")
+    t.add_argument("--w", type=_listed(), required=True, help="null-covariate columns")
+    t.add_argument("--x", type=_listed(), required=True, help="columns under test")
+    t.add_argument("--disc", type=_listed(allow_empty=True), default="", help="discrete columns")
     t.add_argument("--stat", default="itilde", choices=STATISTICS)
     t.add_argument("--psi", default="normal", choices=PSI_FAMILIES)
     t.add_argument("--variance", default="var_hat", choices=VARIANCES)
-    t.add_argument("--c", type=float, default=2.0, help="test bandwidth factor")
-    t.add_argument("--alpha", type=float, default=0.05)
+    t.add_argument("--c", type=_bounded(float, 0), default=2.0, help="test bandwidth factor")
+    t.add_argument("--alpha", type=_bounded(float, 0, 1), default=0.05)
     group = t.add_mutually_exclusive_group()
-    group.add_argument("--boot", type=int, default=199, help="bootstrap replications")
+    group.add_argument("--boot", type=_bounded(int, 0), default=199, help="bootstrap replications")
     group.add_argument("--asymptotic", action="store_true", help="use the normal quantile")
     t.add_argument("--seed", type=int, default=None)
     fmt = t.add_mutually_exclusive_group()
@@ -106,26 +140,30 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true")
 
     s = sub.add_parser("simulate", help="run a Monte Carlo design, write a CSV table")
-    s.add_argument("--figure", choices=list(FIGURE_TAGS), help="preset design tag")
-    s.add_argument("--family", choices=FAMILIES, help="explicit grid: DGP family")
-    s.add_argument("--alt", default="null", help="explicit grid: comma-separated alternatives")
-    s.add_argument("--n", default="100", help="explicit grid: sample sizes")
-    s.add_argument("--q", default="1", help="explicit grid: dimensions under test")
-    s.add_argument("--deltas", default="0", help="explicit grid: departure sizes")
-    s.add_argument("--cs", default="2", help="explicit grid: bandwidth factors")
-    s.add_argument(
-        "--tests",
-        default="lmp",
-        help="explicit grid: comma-separated test names "
-        f"({', '.join(sorted(TEMPLATES))})",
+    design = s.add_mutually_exclusive_group(required=True)
+    design.add_argument("--figure", choices=FIGURE_TAGS, help="preset design tag")
+    design.add_argument("--family", choices=FAMILIES, help="explicit grid: DGP family")
+    grid = s.add_argument_group("explicit grid", "comma-separated lists that span the cells")
+    grid.add_argument(
+        "--alt", type=_listed(choices=ALTERNATIVES), default="null", help="alternatives"
     )
-    s.add_argument("--reps", type=int, default=None)
-    s.add_argument("--boot", type=int, default=199)
-    s.add_argument("--alpha", type=float, default=0.10)
+    grid.add_argument("--n", type=_listed(int), default="100", help="sample sizes")
+    grid.add_argument("--q", type=_listed(int), default="1", help="dimensions under test")
+    grid.add_argument("--deltas", type=_listed(float), default="0", help="departure sizes")
+    grid.add_argument(
+        "--cs", type=_listed(_bounded(float, 0)), default="2", help="bandwidth factors"
+    )
+    grid.add_argument(
+        "--tests", type=_listed(choices=TEMPLATES), default="lmp",
+        help=f"test names ({', '.join(TEMPLATES)})",
+    )
+    s.add_argument("--reps", type=_bounded(int, 0), default=None)
+    s.add_argument("--boot", type=_bounded(int, 0), default=199)
+    s.add_argument("--alpha", type=_bounded(float, 0, 1), default=0.10)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", required=True, help="output CSV path")
     s.add_argument("--paper-scale", action="store_true", help="full replication counts")
-    s.add_argument("--threads", type=int, default=1, help="worker processes")
+    s.add_argument("--threads", type=_bounded(int, 0), default=1, help="worker processes")
 
     c = sub.add_parser("selfcheck", help="oracle, invariance, and multiplier checks")
     c.add_argument("--fast", action="store_true", help="fewer seeds per check")
@@ -162,22 +200,12 @@ def _render_test(result, args) -> str:
 
 
 def _cmd_test(args) -> int:
-    w_cols, x_cols = _split_cols(args.w), _split_cols(args.x)
-    disc = set(_split_cols(args.disc))
-    overlap = set(w_cols) & set(x_cols) | ({args.y} & set(w_cols + x_cols))
+    overlap = set(args.w) & set(args.x) | ({args.y} & set(args.w + args.x))
     if overlap:
         print(f"error: columns used in more than one role: {sorted(overlap)}", file=sys.stderr)
         return EXIT_USAGE
-    if not 0.0 < args.alpha < 1.0:
-        print("error: alpha must be in (0, 1)", file=sys.stderr)
-        return EXIT_USAGE
-    if args.c <= 0:
-        print("error: bandwidth factor c must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    if args.seed is None:
-        print(f"seed: {seed}", file=sys.stderr)
-    schema = ColumnSchema(y=args.y, w=tuple(w_cols), x=tuple(x_cols), discrete=frozenset(disc))
+    seed = _seed(args)
+    schema = ColumnSchema(y=args.y, w=args.w, x=args.x, discrete=frozenset(args.disc))
     data = load_dataset(args.data, schema)
     cfg = TestConfig(
         bandwidths=default_bandwidths(data.n, args.c),
@@ -194,63 +222,27 @@ def _cmd_test(args) -> int:
     return EXIT_REJECT if result.reject else EXIT_OK
 
 
-def _explicit_grid_config(args, seed: int) -> ExperimentConfig:
-    names = _split_cols(args.tests)
-    unknown = [t for t in names if t not in TEMPLATES]
-    if unknown:
-        raise DataError(f"unknown test names {unknown}; known: {sorted(TEMPLATES)}")
-    alternatives = tuple(_split_cols(args.alt))
-    cells = grid_cells(
-        args.family,
-        alternatives,
-        [int(v) for v in _split_cols(args.n)],
-        [int(v) for v in _split_cols(args.q)],
-        [float(v) for v in _split_cols(args.deltas)],
-        [float(v) for v in _split_cols(args.cs)],
-    )
-    reps = args.reps
-    if reps is None:
-        reps = DESK_LEVEL_REPS if set(alternatives) == {"null"} else DESK_POWER_REPS
-    return ExperimentConfig(
+def _cmd_simulate(args) -> int:
+    seed = _seed(args)
+    if args.figure is not None:
+        cells, tests = figure_design(args.figure)
+    else:
+        cells = grid_cells(args.family, args.alt, args.n, args.q, args.deltas, args.cs)
+        tests = tuple(TEMPLATES[t] for t in args.tests)
+    cfg = ExperimentConfig(
         cells=cells,
-        tests=tuple(TEMPLATES[t] for t in names),
-        replications=reps,
+        tests=tests,
+        replications=args.reps or replications(cells, args.paper_scale),
         master_seed=seed,
         alpha=args.alpha,
         B=args.boot,
         workers=args.threads,
     )
-
-
-def _cmd_simulate(args) -> int:
-    if args.reps is not None and args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.figure is None and args.family is None:
-        print(
-            "error: either --figure (one of: " + ", ".join(FIGURE_TAGS) + ") "
-            "or an explicit --family grid is required",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    if args.seed is None:
-        print(f"seed: {seed}", file=sys.stderr)
-    if args.figure is not None:
-        cfg = figure_config(
-            args.figure,
-            master_seed=seed,
-            replications=args.reps,
-            B=args.boot,
-            alpha=args.alpha,
-            workers=args.threads,
-            paper_scale=args.paper_scale,
-        )
-    else:
-        cfg = _explicit_grid_config(args, seed)
+    try:
+        open(args.out, "a").close()  # fail now, not after the last replication
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_RUNTIME
     t0 = time.perf_counter()
     table = run_experiment(cfg, progress=lambda line: print(line, file=sys.stderr))
     table.save(args.out)

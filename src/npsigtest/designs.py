@@ -1,15 +1,18 @@
 """Preset Monte Carlo designs behind the simulate command's --figure tags.
 
-Desk-scale replication counts keep a full design under a coffee break on a
-laptop; --paper-scale switches to publication-grade 5000/2000-replication
-runs (budget hours, depending on workers). Delta grids were calibrated once
-so power sweeps the interesting range (from the nominal level up the curve)
-and are recorded here as plain constants.
+A design is its grid cells and its test battery; ``figure_design`` looks one
+up by tag. ``replications`` is the one rule for the default replication
+count of any design, preset or explicit grid: desk-scale counts keep a full
+design under a coffee break on a laptop, and --paper-scale switches to
+publication-grade 5000/2000-replication runs (budget hours, depending on
+workers). Delta grids were calibrated once so power sweeps the interesting
+range (from the nominal level up the curve) and are recorded here as plain
+constants.
 """
 
 from __future__ import annotations
 
-from .simulation import ExperimentConfig, TestTemplate, grid_cells
+from .simulation import Cell, TestTemplate, grid_cells
 
 DESK_LEVEL_REPS = 500
 DESK_POWER_REPS = 300
@@ -41,74 +44,51 @@ TEMPLATES = {
     for t in (LMP, LMP_TRI, LMP_ASYM, LV, DGM, FISHER, IND, IND_ASYM)
 }
 
-FIGURE_TAGS = (
-    "level-cont",
-    "power-quad",
-    "power-n",
-    "power-alt",
-    "level-disc",
-    "power-disc",
-)
+# tag -> (cells, tests); a power design lists the null (delta = 0) cells
+# of its first alternative ahead of the alternative cells
+_FIGURES = {
+    "level-cont": (
+        grid_cells("continuous", ("null",), (100,), (1, 2, 5), (0.0,), C_GRID),
+        (LMP, LMP_TRI, LMP_ASYM, LV, DGM),
+    ),
+    "power-quad": (
+        grid_cells("continuous", ("null", "quadratic"), (100,), (1, 2, 5), DELTA_QUAD, C_GRID),
+        (LMP, LV, DGM, FISHER),
+    ),
+    "power-n": (
+        grid_cells("continuous", ("null", "quadratic"), (50, 100, 200), (5,), DELTA_QUAD, (2.0,)),
+        (LMP, LV, DGM, FISHER),
+    ),
+    "power-alt": (
+        grid_cells("continuous", ("null", "linear"), (100,), (5,), DELTA_LINEAR, (1.0, 2.0, 4.0))
+        + grid_cells("continuous", ("sine",), (100,), (5,), DELTA_SINE, (1.0, 2.0, 4.0)),
+        (LMP, LV, DGM, FISHER),
+    ),
+    "level-disc": (
+        grid_cells("discrete_x", ("null",), (100,), (1,), (0.0,), C_GRID),
+        (LMP, LMP_ASYM, IND, IND_ASYM),
+    ),
+    "power-disc": (
+        grid_cells("discrete_x", ("null", "quadratic"), (100,), (1,), DELTA_DISC_QUAD, C_GRID)
+        + grid_cells("discrete_x", ("sine",), (100,), (1,), DELTA_DISC_SINE, C_GRID),
+        (LMP, IND),
+    ),
+}
+
+FIGURE_TAGS = tuple(_FIGURES)
 
 
-def _cells_with_null(family, alternatives, n_grid, q_grid, delta_grid, c_grid):
-    """Alternative cells plus the matching null cells (delta = 0 baselines)."""
-    null_cells = grid_cells(family, ("null",), n_grid, q_grid, (0.0,), c_grid)
-    alt_cells = grid_cells(family, alternatives, n_grid, q_grid, delta_grid, c_grid)
-    return null_cells + alt_cells
-
-
-def figure_config(
-    tag: str,
-    master_seed: int,
-    replications: int | None = None,
-    B: int = 199,
-    alpha: float = 0.10,
-    workers: int = 1,
-    paper_scale: bool = False,
-) -> ExperimentConfig:
-    """Experiment configuration for a named figure design."""
-    if tag not in FIGURE_TAGS:
+def figure_design(tag: str) -> tuple[tuple[Cell, ...], tuple[TestTemplate, ...]]:
+    """The grid cells and the test battery of a named figure design."""
+    if tag not in _FIGURES:
         raise ValueError(f"unknown figure tag {tag!r}; known: {', '.join(FIGURE_TAGS)}")
-    level = tag.startswith("level")
-    if replications is None:
-        if paper_scale:
-            replications = PAPER_LEVEL_REPS if level else PAPER_POWER_REPS
-        else:
-            replications = DESK_LEVEL_REPS if level else DESK_POWER_REPS
+    return _FIGURES[tag]
 
-    if tag == "level-cont":
-        cells = grid_cells("continuous", ("null",), (100,), (1, 2, 5), (0.0,), C_GRID)
-        tests = (LMP, LMP_TRI, LMP_ASYM, LV, DGM)
-    elif tag == "power-quad":
-        cells = _cells_with_null(
-            "continuous", ("quadratic",), (100,), (1, 2, 5), DELTA_QUAD, C_GRID
-        )
-        tests = (LMP, LV, DGM, FISHER)
-    elif tag == "power-n":
-        cells = _cells_with_null(
-            "continuous", ("quadratic",), (50, 100, 200), (5,), DELTA_QUAD, (2.0,)
-        )
-        tests = (LMP, LV, DGM, FISHER)
-    elif tag == "power-alt":
-        cells = _cells_with_null(
-            "continuous", ("linear",), (100,), (5,), DELTA_LINEAR, (1.0, 2.0, 4.0)
-        ) + grid_cells("continuous", ("sine",), (100,), (5,), DELTA_SINE, (1.0, 2.0, 4.0))
-        tests = (LMP, LV, DGM, FISHER)
-    elif tag == "level-disc":
-        cells = grid_cells("discrete_x", ("null",), (100,), (1,), (0.0,), C_GRID)
-        tests = (LMP, LMP_ASYM, IND, IND_ASYM)
-    else:  # power-disc
-        cells = _cells_with_null(
-            "discrete_x", ("quadratic",), (100,), (1,), DELTA_DISC_QUAD, C_GRID
-        ) + grid_cells("discrete_x", ("sine",), (100,), (1,), DELTA_DISC_SINE, C_GRID)
-        tests = (LMP, IND)
-    return ExperimentConfig(
-        cells=cells,
-        tests=tests,
-        replications=replications,
-        master_seed=master_seed,
-        alpha=alpha,
-        B=B,
-        workers=workers,
-    )
+
+def replications(cells, paper_scale: bool) -> int:
+    """Default replication count: a design whose cells are all null measures
+    level and gets more replications than a power design."""
+    level = all(cell.dgp.alternative == "null" for cell in cells)
+    if paper_scale:
+        return PAPER_LEVEL_REPS if level else PAPER_POWER_REPS
+    return DESK_LEVEL_REPS if level else DESK_POWER_REPS

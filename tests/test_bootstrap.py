@@ -221,16 +221,22 @@ class TestRunTest:
             run_test(d, cfg)
 
     def test_var_tilde_fallback_flagged(self):
-        # tiny h makes the six-index estimator vanish while the statistic is
-        # fine, forcing the documented fallback to the pair-sum estimator
+        # at this small h the six-index estimator comes out negative
+        # (about -1.3e-7) while the pair-sum one is positive, so the test
+        # falls back to the pair-sum estimator and says so
         d = make_dataset(55, 30, q=1)
         cfg = TestConfig(
-            bandwidths=Bandwidths(g=2.0, h=2.0, c=1.0),
+            bandwidths=Bandwidths(g=1.0, h=0.2, c=1.0),
             variance="var_tilde",
             critical="asymptotic",
         )
         res = run_test(d, cfg)
-        assert "fallback_used" in res.diagnostics
+        sd = standardize(d)
+        sm = compute_smoother(sd, 1.0)
+        engine = StatEngine(sd, sm, 0.2)
+        assert engine.var_tilde(sd.dataset.y) < 0
+        assert res.diagnostics["fallback_used"] is True
+        assert res.statistic_value.variance == engine.var_hat(sm.uf)
 
     def test_record_is_flat_and_versioned(self):
         d = make_dataset(56, 40, q=1)

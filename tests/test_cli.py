@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import npsigtest
+from npsigtest import cli
 from npsigtest.cli import EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
 from npsigtest.data import ColumnSchema, save_dataset
-from npsigtest.simulation import DgpSpec, gen_continuous, gen_discrete
+from npsigtest.simulation import DgpSpec, ResultTable, gen_continuous, gen_discrete
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(npsigtest.__file__)))
 
 
 @pytest.fixture
@@ -137,6 +140,44 @@ class TestCmdTest:
         assert record["seed"] == 99
         assert code == EXIT_OK
 
+    def test_false_config_value_drops_its_flag(self, null_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("seed = 99\nboot = 29\njson = false\n")
+        code = main(base_args(null_csv) + ["--config", str(cfg)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("statistic itilde")
+
+    def test_config_values_are_checked_like_flags(self, null_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("boot = 0\n")
+        assert main(base_args(null_csv) + ["--config", str(cfg)]) == EXIT_USAGE
+        assert "argument --boot" in capsys.readouterr().err
+
+    def test_missing_config_file_runtime_error(self, null_csv, tmp_path, capsys):
+        code = main(base_args(null_csv) + ["--config", str(tmp_path / "none.conf")])
+        assert code == EXIT_RUNTIME
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_without_path_runtime_error(self, null_csv, capsys):
+        assert main(base_args(null_csv) + ["--config"]) == EXIT_RUNTIME
+        assert "--config requires a file path" in capsys.readouterr().err
+
+    def test_config_line_without_separator_runtime_error(self, null_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("seed 99\n")
+        assert main(base_args(null_csv) + ["--config", str(cfg)]) == EXIT_RUNTIME
+        assert "not key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--x", ""), ("--w", " , "), ("--boot", "0"), ("--alpha", "nan"),
+         ("--alpha", "1"), ("--c", "0"), ("--c", "nan")],
+    )
+    def test_bad_flag_value_usage_error(self, null_csv, capsys, flag, value):
+        code = main(base_args(null_csv) + [flag, value, "--seed", "1"])
+        assert code == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+
 
 class TestCmdSimulate:
     def test_zero_reps_usage_error(self, tmp_path, capsys):
@@ -173,8 +214,62 @@ class TestCmdSimulate:
             ["simulate", "--family", "continuous", "--tests", "nope",
              "--reps", "1", "--out", str(tmp_path / "t.csv")]
         )
-        assert code == EXIT_RUNTIME
-        assert "unknown test names" in capsys.readouterr().err
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --tests" in err and "unknown ['nope']" in err
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--family", "continuous", "--n", "abc"], "--n"),
+            (["--family", "continuous", "--q", "1,x"], "--q"),
+            (["--family", "continuous", "--cs", ""], "--cs"),
+            (["--family", "continuous", "--cs", "2,0"], "--cs"),
+            (["--family", "continuous", "--alt", "bogus"], "--alt"),
+            (["--figure", "level-disc", "--family", "continuous"], "--family"),
+            (["--figure", "level-disc", "--threads", "0"], "--threads"),
+            (["--figure", "level-disc", "--alpha", "0"], "--alpha"),
+        ],
+    )
+    def test_bad_flag_usage_error(self, tmp_path, capsys, extra, flag):
+        out = tmp_path / "t.csv"
+        code = main(["simulate", *extra, "--reps", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_fails_before_running(self, tmp_path):
+        out = tmp_path / "missing" / "t.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "npsigtest.cli", "simulate", "--figure", "level-disc",
+             "--reps", "1", "--boot", "9", "--seed", "1", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_RUNTIME
+        assert f"error: cannot write --out {out}" in proc.stderr
+        assert "cell 1/" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            (["--family", "discrete_x", "--paper-scale"], 5000),
+            (["--family", "discrete_x", "--alt", "null,sine", "--deltas", "1"], 300),
+            (["--figure", "power-disc", "--paper-scale"], 2000),
+            (["--figure", "level-disc", "--paper-scale", "--reps", "3"], 3),
+        ],
+    )
+    def test_replication_count_reaches_config(self, tmp_path, monkeypatch, extra, expected):
+        # nothing is simulated: the stand-in records the experiment it is given
+        seen = []
+        monkeypatch.setattr(
+            cli, "run_experiment", lambda cfg, progress: seen.append(cfg) or ResultTable(rows=())
+        )
+        code = main(["simulate", *extra, "--seed", "1", "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_OK
+        assert [cfg.replications for cfg in seen] == [expected]
 
     def test_level_cont_covers_design_cells(self, tmp_path):
         out = tmp_path / "level.csv"
@@ -229,7 +324,6 @@ class TestNegativeControl:
 def test_import_does_not_load_scipy_stats():
     # the package needs three scalar functions from scipy.special; importing
     # scipy.stats for them would take most of the start-up time
-    src = os.path.dirname(os.path.dirname(os.path.abspath(npsigtest.__file__)))
     code = "import npsigtest, npsigtest.cli, sys; assert 'scipy.stats' not in sys.modules"
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from npsigtest.data import ColumnKind
-from npsigtest.designs import FIGURE_TAGS, figure_config
+from npsigtest.designs import FIGURE_TAGS, figure_design, replications
 from npsigtest.simulation import (
     Cell,
     DgpSpec,
@@ -188,19 +188,42 @@ class TestGridAndDesigns:
         assert [c.dgp.n for c in cells] == [50, 50, 100, 100]
         assert [c.c for c in cells] == [1.0, 2.0, 1.0, 2.0]
 
+    def test_null_cells_lead_a_power_grid(self):
+        # a power design's null baselines: one delta = 0 cell per (n, q, c),
+        # ahead of the alternative's cells in the same order
+        cells = grid_cells("continuous", ("null", "quadratic"), (50,), (1, 2), (0.5, 1.0), (2.0,))
+        assert [(c.dgp.alternative, c.dgp.q, c.dgp.delta) for c in cells] == [
+            ("null", 1, 0.0),
+            ("null", 2, 0.0),
+            ("quadratic", 1, 0.5),
+            ("quadratic", 1, 1.0),
+            ("quadratic", 2, 0.5),
+            ("quadratic", 2, 1.0),
+        ]
+
     @pytest.mark.parametrize("tag", FIGURE_TAGS)
     def test_figure_configs_valid(self, tag):
-        cfg = figure_config(tag, master_seed=1, replications=2, workers=1)
-        assert cfg.replications == 2
-        assert len(cfg.cells) > 0
-        assert len(cfg.tests) > 0
+        cells, tests = figure_design(tag)
+        assert len(cells) > 0
+        assert len(tests) > 0
+        assert len({t.name for t in tests}) == len(tests)
+        ExperimentConfig(cells=cells, tests=tests, replications=2, master_seed=1)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown figure tag"):
-            figure_config("level-everything", master_seed=1)
+            figure_design("level-everything")
+
+    @pytest.mark.parametrize("tag", FIGURE_TAGS)
+    def test_default_reps(self, tag):
+        cells, _ = figure_design(tag)
+        level = tag.startswith("level")
+        assert replications(cells, paper_scale=False) == (500 if level else 300)
+        assert replications(cells, paper_scale=True) == (5000 if level else 2000)
 
     def test_paper_scale_reps(self):
-        cfg = figure_config("level-cont", master_seed=1, paper_scale=True)
-        assert cfg.replications == 5000
-        cfg = figure_config("power-quad", master_seed=1, paper_scale=True)
-        assert cfg.replications == 2000
+        # the same rule holds for an explicit grid: any non-null cell makes
+        # it a power design
+        null_only = grid_cells("discrete_x", ("null",), (60,), (1,), (1.0,), (2.0,))
+        mixed = grid_cells("discrete_x", ("null", "sine"), (60,), (1,), (1.0,), (2.0,))
+        assert replications(null_only, paper_scale=True) == 5000
+        assert replications(mixed, paper_scale=True) == 2000
