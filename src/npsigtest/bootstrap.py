@@ -3,11 +3,21 @@
 Resampled responses are built as rhat_i + eta_i * (y_i - rhat_i) with i.i.d.
 multipliers eta of mean zero and second and third moments one, so the null
 regression is imposed while conditional heteroskedasticity is preserved.
-Each bootstrap replication b draws its multipliers from an RNG stream derived
-from (seed, b); results are therefore bit-for-bit reproducible regardless of
-execution order or worker count. The draws are evaluated together, one block
-of ``DRAW_BLOCK`` resampled responses at a time, through the same statistic
-bodies as the observed response, over the pair weights it already built.
+Bootstrap draw b of a test with seed s reads the multiplier stream
+``default_rng(SeedSequence([s mod 2**64, b]))``, so results are bit-for-bit
+reproducible regardless of execution order or worker count. The draws are
+evaluated together, one block of ``DRAW_BLOCK`` resampled responses at a
+time, through the same statistic bodies as the observed response, over the
+pair weights it already built.
+
+``draw_multipliers(n, seed, draws)`` fills a block without building a
+``SeedSequence``, ``PCG64`` and ``Generator`` per draw. It runs the
+``SeedSequence`` pool hash for every b of the block at once in uint32 numpy
+arithmetic, turns each hashed state into the ``PCG64`` start state with two
+128-bit integer steps (as ``pcg64_srandom_r`` does), and sets those states in
+turn into one generator. numpy's RNG policy (NEP 19) keeps these streams
+stable; ``tests/test_bootstrap.py`` checks them against the explicit form.
+A draw index must fit in one 32-bit entropy word, so B <= 2**32.
 """
 
 from __future__ import annotations
@@ -46,6 +56,9 @@ MAX_DEGENERATE_DRAW_FRACTION = 0.10
 # replication by about 2%, one of 64 by about 1%, at about the same speed)
 DRAW_BLOCK = 64
 
+# draw indices b run over range(B) and must each fit in one uint32 word
+MAX_DRAWS = 1 << 32
+
 
 @dataclass(frozen=True)
 class TestConfig:
@@ -73,8 +86,8 @@ class TestConfig:
                 "the dgm statistic has a non-pivotal null law; use bootstrap "
                 "critical values"
             )
-        if self.critical == "bootstrap" and self.B < 1:
-            raise ValueError("bootstrap size B must be >= 1")
+        if self.critical == "bootstrap" and not 1 <= self.B <= MAX_DRAWS:
+            raise ValueError(f"bootstrap size B must be in [1, {MAX_DRAWS}]")
 
 
 @dataclass(frozen=True)
@@ -124,12 +137,92 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def draw_multipliers(n: int, rng: np.random.Generator) -> np.ndarray:
+# numpy's SeedSequence (pool size 4) and PCG64 seeding constants
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of ``count`` successive SeedSequence
+    hashmix calls, as uint32 columns."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+# mix_entropy makes 16 hashmix calls: calls 0-3 hash the entropy words into
+# the pool, then calls 4 + 3 src + j hash word src to mix it into the j-th
+# other word; generate_state(4, uint64) hashes the pool twice over into 8
+# words
+_ENTROPY_XOR, _ENTROPY_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+
+
+def _mix_constants(src: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hash constants of the calls that mix word ``src`` into each pool
+    word (the row of ``src`` itself is discarded)."""
+    first = _POOL + (_POOL - 1) * src
+    calls = list(range(first, first + _POOL - 1))
+    calls.insert(src, first)
+    return _ENTROPY_XOR[calls], _ENTROPY_MUL[calls]
+
+
+_MIX_CONSTANTS = [_mix_constants(src) for src in range(_POOL)]
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one result row per constant row."""
+    value = (value ^ xor) * mul
+    return value ^ (value >> _XSHIFT)
+
+
+def _start_states(seed: int, b: np.ndarray) -> list:
+    """``[s_hi, s_lo, q_hi, q_lo]`` per draw index: the 128-bit seed and
+    sequence words that ``PCG64(SeedSequence([seed mod 2**64, b]))`` reads
+    from ``generate_state(4, uint64)``."""
+    word = seed % (1 << 64)
+    words = [word & _MASK32] + ([word >> 32] if word >> 32 else [])
+    entropy = np.zeros((_POOL, len(b)), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = b
+    pool = _hashmix(entropy, _ENTROPY_XOR[:_POOL], _ENTROPY_MUL[:_POOL])
+    for src, (xor, mul) in enumerate(_MIX_CONSTANTS):
+        hashed = _hashmix(pool[src], xor, mul)
+        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+        mixed ^= mixed >> _XSHIFT
+        mixed[src] = pool[src]  # a word is not mixed into itself
+        pool = mixed
+    state = _hashmix(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MUL)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").tolist()
+
+
+def draw_multipliers(n: int, seed: int, draws) -> np.ndarray:
     """i.i.d. Mammen two-point multipliers with mean 0 and second and third
-    moments 1."""
+    moments 1: one row of ``n`` per draw index b in ``draws``, row b read
+    from the stream ``default_rng(SeedSequence([seed mod 2**64, b]))``."""
     if n < 1:
         raise ValueError("need at least one multiplier")
-    u = rng.random(n)
+    b = np.asarray(draws, dtype=np.int64).reshape(-1)
+    if b.size and not (b.min() >= 0 and b.max() < MAX_DRAWS):
+        raise ValueError(f"draw indices must be in [0, {MAX_DRAWS})")
+    u = np.empty((b.size, n))
+    bitgen = np.random.PCG64(0)  # per call, so concurrent tests share no state
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for (s_hi, s_lo, q_hi, q_lo), row in zip(_start_states(seed, b), u):
+        # pcg64_srandom_r: inc = 2 q + 1, then two LCG steps from 0, adding s
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        start = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+        state["state"] = {"state": start, "inc": inc}
+        bitgen.state = state
+        gen.random(out=row)
     return np.where(u < MAMMEN_P_LOW, MAMMEN_LOW, MAMMEN_HIGH)
 
 
@@ -196,8 +289,8 @@ def _draw_statistics(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, np.n
     blocks = []
     for start in range(0, cfg.B, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, cfg.B)
-        eta = [draw_multipliers(runner.n, substream(cfg.seed, b)) for b in range(start, stop)]
-        y = null_resample(sm, runner.y, np.stack(eta))
+        eta = draw_multipliers(runner.n, cfg.seed, range(start, stop))
+        y = null_resample(sm, runner.y, eta)
         blocks.append(runner.evaluate(y, recompute_uf(sm.pairwise, y))[2:])
     t, fallback = zip(*blocks)
     return np.concatenate(t), np.concatenate(fallback)

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .bootstrap import STATISTICS, VARIANCES, TestConfig, run_test
+from .bootstrap import MAX_DRAWS, STATISTICS, VARIANCES, TestConfig, run_test
 from .data import ColumnSchema, DataError, load_dataset
 from .designs import FIGURE_TAGS, TEMPLATES, figure_design, replications
 from .kernels import PSI_FAMILIES, PsiSpec, default_bandwidths
@@ -66,11 +66,26 @@ def _bounded(kind, low: float, high: float = math.inf):
         except ValueError:
             value = math.nan
         if not low < value < high:
-            span = f"> {low:g}" if high == math.inf else f"in ({low:g}, {high:g})"
+            span = f"> {low}" if high == math.inf else f"in ({low}, {high})"
             raise argparse.ArgumentTypeError(f"expected {kind.__name__} {span}, got {text!r}")
         return value
 
     return parse
+
+
+# bootstrap draw indices b in range(B) must each fit in one 32-bit word
+_BOOT = _bounded(int, 0, MAX_DRAWS + 1)
+
+# an explicit grid's values for the grid flags it is not given; argparse
+# leaves these flags None, so --figure can refuse any that was given
+_GRID_DEFAULTS = {
+    "alt": ("null",),
+    "n": (100,),
+    "q": (1,),
+    "deltas": (0.0,),
+    "cs": (2.0,),
+    "tests": ("lmp",),
+}
 
 
 def _load_config_args(argv: list[str]) -> list[str]:
@@ -132,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--c", type=_bounded(float, 0), default=2.0, help="test bandwidth factor")
     t.add_argument("--alpha", type=_bounded(float, 0, 1), default=0.05)
     group = t.add_mutually_exclusive_group()
-    group.add_argument("--boot", type=_bounded(int, 0), default=199, help="bootstrap replications")
+    group.add_argument("--boot", type=_BOOT, default=199, help="bootstrap replications")
     group.add_argument("--asymptotic", action="store_true", help="use the normal quantile")
     t.add_argument("--seed", type=int, default=None)
     fmt = t.add_mutually_exclusive_group()
@@ -143,22 +158,21 @@ def _build_parser() -> argparse.ArgumentParser:
     design = s.add_mutually_exclusive_group(required=True)
     design.add_argument("--figure", choices=FIGURE_TAGS, help="preset design tag")
     design.add_argument("--family", choices=FAMILIES, help="explicit grid: DGP family")
-    grid = s.add_argument_group("explicit grid", "comma-separated lists that span the cells")
-    grid.add_argument(
-        "--alt", type=_listed(choices=ALTERNATIVES), default="null", help="alternatives"
+    grid = s.add_argument_group(
+        "explicit grid", "comma-separated lists that span the cells (not with --figure)"
     )
-    grid.add_argument("--n", type=_listed(int), default="100", help="sample sizes")
-    grid.add_argument("--q", type=_listed(int), default="1", help="dimensions under test")
-    grid.add_argument("--deltas", type=_listed(float), default="0", help="departure sizes")
-    grid.add_argument(
-        "--cs", type=_listed(_bounded(float, 0)), default="2", help="bandwidth factors"
-    )
-    grid.add_argument(
-        "--tests", type=_listed(choices=TEMPLATES), default="lmp",
-        help=f"test names ({', '.join(TEMPLATES)})",
-    )
+    for name, kind, text in (
+        ("alt", _listed(choices=ALTERNATIVES), "alternatives"),
+        ("n", _listed(int), "sample sizes"),
+        ("q", _listed(int), "dimensions under test"),
+        ("deltas", _listed(float), "departure sizes"),
+        ("cs", _listed(_bounded(float, 0)), "bandwidth factors"),
+        ("tests", _listed(choices=TEMPLATES), f"test names ({', '.join(TEMPLATES)})"),
+    ):
+        default = ",".join(map(str, _GRID_DEFAULTS[name]))
+        grid.add_argument(f"--{name}", type=kind, help=f"{text}; default {default}")
     s.add_argument("--reps", type=_bounded(int, 0), default=None)
-    s.add_argument("--boot", type=_bounded(int, 0), default=199)
+    s.add_argument("--boot", type=_BOOT, default=199, help="bootstrap replications")
     s.add_argument("--alpha", type=_bounded(float, 0, 1), default=0.10)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", required=True, help="output CSV path")
@@ -223,21 +237,33 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = _seed(args)
+    given = {k: v for k in _GRID_DEFAULTS if (v := getattr(args, k)) is not None}
     if args.figure is not None:
+        if given:
+            flags = ", ".join(f"--{k}" for k in given)
+            print(f"error: --figure takes no explicit-grid flags; got {flags}", file=sys.stderr)
+            return EXIT_USAGE
         cells, tests = figure_design(args.figure)
     else:
-        cells = grid_cells(args.family, args.alt, args.n, args.q, args.deltas, args.cs)
-        tests = tuple(TEMPLATES[t] for t in args.tests)
-    cfg = ExperimentConfig(
-        cells=cells,
-        tests=tests,
-        replications=args.reps or replications(cells, args.paper_scale),
-        master_seed=seed,
-        alpha=args.alpha,
-        B=args.boot,
-        workers=args.threads,
-    )
+        grid = {**_GRID_DEFAULTS, **given}
+        cells = grid_cells(
+            args.family, grid["alt"], grid["n"], grid["q"], grid["deltas"], grid["cs"]
+        )
+        tests = tuple(TEMPLATES[t] for t in grid["tests"])
+    seed = _seed(args)
+    try:
+        cfg = ExperimentConfig(
+            cells=cells,
+            tests=tests,
+            replications=args.reps or replications(cells, args.paper_scale),
+            master_seed=seed,
+            alpha=args.alpha,
+            B=args.boot,
+            workers=args.threads,
+        )
+    except ValueError as exc:  # argparse has checked every value but the pairing
+        print(f"error: --tests/--family: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         open(args.out, "a").close()  # fail now, not after the last replication
     except OSError as exc:

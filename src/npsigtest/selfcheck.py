@@ -171,7 +171,7 @@ def check_multiplier_moments(seed: int = 20240, ndraws: int = 1_000_000):
     )
     if not probs_ok:
         return ("multiplier-moments", False, "two-point probabilities do not sum to 1")
-    draws = draw_multipliers(ndraws, np.random.default_rng(seed))
+    draws = draw_multipliers(ndraws, seed, range(1))[0]
     # exact moment variances: Var eta = 1, Var eta^2 = 1, Var eta^3 = 4
     for k, mean_k, var_k in ((1, 0.0, 1.0), (2, 1.0, 1.0), (3, 1.0, 4.0)):
         emp = float(np.mean(draws**k))

@@ -144,6 +144,12 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        lv = [t.name for t in self.tests if t.statistic == "lv"]
+        if lv and any(cell.dgp.family == "discrete_x" for cell in self.cells):
+            raise ValueError(
+                f"test {', '.join(lv)} needs a continuous X, "
+                "and the discrete_x family's X is discrete"
+            )
 
 
 def grid_cells(

@@ -18,10 +18,8 @@ from npsigtest.bootstrap import (
     _draw_statistics,
     _Runner,
     decide_scaled,
-    draw_multipliers,
     null_resample,
     run_test,
-    substream,
 )
 from npsigtest.data import ColumnKind, Dataset, all_continuous, standardize
 from npsigtest.kernels import PSI_FAMILIES, Bandwidths, PsiSpec, default_bandwidths
@@ -29,7 +27,7 @@ from npsigtest.selfcheck import ABS_TOL, REL_TOL, close
 from npsigtest.smoother import compute_smoother
 from npsigtest.statistics import CvmEngine, DegenerateStatisticError, StatEngine
 
-from conftest import make_dataset
+from conftest import explicit_multipliers, make_dataset
 
 
 def fsum_dot(a, b):
@@ -71,7 +69,8 @@ def studentized(raw, omega2, n, h, p):
 
 
 def per_draw_reference(sd, sm, cfg):
-    """Per draw, as the bootstrap evaluated it before batching, in plain
+    """Per draw, as the bootstrap evaluated it before batching, with the
+    multipliers of each draw from its own fresh generator and in plain
     compensated sums over pairwise differences (itilde by the direct form
     ``StatEngine.itilde`` takes for a vector): the standardized value (NaN
     if degenerate), whether it used the variance fallback, whether its
@@ -96,7 +95,7 @@ def per_draw_reference(sd, sm, cfg):
         eng = StatEngine(sd, sm, cfg.bandwidths.h, cfg.psi, mode=mode)
     out = []
     for b in range(cfg.B):
-        ystar = null_resample(sm, y, draw_multipliers(n, substream(cfg.seed, b)))
+        ystar = null_resample(sm, y, explicit_multipliers(n, cfg.seed, b))
         uf = pairwise_uf(L, ystar)
         uf_scale = (L.sum(axis=1) * np.abs(ystar) + L @ np.abs(ystar)) / (n - 1)
         if cfg.statistic == "dgm":

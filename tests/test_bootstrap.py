@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import npsigtest.bootstrap as bootstrap
 from npsigtest.bootstrap import (
+    DRAW_BLOCK,
     MAMMEN_HIGH,
     MAMMEN_LOW,
     MAMMEN_P_LOW,
+    MAX_DRAWS,
     TestConfig,
     decide_scaled,
     draw_multipliers,
@@ -19,7 +22,7 @@ from npsigtest.selfcheck import multiplier_moment_exact, _Q5
 from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import DegenerateStatisticError, StatEngine
 
-from conftest import make_dataset
+from conftest import explicit_multipliers, make_dataset
 
 
 def wide_case(seed=41, n=25):
@@ -43,15 +46,64 @@ class TestMultipliers:
         assert multiplier_moment_exact(3) == _Q5(1)
 
     def test_two_point_support(self):
-        draws = draw_multipliers(1000, np.random.default_rng(3))
+        draws = draw_multipliers(1000, 3, range(1))
         assert set(np.unique(draws)) == {MAMMEN_LOW, MAMMEN_HIGH}
 
     def test_empirical_moments(self):
         n = 1_000_000
-        draws = draw_multipliers(n, np.random.default_rng(99))
+        draws = draw_multipliers(n, 99, range(1))
         assert abs(draws.mean()) < 3e-3
         assert abs((draws**2).mean() - 1.0) < 4e-3
         assert abs((draws**3).mean() - 1.0) < 8e-3
+
+
+class TestMultiplierStreams:
+    """Row b of a block is the stream default_rng(SeedSequence([seed mod
+    2**64, b])), whichever block it is drawn in."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 7, 12345, -1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**70 + 5]
+    )
+    @pytest.mark.parametrize("n", [1, 100])
+    def test_rows_are_the_explicit_streams(self, seed, n):
+        for draws in (
+            range(0, DRAW_BLOCK + 5),
+            range(2 * DRAW_BLOCK - 3, 3 * DRAW_BLOCK + 2),
+            range(MAX_DRAWS - 4, MAX_DRAWS),
+        ):
+            want = np.stack([explicit_multipliers(n, seed, b) for b in draws])
+            assert np.array_equal(draw_multipliers(n, seed, draws), want)
+
+    def test_bootstrap_reads_draws_in_blocks_in_order(self, monkeypatch):
+        calls = []
+
+        def spy(n, seed, draws):
+            calls.append((draws, draw_multipliers(n, seed, draws)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bootstrap, "draw_multipliers", spy)
+        _, sd, sm, bw = wide_case()
+        B = 2 * DRAW_BLOCK + 22
+        decide_scaled(sd, sm, TestConfig(bandwidths=bw, B=B, seed=2**64 + 9))
+        assert [d for d, _ in calls] == [
+            range(0, DRAW_BLOCK), range(DRAW_BLOCK, 2 * DRAW_BLOCK), range(2 * DRAW_BLOCK, B)
+        ]
+        want = np.stack([explicit_multipliers(sd.n, 9, b) for b in range(B)])
+        assert np.array_equal(np.concatenate([eta for _, eta in calls]), want)
+
+    def test_draw_index_beyond_one_word_refused(self):
+        with pytest.raises(ValueError, match="draw indices"):
+            draw_multipliers(3, 0, range(MAX_DRAWS - 1, MAX_DRAWS + 1))
+        with pytest.raises(ValueError, match="draw indices"):
+            draw_multipliers(3, 0, [-1])
+
+    def test_bootstrap_size_at_most_one_word_of_draws(self):
+        bw = Bandwidths(g=1.0, h=1.0)
+        assert TestConfig(bandwidths=bw, B=MAX_DRAWS).B == 2**32
+        with pytest.raises(ValueError, match="bootstrap size"):
+            TestConfig(bandwidths=bw, B=2**32 + 1)
+        # an asymptotic test draws nothing, so B is not checked
+        assert TestConfig(bandwidths=bw, B=2**32 + 1, critical="asymptotic")
 
 
 class TestResample:
@@ -76,7 +128,7 @@ class TestResample:
         )
         sd = standardize(d)
         sm = compute_smoother(sd, 5.0)
-        eta = draw_multipliers(12, rng)
+        eta = draw_multipliers(12, 8, range(1))[0]
         assert np.allclose(null_resample(sm, d.y, eta), d.y, atol=1e-12)
 
     def test_null_resample_neutralizes_isolated(self):
@@ -250,7 +302,7 @@ class TestReuseCorrectness:
     def test_scratch_equals_cached(self):
         d, sd, sm, bw = wide_case(seed=60, n=30)
         eng = StatEngine(sd, sm, bw.h, psi=PsiSpec("normal"))
-        eta = draw_multipliers(30, np.random.default_rng(17))
+        eta = draw_multipliers(30, 17, range(1))[0]
         ystar = null_resample(sm, d.y, eta)
         fast_uf = recompute_uf(sm.pairwise, ystar)
         fast_itilde = eng.itilde(ystar)

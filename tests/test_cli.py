@@ -10,7 +10,8 @@ import npsigtest
 from npsigtest import cli
 from npsigtest.cli import EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
 from npsigtest.data import ColumnSchema, save_dataset
-from npsigtest.simulation import DgpSpec, ResultTable, gen_continuous, gen_discrete
+from npsigtest.designs import TEMPLATES
+from npsigtest.simulation import DgpSpec, ResultTable, gen_continuous, gen_discrete, grid_cells
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(npsigtest.__file__)))
 
@@ -171,7 +172,7 @@ class TestCmdTest:
     @pytest.mark.parametrize(
         "flag, value",
         [("--x", ""), ("--w", " , "), ("--boot", "0"), ("--alpha", "nan"),
-         ("--alpha", "1"), ("--c", "0"), ("--c", "nan")],
+         ("--alpha", "1"), ("--c", "0"), ("--c", "nan"), ("--boot", "4294967297")],
     )
     def test_bad_flag_value_usage_error(self, null_csv, capsys, flag, value):
         code = main(base_args(null_csv) + [flag, value, "--seed", "1"])
@@ -236,6 +237,39 @@ class TestCmdSimulate:
         code = main(["simulate", *extra, "--reps", "1", "--out", str(out)])
         assert code == EXIT_USAGE
         assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alt", "null"), ("--n", "30"), ("--q", "1"), ("--deltas", "0"), ("--cs", "2"),
+         ("--tests", "lmp")],
+    )
+    def test_figure_refuses_grid_flags(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "t.csv"
+        code = main(["simulate", "--figure", "level-disc", flag, value, "--reps", "1",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert f"--figure takes no explicit-grid flags; got {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_flag_defaults(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli, "run_experiment", lambda cfg, progress: seen.append(cfg) or ResultTable(rows=())
+        )
+        code = main(["simulate", "--family", "continuous", "--n", "40", "--seed", "1",
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_OK
+        [cfg] = seen
+        assert cfg.cells == grid_cells("continuous", ("null",), (40,), (1,), (0.0,), (2.0,))
+        assert cfg.tests == (TEMPLATES["lmp"],)
+
+    def test_lv_on_discrete_family_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = main(["simulate", "--family", "discrete_x", "--tests", "lmp,lv", "--reps", "1",
+                     "--seed", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "error: --tests/--family: test lv needs a continuous X" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_out_fails_before_running(self, tmp_path):

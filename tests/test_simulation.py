@@ -209,6 +209,14 @@ class TestGridAndDesigns:
         assert len({t.name for t in tests}) == len(tests)
         ExperimentConfig(cells=cells, tests=tests, replications=2, master_seed=1)
 
+    def test_lv_needs_continuous_x(self):
+        # refused when the experiment is built, not at its first replication
+        cells = grid_cells("discrete_x", ("null",), (30,), (1,), (0.0,), (2.0,))
+        tests = (TestTemplate(name="lmp"), TestTemplate(name="lv", statistic="lv"))
+        with pytest.raises(ValueError, match="test lv needs a continuous X"):
+            ExperimentConfig(cells=cells, tests=tests, replications=1, master_seed=1)
+        ExperimentConfig(cells=cells, tests=tests[:1], replications=1, master_seed=1)
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown figure tag"):
             figure_design("level-everything")
