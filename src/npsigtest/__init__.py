@@ -27,8 +27,7 @@ from .simulation import (
     ExperimentConfig,
     ResultTable,
     TestTemplate,
-    gen_continuous,
-    gen_discrete,
+    generate,
     grid_cells,
     run_experiment,
 )
@@ -71,8 +70,7 @@ __all__ = [
     "eval_mixed_kernel",
     "eval_psi",
     "fisher_test",
-    "gen_continuous",
-    "gen_discrete",
+    "generate",
     "grid_cells",
     "load_dataset",
     "run_experiment",

@@ -109,7 +109,7 @@ class TestResult:
         """
         sv = self.statistic_value
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "statistic": self.config.statistic,
             "psi": self.config.psi.family,
             "variance": self.config.variance,
@@ -129,12 +129,6 @@ class TestResult:
             "seed": self.config.seed,
             **{f"diag_{k}": v for k, v in sorted(self.diagnostics.items())},
         }
-
-
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Generator for a derived, order-independent substream."""
-    entropy = [seed % (1 << 64), *path]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 # numpy's SeedSequence (pool size 4) and PCG64 seeding constants
@@ -245,70 +239,46 @@ def _quantile_rank(alpha: float, b: int) -> int:
     return min(max(int(math.ceil((1.0 - alpha) * (b + 1))), 1), b)
 
 
-class _Runner:
-    """Statistic evaluation bound to one dataset's cached pair weights."""
-
-    def __init__(self, d: ScaledDataset, sm: SmootherOutput, cfg: TestConfig):
-        self.cfg = cfg
-        self.sm = sm
-        self.n = d.n
-        self.y = d.dataset.y
-        if cfg.statistic == "dgm":
-            self.engine = None
-            self.cvm = CvmEngine(d)
-        else:
-            mode = "joint" if cfg.statistic == "lv" else "psi"
-            self.engine = StatEngine(d, sm, cfg.bandwidths.h, cfg.psi, mode=mode)
-            self.cvm = None
-
-    def evaluate(self, y: np.ndarray, uf: np.ndarray):
-        """(raw statistic, variance estimate, standardized statistic,
-        used-variance-fallback) of a response vector, or of each row of a
-        block of responses, given its leave-one-out residuals uf. A
-        degenerate statistic standardizes to NaN; dgm is not studentized, so
-        its variance is NaN and its standardized value is the raw one."""
-        cfg = self.cfg
-        if cfg.statistic == "dgm":
-            raw = self.cvm.statistic(uf)
-            return raw, np.full(np.shape(raw), math.nan), raw, np.zeros(np.shape(raw), dtype=bool)
-        eng = self.engine
-        raw = eng.ihat(uf) if cfg.statistic == "ihat" else eng.itilde(y)
-        omega2 = eng.var_hat(uf) if cfg.variance == "var_hat" else eng.var_tilde(y)
-        fallback = (cfg.variance == "var_tilde") & (omega2 <= 0.0)
-        if fallback.any():
-            omega2 = np.where(fallback, eng.var_hat(uf), omega2)
-        t = studentize(raw, omega2, self.n, cfg.bandwidths.h, eng.rate_dim)
-        return raw, omega2, t, fallback
+def _engine(d: ScaledDataset, sm: SmootherOutput, cfg: TestConfig):
+    """The pair-weight engine of the configured statistic."""
+    if cfg.statistic == "dgm":
+        return CvmEngine(d)
+    mode = "joint" if cfg.statistic == "lv" else "psi"
+    return StatEngine(d, sm, cfg.bandwidths.h, cfg.psi, mode=mode)
 
 
-def _draw_statistics(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized statistic of every multiplier draw (NaN if degenerate)
-    and whether it used the variance fallback, ``DRAW_BLOCK`` draws at a
-    time."""
-    sm = runner.sm
+def _evaluate(eng, cfg: TestConfig, y: np.ndarray, uf: np.ndarray):
+    """(raw statistic, variance estimate, standardized statistic,
+    used-variance-fallback) of a response vector, or of each row of a block
+    of responses, given its leave-one-out residuals uf. A degenerate
+    statistic standardizes to NaN; dgm is not studentized, so its variance
+    is NaN and its standardized value is the raw one."""
+    if cfg.statistic == "dgm":
+        raw = eng.statistic(uf)
+        return raw, np.full(np.shape(raw), math.nan), raw, np.zeros(np.shape(raw), dtype=bool)
+    raw = eng.ihat(uf) if cfg.statistic == "ihat" else eng.itilde(y)
+    omega2 = eng.var_hat(uf) if cfg.variance == "var_hat" else eng.var_tilde(y)
+    fallback = (cfg.variance == "var_tilde") & (omega2 <= 0.0)
+    if fallback.any():
+        omega2 = np.where(fallback, eng.var_hat(uf), omega2)
+    t = studentize(raw, omega2, eng.n, cfg.bandwidths.h, eng.rate_dim)
+    return raw, omega2, t, fallback
+
+
+def _draw_statistics(
+    eng, sm: SmootherOutput, y: np.ndarray, cfg: TestConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized statistic of every multiplier draw of the response y
+    (NaN if degenerate) and whether it used the variance fallback,
+    ``DRAW_BLOCK`` draws at a time."""
     blocks = []
     for start in range(0, cfg.B, DRAW_BLOCK):
         stop = min(start + DRAW_BLOCK, cfg.B)
-        eta = draw_multipliers(runner.n, cfg.seed, range(start, stop))
-        y = null_resample(sm, runner.y, eta)
-        blocks.append(runner.evaluate(y, recompute_uf(sm.pairwise, y))[2:])
+        eta = draw_multipliers(len(y), cfg.seed, range(start, stop))
+        ystar = null_resample(sm, y, eta)
+        blocks.append(_evaluate(eng, cfg, ystar, recompute_uf(sm.pairwise, ystar))[2:])
     t, fallback = zip(*blocks)
     return np.concatenate(t), np.concatenate(fallback)
-
-
-def _bootstrap_draws(runner: _Runner, cfg: TestConfig) -> tuple[np.ndarray, dict]:
-    """Standardized bootstrap statistics of the nondegenerate draws."""
-    t, fallback = _draw_statistics(runner, cfg)
-    degenerate = np.isnan(t)
-    n_degenerate = int(degenerate.sum())
-    if n_degenerate > MAX_DEGENERATE_DRAW_FRACTION * cfg.B:
-        raise DegenerateStatisticError(
-            f"{n_degenerate} of {cfg.B} bootstrap draws had degenerate "
-            "variance; the test is unreliable at this bandwidth",
-            cause="draws",
-        )
-    diag = {"degenerate_draws": n_degenerate, "fallback_draws": int(fallback.sum())}
-    return t[~degenerate], diag
 
 
 def run_test(d: Dataset, cfg: TestConfig) -> TestResult:
@@ -321,31 +291,32 @@ def run_test(d: Dataset, cfg: TestConfig) -> TestResult:
 def decide_scaled(sd: ScaledDataset, sm: SmootherOutput, cfg: TestConfig) -> TestResult:
     """Decision step on an already standardized and smoothed sample, so a
     Monte Carlo replication can share one smoother across several tests."""
-    runner = _Runner(sd, sm, cfg)
-    raw, omega2, t, fallback = runner.evaluate(sd.dataset.y, sm.uf)
-    sv = StatisticValue(
-        raw=float(raw),
-        variance=float(omega2),
-        standardized=float(t),
-        n=sd.n,
-        degenerate=bool(np.isnan(t)),
-    )
-    diagnostics = {
-        "fallback_used": bool(fallback),
-        "fhat_zeros": int(np.sum(sm.fhat <= 0.0)),
-        "degenerate_variance": sv.degenerate,
-    }
-    if sv.degenerate:
+    eng = _engine(sd, sm, cfg)
+    y = sd.dataset.y
+    raw, omega2, t, fallback = _evaluate(eng, cfg, y, sm.uf)
+    if np.isnan(t):
         cause = "observed" if np.any(sm.fhat > 0.0) else "no_support"
         raise DegenerateStatisticError("test degenerate at this bandwidth", cause=cause)
+    sv = StatisticValue(raw=float(raw), variance=float(omega2), standardized=float(t), n=sd.n)
+    diagnostics = {"fallback_used": bool(fallback), "fhat_zeros": int(np.sum(sm.fhat <= 0.0))}
 
     draws = None
     if cfg.critical == "asymptotic":
         critical = float(ndtri(1.0 - cfg.alpha))
         p_value = float(ndtr(-sv.standardized))
     else:
-        draws, boot_diag = _bootstrap_draws(runner, cfg)
-        diagnostics.update(boot_diag)
+        t_draws, fallback_draws = _draw_statistics(eng, sm, y, cfg)
+        degenerate = np.isnan(t_draws)
+        n_degenerate = int(degenerate.sum())
+        if n_degenerate > MAX_DEGENERATE_DRAW_FRACTION * cfg.B:
+            raise DegenerateStatisticError(
+                f"{n_degenerate} of {cfg.B} bootstrap draws had degenerate "
+                "variance; the test is unreliable at this bandwidth",
+                cause="draws",
+            )
+        diagnostics["degenerate_draws"] = n_degenerate
+        diagnostics["fallback_draws"] = int(fallback_draws.sum())
+        draws = t_draws[~degenerate]
         ordered = np.sort(draws)
         critical = float(ordered[_quantile_rank(cfg.alpha, len(ordered)) - 1])
         p_value = float(

@@ -214,12 +214,12 @@ def _render_test(result, args) -> str:
 
 
 def _cmd_test(args) -> int:
-    overlap = set(args.w) & set(args.x) | ({args.y} & set(args.w + args.x))
-    if overlap:
-        print(f"error: columns used in more than one role: {sorted(overlap)}", file=sys.stderr)
+    try:
+        schema = ColumnSchema(y=args.y, w=args.w, x=args.x, discrete=frozenset(args.disc))
+    except DataError as exc:  # argparse has checked each flag alone, not their columns
+        print(f"error: --y/--w/--x/--disc: {exc}", file=sys.stderr)
         return EXIT_USAGE
     seed = _seed(args)
-    schema = ColumnSchema(y=args.y, w=args.w, x=args.x, discrete=frozenset(args.disc))
     data = load_dataset(args.data, schema)
     cfg = TestConfig(
         bandwidths=default_bandwidths(data.n, args.c),
@@ -238,31 +238,30 @@ def _cmd_test(args) -> int:
 
 def _cmd_simulate(args) -> int:
     given = {k: v for k in _GRID_DEFAULTS if (v := getattr(args, k)) is not None}
-    if args.figure is not None:
-        if given:
-            flags = ", ".join(f"--{k}" for k in given)
-            print(f"error: --figure takes no explicit-grid flags; got {flags}", file=sys.stderr)
-            return EXIT_USAGE
-        cells, tests = figure_design(args.figure)
-    else:
-        grid = {**_GRID_DEFAULTS, **given}
-        cells = grid_cells(
-            args.family, grid["alt"], grid["n"], grid["q"], grid["deltas"], grid["cs"]
-        )
-        tests = tuple(TEMPLATES[t] for t in grid["tests"])
-    seed = _seed(args)
+    if args.figure is not None and given:
+        flags = ", ".join(f"--{k}" for k in given)
+        print(f"error: --figure takes no explicit-grid flags; got {flags}", file=sys.stderr)
+        return EXIT_USAGE
     try:
+        if args.figure is not None:
+            cells, tests = figure_design(args.figure)
+        else:
+            grid = {**_GRID_DEFAULTS, **given}
+            cells = grid_cells(
+                args.family, grid["alt"], grid["n"], grid["q"], grid["deltas"], grid["cs"]
+            )
+            tests = tuple(TEMPLATES[t] for t in grid["tests"])
         cfg = ExperimentConfig(
             cells=cells,
             tests=tests,
             replications=args.reps or replications(cells, args.paper_scale),
-            master_seed=seed,
+            master_seed=_seed(args),
             alpha=args.alpha,
             B=args.boot,
             workers=args.threads,
         )
-    except ValueError as exc:  # argparse has checked every value but the pairing
-        print(f"error: --tests/--family: {exc}", file=sys.stderr)
+    except ValueError as exc:  # argparse has checked each flag alone, not their combinations
+        print(f"error: --family/--alt/--n/--q/--tests: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         open(args.out, "a").close()  # fail now, not after the last replication

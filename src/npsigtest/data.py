@@ -151,8 +151,11 @@ class ColumnSchema:
         object.__setattr__(self, "x", tuple(self.x))
         object.__setattr__(self, "discrete", frozenset(self.discrete))
         roles = [self.y, *self.w, *self.x]
-        if len(set(roles)) != len(roles):
-            raise DataError("y, w, and x column names must be disjoint")
+        repeated = sorted({c for c in roles if roles.count(c) > 1})
+        if repeated:
+            raise DataError(
+                f"columns used in more than one role: {repeated}; y, w and x must be disjoint"
+            )
         if not self.w:
             raise DataError("schema must name at least one w column")
         unknown = self.discrete - set(roles[1:])

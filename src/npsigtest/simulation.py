@@ -8,8 +8,9 @@ w gated by the event x = 1 (Bernoulli-x design). Draw order is fixed as
 tags under the same seed.
 
 Replication r of grid cell ci derives every random stream from
-(master_seed, ci, r), which makes experiment output independent of worker
-count and scheduling.
+(master_seed, ci, r): ``substream`` gives its data generator and
+``_subseed`` the bootstrap seed of each of its tests. This makes experiment
+output independent of worker count and scheduling.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import TestConfig, decide_scaled, substream
+from .bootstrap import TestConfig, decide_scaled
 from .data import ColumnKind, Dataset, all_continuous, standardize
 from .kernels import PsiSpec, default_bandwidths
-from .smoother import compute_smoother
-from .statistics import DegenerateStatisticError, fisher_test
+from .smoother import MIN_OBSERVATIONS, compute_smoother
+from .statistics import ITILDE_MIN_N, DegenerateStatisticError, fisher_min_n, fisher_test
 
 THETA = np.array([1.0, -1.0]) / math.sqrt(2.0)
 NOISE_SD = 2.0
@@ -74,42 +75,23 @@ def _shape_of_index(alternative: str, index: np.ndarray) -> np.ndarray:
     return np.zeros_like(index)
 
 
-def gen_continuous(spec: DgpSpec, rng: np.random.Generator) -> Dataset:
-    """Continuous design: q-variate standard normal x, departure delta*d(x'beta)."""
-    if spec.family != "continuous":
-        raise ValueError("spec is not a continuous design")
-    n, q = spec.n, spec.q
-    w = rng.standard_normal((n, 2))
-    x = rng.standard_normal((n, q))
-    eps = NOISE_SD * rng.standard_normal(n)
-    widx = w @ THETA
-    beta = np.ones(q) / math.sqrt(q)
-    y = widx**3 - widx + spec.delta * _shape_of_index(spec.alternative, x @ beta) + eps
-    return Dataset(y=y, w=w, x=x, w_kinds=all_continuous(2), x_kinds=all_continuous(q))
-
-
-def gen_discrete(spec: DgpSpec, rng: np.random.Generator) -> Dataset:
-    """Bernoulli-x design: the departure delta*d(w'theta) applies where x = 1."""
-    if spec.family != "discrete_x":
-        raise ValueError("spec is not a Bernoulli-x design")
+def generate(spec: DgpSpec, rng: np.random.Generator) -> Dataset:
+    """A sample of the design, as the module docstring describes."""
     n = spec.n
     w = rng.standard_normal((n, 2))
-    x = (rng.random(n) < BERNOULLI_P).astype(float).reshape(-1, 1)
-    eps = NOISE_SD * rng.standard_normal(n)
     widx = w @ THETA
-    y = (
-        widx**3
-        - widx
-        + spec.delta * _shape_of_index(spec.alternative, widx) * x[:, 0]
-        + eps
-    )
-    return Dataset(
-        y=y, w=w, x=x, w_kinds=all_continuous(2), x_kinds=(ColumnKind.DISCRETE,)
-    )
-
-
-def generate(spec: DgpSpec, rng: np.random.Generator) -> Dataset:
-    return gen_continuous(spec, rng) if spec.family == "continuous" else gen_discrete(spec, rng)
+    if spec.family == "continuous":
+        x = rng.standard_normal((n, spec.q))
+        x_kinds = all_continuous(spec.q)
+        beta = np.ones(spec.q) / math.sqrt(spec.q)
+        departure = spec.delta * _shape_of_index(spec.alternative, x @ beta)
+    else:
+        x = (rng.random(n) < BERNOULLI_P).astype(float).reshape(-1, 1)
+        x_kinds = (ColumnKind.DISCRETE,)
+        departure = spec.delta * _shape_of_index(spec.alternative, widx) * x[:, 0]
+    eps = NOISE_SD * rng.standard_normal(n)
+    y = widx**3 - widx + departure + eps
+    return Dataset(y=y, w=w, x=x, w_kinds=all_continuous(2), x_kinds=x_kinds)
 
 
 @dataclass(frozen=True)
@@ -127,6 +109,17 @@ class TestTemplate:
 class Cell:
     dgp: DgpSpec
     c: float
+
+
+def _min_n(t: TestTemplate, dgp: DgpSpec) -> int:
+    """Fewest observations test t runs on in the design, from the floors
+    that the smoother and the test's statistic enforce."""
+    if t.statistic == "fisher":
+        # w has two columns; the Bernoulli-x design one x column
+        return fisher_min_n(2, dgp.q if dgp.family == "continuous" else 1)
+    if t.statistic in ("itilde", "lv"):
+        return max(MIN_OBSERVATIONS, ITILDE_MIN_N)
+    return MIN_OBSERVATIONS
 
 
 @dataclass(frozen=True)
@@ -150,6 +143,11 @@ class ExperimentConfig:
                 f"test {', '.join(lv)} needs a continuous X, "
                 "and the discrete_x family's X is discrete"
             )
+        for cell in self.cells:
+            for t in self.tests:
+                floor = _min_n(t, cell.dgp)
+                if cell.dgp.n < floor:
+                    raise ValueError(f"test {t.name} needs n >= {floor}, got n = {cell.dgp.n}")
 
 
 def grid_cells(
@@ -251,6 +249,12 @@ class ResultTable:
 
 # outcome codes returned by a replication, per test
 _ACCEPT, _REJECT, _FAIL = 0, 1, 2
+
+
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Generator for a derived, order-independent substream."""
+    entropy = [seed % (1 << 64), *path]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _subseed(master_seed: int, *path: int) -> int:

@@ -22,6 +22,8 @@ import numpy as np
 from .data import ScaledDataset
 from .kernels import mixed_kernel_matrix
 
+# leave-one-out smoothing needs at least two other observations
+MIN_OBSERVATIONS = 3
 # largest sample whose n-by-n pair-weight matrices fit comfortably in memory
 MAX_OBSERVATIONS = 4000
 
@@ -44,8 +46,8 @@ class SmootherOutput:
 def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
     """Leave-one-out density, regression, and weighted-residual vectors."""
     n = d.n
-    if n < 3:
-        raise ValueError("leave-one-out smoothing needs n >= 3")
+    if n < MIN_OBSERVATIONS:
+        raise ValueError(f"leave-one-out smoothing needs n >= {MIN_OBSERVATIONS}")
     if n > MAX_OBSERVATIONS:
         raise ValueError(
             f"{n} observations exceed the limit of {MAX_OBSERVATIONS}: the test "

@@ -33,6 +33,9 @@ from .data import ColumnKind, ScaledDataset
 from .kernels import PsiSpec, joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
 from .smoother import SmootherOutput, centred, recompute_uf
 
+# fewest observations of the four-distinct-index itilde
+ITILDE_MIN_N = 5
+
 
 class DegenerateStatisticError(RuntimeError):
     """Raised when a test cannot be standardized (nonpositive variance).
@@ -55,7 +58,6 @@ class StatisticValue:
     variance: float
     standardized: float
     n: int
-    degenerate: bool = False
 
 
 def _fsum(values) -> float:
@@ -230,7 +232,7 @@ class StatEngine:
         cheaper than building T; rows go through y' T y / (n)_4, which costs
         O(n^2) each once T is built.
         """
-        self._require_n(5, "itilde")
+        self._require_n(ITILDE_MIN_N, "itilde")
         if y.ndim == 1:
             full, s1, s2, s3 = self._arrangement_sums(y)
             return (full - s1 - 2.0 * s2 + s3) / _arrangements(self.n, 4)
@@ -281,15 +283,21 @@ class CvmEngine:
         return _dots(inner, inner)
 
 
+def fisher_min_n(p: int, q: int) -> int:
+    """Fewest observations the F-test of q columns beside p takes: one
+    residual degree of freedom."""
+    return p + q + 2
+
+
 def fisher_test(d: ScaledDataset, alpha: float) -> tuple[float, bool]:
     """F-test of the x coefficients in a linear regression of y on (1, w, x)."""
     ds = d.dataset
     n, p, q = ds.n, ds.p, ds.q
     if q < 1:
         raise ValueError("F-test needs at least one x column")
-    df2 = n - 1 - p - q
-    if df2 < 1:
+    if n < fisher_min_n(p, q):
         raise ValueError(f"F-test needs n > 1 + p + q (n={n}, p={p}, q={q})")
+    df2 = n - 1 - p - q
     ones = np.ones((n, 1))
     z0 = np.hstack([ones, ds.w])
     z1 = np.hstack([ones, ds.w, ds.x])

@@ -27,7 +27,7 @@ from npsigtest.simulation import (
     DgpSpec,
     ExperimentConfig,
     TestTemplate,
-    gen_continuous,
+    generate,
     run_experiment,
 )
 from npsigtest.smoother import compute_smoother
@@ -106,7 +106,7 @@ def test_criterion_5_null_asymptotic_normality():
     tns = np.empty(reps)
     t0 = time.perf_counter()
     for r in range(reps):
-        data = gen_continuous(
+        data = generate(
             DgpSpec(family="continuous", n=n, q=q), np.random.default_rng((991, r))
         )
         sd = standardize(data)

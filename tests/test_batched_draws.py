@@ -16,7 +16,7 @@ from npsigtest.bootstrap import (
     VARIANCES,
     TestConfig,
     _draw_statistics,
-    _Runner,
+    _engine,
     decide_scaled,
     null_resample,
     run_test,
@@ -176,7 +176,7 @@ class TestBatchedAgainstPerDraw:
         sm = compute_smoother(sd, cfg.bandwidths.g)
         reference = per_draw_reference(sd, sm, cfg)
         t, fallback, noise, t_scale = (np.array(v) for v in zip(*reference))
-        t_batch, fallback_batch = _draw_statistics(_Runner(sd, sm, cfg), cfg)
+        t_batch, fallback_batch = _draw_statistics(_engine(sd, sm, cfg), sm, sd.dataset.y, cfg)
         for b in np.flatnonzero(~noise):
             assert fallback_batch[b] == fallback[b]
             assert np.isnan(t_batch[b]) == np.isnan(t[b])

@@ -294,7 +294,8 @@ class TestRunTest:
         d = make_dataset(56, 40, q=1)
         cfg = TestConfig(bandwidths=default_bandwidths(40, 2.0), B=29, seed=8)
         rec = run_test(d, cfg).to_record()
-        assert rec["schema_version"] == 1
+        assert rec["schema_version"] == 2
+        assert "diag_degenerate_variance" not in rec
         assert all(np.isscalar(v) or isinstance(v, (bool, str)) for v in rec.values())
 
 

@@ -11,7 +11,7 @@ from npsigtest import cli
 from npsigtest.cli import EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
 from npsigtest.data import ColumnSchema, save_dataset
 from npsigtest.designs import TEMPLATES
-from npsigtest.simulation import DgpSpec, ResultTable, gen_continuous, gen_discrete, grid_cells
+from npsigtest.simulation import DgpSpec, ResultTable, generate, grid_cells
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(npsigtest.__file__)))
 
@@ -19,7 +19,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(npsigtest.__file__)))
 @pytest.fixture
 def null_csv(tmp_path):
     """Seeded null dataset pre-screened not to reject at the defaults."""
-    d = gen_continuous(
+    d = generate(
         DgpSpec(family="continuous", n=60, q=1), np.random.default_rng(1)
     )
     path = tmp_path / "null.csv"
@@ -29,7 +29,7 @@ def null_csv(tmp_path):
 
 @pytest.fixture
 def discrete_csv(tmp_path):
-    d = gen_discrete(DgpSpec(family="discrete_x", n=40), np.random.default_rng(2))
+    d = generate(DgpSpec(family="discrete_x", n=40), np.random.default_rng(2))
     path = tmp_path / "disc.csv"
     save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1",)))
     return path
@@ -61,7 +61,7 @@ class TestCmdTest:
             "seed",
         ):
             assert key in record
-        assert record["schema_version"] == 1
+        assert record["schema_version"] == 2
 
     def test_csv_output_two_lines(self, null_csv, capsys):
         code = main(base_args(null_csv) + ["--seed", "99", "--csv"])
@@ -76,6 +76,13 @@ class TestCmdTest:
         )
         assert code == EXIT_USAGE
         assert "more than one role" in capsys.readouterr().err
+
+    def test_unknown_discrete_column_usage_error(self, null_csv, capsys):
+        code = main(base_args(null_csv) + ["--disc", "zz", "--seed", "1"])
+        assert code == EXIT_USAGE
+        assert "error: --y/--w/--x/--disc: discrete columns not among w/x: ['zz']" in (
+            capsys.readouterr().err
+        )
 
     def test_lv_discrete_x_runtime_error(self, discrete_csv, capsys):
         code = main(
@@ -93,7 +100,7 @@ class TestCmdTest:
         assert "missing column" in capsys.readouterr().err
 
     def test_oversized_sample_runtime_error(self, tmp_path, capsys):
-        d = gen_continuous(
+        d = generate(
             DgpSpec(family="continuous", n=4001, q=1), np.random.default_rng(3)
         )
         path = tmp_path / "big.csv"
@@ -103,7 +110,7 @@ class TestCmdTest:
         assert "4000" in capsys.readouterr().err
 
     def test_var_tilde_below_its_floor_runtime_error(self, tmp_path, capsys):
-        d = gen_continuous(
+        d = generate(
             DgpSpec(family="continuous", n=6, q=1), np.random.default_rng(4)
         )
         path = tmp_path / "six.csv"
@@ -269,7 +276,33 @@ class TestCmdSimulate:
         code = main(["simulate", "--family", "discrete_x", "--tests", "lmp,lv", "--reps", "1",
                      "--seed", "1", "--out", str(out)])
         assert code == EXIT_USAGE
-        assert "error: --tests/--family: test lv needs a continuous X" in capsys.readouterr().err
+        assert "error: --family/--alt/--n/--q/--tests: test lv needs a continuous X" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--family", "continuous", "--n", "4"], "test lmp needs n >= 5, got n = 4"),
+            (["--family", "continuous", "--n", "4", "--tests", "fisher"],
+             "test fisher needs n >= 5, got n = 4"),
+            (["--family", "continuous", "--n", "2", "--tests", "dgm"],
+             "test dgm needs n >= 3, got n = 2"),
+            (["--family", "continuous", "--n", "100,4"], "test lmp needs n >= 5, got n = 4"),
+            (["--family", "discrete_x", "--alt", "linear"],
+             "the Bernoulli-x design has no linear alternative"),
+            (["--family", "continuous", "--n", "1"], "n must be at least 2"),
+            (["--family", "continuous", "--q", "0"], "continuous design needs q >= 1"),
+        ],
+    )
+    def test_grid_the_design_cannot_take_usage_error(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "t.csv"
+        code = main(["simulate", *extra, "--reps", "1", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: --family/--alt/--n/--q/--tests: {message}" in err
+        assert "cell 1/" not in err  # refused before any replication
         assert not out.exists()
 
     def test_unwritable_out_fails_before_running(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -5,14 +6,13 @@ import numpy as np
 import pytest
 
 from npsigtest.data import ColumnKind
-from npsigtest.designs import FIGURE_TAGS, figure_design, replications
+from npsigtest.designs import FIGURE_TAGS, TEMPLATES, figure_design, replications
 from npsigtest.simulation import (
     Cell,
     DgpSpec,
     ExperimentConfig,
     TestTemplate,
-    gen_continuous,
-    gen_discrete,
+    generate,
     grid_cells,
     run_experiment,
     _shape_of_index,
@@ -47,26 +47,26 @@ class TestShapes:
 
 class TestGenContinuous:
     def test_shapes_and_kinds(self):
-        d = gen_continuous(continuous_spec(q=3, n=40), np.random.default_rng(0))
+        d = generate(continuous_spec(q=3, n=40), np.random.default_rng(0))
         assert (d.n, d.p, d.q) == (40, 2, 3)
         assert all(k is ColumnKind.CONTINUOUS for k in d.w_kinds + d.x_kinds)
 
     def test_null_free_of_x(self):
         # with delta = 0 the response depends on (w, noise) only: regenerating
         # with the same seed but a different alternative tag gives identical data
-        a = gen_continuous(continuous_spec(), np.random.default_rng(11))
-        b = gen_continuous(
+        a = generate(continuous_spec(), np.random.default_rng(11))
+        b = generate(
             continuous_spec(alternative="quadratic"), np.random.default_rng(11)
         )
-        c = gen_continuous(
+        c = generate(
             continuous_spec(alternative="sine"), np.random.default_rng(11)
         )
         assert np.array_equal(a.y, b.y) and np.array_equal(b.y, c.y)
         assert np.array_equal(a.x, b.x)
 
     def test_delta_shifts_by_shape(self):
-        base = gen_continuous(continuous_spec(q=2), np.random.default_rng(21))
-        alt = gen_continuous(
+        base = generate(continuous_spec(q=2), np.random.default_rng(21))
+        alt = generate(
             continuous_spec(q=2, alternative="linear", delta=0.7),
             np.random.default_rng(21),
         )
@@ -74,20 +74,20 @@ class TestGenContinuous:
         assert np.allclose(alt.y - base.y, 0.7 * (base.x @ beta), rtol=1e-12)
 
     def test_noise_variance(self):
-        d = gen_continuous(continuous_spec(n=1_000_000, q=1), np.random.default_rng(5))
+        d = generate(continuous_spec(n=1_000_000, q=1), np.random.default_rng(5))
         widx = d.w @ (np.array([1.0, -1.0]) / math.sqrt(2.0))
         eps = d.y - (widx**3 - widx)
         assert abs(eps.var() - 4.0) < 0.017  # 3 sigma band for 1e6 draws
 
     def test_index_centered(self):
-        d = gen_continuous(continuous_spec(n=1_000_000, q=1), np.random.default_rng(6))
+        d = generate(continuous_spec(n=1_000_000, q=1), np.random.default_rng(6))
         widx = d.w @ (np.array([1.0, -1.0]) / math.sqrt(2.0))
         assert abs(widx.mean()) < 0.003
 
 
 class TestGenDiscrete:
     def test_bernoulli_rate(self):
-        d = gen_discrete(
+        d = generate(
             DgpSpec(family="discrete_x", n=1_000_000), np.random.default_rng(7)
         )
         assert d.x_kinds == (ColumnKind.DISCRETE,)
@@ -97,11 +97,38 @@ class TestGenDiscrete:
     def test_quadratic_root_at_unit_index(self):
         spec = DgpSpec(family="discrete_x", n=200, alternative="quadratic", delta=1.0)
         rng = np.random.default_rng(8)
-        base = gen_discrete(DgpSpec(family="discrete_x", n=200), np.random.default_rng(8))
-        alt = gen_discrete(spec, np.random.default_rng(8))
+        base = generate(DgpSpec(family="discrete_x", n=200), np.random.default_rng(8))
+        alt = generate(spec, np.random.default_rng(8))
         widx = base.w @ (np.array([1.0, -1.0]) / math.sqrt(2.0))
         expected = (widx - 1.0) ** 2 / math.sqrt(2.0) * base.x[:, 0]
         assert np.allclose(alt.y - base.y, expected, rtol=1e-12)
+
+
+class TestGenerate:
+    # SHA-256 of w, x and y (rounded to 9 decimals, as pow and sin may differ
+    # in the last bit between platforms) at n = 6, seeds 1 and 2, recorded
+    # before both designs shared one generator. Reordering the draws or
+    # changing the backbone shifts every Monte Carlo table, and fails here.
+    PINNED = {
+        ("continuous", "null"): "cc72abaa69721de00e62c0de4c5a24b273102d8408342587e4ba521c34890ef5",
+        ("continuous", "quadratic"): "39dce425cd61fef2633d25e44d0ec03ad46cf89af9a2825d52595fe396be2eb0",
+        ("continuous", "linear"): "801c40604cc59a5f6149571f60c11c163556e2647ce1f3afdd0f6e0dfdfc878b",
+        ("continuous", "sine"): "6fda4466e7c247a9bd5615a9b4592ecf09bf0f18d89013ca2d134bbc6ca81d38",
+        ("discrete_x", "null"): "5c279393c94080481a8109900c852bc31c2fe68c35bf5f91d7e1282d453b6264",
+        ("discrete_x", "quadratic"): "245e10642c5cfc654fd34b778c8a608a990990a7689e09a408a7e1c8918811c8",
+        ("discrete_x", "sine"): "1ae06ec9faa90c5108b9179f2767b908327c9d1bd172fb678f3792a9c84bf745",
+    }
+
+    @pytest.mark.parametrize("family, alternative", sorted(PINNED))
+    def test_streams_are_pinned(self, family, alternative):
+        digest = hashlib.sha256()
+        for seed in (1, 2):
+            delta = 0.0 if alternative == "null" else 1.5
+            spec = DgpSpec(family=family, n=6, q=2, alternative=alternative, delta=delta)
+            d = generate(spec, np.random.default_rng(seed))
+            for a in (d.w, d.x, np.round(d.y, 9)):
+                digest.update(a.tobytes())
+        assert digest.hexdigest() == self.PINNED[family, alternative]
 
 
 class TestRunExperiment:
@@ -216,6 +243,19 @@ class TestGridAndDesigns:
         with pytest.raises(ValueError, match="test lv needs a continuous X"):
             ExperimentConfig(cells=cells, tests=tests, replications=1, master_seed=1)
         ExperimentConfig(cells=cells, tests=tests[:1], replications=1, master_seed=1)
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_sample_size_floors(self, name):
+        # a grid below a test's floor is refused when the experiment is
+        # built; at the floor, a replication runs to its end
+        floor = {"dgm": 3, "fisher": 6}.get(name, 5)  # fisher: n > 1 + p + q, p = q = 2
+        tests = (TEMPLATES[name],)
+        below = grid_cells("continuous", ("null",), (40, floor - 1), (2,), (0.0,), (2.0,))
+        with pytest.raises(ValueError, match=f"test {name} needs n >= {floor}, got n = {floor - 1}"):
+            ExperimentConfig(cells=below, tests=tests, replications=1, master_seed=1)
+        cells = grid_cells("continuous", ("null",), (floor,), (2,), (0.0,), (2.0,))
+        cfg = ExperimentConfig(cells=cells, tests=tests, replications=3, master_seed=1, B=9)
+        assert run_experiment(cfg).rows[0].reps == 3
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown figure tag"):
