@@ -15,7 +15,6 @@ from .data import (
 )
 from .kernels import (
     Bandwidths,
-    PsiSpec,
     default_bandwidths,
     eval_kernel,
     eval_mixed_kernel,
@@ -53,7 +52,6 @@ __all__ = [
     "DegenerateStatisticError",
     "DgpSpec",
     "ExperimentConfig",
-    "PsiSpec",
     "ResultTable",
     "ScaledDataset",
     "SmootherOutput",

@@ -23,13 +23,13 @@ A draw index must fit in one 32-bit entropy word, so B <= 2**32.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .data import Dataset, ScaledDataset, standardize
-from .kernels import Bandwidths, PsiSpec
+from .kernels import PSI_FAMILIES, Bandwidths
 from .smoother import SmootherOutput, compute_smoother, recompute_uf
 from .statistics import (
     CvmEngine,
@@ -65,7 +65,7 @@ class TestConfig:
     __test__ = False  # not a pytest class
     bandwidths: Bandwidths
     statistic: str = "itilde"
-    psi: PsiSpec = field(default_factory=PsiSpec)
+    psi: str = "normal"
     variance: str = "var_hat"
     critical: str = "bootstrap"
     alpha: float = 0.05
@@ -75,6 +75,8 @@ class TestConfig:
     def __post_init__(self):
         if self.statistic not in STATISTICS:
             raise ValueError(f"unknown statistic {self.statistic!r}")
+        if self.psi not in PSI_FAMILIES:
+            raise ValueError(f"unknown psi family {self.psi!r}")
         if self.variance not in VARIANCES:
             raise ValueError(f"unknown variance estimator {self.variance!r}")
         if self.critical not in CRITICALS:
@@ -111,7 +113,7 @@ class TestResult:
         return {
             "schema_version": 2,
             "statistic": self.config.statistic,
-            "psi": self.config.psi.family,
+            "psi": self.config.psi,
             "variance": self.config.variance,
             "critical_method": self.config.critical,
             "n": sv.n,

@@ -19,7 +19,7 @@ import time
 from .bootstrap import MAX_DRAWS, STATISTICS, VARIANCES, TestConfig, run_test
 from .data import ColumnSchema, DataError, load_dataset
 from .designs import FIGURE_TAGS, TEMPLATES, figure_design, replications
-from .kernels import PSI_FAMILIES, PsiSpec, default_bandwidths
+from .kernels import PSI_FAMILIES, default_bandwidths
 from .selfcheck import run_all
 from .simulation import ALTERNATIVES, FAMILIES, ExperimentConfig, grid_cells, run_experiment
 from .statistics import DegenerateStatisticError
@@ -224,7 +224,7 @@ def _cmd_test(args) -> int:
     cfg = TestConfig(
         bandwidths=default_bandwidths(data.n, args.c),
         statistic=args.stat,
-        psi=PsiSpec(args.psi),
+        psi=args.psi,
         variance=args.variance,
         critical="asymptotic" if args.asymptotic else "bootstrap",
         alpha=args.alpha,

@@ -43,13 +43,25 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise DataError(f"{what}: non-finite entry at {where}")
 
 
+def _as_columns(a, n: int, what: str) -> np.ndarray:
+    """A float copy of ``a`` as a matrix; a vector is one column (none if empty)."""
+    a = np.array(a, dtype=float, order="C")
+    if a.ndim == 1:
+        a = a.reshape(-1, 1) if a.size else a.reshape(n, 0)
+    if a.ndim != 2:
+        raise DataError(f"{what} must be a vector or a matrix")
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable (y, w, x) sample with per-column kinds.
 
-    The floor ``n >= 2`` is enforced here; each statistic imposes its own
-    larger floor (pair statistics need 3, four-index arrangements 5, the
-    six-index variance estimator 7) at the point of use.
+    y, w and x are the dataset's own read-only float copies of what it was
+    given, so later edits to the caller's arrays do not reach it; a vector w
+    or x is one column. The floor ``n >= 2`` is enforced here; each statistic
+    imposes its own larger floor (pair statistics need 3, four-index
+    arrangements 5, the six-index variance estimator 7) at the point of use.
     """
 
     y: np.ndarray
@@ -59,17 +71,14 @@ class Dataset:
     x_kinds: tuple[ColumnKind, ...]
 
     def __post_init__(self):
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=float))
-        w = np.ascontiguousarray(np.atleast_2d(np.asarray(self.w, dtype=float)))
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1) if x.size else x.reshape(len(y), 0)
-        x = np.ascontiguousarray(x)
+        y = np.array(self.y, dtype=float)
         if y.ndim != 1:
             raise DataError("y must be a vector")
         n = len(y)
         if n < 2:
             raise DataError("need at least 2 observations")
+        w = _as_columns(self.w, n, "w")
+        x = _as_columns(self.x, n, "x")
         if w.shape[0] != n or x.shape[0] != n:
             raise DataError(
                 f"row mismatch: y has {n}, w has {w.shape[0]}, x has {x.shape[0]}"

@@ -1,9 +1,13 @@
-"""Smoothing kernels, the pair-weight function for the covariates under test,
-and the bandwidth rules.
+"""Smoothing kernels, the pair weight psi for the covariates under test, and
+the bandwidth rules.
 
 All kernels are radial: a univariate profile applied to the Euclidean norm of
 the (bandwidth-scaled) difference vector. Discrete coordinates contribute
 exact-equality indicators instead of being smoothed.
+
+psi is a name from ``PSI_FAMILIES``: ``triangular`` and ``normal`` are bounded
+even densities (unit second moment) applied to the norm of the difference;
+``indicator`` is the all-coordinates-equal indicator for discrete covariates.
 """
 
 from __future__ import annotations
@@ -17,22 +21,6 @@ SQRT6 = math.sqrt(6.0)
 _NORMAL_C = 1.0 / math.sqrt(2.0 * math.pi)
 
 PSI_FAMILIES = ("triangular", "normal", "indicator")
-
-
-@dataclass(frozen=True)
-class PsiSpec:
-    """Pair weight for the covariates under test.
-
-    ``triangular`` and ``normal`` are bounded even densities (unit second
-    moment) applied to the norm of the difference; ``indicator`` is the
-    all-coordinates-equal indicator used for discrete covariates.
-    """
-
-    family: str = "normal"
-
-    def __post_init__(self):
-        if self.family not in PSI_FAMILIES:
-            raise ValueError(f"unknown psi family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -77,18 +65,18 @@ def eval_mixed_kernel(cont_diff: np.ndarray, disc_equal, bandwidth: float) -> fl
     return bandwidth ** (-p_c) * eval_kernel(cont_diff / bandwidth)
 
 
-def psi_profile(spec: PsiSpec, t):
+def psi_profile(psi: str, t):
     """Univariate density profile of a psi family, evaluated at |t| = norm."""
     t = np.abs(np.asarray(t, dtype=float))
-    if spec.family == "triangular":
+    if psi == "triangular":
         # unit-second-moment triangular density: support [-sqrt(6), sqrt(6)]
         return np.maximum(0.0, (1.0 - t / SQRT6)) / SQRT6
-    if spec.family == "normal":
+    if psi == "normal":
         return _NORMAL_C * np.exp(-0.5 * t * t)
-    raise ValueError("indicator psi has no density profile")
+    raise ValueError(f"psi family {psi!r} has no density profile")
 
 
-def eval_psi(spec: PsiSpec, x_diff: np.ndarray) -> float:
+def eval_psi(psi: str, x_diff: np.ndarray) -> float:
     """Pair weight at a difference vector of (scaled) x values.
 
     Density families evaluate their profile at the Euclidean norm of the
@@ -96,11 +84,9 @@ def eval_psi(spec: PsiSpec, x_diff: np.ndarray) -> float:
     exactly.
     """
     x_diff = np.asarray(x_diff, dtype=float).ravel()
-    if spec.family == "indicator":
+    if psi == "indicator":
         return 1.0 if np.all(x_diff == 0.0) else 0.0
-    if x_diff.size == 0:
-        return float(psi_profile(spec, 0.0))
-    return float(psi_profile(spec, math.sqrt(float(np.dot(x_diff, x_diff)))))
+    return float(psi_profile(psi, math.sqrt(float(np.dot(x_diff, x_diff)))))
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +97,12 @@ def eval_psi(spec: PsiSpec, x_diff: np.ndarray) -> float:
 
 def _sq_dists(a: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between every pair of rows of a."""
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], a.shape[0]))
     diff = a[:, None, :] - a[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def _disc_equal(a: np.ndarray) -> np.ndarray:
     """1.0 where all discrete coordinates of two rows agree exactly, else 0.0."""
-    if a.shape[1] == 0:
-        return np.ones((a.shape[0], a.shape[0]))
     eq = a[:, None, :] == a[None, :, :]
     return eq.all(axis=2).astype(float)
 
@@ -137,11 +119,13 @@ def mixed_kernel_matrix(cont: np.ndarray, disc: np.ndarray, bandwidth: float) ->
     return m
 
 
-def psi_matrix(spec: PsiSpec, x: np.ndarray) -> np.ndarray:
+def psi_matrix(psi: str, x: np.ndarray) -> np.ndarray:
     """Full pairwise psi-weight matrix over the covariates under test."""
-    if spec.family == "indicator":
+    if psi not in PSI_FAMILIES:
+        raise ValueError(f"unknown psi family {psi!r}")
+    if psi == "indicator":
         return _disc_equal(x)
-    return psi_profile(spec, np.sqrt(_sq_dists(x)))
+    return psi_profile(psi, np.sqrt(_sq_dists(x)))
 
 
 def joint_x_kernel_matrix(x: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -16,10 +16,10 @@ from itertools import permutations
 import numpy as np
 
 from .data import ScaledDataset
-from .kernels import PsiSpec, eval_mixed_kernel, eval_psi
+from .kernels import eval_mixed_kernel, eval_psi
 
 
-def _pair_tables(d: ScaledDataset, g: float, h: float, psi: PsiSpec | None, joint: bool):
+def _pair_tables(d: ScaledDataset, g: float, h: float, psi: str, joint: bool):
     """Scalar-built L, K, and psi pair tables (plain nested loops)."""
     ds = d.dataset
     n = ds.n
@@ -34,14 +34,8 @@ def _pair_tables(d: ScaledDataset, g: float, h: float, psi: PsiSpec | None, join
             wd_eq = w_disc[i] == w_disc[j]
             L[i][j] = eval_mixed_kernel(w_cont[i] - w_cont[j], wd_eq, g)
             K[i][j] = eval_mixed_kernel(w_cont[i] - w_cont[j], wd_eq, h)
-            if joint:
-                if ds.q == 0:
-                    P[i][j] = 1.0
-                else:
-                    xdiff = (ds.x[i] - ds.x[j]) / h
-                    P[i][j] = h ** (-ds.q) * float(
-                        max(0.0, 0.75 * (1.0 - float(np.dot(xdiff, xdiff))))
-                    )
+            if joint:  # identically 1 when x is empty, as in joint_x_kernel_matrix
+                P[i][j] = eval_mixed_kernel(ds.x[i] - ds.x[j], (), h) if ds.q else 1.0
             else:
                 P[i][j] = eval_psi(psi, ds.x[i] - ds.x[j])
     return L, K, P
@@ -55,7 +49,7 @@ class OracleTables:
         d: ScaledDataset,
         g: float,
         h: float,
-        psi: PsiSpec = PsiSpec(),
+        psi: str = "normal",
         joint: bool = False,
     ):
         self.n = d.n

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bootstrap import MAMMEN_P_LOW, TestConfig, draw_multipliers, null_resample, run_test
 from .data import ColumnKind, Dataset, all_continuous, standardize
-from .kernels import Bandwidths, PsiSpec, default_bandwidths
+from .kernels import Bandwidths, default_bandwidths
 from .oracles import (
     OracleTables,
     oracle_decomposition_sides,
@@ -67,9 +67,8 @@ def oracle_case(seed: int, n: int, q: int, psi_family: str):
     # generous bandwidths keep most kernel weights strictly inside the support
     bw = Bandwidths(g=1.5, h=1.2, c=1.0)
     sm = compute_smoother(sd, bw.g)
-    psi = PsiSpec(psi_family)
-    tables = OracleTables(sd, bw.g, bw.h, psi)
-    return data, sd, sm, bw, psi, tables
+    tables = OracleTables(sd, bw.g, bw.h, psi_family)
+    return data, sd, sm, bw, tables
 
 
 def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
@@ -81,9 +80,9 @@ def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
         for n in sizes:
             q = 1 + (si % 2)
             psi_family = families[si % 3]
-            _, sd, sm, bw, psi, tables = oracle_case(seed, n, q, psi_family)
+            _, sd, sm, bw, tables = oracle_case(seed, n, q, psi_family)
             y = sd.dataset.y
-            eng = StatEngine(sd, sm, bw.h, psi=psi)
+            eng = StatEngine(sd, sm, bw.h, psi=psi_family)
             checks = [
                 ("ihat", eng.ihat, sm.uf, oracle_ihat(tables)),
                 ("itilde", eng.itilde, y, oracle_itilde(tables)),
@@ -197,11 +196,10 @@ def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
     sd = standardize(data)
     bw = default_bandwidths(n, 2.0)
     sm = compute_smoother(sd, bw.g)
-    psi = PsiSpec("normal")
 
     def raw_statistics(sd_, sm_):
         """(ihat, itilde, var_hat) of a smoothed sample."""
-        eng_ = StatEngine(sd_, sm_, bw.h, psi=psi)
+        eng_ = StatEngine(sd_, sm_, bw.h)
         return eng_.ihat(sm_.uf), eng_.itilde(sd_.dataset.y), eng_.var_hat(sm_.uf)
 
     raw_ihat, raw_itilde, raw_var = raw_statistics(sd, sm)
@@ -260,7 +258,7 @@ def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
     # unit multipliers reproduce the original statistic
     eta = np.ones(n)
     ystar = null_resample(sm, data.y, eta)
-    eng = StatEngine(sd, sm, bw.h, psi=psi)
+    eng = StatEngine(sd, sm, bw.h)
     ufstar = recompute_uf(sm.pairwise, ystar)
     if not close(eng.itilde(ystar), raw_itilde, rel=1e-12):
         failures.append("unit-eta-itilde")

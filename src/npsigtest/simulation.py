@@ -30,7 +30,7 @@ import numpy as np
 
 from .bootstrap import TestConfig, decide_scaled
 from .data import ColumnKind, Dataset, all_continuous, standardize
-from .kernels import PsiSpec, default_bandwidths
+from .kernels import default_bandwidths
 from .smoother import MIN_OBSERVATIONS, compute_smoother
 from .statistics import ITILDE_MIN_N, DegenerateStatisticError, fisher_min_n, fisher_test
 
@@ -61,6 +61,8 @@ class DgpSpec:
             raise ValueError("the null DGP requires delta = 0")
         if self.family == "continuous" and self.q < 1:
             raise ValueError("continuous design needs q >= 1")
+        if self.family == "discrete_x" and self.q != 1:
+            raise ValueError(f"the Bernoulli-x design has one x column (q = 1); got q = {self.q}")
         if self.family == "discrete_x" and self.alternative == "linear":
             raise ValueError("the Bernoulli-x design has no linear alternative")
 
@@ -115,8 +117,7 @@ def _min_n(t: TestTemplate, dgp: DgpSpec) -> int:
     """Fewest observations test t runs on in the design, from the floors
     that the smoother and the test's statistic enforce."""
     if t.statistic == "fisher":
-        # w has two columns; the Bernoulli-x design one x column
-        return fisher_min_n(2, dgp.q if dgp.family == "continuous" else 1)
+        return fisher_min_n(2, dgp.q)  # w has two columns
     if t.statistic in ("itilde", "lv"):
         return max(MIN_OBSERVATIONS, ITILDE_MIN_N)
     return MIN_OBSERVATIONS
@@ -280,7 +281,7 @@ def _run_replication(args) -> list[int]:
                 cfg = TestConfig(
                     bandwidths=bw,
                     statistic=t.statistic,
-                    psi=PsiSpec(t.psi),
+                    psi=t.psi,
                     critical=t.critical,
                     alpha=alpha,
                     B=B,

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import fdtri
 
 from .data import ColumnKind, ScaledDataset
-from .kernels import PsiSpec, joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
+from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
 from .smoother import SmootherOutput, centred, recompute_uf
 
 # fewest observations of the four-distinct-index itilde
@@ -38,7 +38,8 @@ ITILDE_MIN_N = 5
 
 
 class DegenerateStatisticError(RuntimeError):
-    """Raised when a test cannot be standardized (nonpositive variance).
+    """Raised when a test cannot be standardized (nonpositive variance) or,
+    for the F-test, when its design matrix is rank deficient.
 
     ``cause`` names what was degenerate: ``"observed"``, the statistic of the
     data; ``"no_support"``, the same when the design density estimate fhat is
@@ -162,7 +163,7 @@ class StatEngine:
         d: ScaledDataset,
         sm: SmootherOutput,
         h: float,
-        psi: PsiSpec = PsiSpec(),
+        psi: str = "normal",
         mode: str = "psi",
     ):
         if not h > 0:
@@ -301,10 +302,11 @@ def fisher_test(d: ScaledDataset, alpha: float) -> tuple[float, bool]:
     ones = np.ones((n, 1))
     z0 = np.hstack([ones, ds.w])
     z1 = np.hstack([ones, ds.w, ds.x])
-    if np.linalg.matrix_rank(z1) < z1.shape[1]:
-        raise ValueError("design matrix is rank deficient")
+    beta1, _, rank, _ = np.linalg.lstsq(z1, ds.y, rcond=None)
+    if rank < z1.shape[1]:  # e.g. a discrete x column that is constant
+        raise DegenerateStatisticError("F-test design matrix is rank deficient", cause="observed")
     rss0 = float(np.sum(np.square(ds.y - z0 @ np.linalg.lstsq(z0, ds.y, rcond=None)[0])))
-    rss1 = float(np.sum(np.square(ds.y - z1 @ np.linalg.lstsq(z1, ds.y, rcond=None)[0])))
+    rss1 = float(np.sum(np.square(ds.y - z1 @ beta1)))
     scale = float(np.dot(ds.y, ds.y)) + 1.0
     if rss1 <= 1e-12 * scale:
         # exact fit under the full model: infinite F unless the restricted

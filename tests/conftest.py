@@ -3,7 +3,7 @@ import pytest
 
 from npsigtest.bootstrap import MAMMEN_HIGH, MAMMEN_LOW, MAMMEN_P_LOW
 from npsigtest.data import Dataset, all_continuous, standardize
-from npsigtest.kernels import Bandwidths, PsiSpec
+from npsigtest.kernels import Bandwidths
 from npsigtest.smoother import compute_smoother
 
 
@@ -34,4 +34,4 @@ def small_case():
     sd = standardize(data)
     bw = Bandwidths(g=1.5, h=1.2, c=1.0)
     sm = compute_smoother(sd, bw.g)
-    return data, sd, sm, bw, PsiSpec("normal")
+    return data, sd, sm, bw, "normal"

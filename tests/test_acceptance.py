@@ -15,7 +15,7 @@ import scipy.stats
 
 from npsigtest.cli import EXIT_OK, main
 from npsigtest.data import standardize
-from npsigtest.kernels import PsiSpec, default_bandwidths
+from npsigtest.kernels import default_bandwidths
 from npsigtest.selfcheck import (
     check_decomposition_identity,
     check_invariances,
@@ -111,7 +111,7 @@ def test_criterion_5_null_asymptotic_normality():
         )
         sd = standardize(data)
         sm = compute_smoother(sd, bw.g)
-        eng = StatEngine(sd, sm, bw.h, psi=PsiSpec("normal"))
+        eng = StatEngine(sd, sm, bw.h, psi="normal")
         raw = eng.itilde(sd.dataset.y)
         omega2 = eng.var_tilde(sd.dataset.y)
         if omega2 <= 0.0:

@@ -22,7 +22,7 @@ from npsigtest.bootstrap import (
     run_test,
 )
 from npsigtest.data import ColumnKind, Dataset, all_continuous, standardize
-from npsigtest.kernels import PSI_FAMILIES, Bandwidths, PsiSpec, default_bandwidths
+from npsigtest.kernels import PSI_FAMILIES, Bandwidths, default_bandwidths
 from npsigtest.selfcheck import ABS_TOL, REL_TOL, close
 from npsigtest.smoother import compute_smoother
 from npsigtest.statistics import CvmEngine, DegenerateStatisticError, StatEngine
@@ -159,7 +159,7 @@ def bootstrap_cases(draw):
             g=draw(st.floats(0.3, 2.5)), h=draw(st.floats(0.3, 2.5))
         ),
         statistic=statistic,
-        psi=PsiSpec(draw(st.sampled_from(PSI_FAMILIES))),
+        psi=draw(st.sampled_from(PSI_FAMILIES)),
         variance=draw(st.sampled_from(VARIANCES)),
         B=draw(st.integers(1, 140)),
         seed=draw(st.integers(0, 2**63)),
@@ -273,7 +273,7 @@ class TestItildeOperator:
         )
         sd = standardize(d)
         sm = compute_smoother(sd, 0.3)
-        eng = StatEngine(sd, sm, 20.0, psi=PsiSpec("indicator"))
+        eng = StatEngine(sd, sm, 20.0, psi="indicator")
         y = np.random.default_rng(3).standard_normal((5, 7))
         assert eng.var_tilde(y[0]) == 0.0
         assert np.array_equal(eng.var_tilde(y), np.zeros(5))

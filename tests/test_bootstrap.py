@@ -17,7 +17,7 @@ from npsigtest.bootstrap import (
     run_test,
 )
 from npsigtest.data import Dataset, all_continuous, standardize
-from npsigtest.kernels import Bandwidths, PsiSpec, default_bandwidths
+from npsigtest.kernels import Bandwidths, default_bandwidths
 from npsigtest.selfcheck import multiplier_moment_exact, _Q5
 from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import DegenerateStatisticError, StatEngine
@@ -246,6 +246,10 @@ class TestRunTest:
         res = run_test(d, cfg)
         assert res.reject == (res.statistic_value.standardized > res.critical_value)
 
+    def test_unknown_psi_is_named(self):
+        with pytest.raises(ValueError, match="unknown psi family 'bogus'"):
+            TestConfig(bandwidths=Bandwidths(g=1.0, h=1.0), psi="bogus")
+
     def test_dgm_requires_bootstrap(self):
         with pytest.raises(ValueError, match="non-pivotal"):
             TestConfig(
@@ -302,7 +306,7 @@ class TestRunTest:
 class TestReuseCorrectness:
     def test_scratch_equals_cached(self):
         d, sd, sm, bw = wide_case(seed=60, n=30)
-        eng = StatEngine(sd, sm, bw.h, psi=PsiSpec("normal"))
+        eng = StatEngine(sd, sm, bw.h, psi="normal")
         eta = draw_multipliers(30, 17, range(1))[0]
         ystar = null_resample(sm, d.y, eta)
         fast_uf = recompute_uf(sm.pairwise, ystar)
@@ -314,7 +318,7 @@ class TestReuseCorrectness:
         )
         sdf = standardize(fresh)
         smf = compute_smoother(sdf, bw.g)
-        scratch = StatEngine(sdf, smf, bw.h, psi=PsiSpec("normal"))
+        scratch = StatEngine(sdf, smf, bw.h, psi="normal")
 
         assert np.allclose(smf.uf, fast_uf, rtol=1e-12, atol=1e-15)
         assert scratch.itilde(sdf.dataset.y) == pytest.approx(fast_itilde, rel=1e-12)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -294,6 +295,8 @@ class TestCmdSimulate:
              "the Bernoulli-x design has no linear alternative"),
             (["--family", "continuous", "--n", "1"], "n must be at least 2"),
             (["--family", "continuous", "--q", "0"], "continuous design needs q >= 1"),
+            (["--family", "discrete_x", "--q", "3,-1", "--n", "30", "--boot", "9"],
+             "the Bernoulli-x design has one x column (q = 1); got q = 3"),
         ],
     )
     def test_grid_the_design_cannot_take_usage_error(self, tmp_path, capsys, extra, message):
@@ -304,6 +307,16 @@ class TestCmdSimulate:
         assert f"error: --family/--alt/--n/--q/--tests: {message}" in err
         assert "cell 1/" not in err  # refused before any replication
         assert not out.exists()
+
+    def test_rank_deficient_fisher_replications_count_as_failures(self, tmp_path):
+        # at n = 5 the Bernoulli x column of a replication is constant with
+        # chance 0.6**5 + 0.4**5, about 9%; the F-test cannot be fitted there
+        out = tmp_path / "f.csv"
+        code = main(["simulate", "--family", "discrete_x", "--n", "5", "--tests", "fisher",
+                     "--reps", "50", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        [row] = list(csv.DictReader(out.open()))
+        assert int(row["failures"]) > 0
 
     def test_unwritable_out_fails_before_running(self, tmp_path):
         out = tmp_path / "missing" / "t.csv"

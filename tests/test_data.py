@@ -92,6 +92,26 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.y[0] = 99.0
 
+    def test_callers_arrays_stay_writable_and_apart(self):
+        # contiguous float64 inputs are the case numpy would not copy
+        y, w, x = np.arange(4.0), np.ones((4, 2)), np.zeros((4, 1))
+        d = Dataset(y=y, w=w, x=x, w_kinds=all_continuous(2), x_kinds=all_continuous(1))
+        for given in (y, w, x):
+            assert given.flags.writeable
+        y[0], w[0, 0], x[0, 0] = 9.0, 9.0, 9.0
+        assert d.y[0] == 0.0 and d.w[0, 0] == 1.0 and d.x[0, 0] == 0.0
+
+    def test_vector_w_and_x_are_one_column(self):
+        d = Dataset(
+            y=[1.0, 2.0, 4.0],
+            w=np.array([0.5, 1.5, 2.5]),
+            x=np.array([1.0, 0.0, 1.0]),
+            w_kinds=all_continuous(1),
+            x_kinds=(ColumnKind.DISCRETE,),
+        )
+        assert d.w.shape == (3, 1) and d.x.shape == (3, 1)
+        assert np.array_equal(d.w[:, 0], [0.5, 1.5, 2.5])
+
     def test_p_cont_counts_continuous_only(self):
         d = Dataset(
             y=[1.0, 2.0, 3.0],

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from npsigtest.kernels import (
     Bandwidths,
-    PsiSpec,
     default_bandwidths,
     eval_kernel,
     eval_mixed_kernel,
@@ -17,6 +16,7 @@ from npsigtest.kernels import (
     psi_matrix,
     psi_profile,
 )
+
 
 class TestEvalKernel:
     def test_at_zero(self):
@@ -61,6 +61,15 @@ class TestMixedKernel:
         got = eval_mixed_kernel(diff, [], h)
         assert got == h ** (-diff.size) * eval_kernel(diff / h)
 
+    def test_no_continuous_columns(self):
+        # distance 0 over no columns: the kernel's peak 0.75 wherever the
+        # discrete columns agree, and the diagonal zeroed
+        disc = np.array([[0.0], [1.0], [0.0], [1.0]])
+        m = mixed_kernel_matrix(disc[:, :0], disc, 0.7)
+        want = 0.75 * (disc == disc.T)
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(m, want)
+
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(0)
         cont = rng.standard_normal((7, 2))
@@ -77,27 +86,29 @@ class TestMixedKernel:
 
 class TestPsi:
     def test_normal_at_zero(self):
-        assert eval_psi(PsiSpec("normal"), np.zeros(2)) == pytest.approx(
+        assert eval_psi("normal", np.zeros(2)) == pytest.approx(
             1.0 / math.sqrt(2 * math.pi), rel=1e-10
         )
 
     def test_triangular_at_zero(self):
         # solving for unit second moment puts the triangular peak at 1/sqrt(6)
-        assert eval_psi(PsiSpec("triangular"), np.zeros(1)) == pytest.approx(
+        assert eval_psi("triangular", np.zeros(1)) == pytest.approx(
             1.0 / math.sqrt(6.0), rel=1e-12
         )
 
     def test_indicator(self):
-        assert eval_psi(PsiSpec("indicator"), np.zeros(3)) == 1.0
-        assert eval_psi(PsiSpec("indicator"), np.array([0.0, 1.0])) == 0.0
+        assert eval_psi("indicator", np.zeros(3)) == 1.0
+        assert eval_psi("indicator", np.array([0.0, 1.0])) == 0.0
 
     @pytest.mark.parametrize("family", ["triangular", "normal"])
     def test_density_normalization_and_second_moment(self, family):
-        spec = PsiSpec(family)
         t = np.linspace(-12.0, 12.0, 1_000_001)
-        vals = psi_profile(spec, t)
-        mass = np.trapezoid(vals, t)
-        second = np.trapezoid(t * t * vals, t)
+        vals = psi_profile(family, t)
+        # trapezoid rule, written out (np.trapezoid needs numpy >= 2.0)
+        dt = np.diff(t)
+        mass = np.sum(dt * (vals[1:] + vals[:-1])) / 2.0
+        moment = t * t * vals
+        second = np.sum(dt * (moment[1:] + moment[:-1])) / 2.0
         assert mass == pytest.approx(1.0, abs=1e-6)
         assert second == pytest.approx(1.0, abs=1e-6)
 
@@ -108,12 +119,25 @@ class TestPsi:
         # psi weighs the whole x difference, whatever the column kinds and order
         x = np.hstack([disc, cont])
         for family in ("normal", "triangular", "indicator"):
-            m = psi_matrix(PsiSpec(family), x)
+            m = psi_matrix(family, x)
             for i in range(6):
                 for j in range(6):
                     assert m[i, j] == pytest.approx(
-                        eval_psi(PsiSpec(family), x[i] - x[j]), rel=1e-12, abs=1e-300
+                        eval_psi(family, x[i] - x[j]), rel=1e-12, abs=1e-300
                     )
+
+    @pytest.mark.parametrize("family", ["normal", "triangular", "indicator"])
+    def test_empty_x_is_constant(self, family):
+        # with no x columns every pair is at distance 0: the density families
+        # give their peak psi_profile(f, 0) and the indicator gives 1
+        x = np.random.default_rng(3).standard_normal((5, 2))
+        want = 1.0 if family == "indicator" else float(psi_profile(family, 0.0))
+        assert np.array_equal(psi_matrix(family, x[:, :0]), np.full((5, 5), want))
+        assert eval_psi(family, []) == want
+
+    def test_unknown_family_is_named(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            psi_matrix("bogus", np.zeros((3, 1)))
 
 
 class TestJointXKernel:

@@ -34,6 +34,11 @@ class TestDgpSpec:
         with pytest.raises(ValueError, match="linear"):
             DgpSpec(family="discrete_x", n=50, alternative="linear", delta=0.5)
 
+    @pytest.mark.parametrize("q", [0, 2, -1])
+    def test_discrete_has_one_x_column(self, q):
+        with pytest.raises(ValueError, match=f"one x column \\(q = 1\\); got q = {q}"):
+            DgpSpec(family="discrete_x", n=50, q=q)
+
 
 class TestShapes:
     def test_quadratic_root(self):
@@ -124,7 +129,8 @@ class TestGenerate:
         digest = hashlib.sha256()
         for seed in (1, 2):
             delta = 0.0 if alternative == "null" else 1.5
-            spec = DgpSpec(family=family, n=6, q=2, alternative=alternative, delta=delta)
+            q = 2 if family == "continuous" else 1  # the Bernoulli-x design has one x column
+            spec = DgpSpec(family=family, n=6, q=q, alternative=alternative, delta=delta)
             d = generate(spec, np.random.default_rng(seed))
             for a in (d.w, d.x, np.round(d.y, 9)):
                 digest.update(a.tobytes())

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from npsigtest.data import ColumnKind, Dataset, all_continuous, standardize
-from npsigtest.kernels import PsiSpec
 from npsigtest.oracles import (
     OracleTables,
     oracle_decomposition_sides,
@@ -18,7 +17,13 @@ from npsigtest.oracles import (
 )
 from npsigtest.selfcheck import close, oracle_case, random_dataset
 from npsigtest.smoother import compute_smoother
-from npsigtest.statistics import CvmEngine, StatEngine, fisher_test, studentize
+from npsigtest.statistics import (
+    CvmEngine,
+    DegenerateStatisticError,
+    StatEngine,
+    fisher_test,
+    studentize,
+)
 
 from conftest import make_dataset
 
@@ -48,22 +53,22 @@ class TestOracleEquivalence:
     def test_battery(self, seed, n):
         psi_family = ("normal", "triangular", "indicator")[seed % 3]
         q = 1 + seed % 2
-        _, sd, sm, bw, psi, tables = oracle_case(seed, n, q, psi_family)
-        eng = StatEngine(sd, sm, bw.h, psi=psi)
+        _, sd, sm, bw, tables = oracle_case(seed, n, q, psi_family)
+        eng = StatEngine(sd, sm, bw.h, psi=psi_family)
         assert close_in_both_shapes(eng.ihat, sm.uf, oracle_ihat(tables))
         assert close_in_both_shapes(eng.itilde, sd.dataset.y, oracle_itilde(tables))
         assert close_in_both_shapes(eng.var_hat, sm.uf, oracle_var_hat(tables, sm.uf))
 
     def test_lv_against_joint_oracle(self):
         for seed in (5, 6):
-            _, sd, sm, bw, _, _ = oracle_case(seed, 8, 2, "normal")
+            _, sd, sm, bw, _ = oracle_case(seed, 8, 2, "normal")
             joint = OracleTables(sd, bw.g, bw.h, joint=True)
             lv = StatEngine(sd, sm, bw.h, mode="joint")
             assert close(lv.itilde(sd.dataset.y), oracle_itilde(joint))
 
     def test_decomposition_identity_brute_force(self):
         for seed in (100, 101, 102):
-            _, sd, sm, bw, psi, tables = oracle_case(seed, 8, 1, "normal")
+            _, sd, sm, bw, tables = oracle_case(seed, 8, 1, "normal")
             lhs, rhs = oracle_decomposition_sides(tables)
             assert close(lhs, rhs)
 
@@ -81,15 +86,15 @@ class TestOracleEquivalence:
         )
         sd = standardize(d)
         sm = compute_smoother(sd, 1.5)
-        psi = PsiSpec("indicator")
+        psi = "indicator"
         tables = OracleTables(sd, 1.5, 1.2, psi=psi)
         got = StatEngine(sd, sm, 1.2, psi=psi).itilde(sd.dataset.y)
         assert close(got, oracle_itilde(tables))
 
     def test_var_tilde_matches_its_defining_sum(self):
         for seed in (7, 8, 9):
-            _, sd, sm, bw, psi, tables = oracle_case(seed, 8, 1, "normal")
-            eng = StatEngine(sd, sm, bw.h, psi=psi)
+            _, sd, sm, bw, tables = oracle_case(seed, 8, 1, "normal")
+            eng = StatEngine(sd, sm, bw.h)
             want = oracle_var_tilde_nested(tables)
             assert close_in_both_shapes(eng.var_tilde, sd.dataset.y, want)
 
@@ -97,8 +102,8 @@ class TestOracleEquivalence:
         # the production path relaxes cross-index constraints, so at n = 8
         # it only tracks the exact six-index average loosely; both must
         # vanish together and stay on a common scale
-        _, sd, sm, bw, psi, tables = oracle_case(10, 8, 1, "normal")
-        eng = StatEngine(sd, sm, bw.h, psi=psi)
+        _, sd, sm, bw, tables = oracle_case(10, 8, 1, "normal")
+        eng = StatEngine(sd, sm, bw.h)
         fast = eng.var_tilde(sd.dataset.y)
         exact = oracle_var_tilde(tables)
         scale = eng.var_hat(sm.uf)
@@ -166,6 +171,13 @@ class TestStandardize:
         assert t == pytest.approx(1.0, rel=1e-12)
 
 
+class TestPsiName:
+    def test_unknown_family_is_named(self, small_case):
+        _, sd, sm, bw, _ = small_case
+        with pytest.raises(ValueError, match="unknown psi family 'bogus'"):
+            StatEngine(sd, sm, bw.h, psi="bogus")
+
+
 class TestLv:
     def test_discrete_x_rejected(self):
         d = random_dataset(3, 10, q=1, discrete_x=True)
@@ -187,7 +199,7 @@ class TestLv:
         sm = compute_smoother(sd, 1.5)
         lv = StatEngine(sd, sm, 1.1, mode="joint")
         # the indicator psi over zero columns is identically one
-        ref = StatEngine(sd, sm, 1.1, psi=PsiSpec("indicator")).itilde(sd.dataset.y)
+        ref = StatEngine(sd, sm, 1.1, psi="indicator").itilde(sd.dataset.y)
         assert close(lv.itilde(sd.dataset.y), ref)
         assert lv.rate_dim == 2
 
@@ -281,8 +293,22 @@ class TestFisher:
             w_kinds=all_continuous(2),
             x_kinds=all_continuous(1),
         )
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(DegenerateStatisticError, match="rank"):
             fisher_test(standardize(d), 0.05)
+
+    def test_constant_discrete_x_is_degenerate(self):
+        # a Bernoulli x that came out all ones is collinear with the intercept
+        base = make_dataset(36, 12, q=1)
+        d = Dataset(
+            y=base.y,
+            w=base.w,
+            x=np.ones(12),
+            w_kinds=base.w_kinds,
+            x_kinds=(ColumnKind.DISCRETE,),
+        )
+        with pytest.raises(DegenerateStatisticError, match="rank deficient") as info:
+            fisher_test(standardize(d), 0.05)
+        assert info.value.cause == "observed"
 
     def test_too_few_observations(self):
         d = make_dataset(35, 4, q=1)
