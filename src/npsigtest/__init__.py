@@ -13,13 +13,7 @@ from .data import (
     save_dataset,
     standardize,
 )
-from .kernels import (
-    Bandwidths,
-    default_bandwidths,
-    eval_kernel,
-    eval_mixed_kernel,
-    eval_psi,
-)
+from .kernels import Bandwidths, default_bandwidths
 from .simulation import (
     Cell,
     DgpSpec,
@@ -31,13 +25,7 @@ from .simulation import (
     run_experiment,
 )
 from .smoother import SmootherOutput, compute_smoother
-from .statistics import (
-    CvmEngine,
-    DegenerateStatisticError,
-    StatEngine,
-    StatisticValue,
-    fisher_test,
-)
+from .statistics import CvmEngine, DegenerateStatisticError, StatEngine, fisher_test
 
 __version__ = "0.1.0"
 
@@ -56,7 +44,6 @@ __all__ = [
     "ScaledDataset",
     "SmootherOutput",
     "StatEngine",
-    "StatisticValue",
     "TestConfig",
     "TestResult",
     "TestTemplate",
@@ -64,9 +51,6 @@ __all__ = [
     "decide_scaled",
     "default_bandwidths",
     "draw_multipliers",
-    "eval_kernel",
-    "eval_mixed_kernel",
-    "eval_psi",
     "fisher_test",
     "generate",
     "grid_cells",

@@ -31,13 +31,7 @@ from scipy.special import ndtr, ndtri
 from .data import Dataset, ScaledDataset, standardize
 from .kernels import PSI_FAMILIES, Bandwidths
 from .smoother import SmootherOutput, compute_smoother, recompute_uf
-from .statistics import (
-    CvmEngine,
-    DegenerateStatisticError,
-    StatEngine,
-    StatisticValue,
-    studentize,
-)
+from .statistics import CvmEngine, DegenerateStatisticError, StatEngine, studentize
 
 SQRT5 = math.sqrt(5.0)
 MAMMEN_LOW = (1.0 - SQRT5) / 2.0
@@ -94,8 +88,18 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class TestResult:
+    """A test's statistic, its decision and how it was reached.
+
+    ``raw`` is the statistic, ``variance_estimate`` its variance estimate
+    (NaN for dgm, which is not studentized) and ``standardized`` the value
+    compared with ``critical_value``.
+    """
+
     __test__ = False  # not a pytest class
-    statistic_value: StatisticValue
+    raw: float
+    variance_estimate: float
+    standardized: float
+    n: int
     critical_value: float
     reject: bool
     p_value: float
@@ -109,17 +113,18 @@ class TestResult:
         The variance slot is None for statistics that are not studentized
         (dgm), keeping the JSON strictly parseable.
         """
-        sv = self.statistic_value
         return {
             "schema_version": 2,
             "statistic": self.config.statistic,
             "psi": self.config.psi,
             "variance": self.config.variance,
             "critical_method": self.config.critical,
-            "n": sv.n,
-            "raw": sv.raw,
-            "variance_estimate": None if math.isnan(sv.variance) else sv.variance,
-            "standardized": sv.standardized,
+            "n": self.n,
+            "raw": self.raw,
+            "variance_estimate": (
+                None if math.isnan(self.variance_estimate) else self.variance_estimate
+            ),
+            "standardized": self.standardized,
             "critical_value": self.critical_value,
             "p_value": self.p_value,
             "reject": self.reject,
@@ -232,7 +237,7 @@ def null_resample(sm: SmootherOutput, y: np.ndarray, eta: np.ndarray) -> np.ndar
     NaN-free.
     """
     with np.errstate(invalid="ignore"):
-        star = sm.rhat + eta * sm.resid
+        star = sm.rhat + eta * (y - sm.rhat)
     return np.where(sm.fhat > 0.0, star, y)
 
 
@@ -299,13 +304,13 @@ def decide_scaled(sd: ScaledDataset, sm: SmootherOutput, cfg: TestConfig) -> Tes
     if np.isnan(t):
         cause = "observed" if np.any(sm.fhat > 0.0) else "no_support"
         raise DegenerateStatisticError("test degenerate at this bandwidth", cause=cause)
-    sv = StatisticValue(raw=float(raw), variance=float(omega2), standardized=float(t), n=sd.n)
+    t = float(t)
     diagnostics = {"fallback_used": bool(fallback), "fhat_zeros": int(np.sum(sm.fhat <= 0.0))}
 
     draws = None
     if cfg.critical == "asymptotic":
         critical = float(ndtri(1.0 - cfg.alpha))
-        p_value = float(ndtr(-sv.standardized))
+        p_value = float(ndtr(-t))
     else:
         t_draws, fallback_draws = _draw_statistics(eng, sm, y, cfg)
         degenerate = np.isnan(t_draws)
@@ -321,13 +326,14 @@ def decide_scaled(sd: ScaledDataset, sm: SmootherOutput, cfg: TestConfig) -> Tes
         draws = t_draws[~degenerate]
         ordered = np.sort(draws)
         critical = float(ordered[_quantile_rank(cfg.alpha, len(ordered)) - 1])
-        p_value = float(
-            (1 + np.sum(draws >= sv.standardized)) / (len(draws) + 1)
-        )
+        p_value = float((1 + np.sum(draws >= t)) / (len(draws) + 1))
     return TestResult(
-        statistic_value=sv,
+        raw=float(raw),
+        variance_estimate=float(omega2),
+        standardized=t,
+        n=sd.n,
         critical_value=critical,
-        reject=bool(sv.standardized > critical),
+        reject=bool(t > critical),
         p_value=p_value,
         config=cfg,
         diagnostics=diagnostics,

@@ -132,14 +132,11 @@ def all_continuous(count: int) -> tuple[ColumnKind, ...]:
 class ScaledDataset:
     """A dataset whose continuous covariate columns have unit sample sd.
 
-    ``w_scales`` / ``x_scales`` record the divisors (1.0 for discrete
-    columns); ``y`` passes through untouched since studentized statistics
-    are invariant to its scale.
+    ``y`` passes through untouched since studentized statistics are
+    invariant to its scale.
     """
 
     dataset: Dataset
-    w_scales: np.ndarray
-    x_scales: np.ndarray
 
     @property
     def n(self) -> int:
@@ -255,8 +252,7 @@ def save_dataset(path: str | Path, dataset: Dataset, schema: ColumnSchema) -> No
             writer.writerow([repr(float(col[r])) for col in cols])
 
 
-def _scale_columns(m: np.ndarray, kinds) -> tuple[np.ndarray, np.ndarray]:
-    scales = np.ones(m.shape[1])
+def _scale_columns(m: np.ndarray, kinds) -> np.ndarray:
     out = m.copy()
     for j, kind in enumerate(kinds):
         if kind is not ColumnKind.CONTINUOUS:
@@ -267,16 +263,12 @@ def _scale_columns(m: np.ndarray, kinds) -> tuple[np.ndarray, np.ndarray]:
                 f"continuous column {j} has zero sample standard deviation; "
                 "mark it discrete or remove it"
             )
-        scales[j] = sd
         out[:, j] = m[:, j] / sd
-    return out, scales
+    return out
 
 
 def standardize(d: Dataset) -> ScaledDataset:
     """Divide continuous w/x columns by their sample sd (n-1 denominator)."""
-    w_scaled, w_scales = _scale_columns(d.w, d.w_kinds)
-    x_scaled, x_scales = _scale_columns(d.x, d.x_kinds)
-    scaled = Dataset(
-        y=d.y, w=w_scaled, x=x_scaled, w_kinds=d.w_kinds, x_kinds=d.x_kinds
-    )
-    return ScaledDataset(dataset=scaled, w_scales=w_scales, x_scales=x_scales)
+    w = _scale_columns(d.w, d.w_kinds)
+    x = _scale_columns(d.x, d.x_kinds)
+    return ScaledDataset(Dataset(y=d.y, w=w, x=x, w_kinds=d.w_kinds, x_kinds=d.x_kinds))

@@ -8,6 +8,11 @@ exact-equality indicators instead of being smoothed.
 psi is a name from ``PSI_FAMILIES``: ``triangular`` and ``normal`` are bounded
 even densities (unit second moment) applied to the norm of the difference;
 ``indicator`` is the all-coordinates-equal indicator for discrete covariates.
+
+Only the n-by-n matrix builders live here. The scalar kernel at one
+difference vector is written out independently in ``oracles``, which shares
+no code with these builders, so the oracle tests check every kernel value
+as well as every sum.
 """
 
 from __future__ import annotations
@@ -48,23 +53,6 @@ def _epanechnikov_of_sqnorm(s):
     return np.where(s < 1.0, 0.75 * (1.0 - s), 0.0)
 
 
-def eval_kernel(u: np.ndarray) -> float:
-    """Kernel value at a difference vector: 0.75 (1 - ||u||^2) 1{||u|| < 1}."""
-    u = np.asarray(u, dtype=float)
-    return float(_epanechnikov_of_sqnorm(np.dot(u.ravel(), u.ravel())))
-
-
-def eval_mixed_kernel(cont_diff: np.ndarray, disc_equal, bandwidth: float) -> float:
-    """h^(-p_c) K(cont_diff / h) times the product of discrete-equality flags."""
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
-    cont_diff = np.asarray(cont_diff, dtype=float).ravel()
-    if not all(bool(f) for f in disc_equal):
-        return 0.0
-    p_c = cont_diff.size
-    return bandwidth ** (-p_c) * eval_kernel(cont_diff / bandwidth)
-
-
 def psi_profile(psi: str, t):
     """Univariate density profile of a psi family, evaluated at |t| = norm."""
     t = np.abs(np.asarray(t, dtype=float))
@@ -74,19 +62,6 @@ def psi_profile(psi: str, t):
     if psi == "normal":
         return _NORMAL_C * np.exp(-0.5 * t * t)
     raise ValueError(f"psi family {psi!r} has no density profile")
-
-
-def eval_psi(psi: str, x_diff: np.ndarray) -> float:
-    """Pair weight at a difference vector of (scaled) x values.
-
-    Density families evaluate their profile at the Euclidean norm of the
-    whole difference; the indicator requires every coordinate to match
-    exactly.
-    """
-    x_diff = np.asarray(x_diff, dtype=float).ravel()
-    if psi == "indicator":
-        return 1.0 if np.all(x_diff == 0.0) else 0.0
-    return float(psi_profile(psi, math.sqrt(float(np.dot(x_diff, x_diff)))))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Each oracle evaluates a statistic exactly as its defining sum is written:
 explicit loops over index arrangements, scalar kernel evaluations, and exact
-compensated accumulation. They share nothing with the optimized matrix paths
-beyond the scalar kernel functions, and exist solely to pin those paths down
-in tests and in the self-check command. Complexity is O(n^4) to O(n^6), so
-keep n at 10 or below.
+compensated accumulation. The scalar kernels below are written from their
+definitions in plain float arithmetic, so the oracles share no code with the
+matrix builders in ``kernels`` and pin every kernel value as well as every
+sum, in tests and in the self-check command. Complexity is O(n^4) to O(n^6),
+so keep n at 10 or below.
 """
 
 from __future__ import annotations
@@ -16,7 +17,44 @@ from itertools import permutations
 import numpy as np
 
 from .data import ScaledDataset
-from .kernels import eval_mixed_kernel, eval_psi
+
+SQRT6 = math.sqrt(6.0)
+
+
+def eval_kernel(u) -> float:
+    """Epanechnikov kernel at a difference vector: 0.75 (1 - ||u||^2) on
+    ||u|| < 1, else 0."""
+    s = math.fsum(float(v) * float(v) for v in u)
+    return 0.75 * (1.0 - s) if s < 1.0 else 0.0
+
+
+def eval_mixed_kernel(cont_diff, disc_equal, bandwidth: float) -> float:
+    """h^(-p_c) K(cont_diff / h) times the product of discrete-equality flags."""
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
+    if not all(bool(f) for f in disc_equal):
+        return 0.0
+    scaled = [float(v) / bandwidth for v in cont_diff]
+    return bandwidth ** (-len(scaled)) * eval_kernel(scaled)
+
+
+def eval_psi(psi: str, x_diff) -> float:
+    """Pair weight at a difference vector of (scaled) x values.
+
+    The density families are even with unit second moment and are taken at
+    the Euclidean norm t of the whole difference: the standard normal
+    density, or the triangular density (1 - t / sqrt 6) / sqrt 6 on
+    t < sqrt 6. The indicator requires every coordinate to match exactly.
+    """
+    x_diff = [float(v) for v in x_diff]
+    if psi == "indicator":
+        return 1.0 if all(v == 0.0 for v in x_diff) else 0.0
+    t = math.sqrt(math.fsum(v * v for v in x_diff))
+    if psi == "triangular":
+        return max(0.0, 1.0 - t / SQRT6) / SQRT6
+    if psi == "normal":
+        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    raise ValueError(f"unknown psi family {psi!r}")
 
 
 def _pair_tables(d: ScaledDataset, g: float, h: float, psi: str, joint: bool):

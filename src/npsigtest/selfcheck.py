@@ -187,7 +187,7 @@ def check_multiplier_moments(seed: int = 20240, ndraws: int = 1_000_000):
 def _tn(data: Dataset) -> float:
     """Standardized itilde at the default bandwidths with c = 2."""
     cfg = TestConfig(bandwidths=default_bandwidths(data.n, 2.0), critical="asymptotic")
-    return run_test(data, cfg).statistic_value.standardized
+    return run_test(data, cfg).standardized
 
 
 def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:

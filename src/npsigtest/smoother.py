@@ -32,14 +32,13 @@ MAX_OBSERVATIONS = 4000
 class SmootherOutput:
     """Per-observation leave-one-out quantities plus the reusable kernel matrix.
 
-    ``resid`` is y - rhat (NaN where rhat is undefined); consumers that
-    divide by anything must check ``fhat > 0`` first.
+    ``rhat`` is NaN where the local density is 0; consumers that divide by
+    anything must check ``fhat > 0`` first.
     """
 
     fhat: np.ndarray
     rhat: np.ndarray
     uf: np.ndarray
-    resid: np.ndarray
     pairwise: np.ndarray
 
 
@@ -68,7 +67,7 @@ def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
     rhat = np.full(n, np.nan)
     pos = row_sum > 0.0
     rhat[pos] = y_sum[pos] / row_sum[pos]
-    return SmootherOutput(fhat=fhat, rhat=rhat, uf=uf, resid=y - rhat, pairwise=pair)
+    return SmootherOutput(fhat=fhat, rhat=rhat, uf=uf, pairwise=pair)
 
 
 def recompute_uf(pairwise: np.ndarray, y: np.ndarray) -> np.ndarray:

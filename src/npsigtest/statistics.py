@@ -24,7 +24,6 @@ n = 6, 8 and 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import fdtri
@@ -49,16 +48,6 @@ class DegenerateStatisticError(RuntimeError):
     def __init__(self, message: str, cause: str):
         super().__init__(message)
         self.cause = cause
-
-
-@dataclass(frozen=True)
-class StatisticValue:
-    """A raw statistic with its variance estimate and standardized form."""
-
-    raw: float
-    variance: float
-    standardized: float
-    n: int
 
 
 def _fsum(values) -> float:

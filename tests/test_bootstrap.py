@@ -223,7 +223,7 @@ class TestRunTest:
         cfg = TestConfig(bandwidths=default_bandwidths(50, 2.0), B=99, seed=314)
         r1 = run_test(d, cfg)
         r2 = run_test(d, cfg)
-        assert r1.statistic_value.standardized == r2.statistic_value.standardized
+        assert r1.standardized == r2.standardized
         assert r1.critical_value == r2.critical_value
         assert np.array_equal(r1.bootstrap_draws, r2.bootstrap_draws)
 
@@ -233,7 +233,7 @@ class TestRunTest:
         d = make_dataset(52, 50, q=2)
         cfg = TestConfig(bandwidths=default_bandwidths(50, 2.0), B=99, seed=314)
         res = run_test(d, cfg)
-        assert res.statistic_value.standardized == pytest.approx(
+        assert res.standardized == pytest.approx(
             0.12955121253630508, rel=1e-12
         )
         assert res.critical_value == pytest.approx(0.5330923590625313, rel=1e-12)
@@ -244,7 +244,7 @@ class TestRunTest:
         d = make_dataset(53, 50, q=1)
         cfg = TestConfig(bandwidths=default_bandwidths(50, 2.0), B=49, seed=2, alpha=0.5)
         res = run_test(d, cfg)
-        assert res.reject == (res.statistic_value.standardized > res.critical_value)
+        assert res.reject == (res.standardized > res.critical_value)
 
     def test_unknown_psi_is_named(self):
         with pytest.raises(ValueError, match="unknown psi family 'bogus'"):
@@ -264,9 +264,9 @@ class TestRunTest:
             bandwidths=default_bandwidths(40, 2.0), statistic="dgm", B=49, seed=3
         )
         res = run_test(d, cfg)
-        assert res.statistic_value.raw >= 0.0
-        assert res.statistic_value.standardized == res.statistic_value.raw
-        assert math.isnan(res.statistic_value.variance)
+        assert res.raw >= 0.0
+        assert res.standardized == res.raw
+        assert math.isnan(res.variance_estimate)
 
     def test_lv_discrete_x_message(self):
         from npsigtest.selfcheck import random_dataset
@@ -292,7 +292,7 @@ class TestRunTest:
         engine = StatEngine(sd, sm, 0.2)
         assert engine.var_tilde(sd.dataset.y) < 0
         assert res.diagnostics["fallback_used"] is True
-        assert res.statistic_value.variance == engine.var_hat(sm.uf)
+        assert res.variance_estimate == engine.var_hat(sm.uf)
 
     def test_record_is_flat_and_versioned(self):
         d = make_dataset(56, 40, q=1)

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from npsigtest.kernels import (
     Bandwidths,
     default_bandwidths,
-    eval_kernel,
-    eval_mixed_kernel,
-    eval_psi,
     joint_x_kernel_matrix,
     mixed_kernel_matrix,
     psi_matrix,
     psi_profile,
 )
+from npsigtest.oracles import eval_kernel, eval_mixed_kernel, eval_psi
 
 
 class TestEvalKernel:
