@@ -88,9 +88,30 @@ _GRID_DEFAULTS = {
 }
 
 
+# Flags that exclude each other, by command: each pair is one mutually
+# exclusive group of the parser. --figure also excludes every grid flag,
+# which _cmd_simulate refuses with its own message. A flag read from
+# --config gives way to an explicit flag that excludes it.
+_EXCLUSIVE = {
+    "test": (("boot", "asymptotic"), ("json", "csv")),
+    "simulate": (("figure", "family"),),
+}
+
+
+def _exclusive_groups(parser: argparse.ArgumentParser, command: str, required=False) -> dict:
+    """One mutually exclusive group of ``parser`` per pair of
+    ``_EXCLUSIVE[command]``, looked up by either flag name."""
+    groups = {}
+    for names in _EXCLUSIVE[command]:
+        group = parser.add_mutually_exclusive_group(required=required)
+        groups.update(dict.fromkeys(names, group))
+    return groups
+
+
 def _load_config_args(argv: list[str]) -> list[str]:
-    """Expand `--config FILE` into equivalent flags, preserving precedence of
-    anything given explicitly on the command line."""
+    """Expand `--config FILE` into equivalent flags. A flag given on the
+    command line wins: the config's value of that flag, and of any flag it
+    excludes, is dropped."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -98,6 +119,12 @@ def _load_config_args(argv: list[str]) -> list[str]:
         raise DataError("--config requires a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2 :]
+    command = rest[0] if rest else ""
+    given = {a[2:].split("=", 1)[0] for a in rest[1:] if a.startswith("--")}
+    pairs = _EXCLUSIVE.get(command, ())
+    if command == "simulate":
+        pairs += tuple(("figure", k) for k in _GRID_DEFAULTS)
+    blocked = given.union(*(pair for pair in pairs if given & set(pair)))
     injected: list[str] = []
     try:
         with open(path) as fh:
@@ -112,6 +139,8 @@ def _load_config_args(argv: list[str]) -> list[str]:
                 else:
                     raise DataError(f"config line not key=value: {line!r}")
                 key, value = key.strip().lstrip("-"), value.strip()
+                if key in blocked:
+                    continue
                 if value.lower() in ("true", "yes", "on"):
                     injected.append(f"--{key}")
                 elif value.lower() in ("false", "no", "off"):
@@ -120,7 +149,6 @@ def _load_config_args(argv: list[str]) -> list[str]:
                     injected.extend([f"--{key}", value])
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
-    # injected flags come first: explicit command-line flags win
     return rest[:1] + injected + rest[1:]
 
 
@@ -146,18 +174,19 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--variance", default="var_hat", choices=VARIANCES)
     t.add_argument("--c", type=_bounded(float, 0), default=2.0, help="test bandwidth factor")
     t.add_argument("--alpha", type=_bounded(float, 0, 1), default=0.05)
-    group = t.add_mutually_exclusive_group()
-    group.add_argument("--boot", type=_BOOT, default=199, help="bootstrap replications")
-    group.add_argument("--asymptotic", action="store_true", help="use the normal quantile")
+    group = _exclusive_groups(t, "test")
+    group["boot"].add_argument("--boot", type=_BOOT, default=199, help="bootstrap replications")
+    group["asymptotic"].add_argument(
+        "--asymptotic", action="store_true", help="use the normal quantile"
+    )
     t.add_argument("--seed", type=int, default=None)
-    fmt = t.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
+    group["json"].add_argument("--json", action="store_true")
+    group["csv"].add_argument("--csv", action="store_true")
 
     s = sub.add_parser("simulate", help="run a Monte Carlo design, write a CSV table")
-    design = s.add_mutually_exclusive_group(required=True)
-    design.add_argument("--figure", choices=FIGURE_TAGS, help="preset design tag")
-    design.add_argument("--family", choices=FAMILIES, help="explicit grid: DGP family")
+    group = _exclusive_groups(s, "simulate", required=True)
+    group["figure"].add_argument("--figure", choices=FIGURE_TAGS, help="preset design tag")
+    group["family"].add_argument("--family", choices=FAMILIES, help="explicit grid: DGP family")
     grid = s.add_argument_group(
         "explicit grid", "comma-separated lists that span the cells (not with --figure)"
     )

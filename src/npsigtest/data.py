@@ -184,7 +184,8 @@ def load_dataset(path: str | Path, schema: ColumnSchema) -> Dataset:
     """
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig: a byte-order mark, as Excel writes, is not part of the header
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -200,6 +201,8 @@ def load_dataset(path: str | Path, schema: ColumnSchema) -> Dataset:
     for name in wanted:
         if name not in header:
             raise DataError(f"missing column '{name}' in {path}")
+        if header.count(name) > 1:
+            raise DataError(f"column '{name}' appears more than once in the header of {path}")
         positions[name] = header.index(name)
 
     n = len(rows)

@@ -9,7 +9,7 @@ psi is a name from ``PSI_FAMILIES``: ``triangular`` and ``normal`` are bounded
 even densities (unit second moment) applied to the norm of the difference;
 ``indicator`` is the all-coordinates-equal indicator for discrete covariates.
 
-Only the n-by-n matrix builders live here. The scalar kernel at one
+The kernels here are n-by-n matrix builders. The scalar kernel at one
 difference vector is written out independently in ``oracles``, which shares
 no code with these builders, so the oracle tests check every kernel value
 as well as every sum.

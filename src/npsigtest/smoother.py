@@ -48,10 +48,15 @@ def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
     if n < MIN_OBSERVATIONS:
         raise ValueError(f"leave-one-out smoothing needs n >= {MIN_OBSERVATIONS}")
     if n > MAX_OBSERVATIONS:
+        # a test's measured peak: about this many n-by-n float64 matrices,
+        # more while the pairwise difference tensor of many columns is built
+        held = max(6, d.dataset.p_cont + 2, d.dataset.q + 3)
+        mb = 8 * n * n / 2**20
         raise ValueError(
             f"{n} observations exceed the limit of {MAX_OBSERVATIONS}: the test "
-            "holds several n-by-n matrices in memory; subsample the data to at "
-            f"most {MAX_OBSERVATIONS} rows"
+            f"would hold about {held} n-by-n matrices of {mb:.0f} MB each, "
+            f"{held * mb:.0f} MB in all; subsample the data to at most "
+            f"{MAX_OBSERVATIONS} rows"
         )
     if not g > 0:
         raise ValueError("estimation bandwidth g must be positive")

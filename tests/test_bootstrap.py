@@ -18,6 +18,7 @@ from npsigtest.bootstrap import (
 )
 from npsigtest.data import Dataset, all_continuous, standardize
 from npsigtest.kernels import Bandwidths, default_bandwidths
+from npsigtest.oracles import OracleTables, oracle_dgm, oracle_smoother
 from npsigtest.selfcheck import multiplier_moment_exact, _Q5
 from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import DegenerateStatisticError, StatEngine
@@ -323,3 +324,30 @@ class TestReuseCorrectness:
         assert np.allclose(smf.uf, fast_uf, rtol=1e-12, atol=1e-15)
         assert scratch.itilde(sdf.dataset.y) == pytest.approx(fast_itilde, rel=1e-12)
         assert scratch.var_hat(smf.uf) == pytest.approx(fast_var, rel=1e-12)
+
+
+class TestDgmDrawByHand:
+    def test_draws_match_scalar_loops(self):
+        # every dgm bootstrap draw, rebuilt from its definition with scalar
+        # loops and no production code beyond the multiplier stream:
+        # y*_i = rhat_i + eta_i (y_i - rhat_i) where observation i has a
+        # neighbour, y_i elsewhere; uf* over the oracle's L; then the CvM sum
+        sd = standardize(make_dataset(5, 9, q=2))
+        g, B, seed = 1.2, 5, 77
+        cfg = TestConfig(bandwidths=Bandwidths(g=g, h=g), statistic="dgm", B=B, seed=seed)
+        draws = decide_scaled(sd, compute_smoother(sd, g), cfg).bootstrap_draws
+        assert len(draws) == B
+        t = OracleTables(sd, g, g)
+        n, y, L = t.n, t.y, t.L
+        _, rhat, _ = oracle_smoother(sd, g)
+        for b in range(B):
+            eta = explicit_multipliers(n, seed, b)
+            ystar = [
+                rhat[i] + eta[i] * (y[i] - rhat[i]) if math.fsum(L[i]) > 0.0 else y[i]
+                for i in range(n)
+            ]
+            ufstar = [
+                math.fsum((ystar[i] - ystar[k]) * L[i][k] for k in range(n) if k != i) / (n - 1)
+                for i in range(n)
+            ]
+            assert draws[b] == pytest.approx(oracle_dgm(sd, ufstar), rel=1e-10)

@@ -11,7 +11,7 @@ import npsigtest
 from npsigtest import cli
 from npsigtest.cli import EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
 from npsigtest.data import ColumnSchema, save_dataset
-from npsigtest.designs import TEMPLATES
+from npsigtest.designs import TEMPLATES, figure_design
 from npsigtest.simulation import DgpSpec, ResultTable, generate, grid_cells
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(npsigtest.__file__)))
@@ -108,7 +108,22 @@ class TestCmdTest:
         save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1",)))
         code = main(base_args(path) + ["--seed", "1", "--asymptotic"])
         assert code == EXIT_RUNTIME
-        assert "4000" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "4000" in err and "MB in all" in err
+
+    def test_byte_order_mark_csv_loads(self, null_csv, tmp_path, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + null_csv.read_bytes())
+        code = main(base_args(bom) + ["--seed", "99", "--boot", "29"])
+        assert code == EXIT_OK, capsys.readouterr().err
+
+    def test_repeated_named_column_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "rep.csv"
+        path.write_text("y,w1,w2,x1,x1\n" + "".join(
+            f"{i % 3},{i},{i * i % 7},{i % 5},{i % 2}\n" for i in range(12)))
+        code = main(base_args(path) + ["--seed", "1", "--asymptotic"])
+        assert code == EXIT_RUNTIME
+        assert "column 'x1' appears more than once" in capsys.readouterr().err
 
     def test_var_tilde_below_its_floor_runtime_error(self, tmp_path, capsys):
         d = generate(
@@ -155,6 +170,28 @@ class TestCmdTest:
         code = main(base_args(null_csv) + ["--config", str(cfg)])
         assert code == EXIT_OK
         assert capsys.readouterr().out.startswith("statistic itilde")
+
+    @pytest.mark.parametrize(
+        "line, flag, key, want",
+        [("boot = 99", "--asymptotic", "critical_method", "asymptotic"),
+         ("asymptotic = true", "--boot", "B", 29)],
+    )
+    def test_explicit_flag_beats_config_flag_it_excludes(
+        self, null_csv, tmp_path, capsys, line, flag, key, want
+    ):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"{line}\nseed = 99\n")
+        extra = [flag] + (["29"] if flag == "--boot" else [])
+        code = main(base_args(null_csv) + ["--config", str(cfg), *extra, "--json"])
+        assert code in (EXIT_OK, EXIT_REJECT)
+        assert json.loads(capsys.readouterr().out)[key] == want
+
+    def test_explicit_csv_beats_config_json(self, null_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("json = true\nseed = 99\nboot = 29\n")
+        code = main(base_args(null_csv) + ["--config", str(cfg), "--csv"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("schema_version,statistic")
 
     def test_config_values_are_checked_like_flags(self, null_csv, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
@@ -271,6 +308,19 @@ class TestCmdSimulate:
         [cfg] = seen
         assert cfg.cells == grid_cells("continuous", ("null",), (40,), (1,), (0.0,), (2.0,))
         assert cfg.tests == (TEMPLATES["lmp"],)
+
+    def test_explicit_figure_beats_config_grid(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli, "run_experiment", lambda cfg, progress: seen.append(cfg) or ResultTable(rows=())
+        )
+        conf = tmp_path / "e.conf"
+        conf.write_text("family = continuous\nn = 50\n")
+        code = main(["simulate", "--config", str(conf), "--figure", "level-disc", "--reps", "1",
+                     "--boot", "9", "--seed", "1", "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_OK
+        [cfg] = seen
+        assert cfg.cells == figure_design("level-disc")[0]
 
     def test_lv_on_discrete_family_usage_error(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

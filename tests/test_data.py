@@ -36,6 +36,24 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="missing column 'w9'"):
             load_dataset(path, schema)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,w1,x1\n1,2,3\n4,5,6\n")
+        d = load_dataset(path, ColumnSchema(y="y", w=("w1",), x=("x1",)))
+        assert np.array_equal(d.y, [1, 4])
+
+    def test_repeated_named_column_refused(self, tmp_path):
+        path = write(tmp_path, "y,w1,w2,x1,x1\n1,2,3,4,5\n6,7,8,9,10\n")
+        schema = ColumnSchema(y="y", w=("w1", "w2"), x=("x1",))
+        with pytest.raises(DataError, match="column 'x1' appears more than once"):
+            load_dataset(path, schema)
+
+    def test_repeated_unnamed_column_allowed(self, tmp_path):
+        path = write(tmp_path, "y,w1,x1,z,z\n1,2,3,4,5\n6,7,8,9,10\n")
+        d = load_dataset(path, ColumnSchema(y="y", w=("w1",), x=("x1",)))
+        assert np.array_equal(d.x[:, 0], [3, 8])
+
     def test_nan_cell_named(self, tmp_path):
         path = write(tmp_path, "y,w1,x1\n1,2,3\n4,nan,6\n")
         schema = ColumnSchema(y="y", w=("w1",), x=("x1",))
