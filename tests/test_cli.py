@@ -172,17 +172,16 @@ class TestCmdTest:
         assert capsys.readouterr().out.startswith("statistic itilde")
 
     @pytest.mark.parametrize(
-        "line, flag, key, want",
-        [("boot = 99", "--asymptotic", "critical_method", "asymptotic"),
-         ("asymptotic = true", "--boot", "B", 29)],
+        "line, flags, key, want",
+        [("boot = 99", ["--asymptotic"], "critical_method", "asymptotic"),
+         ("asymptotic = true", ["--boot", "29"], "B", 29)],
     )
     def test_explicit_flag_beats_config_flag_it_excludes(
-        self, null_csv, tmp_path, capsys, line, flag, key, want
+        self, null_csv, tmp_path, capsys, line, flags, key, want
     ):
         cfg = tmp_path / "run.conf"
         cfg.write_text(f"{line}\nseed = 99\n")
-        extra = [flag] + (["29"] if flag == "--boot" else [])
-        code = main(base_args(null_csv) + ["--config", str(cfg), *extra, "--json"])
+        code = main(base_args(null_csv) + ["--config", str(cfg), *flags, "--json"])
         assert code in (EXIT_OK, EXIT_REJECT)
         assert json.loads(capsys.readouterr().out)[key] == want
 
