@@ -11,13 +11,13 @@ time, through the same statistic bodies as the observed response, over the
 pair weights it already built.
 
 ``draw_multipliers(n, seed, draws)`` fills a block without building a
-``SeedSequence``, ``PCG64`` and ``Generator`` per draw. It runs the
-``SeedSequence`` pool hash for every b of the block at once in uint32 numpy
-arithmetic, turns each hashed state into the ``PCG64`` start state with two
-128-bit integer steps (as ``pcg64_srandom_r`` does), and sets those states in
-turn into one generator. numpy's RNG policy (NEP 19) keeps these streams
-stable; ``tests/test_bootstrap.py`` checks them against the explicit form.
-A draw index must fit in one 32-bit entropy word, so B <= 2**32.
+``SeedSequence`` per draw. It runs the ``SeedSequence`` pool hash for every b
+of the block at once in uint32 numpy arithmetic, giving the words each
+draw's ``generate_state(4, uint64)`` would return, from which numpy's
+``PCG64`` seeds itself through the ``ISeedSequence`` interface. numpy's RNG
+policy (NEP 19) keeps these streams stable; ``tests/test_bootstrap.py``
+checks them against the explicit form. A draw index must fit in one 32-bit
+entropy word, so B <= 2**32.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtr, ndtri
 
 from .data import Dataset, ScaledDataset, standardize
@@ -138,14 +139,12 @@ class TestResult:
         }
 
 
-# numpy's SeedSequence (pool size 4) and PCG64 seeding constants
+# numpy's SeedSequence constants (pool size 4)
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 _POOL = 4
 _XSHIFT = np.uint32(16)
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +183,9 @@ def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     return value ^ (value >> _XSHIFT)
 
 
-def _start_states(seed: int, b: np.ndarray) -> list:
-    """``[s_hi, s_lo, q_hi, q_lo]`` per draw index: the 128-bit seed and
-    sequence words that ``PCG64(SeedSequence([seed mod 2**64, b]))`` reads
-    from ``generate_state(4, uint64)``."""
+def _start_states(seed: int, b: np.ndarray) -> np.ndarray:
+    """The words ``SeedSequence([seed mod 2**64, b]).generate_state(4,
+    uint64)`` returns, one row per draw index b."""
     word = seed % (1 << 64)
     words = [word & _MASK32] + ([word >> 32] if word >> 32 else [])
     entropy = np.zeros((_POOL, len(b)), dtype=np.uint32)
@@ -201,7 +199,19 @@ def _start_states(seed: int, b: np.ndarray) -> list:
         mixed[src] = pool[src]  # a word is not mixed into itself
         pool = mixed
     state = _hashmix(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MUL)
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").tolist()
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _StartState(ISeedSequence):
+    """Seeds a ``PCG64`` with words ``_start_states`` already derived."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's request for 4 uint64 words is derived")
+        return self.words
 
 
 def draw_multipliers(n: int, seed: int, draws) -> np.ndarray:
@@ -214,16 +224,8 @@ def draw_multipliers(n: int, seed: int, draws) -> np.ndarray:
     if b.size and not (b.min() >= 0 and b.max() < MAX_DRAWS):
         raise ValueError(f"draw indices must be in [0, {MAX_DRAWS})")
     u = np.empty((b.size, n))
-    bitgen = np.random.PCG64(0)  # per call, so concurrent tests share no state
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    for (s_hi, s_lo, q_hi, q_lo), row in zip(_start_states(seed, b), u):
-        # pcg64_srandom_r: inc = 2 q + 1, then two LCG steps from 0, adding s
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        start = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
-        state["state"] = {"state": start, "inc": inc}
-        bitgen.state = state
-        gen.random(out=row)
+    for words, row in zip(_start_states(seed, b), u):
+        np.random.Generator(np.random.PCG64(_StartState(words))).random(out=row)
     return np.where(u < MAMMEN_P_LOW, MAMMEN_LOW, MAMMEN_HIGH)
 
 

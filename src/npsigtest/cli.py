@@ -109,16 +109,19 @@ def _exclusive_groups(parser: argparse.ArgumentParser, command: str, required=Fa
 
 
 def _load_config_args(argv: list[str]) -> list[str]:
-    """Expand `--config FILE` into equivalent flags. A flag given on the
-    command line wins: the config's value of that flag, and of any flag it
-    excludes, is dropped."""
-    if "--config" not in argv:
+    """Expand `--config FILE` (or `--config=FILE`) into equivalent flags. A
+    flag given on the command line wins: the config's value of that flag, and
+    of any flag it excludes, is dropped."""
+    flags = [a.split("=", 1)[0] for a in argv]
+    if "--config" not in flags:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    i = flags.index("--config")
+    if argv[i] != "--config":
+        path, rest = argv[i].split("=", 1)[1], argv[:i] + argv[i + 1 :]
+    elif i + 1 < len(argv):
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
+    else:
         raise DataError("--config requires a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2 :]
     command = rest[0] if rest else ""
     given = {a[2:].split("=", 1)[0] for a in rest[1:] if a.startswith("--")}
     pairs = _EXCLUSIVE.get(command, ())
@@ -127,7 +130,7 @@ def _load_config_args(argv: list[str]) -> list[str]:
     blocked = given.union(*(pair for pair in pairs if given & set(pair)))
     injected: list[str] = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -156,6 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npsigtest",
         description="Kernel significance test for covariates in nonparametric regression",
+        allow_abbrev=False,  # a config flag gives way only to the same flag spelled in full
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -163,6 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "test",
         help="run the test on a CSV dataset",
         description="Column lists are comma-separated.",
+        allow_abbrev=False,
     )
     t.add_argument("--data", required=True, help="CSV file with a header row")
     t.add_argument("--y", required=True, help="response column")
@@ -183,7 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group["json"].add_argument("--json", action="store_true")
     group["csv"].add_argument("--csv", action="store_true")
 
-    s = sub.add_parser("simulate", help="run a Monte Carlo design, write a CSV table")
+    s = sub.add_parser(
+        "simulate", help="run a Monte Carlo design, write a CSV table", allow_abbrev=False
+    )
     group = _exclusive_groups(s, "simulate", required=True)
     group["figure"].add_argument("--figure", choices=FIGURE_TAGS, help="preset design tag")
     group["family"].add_argument("--family", choices=FAMILIES, help="explicit grid: DGP family")
@@ -208,7 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--paper-scale", action="store_true", help="full replication counts")
     s.add_argument("--threads", type=_bounded(int, 0), default=1, help="worker processes")
 
-    c = sub.add_parser("selfcheck", help="oracle, invariance, and multiplier checks")
+    c = sub.add_parser(
+        "selfcheck", help="oracle, invariance, and multiplier checks", allow_abbrev=False
+    )
     c.add_argument("--fast", action="store_true", help="fewer seeds per check")
     return parser
 

@@ -95,12 +95,6 @@ class OracleTables:
         self.L, self.K, self.P = _pair_tables(d, g, h, psi, joint)
         self.h_power = h ** (d.dataset.p_cont + (d.dataset.q if joint else 0))
 
-    def arrangements(self, m: int) -> float:
-        out = 1.0
-        for i in range(m):
-            out *= self.n - i
-        return out
-
 
 def oracle_smoother(d: ScaledDataset, g: float):
     """Scalar-loop leave-one-out estimates: (fhat, rhat, uf)."""
@@ -129,7 +123,7 @@ def oracle_ihat(t: OracleTables) -> float:
         for l in range(n)
         if l != j
     )
-    return math.fsum(terms) / (t.arrangements(2) * (n - 1) ** 2)
+    return math.fsum(terms) / (math.perm(n, 2) * (n - 1) ** 2)
 
 
 def oracle_itilde(t: OracleTables) -> float:
@@ -139,7 +133,7 @@ def oracle_itilde(t: OracleTables) -> float:
         (y[i] - y[k]) * (y[j] - y[l]) * L[i][k] * L[j][l] * K[i][j] * P[i][j]
         for i, j, k, l in permutations(range(n), 4)
     )
-    return math.fsum(terms) / t.arrangements(4)
+    return math.fsum(terms) / math.perm(n, 4)
 
 
 def oracle_diagonal_terms(t: OracleTables) -> tuple[float, float, float]:
@@ -148,15 +142,15 @@ def oracle_diagonal_terms(t: OracleTables) -> tuple[float, float, float]:
     v1 = math.fsum(
         (y[i] - y[k]) * (y[j] - y[k]) * L[i][k] * L[j][k] * K[i][j] * P[i][j]
         for i, j, k in permutations(range(n), 3)
-    ) / t.arrangements(3)
+    ) / math.perm(n, 3)
     v2 = math.fsum(
         (y[i] - y[j]) * (y[j] - y[k]) * L[i][j] * L[j][k] * K[i][j] * P[i][j]
         for i, j, k in permutations(range(n), 3)
-    ) / t.arrangements(3)
+    ) / math.perm(n, 3)
     v3 = math.fsum(
         (y[i] - y[j]) ** 2 * L[i][j] ** 2 * K[i][j] * P[i][j]
         for i, j in permutations(range(n), 2)
-    ) / t.arrangements(2)
+    ) / math.perm(n, 2)
     return v1, v2, v3
 
 
@@ -167,7 +161,7 @@ def oracle_var_hat(t: OracleTables, uf: np.ndarray) -> float:
         uf[i] ** 2 * uf[j] ** 2 * K[i][j] ** 2 * P[i][j] ** 2
         for i, j in permutations(range(n), 2)
     )
-    return 2.0 * t.h_power * total / t.arrangements(2)
+    return 2.0 * t.h_power * total / math.perm(n, 2)
 
 
 def oracle_var_tilde(t: OracleTables) -> float:
@@ -188,7 +182,7 @@ def oracle_var_tilde(t: OracleTables) -> float:
         * P[i][j] ** 2
         for i, j, k, kp, l, lp in permutations(range(n), 6)
     )
-    return 2.0 * t.h_power * math.fsum(terms) / t.arrangements(6)
+    return 2.0 * t.h_power * math.fsum(terms) / math.perm(n, 6)
 
 
 def oracle_var_tilde_nested(t: OracleTables) -> float:
@@ -215,7 +209,7 @@ def oracle_var_tilde_nested(t: OracleTables) -> float:
         for j in range(n)
         if j != i
     )
-    denom = t.arrangements(2) * (n - 2) ** 2 * (n - 3) ** 2
+    denom = math.perm(n, 2) * (n - 2) ** 2 * (n - 3) ** 2
     return 2.0 * t.h_power * total / denom
 
 
@@ -230,13 +224,13 @@ def oracle_decomposition_sides(
     should break it).
     """
     n = t.n
-    lhs = t.arrangements(4) * oracle_itilde(t)
+    lhs = math.perm(n, 4) * oracle_itilde(t)
     v1, v2, v3 = oracle_diagonal_terms(t)
     rhs = (
         n * (n - 1) ** 3 * oracle_ihat(t)
-        - t.arrangements(3) * v1
-        - v2_coefficient * t.arrangements(3) * v2
-        + t.arrangements(2) * v3
+        - math.perm(n, 3) * v1
+        - v2_coefficient * math.perm(n, 3) * v2
+        + math.perm(n, 2) * v3
     )
     return lhs, rhs
 

@@ -19,6 +19,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import math
 import multiprocessing
 import os
@@ -162,23 +163,10 @@ def grid_cells(
     """Cartesian grid in a fixed deterministic order."""
     cells = []
     for alt in alternatives:
-        deltas = [0.0] if alt == "null" else list(delta_grid)
-        for n in n_grid:
-            for q in q_grid:
-                for delta in deltas:
-                    for c in c_grid:
-                        cells.append(
-                            Cell(
-                                dgp=DgpSpec(
-                                    family=family,
-                                    n=int(n),
-                                    q=int(q),
-                                    alternative=alt,
-                                    delta=float(delta),
-                                ),
-                                c=float(c),
-                            )
-                        )
+        deltas = [0.0] if alt == "null" else delta_grid
+        for n, q, delta, c in itertools.product(n_grid, q_grid, deltas, c_grid):
+            dgp = DgpSpec(family=family, n=int(n), q=int(q), alternative=alt, delta=float(delta))
+            cells.append(Cell(dgp=dgp, c=float(c)))
     return tuple(cells)
 
 

@@ -60,13 +60,6 @@ def _dots(a: np.ndarray, b: np.ndarray):
     return np.einsum("...i,...i->...", a, b)
 
 
-def _arrangements(n: int, m: int) -> float:
-    out = 1.0
-    for i in range(m):
-        out *= n - i
-    return out
-
-
 def studentize(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
     """n h^(p_c/2) I_n / omega_n, elementwise; NaN marks a degenerate
     (nonpositive-variance) value."""
@@ -185,13 +178,13 @@ class StatEngine:
 
     def ihat(self, uf: np.ndarray):
         """``ihat`` of a residual vector uf, or of each row of uf."""
-        return _dots(uf, uf @ self.M) / _arrangements(self.n, 2)
+        return _dots(uf, uf @ self.M) / float(math.perm(self.n, 2))
 
     def var_hat(self, uf: np.ndarray):
         """``var_hat`` of a residual vector uf, or of each row of uf."""
         uf2 = uf * uf
         total = _dots(uf2, uf2 @ self.M2)
-        return 2.0 * self.h_power * total / _arrangements(self.n, 2)
+        return 2.0 * self.h_power * total / float(math.perm(self.n, 2))
 
     def _diff(self, y: np.ndarray) -> np.ndarray:
         return (y[:, None] - y[None, :]) * self.L
@@ -225,11 +218,11 @@ class StatEngine:
         self._require_n(ITILDE_MIN_N, "itilde")
         if y.ndim == 1:
             full, s1, s2, s3 = self._arrangement_sums(y)
-            return (full - s1 - 2.0 * s2 + s3) / _arrangements(self.n, 4)
+            return (full - s1 - 2.0 * s2 + s3) / float(math.perm(self.n, 4))
         if self._T is None:
             self._T = itilde_operator(self.L, self.M)
         y = centred(y, self.row_sum)
-        return _dots(y, y @ self._T) / _arrangements(self.n, 4)
+        return _dots(y, y @ self._T) / float(math.perm(self.n, 4))
 
     def var_tilde(self, y: np.ndarray):
         """Six-index studentizer via nested distinctness, of a response
@@ -254,7 +247,7 @@ class StatEngine:
         A = s * s - Q
         A[..., np.count_nonzero(self.L, axis=1) < 2] = 0.0
         total = _dots(A, A @ self.M2)
-        denom = _arrangements(n, 2) * (n - 2) ** 2 * (n - 3) ** 2
+        denom = float(math.perm(n, 2)) * (n - 2) ** 2 * (n - 3) ** 2
         return 2.0 * self.h_power * total / denom
 
 

@@ -229,3 +229,49 @@ def test_criterion_8_simulate_determinism(tmp_path):
         "simulate determinism",
         f"byte-identical CSVs across 1/4/8 workers, {elapsed:.0f}s",
     )
+
+
+def test_criterion_9_dimension_of_x():
+    # lmp smooths only in w, so its rate depends on the dimension of w alone;
+    # lv smooths jointly in (w, x) and at q=5 runs out of neighbours, which is
+    # the paper's point. Bounds calibrated once on master seeds 101, 202, ...,
+    # 808 (lmp 0.92-0.975 at q=1 and 0.545-0.625 at q=5, lv 0.72-0.825 at
+    # q=1, 196-199 of 200 lv failures at q=5) and frozen
+    reps = 200
+    t0 = time.perf_counter()
+    cells = tuple(
+        Cell(
+            dgp=DgpSpec(family="continuous", n=100, q=q, alternative="quadratic", delta=2.4),
+            c=2.0,
+        )
+        for q in (1, 5)
+    )
+    cfg = ExperimentConfig(
+        cells=cells,
+        tests=(
+            TestTemplate(name="lmp", statistic="itilde", psi="normal"),
+            TestTemplate(name="lv", statistic="lv"),
+        ),
+        replications=reps,
+        master_seed=909,
+        alpha=0.10,
+        B=99,
+        workers=WORKERS,
+    )
+    table = run_experiment(cfg)
+    elapsed = time.perf_counter() - t0
+    lmp1, lmp5 = (table.rate_of("lmp", q=q) for q in (1, 5))
+    lv1, lv5 = (table.rate_of("lv", q=q) for q in (1, 5))
+    assert lmp1.failures == lmp5.failures == lv1.failures == 0
+    assert lmp1.reject_rate >= 0.85, f"lmp power {lmp1.reject_rate:.3f} at q=1"
+    assert lv1.reject_rate >= 0.6, f"lv power {lv1.reject_rate:.3f} at q=1"
+    assert 0.45 <= lmp5.reject_rate <= 0.75, f"lmp power {lmp5.reject_rate:.3f} at q=5"
+    assert lv5.failures >= 0.95 * reps, f"lv failed only {lv5.failures} of {reps} at q=5"
+    assert elapsed < 10.0, f"criterion 9 took {elapsed:.1f}s (budget 10s)"
+    report(
+        9,
+        "dimension of x",
+        f"lmp {lmp1.reject_rate:.3f} -> {lmp5.reject_rate:.3f} from q=1 to q=5; "
+        f"lv {lv1.reject_rate:.3f} at q=1, {lv5.failures} of {reps} failed at q=5, "
+        f"{elapsed:.1f}s",
+    )

@@ -92,6 +92,18 @@ class TestMultiplierStreams:
         want = np.stack([explicit_multipliers(sd.n, 9, b) for b in range(B)])
         assert np.array_equal(np.concatenate([eta for _, eta in calls]), want)
 
+    def test_start_states_are_the_seed_sequence_words(self):
+        seed, b = 2**63 + 1, np.array([0, 1, DRAW_BLOCK, MAX_DRAWS - 1])
+        words = bootstrap._start_states(seed, b)
+        assert words.dtype == np.uint64
+        for row, bi in zip(words, b):
+            want = np.random.SeedSequence([seed, int(bi)]).generate_state(4, np.uint64)
+            assert np.array_equal(row, want)
+        state = bootstrap._StartState(words[0])
+        for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+            with pytest.raises(ValueError, match="4 uint64 words"):
+                state.generate_state(n_words, dtype)
+
     def test_draw_index_beyond_one_word_refused(self):
         with pytest.raises(ValueError, match="draw indices"):
             draw_multipliers(3, 0, range(MAX_DRAWS - 1, MAX_DRAWS + 1))

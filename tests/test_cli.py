@@ -192,6 +192,28 @@ class TestCmdTest:
         assert code == EXIT_OK
         assert capsys.readouterr().out.startswith("schema_version,statistic")
 
+    @pytest.mark.parametrize("config", ["", "boot = 29\n"])
+    def test_abbreviated_flag_usage_error(self, null_csv, tmp_path, capsys, config):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(config)
+        code = main(base_args(null_csv) + ["--config", str(cfg), "--seed", "1", "--asym"])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --asym" in capsys.readouterr().err
+
+    def test_config_with_byte_order_mark(self, null_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("seed = 99\nboot = 29\njson = true\n", encoding="utf-8-sig")
+        code = main(base_args(null_csv) + ["--config", str(cfg)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["seed"] == 99
+
+    def test_config_equals_file(self, null_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("seed = 99\nboot = 29\njson = true\n")
+        code = main(base_args(null_csv) + [f"--config={cfg}"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["B"] == 29
+
     def test_config_values_are_checked_like_flags(self, null_csv, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
         cfg.write_text("boot = 0\n")
