@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import ndtr, ndtri
 
 from .data import Dataset, ScaledDataset, standardize
 from .kernels import PSI_FAMILIES, Bandwidths
@@ -248,12 +248,25 @@ def _quantile_rank(alpha: float, b: int) -> int:
     return min(max(int(math.ceil((1.0 - alpha) * (b + 1))), 1), b)
 
 
-def _engine(d: ScaledDataset, sm: SmootherOutput, cfg: TestConfig):
-    """The pair-weight engine of the configured statistic."""
+def _engine_key(cfg: TestConfig) -> tuple:
+    """What the pair-weight engine of a test depends on besides the sample."""
     if cfg.statistic == "dgm":
-        return CvmEngine(d)
-    mode = "joint" if cfg.statistic == "lv" else "psi"
-    return StatEngine(d, sm, cfg.bandwidths.h, cfg.psi, mode=mode)
+        return ("dgm",)
+    if cfg.statistic == "lv":
+        return ("joint", cfg.bandwidths.h)
+    return ("psi", cfg.bandwidths.h, cfg.psi)
+
+
+def _engine(d: ScaledDataset, sm: SmootherOutput, cfg: TestConfig):
+    """The pair-weight engine of the configured statistic, built once per
+    smoothed sample and kept in ``sm.cache``."""
+    key = _engine_key(cfg)
+    if key not in sm.cache:
+        if key[0] == "dgm":
+            sm.cache[key] = CvmEngine(d)
+        else:
+            sm.cache[key] = StatEngine(d, sm, cfg.bandwidths.h, cfg.psi, mode=key[0])
+    return sm.cache[key]
 
 
 def _evaluate(eng, cfg: TestConfig, y: np.ndarray, uf: np.ndarray):
@@ -299,10 +312,17 @@ def run_test(d: Dataset, cfg: TestConfig) -> TestResult:
 
 def decide_scaled(sd: ScaledDataset, sm: SmootherOutput, cfg: TestConfig) -> TestResult:
     """Decision step on an already standardized and smoothed sample, so a
-    Monte Carlo replication can share one smoother across several tests."""
+    Monte Carlo replication can share one smoother across several tests.
+
+    The engine and the observed statistic are kept in ``sm.cache``, so
+    tests that differ only in their critical value or seed share them.
+    """
     eng = _engine(sd, sm, cfg)
     y = sd.dataset.y
-    raw, omega2, t, fallback = _evaluate(eng, cfg, y, sm.uf)
+    observed = _engine_key(cfg) + (cfg.statistic, cfg.variance)
+    if observed not in sm.cache:
+        sm.cache[observed] = _evaluate(eng, cfg, y, sm.uf)
+    raw, omega2, t, fallback = sm.cache[observed]
     if np.isnan(t):
         cause = "observed" if np.any(sm.fhat > 0.0) else "no_support"
         raise DegenerateStatisticError("test degenerate at this bandwidth", cause=cause)
@@ -311,8 +331,8 @@ def decide_scaled(sd: ScaledDataset, sm: SmootherOutput, cfg: TestConfig) -> Tes
 
     draws = None
     if cfg.critical == "asymptotic":
-        critical = float(ndtri(1.0 - cfg.alpha))
-        p_value = float(ndtr(-t))
+        critical = NormalDist().inv_cdf(1.0 - cfg.alpha)
+        p_value = 0.5 * math.erfc(t / math.sqrt(2.0))
     else:
         t_draws, fallback_draws = _draw_statistics(eng, sm, y, cfg)
         degenerate = np.isnan(t_draws)

@@ -177,6 +177,32 @@ class ColumnSchema:
         )
 
 
+def _parse_column(cells: list[str]) -> tuple[np.ndarray, tuple[int, str | None] | None]:
+    """The cells as floats, parsed as ``float(cell)`` parses them, and the
+    first cell that is not a finite number as (row, the stripped cell if it
+    is not a number at all, else None), or None if there is none.
+
+    numpy converts the whole column at once; only a column it refuses, or
+    that holds a non-finite value, is read again cell by cell.
+    """
+    try:
+        col = np.array(cells, dtype=float)
+        if np.isfinite(col).all():
+            return col, None
+    except ValueError:
+        col = np.empty(len(cells))
+    for r, raw in enumerate(cells):
+        cell = raw.strip()
+        try:
+            v = float(cell)
+        except ValueError:
+            return col, (r, cell)
+        if math.isnan(v) or math.isinf(v):
+            return col, (r, None)
+        col[r] = v
+    return col, None
+
+
 def load_dataset(path: str | Path, schema: ColumnSchema) -> Dataset:
     """Read a delimited numeric table with a header row into a Dataset.
 
@@ -192,7 +218,7 @@ def load_dataset(path: str | Path, schema: ColumnSchema) -> Dataset:
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             header = [c.strip() for c in header]
-            rows = [row for row in reader if row and any(c.strip() for c in row)]
+            rows = [row for row in reader if "".join(row).strip()]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -206,25 +232,25 @@ def load_dataset(path: str | Path, schema: ColumnSchema) -> Dataset:
         positions[name] = header.index(name)
 
     n = len(rows)
-    values = {name: np.empty(n) for name in wanted}
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {r + 1} has {len(row)} fields, header has {len(header)}"
-            )
-        for name in wanted:
-            cell = row[positions[name]].strip()
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell at row {r + 1}, column '{name}': {cell!r}"
-                ) from None
-            if math.isnan(v) or math.isinf(v):
-                raise DataError(
-                    f"{path}: non-finite value at row {r + 1}, column '{name}'"
-                )
-            values[name][r] = v
+    # the first row whose field count is wrong; cells after it are not read
+    short = next((r for r, row in enumerate(rows) if len(row) != len(header)), n)
+    values, errors = {}, []
+    for c, name in enumerate(wanted):
+        cells = [row[positions[name]] for row in rows[:short]]
+        values[name], bad = _parse_column(cells)
+        if bad is not None:
+            r, cell = bad
+            if cell is None:
+                message = f"{path}: non-finite value at row {r + 1}, column '{name}'"
+            else:
+                message = f"{path}: non-numeric cell at row {r + 1}, column '{name}': {cell!r}"
+            errors.append((r, c, message))
+    if errors:
+        raise DataError(min(errors)[2])
+    if short < n:
+        raise DataError(
+            f"{path}: row {short + 1} has {len(rows[short])} fields, header has {len(header)}"
+        )
 
     w = np.column_stack([values[c] for c in schema.w]) if schema.w else np.empty((n, 0))
     if schema.x:

@@ -9,10 +9,18 @@ psi is a name from ``PSI_FAMILIES``: ``triangular`` and ``normal`` are bounded
 even densities (unit second moment) applied to the norm of the difference;
 ``indicator`` is the all-coordinates-equal indicator for discrete covariates.
 
-The kernels here are n-by-n matrix builders. The scalar kernel at one
-difference vector is written out independently in ``oracles``, which shares
-no code with these builders, so the oracle tests check every kernel value
-as well as every sum.
+The kernel in w has compact support and a bandwidth that shrinks with n, so
+each observation has few neighbours. The builders here therefore return
+``PairWeights``: the (row, column, value) lists of the nonzero pair weights.
+``mixed_kernel_matrix`` finds the pairs inside the support by sorting on the
+first continuous w column, and ``psi_matrix`` and ``joint_x_kernel_matrix``
+weigh only those pairs. Every value is computed by the same elementwise
+formula a dense n-by-n build would use, so ``PairWeights.dense`` is equal to
+it entry for entry.
+
+The scalar kernel at one difference vector is written out independently in
+``oracles``, which shares no code with these builders, so the oracle tests
+check every kernel value as well as every sum.
 """
 
 from __future__ import annotations
@@ -26,6 +34,19 @@ SQRT6 = math.sqrt(6.0)
 _NORMAL_C = 1.0 / math.sqrt(2.0 * math.pi)
 
 PSI_FAMILIES = ("triangular", "normal", "indicator")
+
+# candidate pairs (or triples) handled at once; bounds the work arrays
+_CHUNK = 1 << 18
+
+# rows of W per dense product in PairWeights.triple_rows; bounds its work
+# arrays at two blocks of this many rows besides the one dense matrix A
+_DENSE_ROWS = 256
+
+# PairWeights.triple_rows sums over lists while it has at most
+# n^2 / _TERMS_PER_N2 terms, else densely: on one core a list term cost
+# about 80 ns, and the dense form about 5-10 ns per entry of its n-by-n
+# scatter besides its banded products (n = 50 to 2000, c = 0.5 to 8)
+_TERMS_PER_N2 = 10
 
 
 @dataclass(frozen=True)
@@ -64,49 +85,245 @@ def psi_profile(psi: str, t):
     raise ValueError(f"psi family {psi!r} has no density profile")
 
 
-# ---------------------------------------------------------------------------
-# Vectorized pairwise builders. These produce the n-by-n weight matrices the
-# statistics reuse across bootstrap replications.
-# ---------------------------------------------------------------------------
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(s, s + c) over the pairs (s, c)."""
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
-def _sq_dists(a: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between every pair of rows of a."""
-    diff = a[:, None, :] - a[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _chunks(counts: np.ndarray):
+    """Slices of consecutive entries whose counts add up to about _CHUNK."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        stop = int(np.searchsorted(ends, ends[start] - counts[start] + _CHUNK, side="right"))
+        stop = max(stop, start + 1)
+        yield slice(start, stop)
+        start = stop
 
 
-def _disc_equal(a: np.ndarray) -> np.ndarray:
-    """1.0 where all discrete coordinates of two rows agree exactly, else 0.0."""
-    eq = a[:, None, :] == a[None, :, :]
-    return eq.all(axis=2).astype(float)
+def _rank(order: np.ndarray) -> np.ndarray:
+    """The place of each observation in ``order``."""
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank
 
 
-def mixed_kernel_matrix(cont: np.ndarray, disc: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Full pairwise mixed-kernel matrix with a zeroed diagonal."""
+class PairWeights:
+    """A symmetric n-by-n matrix of pair weights with a zero diagonal, held
+    as the lists of its nonzero entries: ``rows``, ``cols`` and ``values``,
+    with (i, j) and (j, i) both listed. ``order`` lists the observations so
+    that each one's neighbours are close to it (the builders' sort), and
+    ``rank`` is each observation's place in it. The entries are sorted by
+    row, and within a row by the rank of the column.
+
+    A product with one vector is a gather and an ``np.bincount`` over the
+    lists, so it costs O(entries). A product with a block of rows, one
+    bootstrap draw per row, goes through the dense matrix instead: it is
+    scattered from the lists on first use and kept, and a block is then one
+    BLAS product with the sums of a dense build. Which form a sum takes is
+    decided here and nowhere else.
+    """
+
+    def __init__(self, n: int, rows, cols, values, order):
+        self.n = n
+        self.rows = rows
+        self.cols = cols
+        self.values = values
+        self.order = order
+        self.rank = _rank(order)
+        self._keys = None
+        self._dense = None
+        self._row_sums = None
+        self._dense_row_sums = None
+
+    def with_values(self, values: np.ndarray) -> PairWeights:
+        """Weights with the same entries and new values, one per entry."""
+        out = PairWeights(self.n, self.rows, self.cols, values, self.order)
+        out._keys = self._keys
+        return out
+
+    def squared(self) -> PairWeights:
+        """The elementwise square W∘W."""
+        return self.with_values(self.values * self.values)
+
+    @property
+    def degree(self) -> np.ndarray:
+        """Number of nonzero entries of each row."""
+        return np.bincount(self.rows, minlength=self.n)
+
+    def dense(self) -> np.ndarray:
+        """The n-by-n matrix, scattered on first use and kept."""
+        if self._dense is None:
+            self._dense = np.zeros((self.n, self.n))
+            self._dense[self.rows, self.cols] = self.values
+        return self._dense
+
+    def sums(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W 1, W y) for a vector y, or (W 1, y W) for a block of rows, the
+        row sums taken the same way as the product."""
+        if y.ndim == 1:
+            if self._row_sums is None:
+                self._row_sums = np.bincount(self.rows, self.values, self.n)
+            return self._row_sums, np.bincount(self.rows, self.values * y[self.cols], self.n)
+        dense = self.dense()
+        if self._dense_row_sums is None:
+            self._dense_row_sums = dense.sum(axis=1)
+        return self._dense_row_sums, y @ dense
+
+    def product(self, y: np.ndarray) -> np.ndarray:
+        """W y for a vector y, or y W for a block of rows."""
+        return self.sums(y)[1]
+
+    def values_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The value of each entry (rows, cols), 0 where there is none."""
+        if self._keys is None:
+            self._keys = self.rows * self.n + self.rank[self.cols]
+        out = np.zeros(len(rows))
+        if len(self._keys):
+            keys = rows * self.n + self.rank[cols]
+            at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+            found = self._keys[at] == keys
+            out[found] = self.values[at[found]]
+        return out
+
+    def triple_rows(self, a: PairWeights) -> np.ndarray:
+        """Row sums of W∘(A Aᵀ), or of A∘(W A), which have the same total:
+        sum_{j,k} W_ij A_ik A_jk, where ``a`` has the entries of a symmetric
+        pair-weight matrix but may hold any values.
+
+        Over the lists this enumerates, for each entry (i, j) of W, the
+        entries (i, k) of A and looks (j, k) up in A. When that count, the
+        sum over i of deg_W(i) deg_A(i), would cost more than the dense form
+        (``_dense_triple_rows``), the sum is taken densely instead.
+        """
+        n = self.n
+        counts = a.degree[self.rows]
+        if counts.sum() * _TERMS_PER_N2 > n**2:
+            return self._dense_triple_rows(a)
+        starts = (np.cumsum(a.degree) - a.degree)[self.rows]
+        out = np.zeros(n)
+        for part in _chunks(counts):
+            count = counts[part]
+            entry = np.repeat(np.arange(part.start, part.stop), count)
+            ik = _ranges(starts[part], count)
+            terms = self.values[entry] * a.values[ik] * a.values_at(self.cols[entry], a.cols[ik])
+            out += np.bincount(self.rows[entry], terms, n)
+        return out
+
+    def _dense_triple_rows(self, a: PairWeights) -> np.ndarray:
+        """Row sums of A∘(W A), in a permuted row order.
+
+        The observations are renumbered in ``order``, where each one's
+        neighbours are close to it, and A is scattered into one dense
+        matrix. W is scattered ``_DENSE_ROWS`` rows at a time, and each
+        block's product spans only the columns its rows reach: with discrete
+        w columns, about one discrete group.
+        """
+        n, rank, degree = self.n, self.rank, self.degree
+        dense_a = np.zeros((n, n))
+        dense_a[rank[a.rows], rank[a.cols]] = a.values
+        starts = np.cumsum(degree) - degree
+        out = np.zeros(n)
+        for lo in range(0, n, _DENSE_ROWS):
+            hi = min(lo + _DENSE_ROWS, n)
+            # W's entries in rows order[lo:hi], with the rows renumbered
+            block_rows = self.order[lo:hi]
+            entries = _ranges(starts[block_rows], degree[block_rows])
+            reached = np.flatnonzero(dense_a[lo:hi].any(axis=0))
+            if not entries.size or not reached.size:
+                continue
+            cols = rank[self.cols[entries]]
+            j0, j1 = cols.min(), cols.max() + 1
+            k0, k1 = reached[0], reached[-1] + 1
+            block = np.zeros((hi - lo, j1 - j0))
+            block[rank[self.rows[entries]] - lo, cols - j0] = self.values[entries]
+            out[lo:hi] = np.einsum("ij,ij->i", dense_a[lo:hi, k0:k1], block @ dense_a[j0:j1, k0:k1])
+        return out
+
+
+def _disc_equal(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """True where all discrete coordinates of rows i and j agree exactly."""
+    return (a[i] == a[j]).all(axis=1)
+
+
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row."""
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def mixed_kernel_matrix(cont: np.ndarray, disc: np.ndarray, bandwidth: float) -> PairWeights:
+    """Pair weights h^(-p_c) K((w_i - w_j)/h) times the discrete-equality
+    indicator, for i != j.
+
+    The observations are sorted by their discrete columns and then by the
+    first continuous column (if any). For each observation only those in
+    its discrete group whose first coordinate lies within a window slightly
+    wider than the bandwidth are tested, ``_CHUNK`` candidates at a time,
+    with the dense formula: squared distance / (h * h) < 1 and equal
+    discrete columns.
+    """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    s = _sq_dists(cont) / (bandwidth * bandwidth)
-    m = _epanechnikov_of_sqnorm(s) * bandwidth ** (-cont.shape[1])
+    n, p_c = cont.shape
+    first = cont[:, 0] if p_c else np.zeros(n)
+    # complex numbers order by real part, then imaginary part
+    key = np.zeros(n, dtype=complex)
     if disc.shape[1]:
-        m = m * _disc_equal(disc)
-    np.fill_diagonal(m, 0.0)
-    return m
+        key.real = np.unique(disc, axis=0, return_inverse=True)[1].reshape(-1)
+    key.imag = first
+    order = np.argsort(key)
+    key = key[order]
+    # wide enough that rounding in the distance never drops a pair inside
+    # the support; the exact test below removes any extra candidate
+    reach = 1j * (bandwidth * (1.0 + 1e-9) + 1e-12 * float(np.abs(first).max(initial=0.0)))
+    lo = np.searchsorted(key, key - reach, side="left")
+    counts = np.searchsorted(key, key + reach, side="right") - lo
+    rank = _rank(order)
+    starts, counts = lo[rank], counts[rank]
+    scale = bandwidth ** (-p_c)
+    found = []
+    for part in _chunks(counts):
+        i = np.repeat(np.arange(part.start, part.stop), counts[part])
+        b = _ranges(starts[part], counts[part])
+        j = order[b]
+        sq = _sq_norms(cont[i] - cont[j]) / (bandwidth * bandwidth)
+        keep = (sq < 1.0) & _disc_equal(disc, i, j) & (i != j)
+        found.append((i[keep], j[keep], b[keep], _epanechnikov_of_sqnorm(sq[keep]) * scale))
+    i, j, b, values = (np.concatenate(v) for v in zip(*found))
+    pairs = PairWeights(n, i, j, values, order)
+    # the entries come out by row, and within a row by rank: sorted keys
+    pairs._keys = i * n + b
+    return pairs
 
 
-def psi_matrix(psi: str, x: np.ndarray) -> np.ndarray:
-    """Full pairwise psi-weight matrix over the covariates under test."""
+def _nonzero(pairs: PairWeights, values: np.ndarray) -> PairWeights:
+    """The entries of ``pairs`` at which ``values`` is nonzero, with those
+    values."""
+    keep = values != 0.0
+    return PairWeights(pairs.n, pairs.rows[keep], pairs.cols[keep], values[keep], pairs.order)
+
+
+def psi_matrix(psi: str, x: np.ndarray, pairs: PairWeights) -> PairWeights:
+    """The pair weights ``pairs`` times psi of the x difference, evaluated on
+    their entries only."""
     if psi not in PSI_FAMILIES:
         raise ValueError(f"unknown psi family {psi!r}")
+    i, j = pairs.rows, pairs.cols
     if psi == "indicator":
-        return _disc_equal(x)
-    return psi_profile(psi, np.sqrt(_sq_dists(x)))
+        weight = _disc_equal(x, i, j).astype(float)
+    else:
+        weight = psi_profile(psi, np.sqrt(_sq_norms(x[i] - x[j])))
+    return _nonzero(pairs, pairs.values * weight)
 
 
-def joint_x_kernel_matrix(x: np.ndarray, bandwidth: float) -> np.ndarray:
-    """h^(-q) K((x_i - x_j)/h) pairwise; identically 1 when x is empty."""
-    n = x.shape[0]
+def joint_x_kernel_matrix(x: np.ndarray, bandwidth: float, pairs: PairWeights) -> PairWeights:
+    """The pair weights ``pairs`` times h^(-q) K((x_i - x_j)/h), evaluated on
+    their entries only; ``pairs`` itself when x is empty."""
     if x.shape[1] == 0:
-        return np.ones((n, n))
-    s = _sq_dists(x) / (bandwidth * bandwidth)
-    return _epanechnikov_of_sqnorm(s) * bandwidth ** (-x.shape[1])
+        return pairs
+    i, j = pairs.rows, pairs.cols
+    s = _sq_norms(x[i] - x[j]) / (bandwidth * bandwidth)
+    weight = _epanechnikov_of_sqnorm(s) * bandwidth ** (-x.shape[1])
+    return _nonzero(pairs, pairs.values * weight)

@@ -8,19 +8,24 @@ For each observation i the smoother produces, using every other observation:
   as sum_k L_ik (y_i - y_k) / (n - 1) so it stays finite (zero) even where
   fhat is 0.
 
-The pairwise kernel matrix is kept so the statistics and the bootstrap can
-reuse it. Every test holds a few n-by-n float64 matrices in memory at once,
-so samples are limited to ``MAX_OBSERVATIONS`` rows.
+The kernel weights L are kept as ``PairWeights`` lists so the statistics and
+the bootstrap can reuse them; ``fhat`` and ``uf`` are sums over the lists.
+``rhat`` is read only by the bootstrap's resample, which scatters the dense
+matrix anyway, so it is formed from the dense matrix on first use: the
+resampled responses are exactly those of a dense build. A bootstrap test
+holds a few n-by-n float64 matrices in memory at once, so samples are
+limited to ``MAX_OBSERVATIONS`` rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .data import ScaledDataset
-from .kernels import mixed_kernel_matrix
+from .kernels import PairWeights, mixed_kernel_matrix
 
 # leave-one-out smoothing needs at least two other observations
 MIN_OBSERVATIONS = 3
@@ -30,16 +35,31 @@ MAX_OBSERVATIONS = 4000
 
 @dataclass(frozen=True)
 class SmootherOutput:
-    """Per-observation leave-one-out quantities plus the reusable kernel matrix.
+    """Per-observation leave-one-out quantities plus the reusable kernel
+    weights of the response ``y``.
 
-    ``rhat`` is NaN where the local density is 0; consumers that divide by
-    anything must check ``fhat > 0`` first.
+    ``cache`` holds what the bootstrap builds on this sample (the
+    pair-weight engines and their observed statistics), so the tests of one
+    Monte Carlo replication share them; they live as long as this object.
     """
 
     fhat: np.ndarray
-    rhat: np.ndarray
     uf: np.ndarray
-    pairwise: np.ndarray
+    pairwise: PairWeights
+    y: np.ndarray
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def rhat(self) -> np.ndarray:
+        """Local regression of y on w, NaN where the local density is 0:
+        consumers that divide by anything must check ``fhat > 0`` first."""
+        dense = self.pairwise.dense()
+        row_sum = dense.sum(axis=1)
+        y_sum = dense @ self.y
+        rhat = np.full(len(self.y), np.nan)
+        pos = row_sum > 0.0
+        rhat[pos] = y_sum[pos] / row_sum[pos]
+        return rhat
 
 
 def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
@@ -48,9 +68,9 @@ def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
     if n < MIN_OBSERVATIONS:
         raise ValueError(f"leave-one-out smoothing needs n >= {MIN_OBSERVATIONS}")
     if n > MAX_OBSERVATIONS:
-        # a test's measured peak: about this many n-by-n float64 matrices,
-        # more while the pairwise difference tensor of many columns is built
-        held = max(6, d.dataset.p_cont + 2, d.dataset.q + 3)
+        # a bootstrap test's measured peak (tracemalloc, n = 400 to 1500):
+        # about this many n-by-n float64 matrices, whatever the columns
+        held = 6
         mb = 8 * n * n / 2**20
         raise ValueError(
             f"{n} observations exceed the limit of {MAX_OBSERVATIONS}: the test "
@@ -64,33 +84,26 @@ def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
     cont, disc = d.dataset.w_split()
 
     pair = mixed_kernel_matrix(cont, disc, g)
-    row_sum = pair.sum(axis=1)
-    y_sum = pair @ y
+    row_sum, _ = pair.sums(y)
     uf = recompute_uf(pair, y)
-
-    fhat = row_sum / (n - 1)
-    rhat = np.full(n, np.nan)
-    pos = row_sum > 0.0
-    rhat[pos] = y_sum[pos] / row_sum[pos]
-    return SmootherOutput(fhat=fhat, rhat=rhat, uf=uf, pairwise=pair)
+    return SmootherOutput(fhat=row_sum / (n - 1), uf=uf, pairwise=pair, y=y)
 
 
-def recompute_uf(pairwise: np.ndarray, y: np.ndarray) -> np.ndarray:
+def recompute_uf(pairwise: PairWeights, y: np.ndarray) -> np.ndarray:
     """Leave-one-out weighted residuals of a response vector, or of each row
-    of a block of responses, reusing a stored pairwise kernel matrix.
+    of a block of responses, reusing stored kernel weights.
 
     The response is centred first (``centred``), so a constant response
-    yields exact zeros rather than cancellation residue. ``y @ pairwise``
-    is the row-sum product ``pairwise @ y`` because the matrix is symmetric.
+    yields exact zeros rather than cancellation residue.
     """
-    row_sum = pairwise.sum(axis=1)
-    y = centred(y, row_sum)
-    return (y * row_sum - y @ pairwise) / (pairwise.shape[0] - 1)
+    y = centred(y, pairwise)
+    row_sum, product = pairwise.sums(y)
+    return (y * row_sum - product) / (pairwise.n - 1)
 
 
-def centred(y: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
+def centred(y: np.ndarray, pairwise: PairWeights) -> np.ndarray:
     """y, or each row of y, less its value at the first observation with a
-    neighbour (a positive kernel row sum).
+    neighbour (a nonzero kernel row).
 
     Every statistic depends on the response only through differences
     y_i - y_k of neighbours, so the shift changes none of them in exact
@@ -98,5 +111,5 @@ def centred(y: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
     of an isolated observation, whose kernel row and column vanish, enters
     no sum at all.
     """
-    centre = int(np.argmax(row_sum > 0.0))
+    centre = int(np.argmax(pairwise.degree > 0))
     return y - y[..., centre, None]

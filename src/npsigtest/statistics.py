@@ -1,4 +1,4 @@
-"""Test statistics over pairwise kernel weights.
+"""Test statistics over pair weights.
 
 The main statistic is a second-order arrangement average of density-weighted
 leave-one-out residual products, taken over pairs (``StatEngine.ihat``) or
@@ -9,16 +9,18 @@ jointly-smoothed variant (``StatEngine`` in ``joint`` mode), a Cramer-von-Mises
 functional of the marked residual process (``CvmEngine``), and an F-test
 against a linear specification (``fisher_test``).
 
-Everything here is organized around matrices of pairwise weights, and every
-statistic is a quadratic form in the response. Each statistic has one body
-that takes either one response (or residual) vector or a block of them, one
-per row, so the observed data and the wild-bootstrap draws go through the
-same code; the sums are plain BLAS sums. Only ``itilde`` has two forms: a
-vector is evaluated directly, with row partial sums combined by exact
-compensated summation, and a block through one operator ``T`` built per
-engine with four n^3 products (``itilde_operator``), after which each row
-costs O(n^2). The brute-force oracles pin both shapes at 1e-10 relative for
-n = 6, 8 and 10.
+Every statistic is a quadratic form in the response, over the kernel weights
+L and the test weights M = K_h(w)∘psi, which ``kernels.PairWeights`` holds as
+lists of their few nonzero entries. Each statistic has one body that takes
+either one response (or residual) vector or a block of them, one per row, so
+the observed data and the wild-bootstrap draws go through the same code: a
+vector is summed over the lists, a block by BLAS products with the dense
+matrices, which ``PairWeights`` scatters on first use. Only ``itilde`` has
+two forms: a vector is evaluated directly over the lists, with row partial
+sums combined by exact compensated summation, and a block through one
+operator ``T`` built per engine with four n^3 products
+(``itilde_operator``), after which each row costs O(n^2). The brute-force
+oracles pin both shapes at 1e-10 relative for n = 6, 8 and 10.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import fdtri
 
 from .data import ColumnKind, ScaledDataset
 from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
@@ -128,16 +129,18 @@ def itilde_operator(L: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 class StatEngine:
-    """Pairwise-weight workspace for repeated statistic evaluation.
+    """Pair-weight workspace for repeated statistic evaluation.
 
-    Builds the test-kernel matrix once (product of the w kernel at bandwidth
-    h and either the psi weight or, in ``joint`` mode, an x kernel at the
-    same bandwidth) and evaluates every statistic for an arbitrary response
-    vector, or for each row of a block of them. ``itilde`` builds
-    ``itilde_operator`` on first use with a block, so a test without a
-    bootstrap never does. The four-distinct-index ``itilde`` needs n >= 5
-    and the six-index ``var_tilde`` n >= 7; both raise ``ValueError`` below
-    their floor.
+    Builds the test weights M once (the w kernel at bandwidth h times either
+    the psi weight or, in ``joint`` mode, an x kernel at the same
+    bandwidth), on the pairs inside the w kernel's support only, and
+    evaluates every statistic for an arbitrary response vector, or for each
+    row of a block of them. ``itilde`` builds ``itilde_operator`` on first
+    use with a block, so a test without a bootstrap never does, and never
+    holds an n-by-n matrix unless ``PairWeights.triple_rows`` finds one
+    product cheaper than its lists. The four-distinct-index ``itilde`` needs
+    n >= 5 and the six-index ``var_tilde`` n >= 7; both raise ``ValueError``
+    below their floor.
     """
 
     def __init__(
@@ -153,22 +156,19 @@ class StatEngine:
         ds = d.dataset
         self.n = ds.n
         self.L = sm.pairwise
-        self.row_sum = self.L.sum(axis=1)
         w_cont, w_disc = ds.w_split()
+        if mode not in ("psi", "joint"):
+            raise ValueError(f"unknown engine mode {mode!r}")
+        if mode == "joint" and any(k is not ColumnKind.CONTINUOUS for k in ds.x_kinds):
+            raise ValueError("LV requires continuous X")
         kmat = mixed_kernel_matrix(w_cont, w_disc, h)
         if mode == "psi":
-            pmat = psi_matrix(psi, ds.x)
+            self.M = psi_matrix(psi, ds.x, kmat)
             self.rate_dim = ds.p_cont
-        elif mode == "joint":
-            if any(k is not ColumnKind.CONTINUOUS for k in ds.x_kinds):
-                raise ValueError("LV requires continuous X")
-            pmat = joint_x_kernel_matrix(ds.x, h)
-            self.rate_dim = ds.p_cont + ds.q
         else:
-            raise ValueError(f"unknown engine mode {mode!r}")
-        self.M = kmat * pmat
-        np.fill_diagonal(self.M, 0.0)
-        self.M2 = self.M * self.M
+            self.M = joint_x_kernel_matrix(ds.x, h, kmat)
+            self.rate_dim = ds.p_cont + ds.q
+        self.M2 = self.M.squared()
         self.h_power = h**self.rate_dim
         self._T = None
 
@@ -178,50 +178,41 @@ class StatEngine:
 
     def ihat(self, uf: np.ndarray):
         """``ihat`` of a residual vector uf, or of each row of uf."""
-        return _dots(uf, uf @ self.M) / float(math.perm(self.n, 2))
+        return _dots(uf, self.M.product(uf)) / float(math.perm(self.n, 2))
 
     def var_hat(self, uf: np.ndarray):
         """``var_hat`` of a residual vector uf, or of each row of uf."""
         uf2 = uf * uf
-        total = _dots(uf2, uf2 @ self.M2)
+        total = _dots(uf2, self.M2.product(uf2))
         return 2.0 * self.h_power * total / float(math.perm(self.n, 2))
-
-    def _diff(self, y: np.ndarray) -> np.ndarray:
-        return (y[:, None] - y[None, :]) * self.L
-
-    def _arrangement_sums(self, y: np.ndarray):
-        """Raw sums over the pair statistic and its coinciding-index parts.
-
-        Returns (full, s1, s2, s3): ``full`` sums over all (i,j,k,l) with
-        i != j, k != i, l != j; s1 collects the k = l coincidences, s2 the
-        k = j ones (l = i mirrors it by symmetry), and the double
-        coincidence k = j, l = i contributes -s3. The all-distinct total is
-        therefore full - s1 - 2*s2 + s3.
-        """
-        D = self._diff(y)
-        S = D.sum(axis=1)
-        full = _fsum(S * (self.M @ S))
-        G = D @ D.T
-        s1 = _fsum(np.einsum("ij,ij->i", self.M, G))
-        DM = D * self.M
-        s3 = _fsum(np.einsum("ij,ij->i", DM, D))
-        s2 = _fsum(DM @ S) + s3
-        return full, s1, s2, s3
 
     def itilde(self, y: np.ndarray):
         """``itilde`` of a response vector, or of each row of y.
 
-        A vector goes through ``_arrangement_sums``, whose one n^3 product is
-        cheaper than building T; rows go through y' T y / (n)_4, which costs
+        A vector is summed directly. With D_ik = (y_i - y_k) L_ik and S its
+        row sums, ``full`` sums M_ij S_i S_j over all (i,j,k,l) with i != j,
+        k != i, l != j; s1 collects the k = l coincidences, s2 the k = j ones
+        (l = i mirrors it by symmetry), and the double coincidence k = j,
+        l = i contributes -s3. The all-distinct total is therefore
+        full - s1 - 2*s2 + s3. Rows go through y' T y / (n)_4, which costs
         O(n^2) each once T is built.
         """
         self._require_n(ITILDE_MIN_N, "itilde")
+        M = self.M
         if y.ndim == 1:
-            full, s1, s2, s3 = self._arrangement_sums(y)
+            L = self.L
+            D = L.with_values((y[L.rows] - y[L.cols]) * L.values)
+            S = np.bincount(D.rows, D.values, self.n)
+            full = _fsum(S * M.product(S))
+            s1 = _fsum(M.triple_rows(D))
+            D_at_M = D.values_at(M.rows, M.cols)
+            DM = D_at_M * M.values
+            s3 = _fsum(np.bincount(M.rows, DM * D_at_M, self.n))
+            s2 = _fsum(np.bincount(M.rows, DM * S[M.cols], self.n)) + s3
             return (full - s1 - 2.0 * s2 + s3) / float(math.perm(self.n, 4))
         if self._T is None:
-            self._T = itilde_operator(self.L, self.M)
-        y = centred(y, self.row_sum)
+            self._T = itilde_operator(self.L.dense(), M.dense())
+        y = centred(y, self.L)
         return _dots(y, y @ self._T) / float(math.perm(self.n, 4))
 
     def var_tilde(self, y: np.ndarray):
@@ -239,14 +230,15 @@ class StatEngine:
         """
         self._require_n(7, "var_tilde")
         n = self.n
-        y = centred(y, self.row_sum)
+        y = centred(y, self.L)
         s = (n - 1) * recompute_uf(self.L, y)
-        L2 = self.L * self.L
+        L2 = self.L.squared()
         y2 = y * y
-        Q = y2 * L2.sum(axis=1) - 2.0 * y * (y @ L2) + y2 @ L2
+        row_sum, yL2 = L2.sums(y)
+        Q = y2 * row_sum - 2.0 * y * yL2 + L2.product(y2)
         A = s * s - Q
-        A[..., np.count_nonzero(self.L, axis=1) < 2] = 0.0
-        total = _dots(A, A @ self.M2)
+        A[..., self.L.degree < 2] = 0.0
+        total = _dots(A, self.M2.product(A))
         denom = float(math.perm(n, 2)) * (n - 2) ** 2 * (n - 3) ** 2
         return 2.0 * self.h_power * total / denom
 
@@ -297,5 +289,7 @@ def fisher_test(d: ScaledDataset, alpha: float) -> tuple[float, bool]:
             return 0.0, False
         return math.inf, True
     f = ((rss0 - rss1) / q) / (rss1 / df2)
+    from scipy.special import fdtri  # imported here so the package loads without scipy
+
     crit = float(fdtri(q, df2, 1.0 - alpha))
     return f, f > crit

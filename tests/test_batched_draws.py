@@ -31,7 +31,7 @@ from conftest import explicit_multipliers, make_dataset
 
 
 def fsum_dot(a, b):
-    return math.fsum((a * b).tolist())
+    return math.fsum(np.ravel(a * b).tolist())
 
 
 def pairwise_uf(L, y):
@@ -41,22 +41,33 @@ def pairwise_uf(L, y):
 
 def fsum_ihat(eng, uf):
     n = eng.n
-    return fsum_dot(uf, eng.M @ uf) / (n * (n - 1))
+    return fsum_dot(uf, eng.M.dense() @ uf) / (n * (n - 1))
 
 
 def fsum_var_hat(eng, uf):
     n, uf2 = eng.n, uf * uf
-    return 2.0 * eng.h_power * fsum_dot(uf2, eng.M2 @ uf2) / (n * (n - 1))
+    return 2.0 * eng.h_power * fsum_dot(uf2, eng.M.dense() ** 2 @ uf2) / (n * (n - 1))
 
 
 def fsum_var_tilde(eng, y):
     """The nested-distinctness studentizer from pairwise response differences:
     A_i = S_i^2 - Q_i with S_i and Q_i the row sums of D and D∘D."""
     n = eng.n
-    D = (y[:, None] - y[None, :]) * eng.L
+    D = (y[:, None] - y[None, :]) * eng.L.dense()
     A = D.sum(axis=1) ** 2 - np.einsum("ij,ij->i", D, D)
     denom = n * (n - 1) * (n - 2) ** 2 * (n - 3) ** 2
-    return 2.0 * eng.h_power * fsum_dot(A, eng.M2 @ A) / denom
+    return 2.0 * eng.h_power * fsum_dot(A, eng.M.dense() ** 2 @ A) / denom
+
+
+def arrangement_sums(eng, y):
+    """The sums (full, s1, s2, s3) behind ``StatEngine.itilde`` of a vector,
+    from the dense matrices: D_ik = (y_i - y_k) L_ik with row sums S, full =
+    S'MS, s1 = sum M∘DD', s3 = sum M∘D∘D and s2 = sum (D∘M)S + s3."""
+    L, M = eng.L.dense(), eng.M.dense()
+    D = (y[:, None] - y[None, :]) * L
+    S = D.sum(axis=1)
+    s3 = fsum_dot(M * D, D)
+    return fsum_dot(S, M @ S), fsum_dot(M, D @ D.T), fsum_dot((D * M) @ S, 1.0) + s3, s3
 
 
 def fsum_cvm(cvm, uf):
@@ -87,7 +98,7 @@ def per_draw_reference(sd, sm, cfg):
     sum_k L_ik (|y_i| + |y_k|) / (n - 1).
     """
     n, y = sd.n, sd.dataset.y
-    L = sm.pairwise
+    L = sm.pairwise.dense()
     if cfg.statistic == "dgm":
         cvm = CvmEngine(sd)
     else:
@@ -105,7 +116,7 @@ def per_draw_reference(sd, sm, cfg):
             raw, raw_scale = fsum_ihat(eng, uf), fsum_ihat(eng, uf_scale)
         else:
             raw = eng.itilde(ystar)
-            full, s1, s2, s3 = eng._arrangement_sums(ystar)
+            full, s1, s2, s3 = arrangement_sums(eng, ystar)
             sums = abs(full) + abs(s1) + 2.0 * abs(s2) + abs(s3)
             raw_scale = sums / (n * (n - 1) * (n - 2) * (n - 3))
         if cfg.variance == "var_hat":
@@ -250,7 +261,7 @@ class TestItildeOperator:
         sd, sm, bw = wide_case(seed=44, n=30)
         eng = StatEngine(sd, sm, bw.h, mode=mode)
         y = sd.dataset.y
-        T = statistics.itilde_operator(eng.L, eng.M)
+        T = statistics.itilde_operator(eng.L.dense(), eng.M.dense())
         n4 = 30 * 29 * 28 * 27
         assert close(float(y @ T @ y) / n4, eng.itilde(y))
         assert close(float(eng.itilde(y[None, :])[0]), eng.itilde(y))

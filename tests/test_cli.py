@@ -473,8 +473,12 @@ class TestNegativeControl:
 
 
 def test_import_does_not_load_scipy_stats():
-    # the package needs three scalar functions from scipy.special; importing
-    # scipy.stats for them would take most of the start-up time
-    code = "import npsigtest, npsigtest.cli, sys; assert 'scipy.stats' not in sys.modules"
+    # scipy is imported only by the F-test, when it runs: importing any of it
+    # (scipy.special alone took about 0.3 s) would be most of the start-up time
+    code = (
+        "import sys, npsigtest, npsigtest.cli, npsigtest.selfcheck, npsigtest.designs; "
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "assert not loaded, loaded"
+    )
     env = {**os.environ, "PYTHONPATH": SRC}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -66,6 +66,36 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="non-numeric cell at row 2"):
             load_dataset(path, schema)
 
+    def test_cells_parse_as_float_does(self, tmp_path):
+        # padded, signed, exponent, underscore and non-ASCII-digit cells
+        # convert to exactly the double float(cell) gives
+        rng = np.random.default_rng(8)
+        scaled = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+        cells = [repr(float(v)) for v in scaled]
+        cells += [" 1.5", "2.25 ", "\t-0.0", "\xa07e-3", "+4", "1_000.5", "\u0661\u0662"]
+        cells += [".5", "5."]
+        lines = "".join(f"{c},{i}.0,1\n" for i, c in enumerate(cells))
+        path = tmp_path / "cells.csv"
+        path.write_text("y,w1,x1\n" + lines, encoding="utf-8")
+        d = load_dataset(path, ColumnSchema(y="y", w=("w1",), x=("x1",)))
+        want = np.array([float(c) for c in cells])
+        assert d.y.tobytes() == want.tobytes()
+
+    def test_first_bad_cell_in_row_order(self, tmp_path):
+        # the error names the first bad cell reading row by row, whichever
+        # column it is in, and a short row only when no cell before it is bad
+        schema = ColumnSchema(y="y", w=("w1",), x=("x1",))
+        cases = [
+            ("1,2,3\n4,5,oops\n7,inf,9\n", "non-numeric cell at row 2, column 'x1'"),
+            ("1,2,3\n4,5,inf\noops,8,9\n", "non-finite value at row 2, column 'x1'"),
+            ("1,2,3\n4,5\n7,oops,9\n", "row 2 has 2 fields, header has 3"),
+            ("1,oops,3\n4,5\n", "non-numeric cell at row 1, column 'w1': 'oops'"),
+        ]
+        for i, (body, message) in enumerate(cases):
+            path = write(tmp_path, "y,w1,x1\n" + body, name=f"bad{i}.csv")
+            with pytest.raises(DataError, match=message):
+                load_dataset(path, schema)
+
     def test_discrete_kinds_assigned(self, tmp_path):
         path = write(tmp_path, "y,w1,x1\n1,2,0\n4,5,1\n7,8,0\n")
         schema = ColumnSchema(y="y", w=("w1",), x=("x1",), discrete=frozenset({"x1"}))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from npsigtest.kernels import (
     Bandwidths,
+    PairWeights,
     default_bandwidths,
     joint_x_kernel_matrix,
     mixed_kernel_matrix,
@@ -14,6 +15,12 @@ from npsigtest.kernels import (
     psi_profile,
 )
 from npsigtest.oracles import eval_kernel, eval_mixed_kernel, eval_psi
+
+
+def all_pairs(n):
+    """Weight 1 on every pair i != j."""
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    return PairWeights(n, rows, cols, np.ones(len(rows)), np.arange(n))
 
 
 class TestEvalKernel:
@@ -63,7 +70,7 @@ class TestMixedKernel:
         # distance 0 over no columns: the kernel's peak 0.75 wherever the
         # discrete columns agree, and the diagonal zeroed
         disc = np.array([[0.0], [1.0], [0.0], [1.0]])
-        m = mixed_kernel_matrix(disc[:, :0], disc, 0.7)
+        m = mixed_kernel_matrix(disc[:, :0], disc, 0.7).dense()
         want = 0.75 * (disc == disc.T)
         np.fill_diagonal(want, 0.0)
         assert np.array_equal(m, want)
@@ -72,7 +79,7 @@ class TestMixedKernel:
         rng = np.random.default_rng(0)
         cont = rng.standard_normal((7, 2))
         disc = rng.integers(0, 2, size=(7, 1)).astype(float)
-        m = mixed_kernel_matrix(cont, disc, 0.9)
+        m = mixed_kernel_matrix(cont, disc, 0.9).dense()
         for i in range(7):
             assert m[i, i] == 0.0
             for j in range(7):
@@ -117,9 +124,12 @@ class TestPsi:
         # psi weighs the whole x difference, whatever the column kinds and order
         x = np.hstack([disc, cont])
         for family in ("normal", "triangular", "indicator"):
-            m = psi_matrix(family, x)
+            m = psi_matrix(family, x, all_pairs(6)).dense()
             for i in range(6):
                 for j in range(6):
+                    if i == j:
+                        assert m[i, j] == 0.0
+                        continue
                     assert m[i, j] == pytest.approx(
                         eval_psi(family, x[i] - x[j]), rel=1e-12, abs=1e-300
                     )
@@ -130,27 +140,28 @@ class TestPsi:
         # give their peak psi_profile(f, 0) and the indicator gives 1
         x = np.random.default_rng(3).standard_normal((5, 2))
         want = 1.0 if family == "indicator" else float(psi_profile(family, 0.0))
-        assert np.array_equal(psi_matrix(family, x[:, :0]), np.full((5, 5), want))
+        m = psi_matrix(family, x[:, :0], all_pairs(5)).dense()
+        assert np.array_equal(m, want * (1.0 - np.eye(5)))
         assert eval_psi(family, []) == want
 
     def test_unknown_family_is_named(self):
         with pytest.raises(ValueError, match="'bogus'"):
-            psi_matrix("bogus", np.zeros((3, 1)))
+            psi_matrix("bogus", np.zeros((3, 1)), all_pairs(3))
 
 
 class TestJointXKernel:
     def test_empty_x_gives_ones(self):
-        m = joint_x_kernel_matrix(np.empty((4, 0)), 0.5)
-        assert np.array_equal(m, np.ones((4, 4)))
+        m = joint_x_kernel_matrix(np.empty((4, 0)), 0.5, all_pairs(4)).dense()
+        assert np.array_equal(m, 1.0 - np.eye(4))
 
     def test_matches_scaled_kernel(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 2))
         h = 0.8
-        m = joint_x_kernel_matrix(x, h)
+        m = joint_x_kernel_matrix(x, h, all_pairs(5)).dense()
         for i in range(5):
             for j in range(5):
-                expected = h ** -2 * eval_kernel((x[i] - x[j]) / h)
+                expected = 0.0 if i == j else h ** -2 * eval_kernel((x[i] - x[j]) / h)
                 assert m[i, j] == pytest.approx(expected, rel=1e-12)
 
 
@@ -173,3 +184,56 @@ class TestBandwidths:
     def test_nonpositive_bandwidths_rejected(self):
         with pytest.raises(ValueError):
             Bandwidths(g=0.0, h=1.0)
+
+
+def dense_sq_dists(a):
+    diff = a[:, None, :] - a[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def dense_w_kernel(cont, disc, bandwidth):
+    """The n-by-n w kernel built densely, by the formula the lists reproduce."""
+    s = dense_sq_dists(cont) / (bandwidth * bandwidth)
+    m = np.where(s < 1.0, 0.75 * (1.0 - s), 0.0) * bandwidth ** (-cont.shape[1])
+    m = m * (disc[:, None, :] == disc[None, :, :]).all(axis=2)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def dense_x_weight(weight, x, h):
+    if weight == "indicator":
+        return (x[:, None, :] == x[None, :, :]).all(axis=2).astype(float)
+    if weight == "lv":
+        s = dense_sq_dists(x) / (h * h)
+        return np.where(s < 1.0, 0.75 * (1.0 - s), 0.0) * h ** (-x.shape[1])
+    return psi_profile(weight, np.sqrt(dense_sq_dists(x)))
+
+
+class TestPairLists:
+    @pytest.mark.parametrize("design", ["continuous", "mixed", "discrete"])
+    @pytest.mark.parametrize("h_over_g", [0.6, 1.7])
+    @pytest.mark.parametrize("weight", ["normal", "triangular", "indicator", "lv"])
+    def test_scatter_equals_dense_build(self, design, h_over_g, weight):
+        # every stored value is the dense formula's, entry for entry
+        rng = np.random.default_rng(17)
+        n, p_c, p_d = 150, *{"continuous": (2, 0), "mixed": (2, 1), "discrete": (0, 2)}[design]
+        cont = rng.standard_normal((n, p_c))
+        disc = rng.integers(0, 3, size=(n, p_d)).astype(float)
+        x = rng.standard_normal((n, 2))
+        if weight == "indicator":
+            x = np.round(x)
+        g = 0.5
+        h = h_over_g * g
+        L = mixed_kernel_matrix(cont, disc, g)
+        assert np.array_equal(L.dense(), dense_w_kernel(cont, disc, g))
+        K = mixed_kernel_matrix(cont, disc, h)
+        if weight == "lv":
+            M = joint_x_kernel_matrix(x, h, K)
+        else:
+            M = psi_matrix(weight, x, K)
+        want = dense_w_kernel(cont, disc, h) * dense_x_weight(weight, x, h)
+        assert np.array_equal(M.dense(), want)
+        # each nonzero entry listed once, by row and then by rank
+        for W in (L, M):
+            assert len(W.values) == np.count_nonzero(W.dense())
+            assert np.all(np.diff(W.rows * n + W.rank[W.cols]) > 0)

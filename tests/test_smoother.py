@@ -78,9 +78,9 @@ class TestComputeSmoother:
 
     def test_pairwise_symmetric_zero_diagonal(self):
         d = make_dataset(6, 15)
-        sm = compute_smoother(standardize(d), 1.1)
-        assert np.array_equal(sm.pairwise, sm.pairwise.T)
-        assert np.all(np.diag(sm.pairwise) == 0.0)
+        L = compute_smoother(standardize(d), 1.1).pairwise.dense()
+        assert np.array_equal(L, L.T)
+        assert np.all(np.diag(L) == 0.0)
 
 
 class TestEquivariance:

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import npsigtest.kernels as kernels
+from npsigtest.bootstrap import TestConfig, run_test
 from npsigtest.data import ColumnKind, Dataset, all_continuous, standardize
+from npsigtest.kernels import default_bandwidths
 from npsigtest.oracles import (
     OracleTables,
     oracle_decomposition_sides,
@@ -11,6 +15,7 @@ from npsigtest.oracles import (
     oracle_ihat,
     oracle_itilde,
     oracle_ols_f,
+    oracle_smoother,
     oracle_var_hat,
     oracle_var_tilde,
     oracle_var_tilde_nested,
@@ -108,6 +113,81 @@ class TestOracleEquivalence:
         exact = oracle_var_tilde(tables)
         scale = eng.var_hat(sm.uf)
         assert abs(fast - exact) <= 5.0 * scale
+
+
+def edge_case(name):
+    """A sample of a shape the random oracle cases rarely produce, with its
+    bandwidths (g, h)."""
+    rng = np.random.default_rng(91)
+    n = {"n5": 5, "n7": 7}.get(name, 9)
+    w = rng.standard_normal((n, 2))
+    w_kinds = all_continuous(2)
+    g, h = 1.5, 1.2
+    if name == "isolated":
+        w[0] = (40.0, 40.0)
+        g, h = 1.0, 0.8
+    elif name == "duplicated":
+        w[1::2] = w[0:-1:2]  # pairs of equal w rows: squared distance 0
+    elif name == "discrete_w":
+        w[:, 1] = rng.integers(0, 2, size=n)
+        w_kinds = (ColumnKind.CONTINUOUS, ColumnKind.DISCRETE)
+    d = Dataset(
+        y=w[:, 0] + rng.standard_normal(n),
+        w=w,
+        x=rng.standard_normal((n, 1)),
+        w_kinds=w_kinds,
+        x_kinds=all_continuous(1),
+    )
+    return standardize(d), g, h
+
+
+class TestListPathEdgeCases:
+    @pytest.mark.parametrize("name", ["isolated", "duplicated", "discrete_w", "n5", "n7"])
+    @pytest.mark.parametrize("triples", ["lists", "dense"])
+    def test_vector_statistics_match_oracles(self, name, triples, monkeypatch):
+        # the observed (vector) statistics over the pair lists, with the
+        # triple sum of itilde forced onto either of its two forms
+        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0 if triples == "lists" else math.inf)
+        sd, g, h = edge_case(name)
+        sm = compute_smoother(sd, g)
+        if name == "isolated":
+            assert sm.fhat[0] == 0.0 and np.all(sm.fhat[1:] > 0.0)
+        tables = OracleTables(sd, g, h)
+        _, _, uf = oracle_smoother(sd, g)
+        assert all(close(a, b) for a, b in zip(sm.uf, uf))
+        eng = StatEngine(sd, sm, h)
+        y = sd.dataset.y
+        assert close(eng.ihat(sm.uf), oracle_ihat(tables))
+        assert close(eng.itilde(y), oracle_itilde(tables))
+        assert close(eng.var_hat(sm.uf), oracle_var_hat(tables, sm.uf))
+        if sd.n >= 7:
+            assert close(eng.var_tilde(y), oracle_var_tilde_nested(tables))
+
+    def test_all_discrete_w_holds_less_than_the_dense_build(self):
+        # dense n-by-n pair weights peaked at 6.03 matrices on this sample
+        # (6.04 at n = 400 and 6.01 at n = 1000); the lists hold the pairs
+        # of each discrete group, and at most one dense matrix for the
+        # triple sum of itilde
+        n = 600
+        rng = np.random.default_rng(5)
+        w = rng.integers(0, 3, size=(n, 1)).astype(float)
+        d = Dataset(
+            y=w[:, 0] + rng.standard_normal(n),
+            w=w,
+            x=rng.standard_normal((n, 2)),
+            w_kinds=(ColumnKind.DISCRETE,),
+            x_kinds=all_continuous(2),
+        )
+        cfg = TestConfig(
+            bandwidths=default_bandwidths(n, 2.0), variance="var_tilde", critical="asymptotic"
+        )
+        tracemalloc.start()
+        try:
+            run_test(d, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0 * 8 * n * n
 
 
 class TestTrivialCases:
@@ -336,7 +416,8 @@ class TestInvariancesSeeded:
         # transposing the cached pair matrices is a no-op for every statistic
         data, sd, sm, bw, psi = small_case
         eng = StatEngine(sd, sm, bw.h, psi=psi)
-        assert np.allclose(eng.M, eng.M.T, atol=0)
+        M = eng.M.dense()
+        assert np.allclose(M, M.T, atol=0)
         assert eng.ihat(sm.uf) == pytest.approx(
-            sm.uf @ eng.M.T @ sm.uf / (sd.n * (sd.n - 1)), rel=1e-12
+            sm.uf @ M.T @ sm.uf / (sd.n * (sd.n - 1)), rel=1e-12
         )
