@@ -118,12 +118,13 @@ class PairWeights:
     ``rank`` is each observation's place in it. The entries are sorted by
     row, and within a row by the rank of the column.
 
-    A product with one vector is a gather and an ``np.bincount`` over the
+    ``degree`` and ``row_sums`` (W 1) are taken from the lists once. A
+    product with one vector is a gather and an ``np.bincount`` over the
     lists, so it costs O(entries). A product with a block of rows, one
     bootstrap draw per row, goes through the dense matrix instead: it is
     scattered from the lists on first use and kept, and a block is then one
-    BLAS product with the sums of a dense build. Which form a sum takes is
-    decided here and nowhere else.
+    BLAS product. Which form a product takes is decided in ``product`` and
+    nowhere else.
     """
 
     def __init__(self, n: int, rows, cols, values, order):
@@ -133,10 +134,10 @@ class PairWeights:
         self.values = values
         self.order = order
         self.rank = _rank(order)
+        self.degree = np.bincount(rows, minlength=n)
+        self.row_sums = np.bincount(rows, values, n)
         self._keys = None
         self._dense = None
-        self._row_sums = None
-        self._dense_row_sums = None
 
     def with_values(self, values: np.ndarray) -> PairWeights:
         """Weights with the same entries and new values, one per entry."""
@@ -148,11 +149,6 @@ class PairWeights:
         """The elementwise square W∘W."""
         return self.with_values(self.values * self.values)
 
-    @property
-    def degree(self) -> np.ndarray:
-        """Number of nonzero entries of each row."""
-        return np.bincount(self.rows, minlength=self.n)
-
     def dense(self) -> np.ndarray:
         """The n-by-n matrix, scattered on first use and kept."""
         if self._dense is None:
@@ -160,21 +156,11 @@ class PairWeights:
             self._dense[self.rows, self.cols] = self.values
         return self._dense
 
-    def sums(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(W 1, W y) for a vector y, or (W 1, y W) for a block of rows, the
-        row sums taken the same way as the product."""
-        if y.ndim == 1:
-            if self._row_sums is None:
-                self._row_sums = np.bincount(self.rows, self.values, self.n)
-            return self._row_sums, np.bincount(self.rows, self.values * y[self.cols], self.n)
-        dense = self.dense()
-        if self._dense_row_sums is None:
-            self._dense_row_sums = dense.sum(axis=1)
-        return self._dense_row_sums, y @ dense
-
     def product(self, y: np.ndarray) -> np.ndarray:
         """W y for a vector y, or y W for a block of rows."""
-        return self.sums(y)[1]
+        if y.ndim == 1:
+            return np.bincount(self.rows, self.values * y[self.cols], self.n)
+        return y @ self.dense()
 
     def values_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The value of each entry (rows, cols), 0 where there is none."""
@@ -257,12 +243,13 @@ def mixed_kernel_matrix(cont: np.ndarray, disc: np.ndarray, bandwidth: float) ->
     """Pair weights h^(-p_c) K((w_i - w_j)/h) times the discrete-equality
     indicator, for i != j.
 
-    The observations are sorted by their discrete columns and then by the
-    first continuous column (if any). For each observation only those in
-    its discrete group whose first coordinate lies within a window slightly
-    wider than the bandwidth are tested, ``_CHUNK`` candidates at a time,
-    with the dense formula: squared distance / (h * h) < 1 and equal
-    discrete columns.
+    The observations are sorted by their discrete group (``np.unique``,
+    which groups as ``==`` does) and then by the first continuous column
+    (if any). For each observation only those in its discrete group whose
+    first coordinate lies within a window slightly wider than the bandwidth
+    are tested, ``_CHUNK`` candidates at a time, with the dense formula:
+    squared distance / (h * h) < 1. The window never leaves the group, so
+    every candidate has equal discrete columns.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
@@ -289,7 +276,7 @@ def mixed_kernel_matrix(cont: np.ndarray, disc: np.ndarray, bandwidth: float) ->
         b = _ranges(starts[part], counts[part])
         j = order[b]
         sq = _sq_norms(cont[i] - cont[j]) / (bandwidth * bandwidth)
-        keep = (sq < 1.0) & _disc_equal(disc, i, j) & (i != j)
+        keep = (sq < 1.0) & (i != j)
         found.append((i[keep], j[keep], b[keep], _epanechnikov_of_sqnorm(sq[keep]) * scale))
     i, j, b, values = (np.concatenate(v) for v in zip(*found))
     pairs = PairWeights(n, i, j, values, order)

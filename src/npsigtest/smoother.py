@@ -9,18 +9,15 @@ For each observation i the smoother produces, using every other observation:
   fhat is 0.
 
 The kernel weights L are kept as ``PairWeights`` lists so the statistics and
-the bootstrap can reuse them; ``fhat`` and ``uf`` are sums over the lists.
-``rhat`` is read only by the bootstrap's resample, which scatters the dense
-matrix anyway, so it is formed from the dense matrix on first use: the
-resampled responses are exactly those of a dense build. A bootstrap test
-holds a few n-by-n float64 matrices in memory at once, so samples are
-limited to ``MAX_OBSERVATIONS`` rows.
+the bootstrap can reuse them; ``fhat``, ``rhat`` and ``uf`` are sums over the
+lists, ``fhat`` and ``rhat`` from the same row sums L 1 and product L y. A
+bootstrap test holds a few n-by-n float64 matrices in memory at once, so
+samples are limited to ``MAX_OBSERVATIONS`` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +33,8 @@ MAX_OBSERVATIONS = 4000
 @dataclass(frozen=True)
 class SmootherOutput:
     """Per-observation leave-one-out quantities plus the reusable kernel
-    weights of the response ``y``.
+    weights. ``rhat`` is NaN where the local density is 0: consumers that
+    divide by anything must check ``fhat > 0`` first.
 
     ``cache`` holds what the bootstrap builds on this sample (the
     pair-weight engines and their observed statistics), so the tests of one
@@ -44,22 +42,10 @@ class SmootherOutput:
     """
 
     fhat: np.ndarray
+    rhat: np.ndarray
     uf: np.ndarray
     pairwise: PairWeights
-    y: np.ndarray
     cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @cached_property
-    def rhat(self) -> np.ndarray:
-        """Local regression of y on w, NaN where the local density is 0:
-        consumers that divide by anything must check ``fhat > 0`` first."""
-        dense = self.pairwise.dense()
-        row_sum = dense.sum(axis=1)
-        y_sum = dense @ self.y
-        rhat = np.full(len(self.y), np.nan)
-        pos = row_sum > 0.0
-        rhat[pos] = y_sum[pos] / row_sum[pos]
-        return rhat
 
 
 def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
@@ -84,9 +70,12 @@ def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
     cont, disc = d.dataset.w_split()
 
     pair = mixed_kernel_matrix(cont, disc, g)
-    row_sum, _ = pair.sums(y)
+    row_sum, y_sum = pair.row_sums, pair.product(y)
+    rhat = np.full(n, np.nan)
+    pos = row_sum > 0.0
+    rhat[pos] = y_sum[pos] / row_sum[pos]
     uf = recompute_uf(pair, y)
-    return SmootherOutput(fhat=row_sum / (n - 1), uf=uf, pairwise=pair, y=y)
+    return SmootherOutput(fhat=row_sum / (n - 1), rhat=rhat, uf=uf, pairwise=pair)
 
 
 def recompute_uf(pairwise: PairWeights, y: np.ndarray) -> np.ndarray:
@@ -97,8 +86,7 @@ def recompute_uf(pairwise: PairWeights, y: np.ndarray) -> np.ndarray:
     yields exact zeros rather than cancellation residue.
     """
     y = centred(y, pairwise)
-    row_sum, product = pairwise.sums(y)
-    return (y * row_sum - product) / (pairwise.n - 1)
+    return (y * pairwise.row_sums - pairwise.product(y)) / (pairwise.n - 1)
 
 
 def centred(y: np.ndarray, pairwise: PairWeights) -> np.ndarray:

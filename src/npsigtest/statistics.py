@@ -171,6 +171,7 @@ class StatEngine:
         self.M2 = self.M.squared()
         self.h_power = h**self.rate_dim
         self._T = None
+        self._L2 = None
 
     def _require_n(self, floor: int, name: str) -> None:
         if self.n < floor:
@@ -202,7 +203,7 @@ class StatEngine:
         if y.ndim == 1:
             L = self.L
             D = L.with_values((y[L.rows] - y[L.cols]) * L.values)
-            S = np.bincount(D.rows, D.values, self.n)
+            S = D.row_sums
             full = _fsum(S * M.product(S))
             s1 = _fsum(M.triple_rows(D))
             D_at_M = D.values_at(M.rows, M.cols)
@@ -221,8 +222,9 @@ class StatEngine:
 
         For each i, A_i sums (y_i - y_k)(y_i - y_k') L_ik L_ik' over k != k'
         (both != i): the square of s_i = (n - 1) uf_i less
-        Q_i = sum_k (y_i - y_k)^2 L_ik^2, which is expanded with L∘L. A_i of
-        an observation with fewer than two neighbours is an empty sum, so it
+        Q_i = sum_k (y_i - y_k)^2 L_ik^2, which is expanded with L∘L (built
+        on the first call and kept, with its dense form). A_i of an
+        observation with fewer than two neighbours is an empty sum, so it
         is set to exactly zero. The cross-restrictions tying k, k' to the
         other pair's indices are dropped, which costs an O(1/n) deviation
         from the exact arrangement average. Can be negative in finite
@@ -232,10 +234,11 @@ class StatEngine:
         n = self.n
         y = centred(y, self.L)
         s = (n - 1) * recompute_uf(self.L, y)
-        L2 = self.L.squared()
+        if self._L2 is None:
+            self._L2 = self.L.squared()
+        L2 = self._L2
         y2 = y * y
-        row_sum, yL2 = L2.sums(y)
-        Q = y2 * row_sum - 2.0 * y * yL2 + L2.product(y2)
+        Q = y2 * L2.row_sums - 2.0 * y * L2.product(y) + L2.product(y2)
         A = s * s - Q
         A[..., self.L.degree < 2] = 0.0
         total = _dots(A, self.M2.product(A))

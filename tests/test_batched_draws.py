@@ -22,7 +22,7 @@ from npsigtest.bootstrap import (
     run_test,
 )
 from npsigtest.data import ColumnKind, Dataset, all_continuous, standardize
-from npsigtest.kernels import PSI_FAMILIES, Bandwidths, default_bandwidths
+from npsigtest.kernels import PSI_FAMILIES, Bandwidths, PairWeights, default_bandwidths
 from npsigtest.selfcheck import ABS_TOL, REL_TOL, close
 from npsigtest.smoother import compute_smoother
 from npsigtest.statistics import CvmEngine, DegenerateStatisticError, StatEngine
@@ -227,6 +227,28 @@ class TestDrawBlocks:
         long = decide_scaled(sd, sm, TestConfig(bandwidths=bw, B=300, seed=11))
         assert len(long.bootstrap_draws) == 300
         assert np.allclose(long.bootstrap_draws[:199], short.bootstrap_draws, rtol=1e-12, atol=0)
+
+    def test_scatters_do_not_grow_with_the_blocks(self, monkeypatch):
+        # each dense n-by-n scatter is made once per test, not once per
+        # block of draws: B = 64 is one block and B = 199 four
+        assert 199 // DRAW_BLOCK > 64 // DRAW_BLOCK == 1
+        scatters = []
+        dense = PairWeights.dense
+
+        def counted(self):
+            if self._dense is None:
+                scatters.append(self.n)
+            return dense(self)
+
+        monkeypatch.setattr(PairWeights, "dense", counted)
+        d = make_dataset(61, 40, q=1)
+        counts = []
+        for B in (64, 199):
+            cfg = TestConfig(bandwidths=default_bandwidths(40, 2.0), variance="var_tilde", B=B)
+            scatters.clear()
+            run_test(d, cfg)
+            counts.append(len(scatters))
+        assert counts[0] > 0 and counts[0] == counts[1]
 
 
 class TestIsolatedResponses:

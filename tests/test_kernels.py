@@ -210,15 +210,20 @@ def dense_x_weight(weight, x, h):
 
 
 class TestPairLists:
-    @pytest.mark.parametrize("design", ["continuous", "mixed", "discrete"])
+    @pytest.mark.parametrize("design", ["continuous", "mixed", "discrete", "signed-zero"])
     @pytest.mark.parametrize("h_over_g", [0.6, 1.7])
     @pytest.mark.parametrize("weight", ["normal", "triangular", "indicator", "lv"])
     def test_scatter_equals_dense_build(self, design, h_over_g, weight):
         # every stored value is the dense formula's, entry for entry
         rng = np.random.default_rng(17)
-        n, p_c, p_d = 150, *{"continuous": (2, 0), "mixed": (2, 1), "discrete": (0, 2)}[design]
+        n, p_c, p_d = 150, *{
+            "continuous": (2, 0), "mixed": (2, 1), "discrete": (0, 2), "signed-zero": (1, 1)
+        }[design]
         cont = rng.standard_normal((n, p_c))
         disc = rng.integers(0, 3, size=(n, p_d)).astype(float)
+        if design == "signed-zero":
+            # -0.0 == 0.0, so the two are one discrete group
+            disc[disc == 2.0] = -0.0
         x = rng.standard_normal((n, 2))
         if weight == "indicator":
             x = np.round(x)

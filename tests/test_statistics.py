@@ -153,8 +153,9 @@ class TestListPathEdgeCases:
         if name == "isolated":
             assert sm.fhat[0] == 0.0 and np.all(sm.fhat[1:] > 0.0)
         tables = OracleTables(sd, g, h)
-        _, _, uf = oracle_smoother(sd, g)
-        assert all(close(a, b) for a, b in zip(sm.uf, uf))
+        # fhat, rhat (NaN where fhat is 0) and uf from the same list sums
+        for got, want in zip((sm.fhat, sm.rhat, sm.uf), oracle_smoother(sd, g)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True)
         eng = StatEngine(sd, sm, h)
         y = sd.dataset.y
         assert close(eng.ihat(sm.uf), oracle_ihat(tables))
