@@ -38,14 +38,17 @@ PSI_FAMILIES = ("triangular", "normal", "indicator")
 # candidate pairs (or triples) handled at once; bounds the work arrays
 _CHUNK = 1 << 18
 
-# rows of W per dense product in PairWeights.triple_rows; bounds its work
-# arrays at two blocks of this many rows besides the one dense matrix A
-_DENSE_ROWS = 256
+# rows of W per block in PairWeights._dense_triple_sums; bounds its work
+# arrays at a few blocks of this many rows besides the one dense matrix A
+# (at n = 600 with all pairs of three groups listed, 256 rows held 1.2
+# n-by-n matrices more at the peak of an asymptotic test)
+_DENSE_ROWS = 64
 
-# PairWeights.triple_rows sums over lists while it has at most
+# PairWeights.triple_sums sums over lists while it has at most
 # n^2 / _TERMS_PER_N2 terms, else densely: on one core a list term cost
-# about 80 ns, and the dense form about 5-10 ns per entry of its n-by-n
-# scatter besides its banded products (n = 50 to 2000, c = 0.5 to 8)
+# 50-100 ns, and the dense form 5-6 ns per entry of its n-by-n scatter,
+# up to 50 ns where its bands are wide (n = 50 to 2000, c = 0.5 to 8, one
+# or two w columns); the two broke even at n^2/11 to n^2/9 terms
 _TERMS_PER_N2 = 10
 
 
@@ -112,8 +115,8 @@ def _rank(order: np.ndarray) -> np.ndarray:
 
 class PairWeights:
     """A symmetric n-by-n matrix of pair weights with a zero diagonal, held
-    as the lists of its nonzero entries: ``rows``, ``cols`` and ``values``,
-    with (i, j) and (j, i) both listed. ``order`` lists the observations so
+    as the lists of its entries, which include every nonzero one: ``rows``,
+    ``cols`` and ``values``, with (i, j) and (j, i) both listed. ``order`` lists the observations so
     that each one's neighbours are close to it (the builders' sort), and
     ``rank`` is each observation's place in it. The entries are sorted by
     row, and within a row by the rank of the column.
@@ -162,71 +165,109 @@ class PairWeights:
             return np.bincount(self.rows, self.values * y[self.cols], self.n)
         return y @ self.dense()
 
-    def values_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The value of each entry (rows, cols), 0 where there is none."""
+    def index_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The place in the lists of each entry (rows, cols), -1 where there
+        is none."""
         if self._keys is None:
             self._keys = self.rows * self.n + self.rank[self.cols]
+        if not len(self._keys):
+            return np.full(len(rows), -1)
+        keys = rows * self.n + self.rank[cols]
+        at = np.searchsorted(self._keys, keys)
+        np.minimum(at, len(self._keys) - 1, out=at)
+        at[self._keys[at] != keys] = -1
+        return at
+
+    def mirrors(self) -> np.ndarray:
+        """The place in the lists of each entry's mirror (j, i). The pattern
+        is symmetric, so sorting the entries by their mirrors' keys lists
+        the mirror of each entry in its place."""
+        return np.argsort(self.cols * self.n + self.rank[self.rows])
+
+    def values_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The value of each entry (rows, cols), 0 where there is none."""
+        at = self.index_of(rows, cols)
+        found = at >= 0
         out = np.zeros(len(rows))
-        if len(self._keys):
-            keys = rows * self.n + self.rank[cols]
-            at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-            found = self._keys[at] == keys
-            out[found] = self.values[at[found]]
+        out[found] = self.values[at[found]]
         return out
 
-    def triple_rows(self, a: PairWeights) -> np.ndarray:
-        """Row sums of W∘(A Aᵀ), or of A∘(W A), which have the same total:
-        sum_{j,k} W_ij A_ik A_jk, where ``a`` has the entries of a symmetric
-        pair-weight matrix but may hold any values.
+    def plus(self, other: PairWeights) -> PairWeights:
+        """W + V for pair weights V with the same ``order``, each entry
+        listed once."""
+        at = self.index_of(other.rows, other.cols)
+        found = at >= 0
+        values = self.values.copy()
+        values[at[found]] += other.values[found]
+        if found.all():
+            return self.with_values(values)
+        rows = np.concatenate([self.rows, other.rows[~found]])
+        cols = np.concatenate([self.cols, other.cols[~found]])
+        keys = rows * self.n + self.rank[cols]
+        by_key = np.argsort(keys)
+        values = np.concatenate([values, other.values[~found]])[by_key]
+        out = PairWeights(self.n, rows[by_key], cols[by_key], values, self.order)
+        out._keys = keys[by_key]
+        return out
+
+    def triple_sums(self, a: PairWeights) -> tuple[np.ndarray, np.ndarray]:
+        """The terms W_ij A_ik A_jk summed over k at each entry (i, j) of W,
+        which gives W∘(A Aᵀ), and over j at each entry (i, k) of A, which
+        gives A∘(W A); each in its list's order. ``a`` has the entries of a
+        symmetric pair-weight matrix and the same ``order`` as W.
 
         Over the lists this enumerates, for each entry (i, j) of W, the
         entries (i, k) of A and looks (j, k) up in A. When that count, the
         sum over i of deg_W(i) deg_A(i), would cost more than the dense form
-        (``_dense_triple_rows``), the sum is taken densely instead.
+        (``_dense_triple_sums``), the sums are taken densely instead.
         """
-        n = self.n
         counts = a.degree[self.rows]
-        if counts.sum() * _TERMS_PER_N2 > n**2:
-            return self._dense_triple_rows(a)
+        if counts.sum() * _TERMS_PER_N2 > self.n**2:
+            return self._dense_triple_sums(a)
         starts = (np.cumsum(a.degree) - a.degree)[self.rows]
-        out = np.zeros(n)
+        at_w, at_a = np.zeros(len(self.values)), np.zeros(len(a.values))
         for part in _chunks(counts):
             count = counts[part]
-            entry = np.repeat(np.arange(part.start, part.stop), count)
+            entry = np.repeat(np.arange(part.stop - part.start), count)
             ik = _ranges(starts[part], count)
-            terms = self.values[entry] * a.values[ik] * a.values_at(self.cols[entry], a.cols[ik])
-            out += np.bincount(self.rows[entry], terms, n)
-        return out
+            terms = self.values[part][entry] * a.values[ik]
+            terms *= a.values_at(self.cols[part][entry], a.cols[ik])
+            at_w[part] = np.bincount(entry, terms, len(count))
+            at_a += np.bincount(ik, terms, len(at_a))
+        return at_w, at_a
 
-    def _dense_triple_rows(self, a: PairWeights) -> np.ndarray:
-        """Row sums of A∘(W A), in a permuted row order.
+    def _dense_triple_sums(self, a: PairWeights) -> tuple[np.ndarray, np.ndarray]:
+        """``triple_sums`` by banded dense products.
 
         The observations are renumbered in ``order``, where each one's
         neighbours are close to it, and A is scattered into one dense
         matrix. W is scattered ``_DENSE_ROWS`` rows at a time, and each
-        block's product spans only the columns its rows reach: with discrete
+        block's products span only the columns its rows reach: with discrete
         w columns, about one discrete group.
         """
-        n, rank, degree = self.n, self.rank, self.degree
+        n, rank = self.n, self.rank
         dense_a = np.zeros((n, n))
         dense_a[rank[a.rows], rank[a.cols]] = a.values
-        starts = np.cumsum(degree) - degree
-        out = np.zeros(n)
+        at_w, at_a = np.zeros(len(self.values)), np.zeros(len(a.values))
+        w_starts = np.cumsum(self.degree) - self.degree
+        a_starts = np.cumsum(a.degree) - a.degree
         for lo in range(0, n, _DENSE_ROWS):
-            hi = min(lo + _DENSE_ROWS, n)
-            # W's entries in rows order[lo:hi], with the rows renumbered
-            block_rows = self.order[lo:hi]
-            entries = _ranges(starts[block_rows], degree[block_rows])
-            reached = np.flatnonzero(dense_a[lo:hi].any(axis=0))
-            if not entries.size or not reached.size:
+            block_rows = self.order[lo : lo + _DENSE_ROWS]
+            # the entries of W and of A in these rows, renumbered
+            w_at = _ranges(w_starts[block_rows], self.degree[block_rows])
+            a_at = _ranges(a_starts[block_rows], a.degree[block_rows])
+            if not w_at.size or not a_at.size:
                 continue
-            cols = rank[self.cols[entries]]
-            j0, j1 = cols.min(), cols.max() + 1
-            k0, k1 = reached[0], reached[-1] + 1
-            block = np.zeros((hi - lo, j1 - j0))
-            block[rank[self.rows[entries]] - lo, cols - j0] = self.values[entries]
-            out[lo:hi] = np.einsum("ij,ij->i", dense_a[lo:hi, k0:k1], block @ dense_a[j0:j1, k0:k1])
-        return out
+            wi, j = rank[self.rows[w_at]] - lo, rank[self.cols[w_at]]
+            ai, k = rank[a.rows[a_at]] - lo, rank[a.cols[a_at]]
+            j0, k0, k1 = j.min(), k.min(), k.max() + 1
+            band = dense_a[j0 : j.max() + 1, k0:k1]
+            block = np.zeros((len(block_rows), len(band)))
+            block[wi, j - j0] = self.values[w_at]
+            at_a[a_at] = a.values[a_at] * (block @ band)[ai, k - k0]
+            a_rows = dense_a[lo : lo + len(block_rows), k0:k1]
+            at_w[w_at] = self.values[w_at] * (a_rows @ band.T)[wi, j - j0]
+        return at_w, at_a
 
 
 def _disc_equal(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

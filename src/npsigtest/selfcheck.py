@@ -74,7 +74,7 @@ def oracle_case(seed: int, n: int, q: int, psi_family: str):
 def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
     """Fast paths match enumeration oracles at 1e-10 relative, each on a
     vector and on the same vector stacked twice as rows (the bootstrap's
-    shape; for ``itilde`` and ``lv`` that is y' T y / (n)_4)."""
+    shape)."""
     families = ("normal", "triangular", "indicator")
     for si, seed in enumerate(seeds):
         for n in sizes:

@@ -15,11 +15,9 @@ lists of their few nonzero entries. Each statistic has one body that takes
 either one response (or residual) vector or a block of them, one per row, so
 the observed data and the wild-bootstrap draws go through the same code: a
 vector is summed over the lists, a block by BLAS products with the dense
-matrices, which ``PairWeights`` scatters on first use. Only ``itilde`` has
-two forms: a vector is evaluated directly over the lists, with row partial
-sums combined by exact compensated summation, and a block through one
-operator ``T`` built per engine with four n^3 products
-(``itilde_operator``), after which each row costs O(n^2). The brute-force
+matrices, which ``PairWeights`` scatters on first use. ``itilde`` is such a
+quadratic form too, over coefficient lists that each engine builds once,
+from sums over the triples (i, j, k) that M and L connect. The brute-force
 oracles pin both shapes at 1e-10 relative for n = 6, 8 and 10.
 """
 
@@ -30,7 +28,7 @@ import math
 import numpy as np
 
 from .data import ColumnKind, ScaledDataset
-from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
+from .kernels import PairWeights, joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
 from .smoother import SmootherOutput, centred, recompute_uf
 
 # fewest observations of the four-distinct-index itilde
@@ -51,10 +49,6 @@ class DegenerateStatisticError(RuntimeError):
         self.cause = cause
 
 
-def _fsum(values) -> float:
-    return math.fsum(np.asarray(values, dtype=float).tolist())
-
-
 def _dots(a: np.ndarray, b: np.ndarray):
     """Dot product of a vector with a vector, or of each row of a with the
     same row of b."""
@@ -69,63 +63,23 @@ def studentize(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
     return np.where(omega2 > 0.0, t, math.nan)
 
 
-def itilde_operator(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Symmetric T with (n)_4 * itilde(y) = y' T y for pair weights L and M.
+def _reached(L: PairWeights, M: PairWeights) -> np.ndarray:
+    """Whether an arrangement reaches each entry (i, j) of M.
 
-    Expands ``full - s1 - 2 s2 + s3`` of ``StatEngine.itilde`` in y, with
-    P = diag(r) - L (r the row sums of L), N = L∘M (c its row sums) and
-    W = M∘L∘L:
-
-        T = PMP - M∘LL' + 2 sym(L∘ML) - diag(LML)
-            - 2 sym(P(N - diag c)) - 2 (diag(W 1) - W).
-
-    Costs four n^3 products (LL', ML, L(MP), NL). Each temporary is folded
-    in and released before the next is made, so at most three n-by-n arrays
-    are held besides L and M, as in one direct ``itilde`` call.
+    The entry adds M_ij D_ik D_jl over k != l outside {i, j}, an empty sum
+    when i or j has no neighbour besides the other, or each has one and it
+    is the same. ``itilde`` sets such entries to 0, which makes every term
+    they feed exactly 0: a sample that no arrangement reaches gets exactly
+    0, not rounding residue.
     """
-    n = L.shape[0]
-    r = L.sum(axis=1)
-    # 2 sym(L∘ML) and -diag(LML)
-    ML = M @ L
-    T = L * ML
-    T += T.T
-    diagonal = -np.einsum("ij,ji->i", L, ML)
-    # PMP = diag(r) MP - L MP, with MP = M diag(r) - ML
-    ML -= M * r
-    MP = np.negative(ML, out=ML)
-    T -= L @ MP
-    MP *= r[:, None]
-    T += MP
-    del ML, MP
-    # -M∘LL'
-    LL = L @ L.T
-    LL *= M
-    T -= LL
-    del LL
-    # -2 (diag(W 1) - W)
-    N = L * M
-    c = N.sum(axis=1)
-    W = N * L
-    W *= 2.0
-    T += W
-    diagonal -= W.sum(axis=1)
-    del W
-    # -2 sym(P(N - diag c)) = NL + LN - (r_i + r_j) N_ij - (c_i + c_j) L_ij + 2 diag(rc)
-    NL = N @ L
-    T += NL
-    T += NL.T
-    del NL
-    N *= r[:, None]
-    T -= N
-    T -= N.T
-    del N
-    Lc = L * c
-    T -= Lc
-    T -= Lc.T
-    del Lc
-    diagonal += 2.0 * r * c
-    T.flat[:: n + 1] += diagonal
-    return T
+    linked = L.index_of(M.rows, M.cols) >= 0
+    i_others = L.degree[M.rows] - linked
+    j_others = L.degree[M.cols] - linked
+    # with the link taken out, the sum of an observation's neighbours is
+    # its one other neighbour
+    sums = np.bincount(L.rows, L.cols, L.n)
+    same = sums[M.rows] - M.cols * linked == sums[M.cols] - M.rows * linked
+    return (i_others > 0) & (j_others > 0) & ((i_others > 1) | (j_others > 1) | ~same)
 
 
 class StatEngine:
@@ -135,10 +89,10 @@ class StatEngine:
     the psi weight or, in ``joint`` mode, an x kernel at the same
     bandwidth), on the pairs inside the w kernel's support only, and
     evaluates every statistic for an arbitrary response vector, or for each
-    row of a block of them. ``itilde`` builds ``itilde_operator`` on first
-    use with a block, so a test without a bootstrap never does, and never
-    holds an n-by-n matrix unless ``PairWeights.triple_rows`` finds one
-    product cheaper than its lists. The four-distinct-index ``itilde`` needs
+    row of a block of them. ``itilde`` builds its coefficient lists on its
+    first call; a test without a bootstrap holds no n-by-n matrix, except
+    the one ``PairWeights.triple_sums`` scatters while it builds them if
+    that is cheaper than its lists. The four-distinct-index ``itilde`` needs
     n >= 5 and the six-index ``var_tilde`` n >= 7; both raise ``ValueError``
     below their floor.
     """
@@ -170,7 +124,7 @@ class StatEngine:
             self.rate_dim = ds.p_cont + ds.q
         self.M2 = self.M.squared()
         self.h_power = h**self.rate_dim
-        self._T = None
+        self._itilde = None
         self._L2 = None
 
     def _require_n(self, floor: int, name: str) -> None:
@@ -190,31 +144,47 @@ class StatEngine:
     def itilde(self, y: np.ndarray):
         """``itilde`` of a response vector, or of each row of y.
 
-        A vector is summed directly. With D_ik = (y_i - y_k) L_ik and S its
-        row sums, ``full`` sums M_ij S_i S_j over all (i,j,k,l) with i != j,
-        k != i, l != j; s1 collects the k = l coincidences, s2 the k = j ones
-        (l = i mirrors it by symmetry), and the double coincidence k = j,
-        l = i contributes -s3. The all-distinct total is therefore
-        full - s1 - 2*s2 + s3. Rows go through y' T y / (n)_4, which costs
-        O(n^2) each once T is built.
+        (n)_4 itilde is the sum of M_ij D_ik D_jl over distinct i, j, k, l,
+        where D_ik = (y_i - y_k) L_ik. With r = L 1 and S = r∘y - L y the
+        row sums of D, N = M∘L (c = N 1), W = M∘L∘L, G = M∘(L Lᵀ),
+        H = L∘(M L) and e = diag(L M L) (the column sums of H), it is the
+        quadratic form
+
+            S'MS - 2 S'(N - diag c) y + y'(2W - G + H + Hᵀ) y - (e + 2 W 1)'(y∘y),
+
+        whose coefficients are built on the first call (``_itilde_terms``).
         """
         self._require_n(ITILDE_MIN_N, "itilde")
-        M = self.M
-        if y.ndim == 1:
-            L = self.L
-            D = L.with_values((y[L.rows] - y[L.cols]) * L.values)
-            S = D.row_sums
-            full = _fsum(S * M.product(S))
-            s1 = _fsum(M.triple_rows(D))
-            D_at_M = D.values_at(M.rows, M.cols)
-            DM = D_at_M * M.values
-            s3 = _fsum(np.bincount(M.rows, DM * D_at_M, self.n))
-            s2 = _fsum(np.bincount(M.rows, DM * S[M.cols], self.n)) + s3
-            return (full - s1 - 2.0 * s2 + s3) / float(math.perm(self.n, 4))
-        if self._T is None:
-            self._T = itilde_operator(self.L.dense(), M.dense())
+        if self._itilde is None:
+            self._itilde = self._itilde_terms()
+        M, N, Q, diagonal = self._itilde
         y = centred(y, self.L)
-        return _dots(y, y @ self._T) / float(math.perm(self.n, 4))
+        S = (self.n - 1) * recompute_uf(self.L, y)
+        total = _dots(S, M.product(S) - 2.0 * (N.product(y) - N.row_sums * y))
+        total += _dots(y, Q.product(y) - diagonal * y)
+        return total / float(math.perm(self.n, 4))
+
+    def _itilde_terms(self):
+        """M less the entries no arrangement reaches (``_reached``), N, the
+        symmetric Q = 2W - G + H + Hᵀ, listed on the union of the entries of
+        M and L, and the diagonal e + 2 W 1 of ``itilde``."""
+        n, L, M = self.n, self.L, self.M
+        reached = _reached(L, M)
+        if not reached.all():
+            M = M.with_values(np.where(reached, M.values, 0.0))
+        G, H = M.triple_sums(L)
+        e = np.bincount(L.cols, H, n)
+        H += H[L.mirrors()]
+        W = L.values_at(M.rows, M.cols)
+        N = M.with_values(M.values * W)
+        W *= N.values
+        diagonal = e + 2.0 * np.bincount(M.rows, W, n)
+        on_M = 2.0 * W - G
+        # released before the merge: with lists as long as a dense matrix
+        # is large (all pairs of a few discrete groups), this is the peak
+        del W, G
+        Q = L.with_values(H).plus(M.with_values(on_M))
+        return M, N, Q, diagonal
 
     def var_tilde(self, y: np.ndarray):
         """Six-index studentizer via nested distinctness, of a response

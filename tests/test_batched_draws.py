@@ -1,5 +1,5 @@
-"""The batched bootstrap against per-draw statistic calls, the operator T
-behind the batched itilde, and the causes of degenerate tests."""
+"""The batched bootstrap against per-draw statistic calls, itilde of a block
+against its dense arrangement sums, and the causes of degenerate tests."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import npsigtest.statistics as statistics
 from npsigtest.bootstrap import (
     DRAW_BLOCK,
     MAX_DEGENERATE_DRAW_FRACTION,
@@ -60,9 +59,11 @@ def fsum_var_tilde(eng, y):
 
 
 def arrangement_sums(eng, y):
-    """The sums (full, s1, s2, s3) behind ``StatEngine.itilde`` of a vector,
-    from the dense matrices: D_ik = (y_i - y_k) L_ik with row sums S, full =
-    S'MS, s1 = sum M∘DD', s3 = sum M∘D∘D and s2 = sum (D∘M)S + s3."""
+    """The sums (full, s1, s2, s3) of which (n)_4 itilde(y) is
+    full - s1 - 2 s2 + s3, from the dense matrices: D_ik = (y_i - y_k) L_ik
+    with row sums S, full = S'MS (all (i, j, k, l) with i != j, k != i,
+    l != j), s1 = sum M∘DD' (the k = l coincidences), s3 = sum M∘D∘D and
+    s2 = sum (D∘M)S + s3 (the k = j ones)."""
     L, M = eng.L.dense(), eng.M.dense()
     D = (y[:, None] - y[None, :]) * L
     S = D.sum(axis=1)
@@ -82,8 +83,8 @@ def studentized(raw, omega2, n, h, p):
 def per_draw_reference(sd, sm, cfg):
     """Per draw, as the bootstrap evaluated it before batching, with the
     multipliers of each draw from its own fresh generator and in plain
-    compensated sums over pairwise differences (itilde by the direct form
-    ``StatEngine.itilde`` takes for a vector): the standardized value (NaN
+    compensated sums over pairwise differences (itilde by
+    ``StatEngine.itilde`` of the draw alone): the standardized value (NaN
     if degenerate), whether it used the variance fallback, whether its
     variance is rounding noise, and the standardized value of the magnitude
     of the sums that cancel to the statistic.
@@ -210,6 +211,20 @@ class TestBatchedAgainstPerDraw:
         assert np.array_equal(res.bootstrap_draws, t_batch[~degenerate])
 
 
+def count_scatters(monkeypatch):
+    """The n of each first-time ``PairWeights.dense`` scatter from now on."""
+    scatters = []
+    dense = PairWeights.dense
+
+    def counted(self):
+        if self._dense is None:
+            scatters.append(self.n)
+        return dense(self)
+
+    monkeypatch.setattr(PairWeights, "dense", counted)
+    return scatters
+
+
 def wide_case(seed=41, n=25):
     d = make_dataset(seed, n, q=1)
     sd = standardize(d)
@@ -232,15 +247,7 @@ class TestDrawBlocks:
         # each dense n-by-n scatter is made once per test, not once per
         # block of draws: B = 64 is one block and B = 199 four
         assert 199 // DRAW_BLOCK > 64 // DRAW_BLOCK == 1
-        scatters = []
-        dense = PairWeights.dense
-
-        def counted(self):
-            if self._dense is None:
-                scatters.append(self.n)
-            return dense(self)
-
-        monkeypatch.setattr(PairWeights, "dense", counted)
+        scatters = count_scatters(monkeypatch)
         d = make_dataset(61, 40, q=1)
         counts = []
         for B in (64, 199):
@@ -280,13 +287,17 @@ class TestIsolatedResponses:
 class TestItildeOperator:
     @pytest.mark.parametrize("mode", ["psi", "joint"])
     def test_quadratic_form_is_itilde(self, mode):
+        # each row of a block is itilde of that row alone, and the
+        # decomposition of the four-index sum from the dense matrices
         sd, sm, bw = wide_case(seed=44, n=30)
         eng = StatEngine(sd, sm, bw.h, mode=mode)
         y = sd.dataset.y
-        T = statistics.itilde_operator(eng.L.dense(), eng.M.dense())
+        rows = np.stack([y, null_resample(sm, y, explicit_multipliers(30, 3, 0))])
         n4 = 30 * 29 * 28 * 27
-        assert close(float(y @ T @ y) / n4, eng.itilde(y))
-        assert close(float(eng.itilde(y[None, :])[0]), eng.itilde(y))
+        for got, row in zip(eng.itilde(rows), rows):
+            full, s1, s2, s3 = arrangement_sums(eng, row)
+            assert close(got, eng.itilde(row))
+            assert close(got, (full - s1 - 2.0 * s2 + s3) / n4)
 
     def test_constant_rows_give_exact_zeros(self):
         sd, sm, bw = wide_case()
@@ -311,11 +322,30 @@ class TestItildeOperator:
         assert eng.var_tilde(y[0]) == 0.0
         assert np.array_equal(eng.var_tilde(y), np.zeros(5))
 
-    def test_asymptotic_test_never_builds_the_operator(self, monkeypatch):
-        def refuse(L, M):
-            raise AssertionError("itilde_operator built on the asymptotic path")
+    def test_itilde_of_lone_triangles_is_exactly_zero(self):
+        # three far-apart triangles: the two ends of each pair of M have one
+        # other neighbour each, the same one, so no arrangement of four
+        # distinct indices has weight and itilde vanishes identically
+        w = np.repeat([0.0, 3.0, 6.0], 3)[:, None] + np.tile([0.0, 0.1, 0.2], 3)[:, None]
+        d = Dataset(
+            y=np.arange(9.0) ** 2,
+            w=w,
+            x=np.arange(9.0)[:, None],
+            w_kinds=all_continuous(1),
+            x_kinds=all_continuous(1),
+        )
+        sd = standardize(d)
+        sm = compute_smoother(sd, 0.3)
+        eng = StatEngine(sd, sm, 0.3)
+        assert len(eng.M.values) == 18
+        y = np.random.default_rng(4).standard_normal((5, 9))
+        assert eng.itilde(y[0]) == 0.0
+        assert np.array_equal(eng.itilde(y), np.zeros(5))
 
-        monkeypatch.setattr(statistics, "itilde_operator", refuse)
+    def test_asymptotic_test_never_builds_the_operator(self, monkeypatch):
+        # a test without a bootstrap sums every statistic over the lists
+        # and scatters no dense n-by-n matrix; a bootstrap test does
+        scatters = count_scatters(monkeypatch)
         d = make_dataset(57, 40, q=1)
         bw = default_bandwidths(40, 2.0)
         for statistic, variance in (
@@ -327,8 +357,9 @@ class TestItildeOperator:
                 bandwidths=bw, statistic=statistic, variance=variance, critical="asymptotic"
             )
             run_test(d, cfg)
-        with pytest.raises(AssertionError, match="asymptotic path"):
-            run_test(d, TestConfig(bandwidths=bw, B=9))
+        assert scatters == []
+        run_test(d, TestConfig(bandwidths=bw, B=9))
+        assert scatters
 
 
 class TestDegenerateCause:

@@ -131,6 +131,8 @@ def edge_case(name):
     elif name == "discrete_w":
         w[:, 1] = rng.integers(0, 2, size=n)
         w_kinds = (ColumnKind.CONTINUOUS, ColumnKind.DISCRETE)
+    elif name == "wide_h":
+        g, h = 0.9, 1.8  # M has pairs that L does not
     d = Dataset(
         y=w[:, 0] + rng.standard_normal(n),
         w=w,
@@ -142,11 +144,14 @@ def edge_case(name):
 
 
 class TestListPathEdgeCases:
-    @pytest.mark.parametrize("name", ["isolated", "duplicated", "discrete_w", "n5", "n7"])
+    @pytest.mark.parametrize(
+        "name", ["isolated", "duplicated", "discrete_w", "wide_h", "n5", "n7"]
+    )
     @pytest.mark.parametrize("triples", ["lists", "dense"])
     def test_vector_statistics_match_oracles(self, name, triples, monkeypatch):
-        # the observed (vector) statistics over the pair lists, with the
-        # triple sum of itilde forced onto either of its two forms
+        # the statistics over the pair lists, with the triple sums behind
+        # the coefficients of itilde forced onto either of their two forms;
+        # itilde also on a block of two rows
         monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0 if triples == "lists" else math.inf)
         sd, g, h = edge_case(name)
         sm = compute_smoother(sd, g)
@@ -159,7 +164,7 @@ class TestListPathEdgeCases:
         eng = StatEngine(sd, sm, h)
         y = sd.dataset.y
         assert close(eng.ihat(sm.uf), oracle_ihat(tables))
-        assert close(eng.itilde(y), oracle_itilde(tables))
+        assert close_in_both_shapes(eng.itilde, y, oracle_itilde(tables))
         assert close(eng.var_hat(sm.uf), oracle_var_hat(tables, sm.uf))
         if sd.n >= 7:
             assert close(eng.var_tilde(y), oracle_var_tilde_nested(tables))
