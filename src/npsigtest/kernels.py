@@ -40,15 +40,12 @@ _CHUNK = 1 << 18
 
 # rows of W per block in PairWeights._dense_triple_sums; bounds its work
 # arrays at a few blocks of this many rows besides the one dense matrix A
-# (at n = 600 with all pairs of three groups listed, 256 rows held 1.2
-# n-by-n matrices more at the peak of an asymptotic test)
 _DENSE_ROWS = 64
 
 # PairWeights.triple_sums sums over lists while it has at most
 # n^2 / _TERMS_PER_N2 terms, else densely: on one core a list term cost
-# 50-100 ns, and the dense form 5-6 ns per entry of its n-by-n scatter,
-# up to 50 ns where its bands are wide (n = 50 to 2000, c = 0.5 to 8, one
-# or two w columns); the two broke even at n^2/11 to n^2/9 terms
+# 50-100 ns, and the dense form 5-50 ns per entry of its n-by-n scatter
+# (n = 50 to 2000, c = 0.5 to 8); they broke even at n^2/11 to n^2/9 terms
 _TERMS_PER_N2 = 10
 
 
@@ -115,9 +112,10 @@ def _rank(order: np.ndarray) -> np.ndarray:
 
 class PairWeights:
     """A symmetric n-by-n matrix of pair weights with a zero diagonal, held
-    as the lists of its entries, which include every nonzero one: ``rows``,
-    ``cols`` and ``values``, with (i, j) and (j, i) both listed. ``order`` lists the observations so
-    that each one's neighbours are close to it (the builders' sort), and
+    as the lists of its entries, every nonzero one among them: ``rows``,
+    ``cols`` and ``values``, with (i, j) and (j, i) both listed. ``order``
+    lists the observations so that each one's neighbours are close to it
+    (the builders' sort), and
     ``rank`` is each observation's place in it. The entries are sorted by
     row, and within a row by the rank of the column.
 
@@ -178,37 +176,25 @@ class PairWeights:
         at[self._keys[at] != keys] = -1
         return at
 
-    def mirrors(self) -> np.ndarray:
-        """The place in the lists of each entry's mirror (j, i). The pattern
-        is symmetric, so sorting the entries by their mirrors' keys lists
-        the mirror of each entry in its place."""
-        return np.argsort(self.cols * self.n + self.rank[self.rows])
-
     def values_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The value of each entry (rows, cols), 0 where there is none."""
-        at = self.index_of(rows, cols)
-        found = at >= 0
-        out = np.zeros(len(rows))
-        out[found] = self.values[at[found]]
-        return out
+        """The value of each entry (rows, cols), 0 where there is none (the
+        place -1 picks the 0 appended to the values)."""
+        return np.append(self.values, 0.0)[self.index_of(rows, cols)]
 
     def plus(self, other: PairWeights) -> PairWeights:
         """W + V for pair weights V with the same ``order``, each entry
         listed once."""
         at = self.index_of(other.rows, other.cols)
-        found = at >= 0
+        new = at < 0
         values = self.values.copy()
-        values[at[found]] += other.values[found]
-        if found.all():
+        values[at[~new]] += other.values[~new]
+        if not new.any():
             return self.with_values(values)
-        rows = np.concatenate([self.rows, other.rows[~found]])
-        cols = np.concatenate([self.cols, other.cols[~found]])
-        keys = rows * self.n + self.rank[cols]
-        by_key = np.argsort(keys)
-        values = np.concatenate([values, other.values[~found]])[by_key]
-        out = PairWeights(self.n, rows[by_key], cols[by_key], values, self.order)
-        out._keys = keys[by_key]
-        return out
+        rows = np.concatenate([self.rows, other.rows[new]])
+        cols = np.concatenate([self.cols, other.cols[new]])
+        by_key = np.argsort(rows * self.n + self.rank[cols])
+        values = np.concatenate([values, other.values[new]])[by_key]
+        return PairWeights(self.n, rows[by_key], cols[by_key], values, self.order)
 
     def triple_sums(self, a: PairWeights) -> tuple[np.ndarray, np.ndarray]:
         """The terms W_ij A_ik A_jk summed over k at each entry (i, j) of W,

@@ -73,13 +73,12 @@ def _reached(L: PairWeights, M: PairWeights) -> np.ndarray:
     0, not rounding residue.
     """
     linked = L.index_of(M.rows, M.cols) >= 0
-    i_others = L.degree[M.rows] - linked
-    j_others = L.degree[M.cols] - linked
-    # with the link taken out, the sum of an observation's neighbours is
-    # its one other neighbour
+    pairs = (L.degree[M.rows] - linked) * (L.degree[M.cols] - linked)
+    # where each end has one other neighbour, it is the sum of the
+    # neighbours less the link
     sums = np.bincount(L.rows, L.cols, L.n)
     same = sums[M.rows] - M.cols * linked == sums[M.cols] - M.rows * linked
-    return (i_others > 0) & (j_others > 0) & ((i_others > 1) | (j_others > 1) | ~same)
+    return (pairs > 1) | ((pairs == 1) & ~same)
 
 
 class StatEngine:
@@ -174,8 +173,10 @@ class StatEngine:
             M = M.with_values(np.where(reached, M.values, 0.0))
         G, H = M.triple_sums(L)
         e = np.bincount(L.cols, H, n)
-        H += H[L.mirrors()]
-        W = L.values_at(M.rows, M.cols)
+        # L is symmetric: sorting its entries by their mirrors' keys puts
+        # the mirror (k, i) of each entry (i, k) in its place
+        H += H[np.argsort(L.cols * n + L.rank[L.rows])]
+        W = L.values_at(M.rows, M.cols)  # L on M's entries, then M∘L∘L
         N = M.with_values(M.values * W)
         W *= N.values
         diagonal = e + 2.0 * np.bincount(M.rows, W, n)
