@@ -25,6 +25,7 @@ check every kernel value as well as every sum.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -142,8 +143,8 @@ class PairWeights:
 
     def with_values(self, values: np.ndarray) -> PairWeights:
         """Weights with the same entries and new values, one per entry."""
-        out = PairWeights(self.n, self.rows, self.cols, values, self.order)
-        out._keys = self._keys
+        out = copy.copy(self)
+        out.values, out.row_sums, out._dense = values, np.bincount(self.rows, values, self.n), None
         return out
 
     def squared(self) -> PairWeights:

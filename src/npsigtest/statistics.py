@@ -63,8 +63,9 @@ def studentize(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
     return np.where(omega2 > 0.0, t, math.nan)
 
 
-def _reached(L: PairWeights, M: PairWeights) -> np.ndarray:
-    """Whether an arrangement reaches each entry (i, j) of M.
+def _reached(L: PairWeights, M: PairWeights, linked: np.ndarray) -> np.ndarray:
+    """Whether an arrangement reaches each entry (i, j) of M, given whether
+    L_ij != 0.
 
     The entry adds M_ij D_ik D_jl over k != l outside {i, j}, an empty sum
     when i or j has no neighbour besides the other, or each has one and it
@@ -72,7 +73,6 @@ def _reached(L: PairWeights, M: PairWeights) -> np.ndarray:
     they feed exactly 0: a sample that no arrangement reaches gets exactly
     0, not rounding residue.
     """
-    linked = L.index_of(M.rows, M.cols) >= 0
     pairs = (L.degree[M.rows] - linked) * (L.degree[M.cols] - linked)
     # where each end has one other neighbour, it is the sum of the
     # neighbours less the link
@@ -168,7 +168,8 @@ class StatEngine:
         symmetric Q = 2W - G + H + Hᵀ, listed on the union of the entries of
         M and L, and the diagonal e + 2 W 1 of ``itilde``."""
         n, L, M = self.n, self.L, self.M
-        reached = _reached(L, M)
+        W = L.values_at(M.rows, M.cols)  # L on M's entries, then M∘L∘L
+        reached = _reached(L, M, W != 0.0)
         if not reached.all():
             M = M.with_values(np.where(reached, M.values, 0.0))
         G, H = M.triple_sums(L)
@@ -176,7 +177,6 @@ class StatEngine:
         # L is symmetric: sorting its entries by their mirrors' keys puts
         # the mirror (k, i) of each entry (i, k) in its place
         H += H[np.argsort(L.cols * n + L.rank[L.rows])]
-        W = L.values_at(M.rows, M.cols)  # L on M's entries, then M∘L∘L
         N = M.with_values(M.values * W)
         W *= N.values
         diagonal = e + 2.0 * np.bincount(M.rows, W, n)
