@@ -158,7 +158,7 @@ class StatEngine:
             self._itilde = self._itilde_terms()
         M, N, Q, diagonal = self._itilde
         y = centred(y, self.L)
-        S = (self.n - 1) * recompute_uf(self.L, y)
+        S = y * self.L.row_sums - self.L.product(y)
         total = _dots(S, M.product(S) - 2.0 * (N.product(y) - N.row_sums * y))
         total += _dots(y, Q.product(y) - diagonal * y)
         return total / float(math.perm(self.n, 4))
