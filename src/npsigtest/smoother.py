@@ -54,9 +54,8 @@ def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
     if n < MIN_OBSERVATIONS:
         raise ValueError(f"leave-one-out smoothing needs n >= {MIN_OBSERVATIONS}")
     if n > MAX_OBSERVATIONS:
-        # a bootstrap test's measured peak (tracemalloc, n = 1500, var_hat
-        # and var_tilde): about this many n-by-n float64 matrices, whatever
-        # the columns
+        # a bootstrap test's measured peak (tracemalloc at n = 1500): about
+        # this many n-by-n float64 matrices, whatever the columns
         held = 8
         mb = 8 * n * n / 2**20
         raise ValueError(
