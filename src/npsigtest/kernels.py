@@ -25,7 +25,6 @@ check every kernel value as well as every sum.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -143,8 +142,8 @@ class PairWeights:
 
     def with_values(self, values: np.ndarray) -> PairWeights:
         """Weights with the same entries and new values, one per entry."""
-        out = copy.copy(self)
-        out.values, out.row_sums, out._dense = values, np.bincount(self.rows, values, self.n), None
+        out = PairWeights(self.n, self.rows, self.cols, values, self.order)
+        out._keys = self._keys
         return out
 
     def squared(self) -> PairWeights:
@@ -182,10 +181,10 @@ class PairWeights:
         place -1 picks the 0 appended to the values)."""
         return np.append(self.values, 0.0)[self.index_of(rows, cols)]
 
-    def plus(self, other: PairWeights) -> PairWeights:
+    def plus(self, other: PairWeights, at: np.ndarray) -> PairWeights:
         """W + V for pair weights V with the same ``order``, each entry
-        listed once."""
-        at = self.index_of(other.rows, other.cols)
+        listed once, given the place ``at`` of each entry of V in W's lists
+        (``index_of``)."""
         new = at < 0
         values = self.values.copy()
         values[at[~new]] += other.values[~new]

@@ -54,9 +54,10 @@ def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
     if n < MIN_OBSERVATIONS:
         raise ValueError(f"leave-one-out smoothing needs n >= {MIN_OBSERVATIONS}")
     if n > MAX_OBSERVATIONS:
-        # a bootstrap test's measured peak (tracemalloc at n = 1500): about
-        # this many n-by-n float64 matrices, whatever the columns
-        held = 8
+        # the largest measured peak of a bootstrap test (tracemalloc, n = 400
+        # and 1500, p = 1 or 2, q = 1 or 5, c = 0.5 or 2), in n-by-n float64
+        # matrices; it is smaller at larger n
+        held = 10
         mb = 8 * n * n / 2**20
         raise ValueError(
             f"{n} observations exceed the limit of {MAX_OBSERVATIONS}: the test "

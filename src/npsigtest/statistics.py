@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .data import ColumnKind, ScaledDataset
-from .kernels import PairWeights, joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
+from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
 from .smoother import SmootherOutput, centred, recompute_uf
 
 # fewest observations of the four-distinct-index itilde
@@ -61,24 +61,6 @@ def studentize(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         t = n * h ** (p_c / 2.0) * i_n / np.sqrt(omega2)
     return np.where(omega2 > 0.0, t, math.nan)
-
-
-def _reached(L: PairWeights, M: PairWeights, linked: np.ndarray) -> np.ndarray:
-    """Whether an arrangement reaches each entry (i, j) of M, given whether
-    L_ij != 0.
-
-    The entry adds M_ij D_ik D_jl over k != l outside {i, j}, an empty sum
-    when i or j has no neighbour besides the other, or each has one and it
-    is the same. ``itilde`` sets such entries to 0, which makes every term
-    they feed exactly 0: a sample that no arrangement reaches gets exactly
-    0, not rounding residue.
-    """
-    pairs = (L.degree[M.rows] - linked) * (L.degree[M.cols] - linked)
-    # where each end has one other neighbour, it is the sum of the
-    # neighbours less the link
-    sums = np.bincount(L.rows, L.cols, L.n)
-    same = sums[M.rows] - M.cols * linked == sums[M.cols] - M.rows * linked
-    return (pairs > 1) | ((pairs == 1) & ~same)
 
 
 class StatEngine:
@@ -149,29 +131,31 @@ class StatEngine:
         H = L∘(M L) and e = diag(L M L) (the column sums of H), it is the
         quadratic form
 
-            S'MS - 2 S'(N - diag c) y + y'(2W - G + H + Hᵀ) y - (e + 2 W 1)'(y∘y),
+            S'MS - 2 y'(N - diag c) S + y'(2W - G + H + Hᵀ) y - (e + 2 W 1)'(y∘y),
 
-        whose coefficients are built on the first call (``_itilde_terms``).
+        taken one term at a time, in this order, over coefficients built on
+        the first call (``_itilde_terms``). Where itilde is 0 in exact
+        arithmetic (no arrangement has weight) the result is the rounding
+        residue of these sums, and a test is decided on it (ROADMAP item 4).
         """
         self._require_n(ITILDE_MIN_N, "itilde")
         if self._itilde is None:
             self._itilde = self._itilde_terms()
-        M, N, Q, diagonal = self._itilde
+        N, Q, diagonal = self._itilde
         y = centred(y, self.L)
         S = y * self.L.row_sums - self.L.product(y)
-        total = _dots(S, M.product(S) - 2.0 * (N.product(y) - N.row_sums * y))
-        total += _dots(y, Q.product(y) - diagonal * y)
+        total = _dots(S, self.M.product(S))
+        total -= 2.0 * _dots(y, N.product(S) - N.row_sums * S)
+        total += _dots(y, Q.product(y))
+        total -= _dots(y, diagonal * y)
         return total / float(math.perm(self.n, 4))
 
     def _itilde_terms(self):
-        """M less the entries no arrangement reaches (``_reached``), N, the
-        symmetric Q = 2W - G + H + Hᵀ, listed on the union of the entries of
-        M and L, and the diagonal e + 2 W 1 of ``itilde``."""
+        """N, the symmetric Q = 2W - G + H + Hᵀ, listed on the union of the
+        entries of M and L, and the diagonal e + 2 W 1 of ``itilde``."""
         n, L, M = self.n, self.L, self.M
-        W = L.values_at(M.rows, M.cols)  # L on M's entries, then M∘L∘L
-        reached = _reached(L, M, W != 0.0)
-        if not reached.all():
-            M = M.with_values(np.where(reached, M.values, 0.0))
+        at = L.index_of(M.rows, M.cols)
+        W = np.append(L.values, 0.0)[at]  # L on M's entries, then M∘L∘L
         G, H = M.triple_sums(L)
         e = np.bincount(L.cols, H, n)
         # L is symmetric: sorting its entries by their mirrors' keys puts
@@ -184,8 +168,8 @@ class StatEngine:
         # released before the merge: with lists as long as a dense matrix
         # is large (all pairs of a few discrete groups), this is the peak
         del W, G
-        Q = L.with_values(H).plus(M.with_values(on_M))
-        return M, N, Q, diagonal
+        Q = L.with_values(H).plus(M.with_values(on_M), at)
+        return N, Q, diagonal
 
     def var_tilde(self, y: np.ndarray):
         """Six-index studentizer via nested distinctness, of a response

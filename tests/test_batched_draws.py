@@ -322,26 +322,6 @@ class TestItildeOperator:
         assert eng.var_tilde(y[0]) == 0.0
         assert np.array_equal(eng.var_tilde(y), np.zeros(5))
 
-    def test_itilde_of_lone_triangles_is_exactly_zero(self):
-        # three far-apart triangles: the two ends of each pair of M have one
-        # other neighbour each, the same one, so no arrangement of four
-        # distinct indices has weight and itilde vanishes identically
-        w = np.repeat([0.0, 3.0, 6.0], 3)[:, None] + np.tile([0.0, 0.1, 0.2], 3)[:, None]
-        d = Dataset(
-            y=np.arange(9.0) ** 2,
-            w=w,
-            x=np.arange(9.0)[:, None],
-            w_kinds=all_continuous(1),
-            x_kinds=all_continuous(1),
-        )
-        sd = standardize(d)
-        sm = compute_smoother(sd, 0.3)
-        eng = StatEngine(sd, sm, 0.3)
-        assert len(eng.M.values) == 18
-        y = np.random.default_rng(4).standard_normal((5, 9))
-        assert eng.itilde(y[0]) == 0.0
-        assert np.array_equal(eng.itilde(y), np.zeros(5))
-
     def test_asymptotic_test_never_builds_the_operator(self, monkeypatch):
         # a test without a bootstrap sums every statistic over the lists
         # and scatters no dense n-by-n matrix; a bootstrap test does

@@ -73,7 +73,7 @@ class TestComputeSmoother:
             compute_smoother(standardize(d), 0.9)
         message = str(exc.value)
         assert "4001" in message and "4000" in message
-        assert "122 MB each" in message and "977 MB in all" in message
+        assert "122 MB each" in message and "1221 MB in all" in message
         assert "subsample" in message
 
     def test_pairwise_symmetric_zero_diagonal(self):
