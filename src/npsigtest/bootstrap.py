@@ -278,8 +278,8 @@ def _evaluate(eng, cfg: TestConfig, y: np.ndarray, uf: np.ndarray):
     if cfg.statistic == "dgm":
         raw = eng.statistic(uf)
         return raw, np.full(np.shape(raw), math.nan), raw, np.zeros(np.shape(raw), dtype=bool)
-    raw = eng.ihat(uf) if cfg.statistic == "ihat" else eng.itilde(y)
-    omega2 = eng.var_hat(uf) if cfg.variance == "var_hat" else eng.var_tilde(y)
+    raw = eng.ihat(uf) if cfg.statistic == "ihat" else eng.itilde(y, uf)
+    omega2 = eng.var_hat(uf) if cfg.variance == "var_hat" else eng.var_tilde(y, uf)
     fallback = (cfg.variance == "var_tilde") & (omega2 <= 0.0)
     if fallback.any():
         omega2 = np.where(fallback, eng.var_hat(uf), omega2)

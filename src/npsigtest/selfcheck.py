@@ -84,17 +84,18 @@ def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
             y = sd.dataset.y
             eng = StatEngine(sd, sm, bw.h, psi=psi_family)
             checks = [
-                ("ihat", eng.ihat, sm.uf, oracle_ihat(tables)),
-                ("itilde", eng.itilde, y, oracle_itilde(tables)),
-                ("var_hat", eng.var_hat, sm.uf, oracle_var_hat(tables, sm.uf)),
+                ("ihat", eng.ihat, (sm.uf,), oracle_ihat(tables)),
+                ("itilde", eng.itilde, (y, sm.uf), oracle_itilde(tables)),
+                ("var_hat", eng.var_hat, (sm.uf,), oracle_var_hat(tables, sm.uf)),
             ]
             if psi_family != "indicator":
                 joint = OracleTables(sd, bw.g, bw.h, joint=True)
                 lv = StatEngine(sd, sm, bw.h, mode="joint")
-                checks.append(("lv", lv.itilde, y, oracle_itilde(joint)))
-                checks.append(("lv-variance", lv.var_hat, sm.uf, oracle_var_hat(joint, sm.uf)))
-            for name, method, v, slow in checks:
-                for shape, fast in (("vector", [method(v)]), ("rows", method(np.stack([v, v])))):
+                checks.append(("lv", lv.itilde, (y, sm.uf), oracle_itilde(joint)))
+                checks.append(("lv-variance", lv.var_hat, (sm.uf,), oracle_var_hat(joint, sm.uf)))
+            for name, method, args, slow in checks:
+                rows = method(*(np.stack([v, v]) for v in args))
+                for shape, fast in (("vector", [method(*args)]), ("rows", rows)):
                     bad = [f for f in fast if not close(f, slow)]
                     if bad:
                         return (
@@ -200,7 +201,7 @@ def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
     def raw_statistics(sd_, sm_):
         """(ihat, itilde, var_hat) of a smoothed sample."""
         eng_ = StatEngine(sd_, sm_, bw.h)
-        return eng_.ihat(sm_.uf), eng_.itilde(sd_.dataset.y), eng_.var_hat(sm_.uf)
+        return eng_.ihat(sm_.uf), eng_.itilde(sd_.dataset.y, sm_.uf), eng_.var_hat(sm_.uf)
 
     raw_ihat, raw_itilde, raw_var = raw_statistics(sd, sm)
     t_base = _tn(data)
@@ -260,7 +261,7 @@ def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
     ystar = null_resample(sm, data.y, eta)
     eng = StatEngine(sd, sm, bw.h)
     ufstar = recompute_uf(sm.pairwise, ystar)
-    if not close(eng.itilde(ystar), raw_itilde, rel=1e-12):
+    if not close(eng.itilde(ystar, ufstar), raw_itilde, rel=1e-12):
         failures.append("unit-eta-itilde")
     if not close(eng.var_hat(ufstar), raw_var, rel=1e-12):
         failures.append("unit-eta-var")

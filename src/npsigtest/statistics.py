@@ -11,14 +11,14 @@ against a linear specification (``fisher_test``).
 
 Every statistic is a quadratic form in the response, over the kernel weights
 L and the test weights M = K_h(w)∘psi, which ``kernels.PairWeights`` holds as
-lists of their few nonzero entries. Each statistic has one body that takes
-either one response (or residual) vector or a block of them, one per row, so
-the observed data and the wild-bootstrap draws go through the same code: a
-vector is summed over the lists, a block by BLAS products with the dense
-matrices, which ``PairWeights`` scatters on first use. ``itilde`` is such a
-quadratic form too, over coefficient lists that each engine builds once,
-from sums over the triples (i, j, k) that M and L connect. The brute-force
-oracles pin both shapes at 1e-10 relative for n = 6, 8 and 10.
+lists of their few nonzero entries. Each reads the leave-one-out residuals
+uf of the response (``smoother.recompute_uf``, its one product with L) and
+has one body for one vector or a block of them, one per row, so the observed
+data and the wild-bootstrap draws go through the same code: a vector is
+summed over the lists, a block by BLAS products with the dense matrices,
+which ``PairWeights`` scatters on first use. ``itilde``'s coefficient lists
+are built once per engine, from sums over the triples (i, j, k) that M and
+L connect. The oracles pin both shapes at 1e-10 relative for n = 6, 8, 10.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import ColumnKind, ScaledDataset
 from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
-from .smoother import SmootherOutput, centred, recompute_uf
+from .smoother import SmootherOutput, centred
 
 # fewest observations of the four-distinct-index itilde
 ITILDE_MIN_N = 5
@@ -68,14 +68,14 @@ class StatEngine:
 
     Builds the test weights M once (the w kernel at bandwidth h times either
     the psi weight or, in ``joint`` mode, an x kernel at the same
-    bandwidth), on the pairs inside the w kernel's support only, and
-    evaluates every statistic for an arbitrary response vector, or for each
-    row of a block of them. ``itilde`` builds its coefficient lists on its
-    first call; a test without a bootstrap holds no n-by-n matrix, except
-    the one ``PairWeights.triple_sums`` scatters while it builds them if
-    that is cheaper than its lists. The four-distinct-index ``itilde`` needs
-    n >= 5 and the six-index ``var_tilde`` n >= 7; both raise ``ValueError``
-    below their floor.
+    bandwidth), on the pairs inside the w kernel's support only. Every
+    statistic reads the residuals uf of a response, or of each row of a
+    block; ``itilde`` and ``var_tilde`` read the response too, and take no
+    product with L. ``itilde`` builds its coefficient lists on its first
+    call; a test without a bootstrap holds no n-by-n matrix, except the one
+    ``PairWeights.triple_sums`` scatters while it builds them if that is
+    cheaper than its lists. The four-index ``itilde`` needs n >= 5 and the
+    six-index ``var_tilde`` n >= 7; both raise ``ValueError`` below that.
     """
 
     def __init__(
@@ -122,12 +122,12 @@ class StatEngine:
         total = _dots(uf2, self.M2.product(uf2))
         return 2.0 * self.h_power * total / float(math.perm(self.n, 2))
 
-    def itilde(self, y: np.ndarray):
-        """``itilde`` of a response vector, or of each row of y.
+    def itilde(self, y: np.ndarray, uf: np.ndarray):
+        """``itilde`` of a response y and its residuals uf, or of each row of both.
 
         (n)_4 itilde is the sum of M_ij D_ik D_jl over distinct i, j, k, l,
-        where D_ik = (y_i - y_k) L_ik. With r = L 1 and S = r∘y - L y the
-        row sums of D, N = M∘L (c = N 1), W = M∘L∘L, G = M∘(L Lᵀ),
+        where D_ik = (y_i - y_k) L_ik. With S = (n - 1) uf the row sums of
+        D, N = M∘L (c = N 1), W = M∘L∘L, G = M∘(L Lᵀ),
         H = L∘(M L) and e = diag(L M L) (the column sums of H), it is the
         quadratic form
 
@@ -136,14 +136,14 @@ class StatEngine:
         taken one term at a time, in this order, over coefficients built on
         the first call (``_itilde_terms``). Where itilde is 0 in exact
         arithmetic (no arrangement has weight) the result is the rounding
-        residue of these sums, and a test is decided on it (ROADMAP item 4).
+        residue of these sums, and a test is decided on it (ROADMAP item 2).
         """
         self._require_n(ITILDE_MIN_N, "itilde")
         if self._itilde is None:
             self._itilde = self._itilde_terms()
         N, Q, diagonal = self._itilde
         y = centred(y, self.L)
-        S = y * self.L.row_sums - self.L.product(y)
+        S = (self.n - 1) * uf
         total = _dots(S, self.M.product(S))
         total -= 2.0 * _dots(y, N.product(S) - N.row_sums * S)
         total += _dots(y, Q.product(y))
@@ -171,9 +171,9 @@ class StatEngine:
         Q = L.with_values(H).plus(M.with_values(on_M), at)
         return N, Q, diagonal
 
-    def var_tilde(self, y: np.ndarray):
-        """Six-index studentizer via nested distinctness, of a response
-        vector or of each row of y.
+    def var_tilde(self, y: np.ndarray, uf: np.ndarray):
+        """Six-index studentizer via nested distinctness, of a response y and
+        its residuals uf, or of each row of both.
 
         For each i, A_i sums (y_i - y_k)(y_i - y_k') L_ik L_ik' over k != k'
         (both != i): the square of s_i = (n - 1) uf_i less
@@ -188,13 +188,12 @@ class StatEngine:
         self._require_n(7, "var_tilde")
         n = self.n
         y = centred(y, self.L)
-        s = (n - 1) * recompute_uf(self.L, y)
         if self._L2 is None:
             self._L2 = self.L.squared()
         L2 = self._L2
         y2 = y * y
         Q = y2 * L2.row_sums - 2.0 * y * L2.product(y) + L2.product(y2)
-        A = s * s - Q
+        A = ((n - 1) * uf) ** 2 - Q
         A[..., self.L.degree < 2] = 0.0
         total = _dots(A, self.M2.product(A))
         denom = float(math.perm(n, 2)) * (n - 2) ** 2 * (n - 3) ** 2

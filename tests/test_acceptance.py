@@ -112,8 +112,8 @@ def test_criterion_5_null_asymptotic_normality():
         sd = standardize(data)
         sm = compute_smoother(sd, bw.g)
         eng = StatEngine(sd, sm, bw.h, psi="normal")
-        raw = eng.itilde(sd.dataset.y)
-        omega2 = eng.var_tilde(sd.dataset.y)
+        raw = eng.itilde(sd.dataset.y, sm.uf)
+        omega2 = eng.var_tilde(sd.dataset.y, sm.uf)
         if omega2 <= 0.0:
             omega2 = eng.var_hat(sm.uf)
         tns[r] = n * bw.h ** (eng.rate_dim / 2.0) * raw / math.sqrt(omega2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from npsigtest import bootstrap
 from npsigtest.bootstrap import (
     DRAW_BLOCK,
     MAX_DEGENERATE_DRAW_FRACTION,
@@ -23,7 +24,7 @@ from npsigtest.bootstrap import (
 from npsigtest.data import ColumnKind, Dataset, all_continuous, standardize
 from npsigtest.kernels import PSI_FAMILIES, Bandwidths, PairWeights, default_bandwidths
 from npsigtest.selfcheck import ABS_TOL, REL_TOL, close
-from npsigtest.smoother import compute_smoother
+from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import CvmEngine, DegenerateStatisticError, StatEngine
 
 from conftest import explicit_multipliers, make_dataset
@@ -116,7 +117,7 @@ def per_draw_reference(sd, sm, cfg):
         if cfg.statistic == "ihat":
             raw, raw_scale = fsum_ihat(eng, uf), fsum_ihat(eng, uf_scale)
         else:
-            raw = eng.itilde(ystar)
+            raw = eng.itilde(ystar, uf)
             full, s1, s2, s3 = arrangement_sums(eng, ystar)
             sums = abs(full) + abs(s1) + 2.0 * abs(s2) + abs(s3)
             raw_scale = sums / (n * (n - 1) * (n - 2) * (n - 3))
@@ -257,6 +258,29 @@ class TestDrawBlocks:
             counts.append(len(scatters))
         assert counts[0] > 0 and counts[0] == counts[1]
 
+    @pytest.mark.parametrize("variance", VARIANCES)
+    def test_one_smoother_product_per_block(self, monkeypatch, variance):
+        # recompute_uf takes the one product of a block with the smoother's
+        # weights L; itilde and var_tilde read its uf
+        smoothed, blocks = [], []
+        compute = bootstrap.compute_smoother
+        product = PairWeights.product
+
+        def kept(sd, g):
+            smoothed.append(compute(sd, g))
+            return smoothed[-1]
+
+        def counted(self, v):
+            if v.ndim == 2 and any(self is sm.pairwise for sm in smoothed):
+                blocks.append(v.shape)
+            return product(self, v)
+
+        monkeypatch.setattr(bootstrap, "compute_smoother", kept)
+        monkeypatch.setattr(PairWeights, "product", counted)
+        cfg = TestConfig(bandwidths=default_bandwidths(40, 2.0), variance=variance, B=DRAW_BLOCK)
+        run_test(make_dataset(61, 40, q=1), cfg)
+        assert blocks == [(DRAW_BLOCK, 40)]
+
 
 class TestIsolatedResponses:
     @pytest.mark.parametrize(
@@ -293,16 +317,18 @@ class TestItildeOperator:
         eng = StatEngine(sd, sm, bw.h, mode=mode)
         y = sd.dataset.y
         rows = np.stack([y, null_resample(sm, y, explicit_multipliers(30, 3, 0))])
+        ufs = recompute_uf(sm.pairwise, rows)
         n4 = 30 * 29 * 28 * 27
-        for got, row in zip(eng.itilde(rows), rows):
+        for got, row, uf in zip(eng.itilde(rows, ufs), rows, ufs):
             full, s1, s2, s3 = arrangement_sums(eng, row)
-            assert close(got, eng.itilde(row))
+            assert close(got, eng.itilde(row, uf))
             assert close(got, (full - s1 - 2.0 * s2 + s3) / n4)
 
     def test_constant_rows_give_exact_zeros(self):
         sd, sm, bw = wide_case()
         eng = StatEngine(sd, sm, bw.h)
-        assert np.array_equal(eng.itilde(np.zeros((3, sd.n))), np.zeros(3))
+        rows = np.zeros((3, sd.n))
+        assert np.array_equal(eng.itilde(rows, recompute_uf(sm.pairwise, rows)), np.zeros(3))
 
     def test_var_tilde_of_lone_neighbours_is_exactly_zero(self):
         # three isolated pairs and an isolated point: no observation has two
@@ -319,8 +345,9 @@ class TestItildeOperator:
         sm = compute_smoother(sd, 0.3)
         eng = StatEngine(sd, sm, 20.0, psi="indicator")
         y = np.random.default_rng(3).standard_normal((5, 7))
-        assert eng.var_tilde(y[0]) == 0.0
-        assert np.array_equal(eng.var_tilde(y), np.zeros(5))
+        uf = recompute_uf(sm.pairwise, y)
+        assert eng.var_tilde(y[0], uf[0]) == 0.0
+        assert np.array_equal(eng.var_tilde(y, uf), np.zeros(5))
 
     def test_asymptotic_test_never_builds_the_operator(self, monkeypatch):
         # a test without a bootstrap sums every statistic over the lists

@@ -167,10 +167,9 @@ class TestResample:
         ystar = null_resample(sm, d.y, np.full(40, 1.3))
         poked = ystar.copy()
         poked[isolated] += 123.0
-        assert eng.itilde(ystar) == eng.itilde(poked)
-        assert eng.var_hat(recompute_uf(sm.pairwise, ystar)) == eng.var_hat(
-            recompute_uf(sm.pairwise, poked)
-        )
+        uf, uf_poked = recompute_uf(sm.pairwise, ystar), recompute_uf(sm.pairwise, poked)
+        assert eng.itilde(ystar, uf) == eng.itilde(poked, uf_poked)
+        assert eng.var_hat(uf) == eng.var_hat(uf_poked)
 
 
 class TestBootstrapCriticalValue:
@@ -303,7 +302,7 @@ class TestRunTest:
         sd = standardize(d)
         sm = compute_smoother(sd, 1.0)
         engine = StatEngine(sd, sm, 0.2)
-        assert engine.var_tilde(sd.dataset.y) < 0
+        assert engine.var_tilde(sd.dataset.y, sm.uf) < 0
         assert res.diagnostics["fallback_used"] is True
         assert res.variance_estimate == engine.var_hat(sm.uf)
 
@@ -323,7 +322,7 @@ class TestReuseCorrectness:
         eta = draw_multipliers(30, 17, range(1))[0]
         ystar = null_resample(sm, d.y, eta)
         fast_uf = recompute_uf(sm.pairwise, ystar)
-        fast_itilde = eng.itilde(ystar)
+        fast_itilde = eng.itilde(ystar, fast_uf)
         fast_var = eng.var_hat(fast_uf)
 
         fresh = Dataset(
@@ -334,7 +333,7 @@ class TestReuseCorrectness:
         scratch = StatEngine(sdf, smf, bw.h, psi="normal")
 
         assert np.allclose(smf.uf, fast_uf, rtol=1e-12, atol=1e-15)
-        assert scratch.itilde(sdf.dataset.y) == pytest.approx(fast_itilde, rel=1e-12)
+        assert scratch.itilde(sdf.dataset.y, smf.uf) == pytest.approx(fast_itilde, rel=1e-12)
         assert scratch.var_hat(smf.uf) == pytest.approx(fast_var, rel=1e-12)
 
 

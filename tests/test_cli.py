@@ -472,13 +472,25 @@ class TestNegativeControl:
         assert not ok
 
 
-def test_import_does_not_load_scipy_stats():
+def test_import_does_not_load_scipy_stats(null_csv):
     # scipy is imported only by the F-test, when it runs: importing any of it
-    # (scipy.special alone took about 0.3 s) would be most of the start-up time
-    code = (
-        "import sys, npsigtest, npsigtest.cli, npsigtest.selfcheck, npsigtest.designs; "
+    # (scipy.special alone took about 0.3 s) would be most of the start-up
+    # time. A bootstrap test and an asymptotic var_tilde test load none of it
+    # either.
+    runs = [
+        base_args(null_csv) + ["--boot", "9", "--seed", "1"],
+        base_args(null_csv) + ["--asymptotic", "--variance", "var_tilde"],
+    ]
+    check = (
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
         "assert not loaded, loaded"
+    )
+    code = (
+        "import sys, npsigtest, npsigtest.cli, npsigtest.selfcheck, npsigtest.designs; "
+        f"{check}; "
+        f"codes = [npsigtest.cli.main(args) for args in {runs!r}]; "
+        f"assert set(codes) <= {{{EXIT_OK}, {EXIT_REJECT}}}, codes; "
+        f"{check}"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -46,10 +46,11 @@ def constant_response_case(n=8):
     return sd, compute_smoother(sd, 1.5)
 
 
-def close_in_both_shapes(method, v, want):
-    """method of the vector v, and of v stacked twice as rows, is close to
-    want."""
-    return close(method(v), want) and all(close(got, want) for got in method(np.stack([v, v])))
+def close_in_both_shapes(method, args, want):
+    """method of the vectors args, and of each of them stacked twice as
+    rows, is close to want."""
+    rows = method(*(np.stack([v, v]) for v in args))
+    return close(method(*args), want) and all(close(got, want) for got in rows)
 
 
 class TestOracleEquivalence:
@@ -60,16 +61,16 @@ class TestOracleEquivalence:
         q = 1 + seed % 2
         _, sd, sm, bw, tables = oracle_case(seed, n, q, psi_family)
         eng = StatEngine(sd, sm, bw.h, psi=psi_family)
-        assert close_in_both_shapes(eng.ihat, sm.uf, oracle_ihat(tables))
-        assert close_in_both_shapes(eng.itilde, sd.dataset.y, oracle_itilde(tables))
-        assert close_in_both_shapes(eng.var_hat, sm.uf, oracle_var_hat(tables, sm.uf))
+        assert close_in_both_shapes(eng.ihat, (sm.uf,), oracle_ihat(tables))
+        assert close_in_both_shapes(eng.itilde, (sd.dataset.y, sm.uf), oracle_itilde(tables))
+        assert close_in_both_shapes(eng.var_hat, (sm.uf,), oracle_var_hat(tables, sm.uf))
 
     def test_lv_against_joint_oracle(self):
         for seed in (5, 6):
             _, sd, sm, bw, _ = oracle_case(seed, 8, 2, "normal")
             joint = OracleTables(sd, bw.g, bw.h, joint=True)
             lv = StatEngine(sd, sm, bw.h, mode="joint")
-            assert close(lv.itilde(sd.dataset.y), oracle_itilde(joint))
+            assert close(lv.itilde(sd.dataset.y, sm.uf), oracle_itilde(joint))
 
     def test_decomposition_identity_brute_force(self):
         for seed in (100, 101, 102):
@@ -93,7 +94,7 @@ class TestOracleEquivalence:
         sm = compute_smoother(sd, 1.5)
         psi = "indicator"
         tables = OracleTables(sd, 1.5, 1.2, psi=psi)
-        got = StatEngine(sd, sm, 1.2, psi=psi).itilde(sd.dataset.y)
+        got = StatEngine(sd, sm, 1.2, psi=psi).itilde(sd.dataset.y, sm.uf)
         assert close(got, oracle_itilde(tables))
 
     def test_var_tilde_matches_its_defining_sum(self):
@@ -101,7 +102,7 @@ class TestOracleEquivalence:
             _, sd, sm, bw, tables = oracle_case(seed, 8, 1, "normal")
             eng = StatEngine(sd, sm, bw.h)
             want = oracle_var_tilde_nested(tables)
-            assert close_in_both_shapes(eng.var_tilde, sd.dataset.y, want)
+            assert close_in_both_shapes(eng.var_tilde, (sd.dataset.y, sm.uf), want)
 
     def test_var_tilde_vs_exact_arrangement_average(self):
         # the production path relaxes cross-index constraints, so at n = 8
@@ -109,7 +110,7 @@ class TestOracleEquivalence:
         # vanish together and stay on a common scale
         _, sd, sm, bw, tables = oracle_case(10, 8, 1, "normal")
         eng = StatEngine(sd, sm, bw.h)
-        fast = eng.var_tilde(sd.dataset.y)
+        fast = eng.var_tilde(sd.dataset.y, sm.uf)
         exact = oracle_var_tilde(tables)
         scale = eng.var_hat(sm.uf)
         assert abs(fast - exact) <= 5.0 * scale
@@ -164,10 +165,10 @@ class TestListPathEdgeCases:
         eng = StatEngine(sd, sm, h)
         y = sd.dataset.y
         assert close(eng.ihat(sm.uf), oracle_ihat(tables))
-        assert close_in_both_shapes(eng.itilde, y, oracle_itilde(tables))
+        assert close_in_both_shapes(eng.itilde, (y, sm.uf), oracle_itilde(tables))
         assert close(eng.var_hat(sm.uf), oracle_var_hat(tables, sm.uf))
         if sd.n >= 7:
-            assert close(eng.var_tilde(y), oracle_var_tilde_nested(tables))
+            assert close(eng.var_tilde(y, sm.uf), oracle_var_tilde_nested(tables))
 
     def test_all_discrete_w_holds_less_than_the_dense_build(self):
         # dense n-by-n pair weights peaked at 6.03 matrices on this sample
@@ -202,9 +203,9 @@ class TestTrivialCases:
         y = sd.dataset.y
         eng = StatEngine(sd, sm, 1.0)
         assert eng.ihat(sm.uf) == 0.0
-        assert eng.itilde(y) == 0.0
+        assert eng.itilde(y, sm.uf) == 0.0
         assert eng.var_hat(sm.uf) == 0.0
-        assert eng.var_tilde(y) == 0.0
+        assert eng.var_tilde(y, sm.uf) == 0.0
         assert CvmEngine(sd).statistic(sm.uf) == 0.0
 
     def test_tiny_test_bandwidth_zeroes_pair_weights(self):
@@ -213,7 +214,7 @@ class TestTrivialCases:
         sm = compute_smoother(sd, 1.5)
         eng = StatEngine(sd, sm, 1e-9)
         assert eng.ihat(sm.uf) == 0.0
-        assert eng.itilde(sd.dataset.y) == 0.0
+        assert eng.itilde(sd.dataset.y, sm.uf) == 0.0
 
     def test_var_hat_single_active_residual(self):
         sd, sm = constant_response_case()
@@ -226,19 +227,20 @@ class TestSampleSizeFloors:
     @staticmethod
     def engine(n):
         sd = standardize(make_dataset(1, n))
-        return sd, StatEngine(sd, compute_smoother(sd, 3.0), 3.0)
+        sm = compute_smoother(sd, 3.0)
+        return sd.dataset.y, sm.uf, StatEngine(sd, sm, 3.0)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_itilde_needs_five(self, n):
-        sd, eng = self.engine(n)
+        y, uf, eng = self.engine(n)
         with pytest.raises(ValueError, match="n >= 5"):
-            eng.itilde(sd.dataset.y)
+            eng.itilde(y, uf)
 
     def test_var_tilde_needs_seven(self):
-        sd, eng = self.engine(6)
-        assert math.isfinite(eng.itilde(sd.dataset.y))
+        y, uf, eng = self.engine(6)
+        assert math.isfinite(eng.itilde(y, uf))
         with pytest.raises(ValueError, match="n >= 7"):
-            eng.var_tilde(sd.dataset.y)
+            eng.var_tilde(y, uf)
 
 
 class TestStandardize:
@@ -285,14 +287,14 @@ class TestLv:
         sm = compute_smoother(sd, 1.5)
         lv = StatEngine(sd, sm, 1.1, mode="joint")
         # the indicator psi over zero columns is identically one
-        ref = StatEngine(sd, sm, 1.1, psi="indicator").itilde(sd.dataset.y)
-        assert close(lv.itilde(sd.dataset.y), ref)
+        ref = StatEngine(sd, sm, 1.1, psi="indicator").itilde(sd.dataset.y, sm.uf)
+        assert close(lv.itilde(sd.dataset.y, sm.uf), ref)
         assert lv.rate_dim == 2
 
     def test_constant_response(self):
         sd, sm = constant_response_case()
         lv = StatEngine(sd, sm, 1.0, mode="joint")
-        raw = lv.itilde(sd.dataset.y)
+        raw = lv.itilde(sd.dataset.y, sm.uf)
         assert raw == 0.0
         assert math.isnan(studentize(raw, lv.var_hat(sm.uf), sd.n, 1.0, lv.rate_dim))
 
@@ -405,7 +407,7 @@ class TestFisher:
 class TestInvariancesSeeded:
     def test_shift_leaves_raw_statistics(self, small_case):
         data, sd, sm, bw, psi = small_case
-        base = StatEngine(sd, sm, bw.h, psi=psi).itilde(sd.dataset.y)
+        base = StatEngine(sd, sm, bw.h, psi=psi).itilde(sd.dataset.y, sm.uf)
         shifted = Dataset(
             y=data.y - 11.0,
             w=data.w,
@@ -415,7 +417,7 @@ class TestInvariancesSeeded:
         )
         sds = standardize(shifted)
         sms = compute_smoother(sds, bw.g)
-        shifted_itilde = StatEngine(sds, sms, bw.h, psi=psi).itilde(sds.dataset.y)
+        shifted_itilde = StatEngine(sds, sms, bw.h, psi=psi).itilde(sds.dataset.y, sms.uf)
         assert shifted_itilde == pytest.approx(base, rel=1e-10)
 
     def test_pair_weight_symmetry(self, small_case):
