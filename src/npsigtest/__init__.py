@@ -8,7 +8,6 @@ from .data import (
     ColumnSchema,
     DataError,
     Dataset,
-    ScaledDataset,
     load_dataset,
     save_dataset,
     standardize,
@@ -41,7 +40,6 @@ __all__ = [
     "DgpSpec",
     "ExperimentConfig",
     "ResultTable",
-    "ScaledDataset",
     "SmootherOutput",
     "StatEngine",
     "TestConfig",

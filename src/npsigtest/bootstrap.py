@@ -29,7 +29,7 @@ from statistics import NormalDist
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .data import Dataset, ScaledDataset, standardize
+from .data import Dataset, standardize
 from .kernels import PSI_FAMILIES, Bandwidths
 from .smoother import SmootherOutput, compute_smoother, recompute_uf
 from .statistics import CvmEngine, DegenerateStatisticError, StatEngine, studentize
@@ -257,7 +257,7 @@ def _engine_key(cfg: TestConfig) -> tuple:
     return ("psi", cfg.bandwidths.h, cfg.psi)
 
 
-def _engine(d: ScaledDataset, sm: SmootherOutput, cfg: TestConfig):
+def _engine(d: Dataset, sm: SmootherOutput, cfg: TestConfig):
     """The pair-weight engine of the configured statistic, built once per
     smoothed sample and kept in ``sm.cache``."""
     key = _engine_key(cfg)
@@ -310,7 +310,7 @@ def run_test(d: Dataset, cfg: TestConfig) -> TestResult:
     return decide_scaled(sd, sm, cfg)
 
 
-def decide_scaled(sd: ScaledDataset, sm: SmootherOutput, cfg: TestConfig) -> TestResult:
+def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResult:
     """Decision step on an already standardized and smoothed sample, so a
     Monte Carlo replication can share one smoother across several tests.
 
@@ -318,7 +318,7 @@ def decide_scaled(sd: ScaledDataset, sm: SmootherOutput, cfg: TestConfig) -> Tes
     tests that differ only in their critical value or seed share them.
     """
     eng = _engine(sd, sm, cfg)
-    y = sd.dataset.y
+    y = sd.y
     observed = _engine_key(cfg) + (cfg.statistic, cfg.variance)
     if observed not in sm.cache:
         sm.cache[observed] = _evaluate(eng, cfg, y, sm.uf)

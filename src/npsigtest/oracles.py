@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .data import ScaledDataset
+from .data import Dataset
 
 SQRT6 = math.sqrt(6.0)
 
@@ -57,11 +57,10 @@ def eval_psi(psi: str, x_diff) -> float:
     raise ValueError(f"unknown psi family {psi!r}")
 
 
-def _pair_tables(d: ScaledDataset, g: float, h: float, psi: str, joint: bool):
+def _pair_tables(d: Dataset, g: float, h: float, psi: str, joint: bool):
     """Scalar-built L, K, and psi pair tables (plain nested loops)."""
-    ds = d.dataset
-    n = ds.n
-    w_cont, w_disc = ds.w_split()
+    n = d.n
+    w_cont, w_disc = d.w_split()
     L = [[0.0] * n for _ in range(n)]
     K = [[0.0] * n for _ in range(n)]
     P = [[0.0] * n for _ in range(n)]
@@ -73,9 +72,9 @@ def _pair_tables(d: ScaledDataset, g: float, h: float, psi: str, joint: bool):
             L[i][j] = eval_mixed_kernel(w_cont[i] - w_cont[j], wd_eq, g)
             K[i][j] = eval_mixed_kernel(w_cont[i] - w_cont[j], wd_eq, h)
             if joint:  # identically 1 when x is empty, as in joint_x_kernel_matrix
-                P[i][j] = eval_mixed_kernel(ds.x[i] - ds.x[j], (), h) if ds.q else 1.0
+                P[i][j] = eval_mixed_kernel(d.x[i] - d.x[j], (), h) if d.q else 1.0
             else:
-                P[i][j] = eval_psi(psi, ds.x[i] - ds.x[j])
+                P[i][j] = eval_psi(psi, d.x[i] - d.x[j])
     return L, K, P
 
 
@@ -84,19 +83,19 @@ class OracleTables:
 
     def __init__(
         self,
-        d: ScaledDataset,
+        d: Dataset,
         g: float,
         h: float,
         psi: str = "normal",
         joint: bool = False,
     ):
         self.n = d.n
-        self.y = [float(v) for v in d.dataset.y]
+        self.y = [float(v) for v in d.y]
         self.L, self.K, self.P = _pair_tables(d, g, h, psi, joint)
-        self.h_power = h ** (d.dataset.p_cont + (d.dataset.q if joint else 0))
+        self.h_power = h ** (d.p_cont + (d.q if joint else 0))
 
 
-def oracle_smoother(d: ScaledDataset, g: float):
+def oracle_smoother(d: Dataset, g: float):
     """Scalar-loop leave-one-out estimates: (fhat, rhat, uf)."""
     t = OracleTables(d, g, g)
     n, y, L = t.n, t.y, t.L
@@ -235,34 +234,32 @@ def oracle_decomposition_sides(
     return lhs, rhs
 
 
-def oracle_dgm(d: ScaledDataset, uf: np.ndarray) -> float:
+def oracle_dgm(d: Dataset, uf: np.ndarray) -> float:
     """Direct enumeration of the marked-process statistic."""
-    ds = d.dataset
-    n = ds.n
+    n = d.n
     total = []
     for i in range(n):
         inner = math.fsum(
             uf[j]
             for j in range(n)
-            if np.all(ds.w[j] <= ds.w[i]) and np.all(ds.x[j] <= ds.x[i])
+            if np.all(d.w[j] <= d.w[i]) and np.all(d.x[j] <= d.x[i])
         )
         total.append(inner * inner)
     return math.fsum(total)
 
 
-def oracle_ols_f(d: ScaledDataset) -> float:
+def oracle_ols_f(d: Dataset) -> float:
     """F statistic via explicitly solved normal equations (second OLS path)."""
-    ds = d.dataset
-    n = ds.n
+    n = d.n
     ones = np.ones((n, 1))
-    z0 = np.hstack([ones, ds.w])
-    z1 = np.hstack([ones, ds.w, ds.x])
+    z0 = np.hstack([ones, d.w])
+    z1 = np.hstack([ones, d.w, d.x])
 
     def rss(z):
-        beta = np.linalg.solve(z.T @ z, z.T @ ds.y)
-        e = ds.y - z @ beta
+        beta = np.linalg.solve(z.T @ z, z.T @ d.y)
+        e = d.y - z @ beta
         return math.fsum((e * e).tolist())
 
     rss0, rss1 = rss(z0), rss(z1)
-    df2 = n - 1 - ds.p - ds.q
-    return ((rss0 - rss1) / ds.q) / (rss1 / df2)
+    df2 = n - 1 - d.p - d.q
+    return ((rss0 - rss1) / d.q) / (rss1 / df2)

@@ -81,7 +81,7 @@ def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
             q = 1 + (si % 2)
             psi_family = families[si % 3]
             _, sd, sm, bw, tables = oracle_case(seed, n, q, psi_family)
-            y = sd.dataset.y
+            y = sd.y
             eng = StatEngine(sd, sm, bw.h, psi=psi_family)
             checks = [
                 ("ihat", eng.ihat, (sm.uf,), oracle_ihat(tables)),
@@ -201,7 +201,7 @@ def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
     def raw_statistics(sd_, sm_):
         """(ihat, itilde, var_hat) of a smoothed sample."""
         eng_ = StatEngine(sd_, sm_, bw.h)
-        return eng_.ihat(sm_.uf), eng_.itilde(sd_.dataset.y, sm_.uf), eng_.var_hat(sm_.uf)
+        return eng_.ihat(sm_.uf), eng_.itilde(sd_.y, sm_.uf), eng_.var_hat(sm_.uf)
 
     raw_ihat, raw_itilde, raw_var = raw_statistics(sd, sm)
     t_base = _tn(data)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -25,7 +26,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,8 +125,31 @@ def _min_n(t: TestTemplate, dgp: DgpSpec) -> int:
     return MIN_OBSERVATIONS
 
 
+def _cell_configs(cell: Cell, tests, alpha: float, B: int) -> tuple[TestConfig | None, ...]:
+    """Each test's configuration at the cell, with seed 0, or None for the
+    F-test, which reads only alpha; ``TestConfig`` and ``default_bandwidths``
+    refuse a bad test here, before any replication runs."""
+    bw = default_bandwidths(cell.dgp.n, cell.c)
+    configs = []
+    for t in tests:
+        if t.statistic == "fisher":
+            configs.append(None)
+            continue
+        try:
+            configs.append(
+                TestConfig(bw, t.statistic, t.psi, critical=t.critical, alpha=alpha, B=B)
+            )
+        except ValueError as exc:
+            raise ValueError(f"test {t.name}: {exc}") from None
+    return tuple(configs)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A Monte Carlo design: every test at every cell, ``replications``
+    times. ``configs`` holds each cell's ``_cell_configs``, built and
+    checked here."""
+
     cells: tuple[Cell, ...]
     tests: tuple[TestTemplate, ...]
     replications: int
@@ -133,12 +157,15 @@ class ExperimentConfig:
     alpha: float = 0.05
     B: int = 199
     workers: int = 1
+    configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
         lv = [t.name for t in self.tests if t.statistic == "lv"]
         if lv and any(cell.dgp.family == "discrete_x" for cell in self.cells):
             raise ValueError(
@@ -150,6 +177,8 @@ class ExperimentConfig:
                 floor = _min_n(t, cell.dgp)
                 if cell.dgp.n < floor:
                     raise ValueError(f"test {t.name} needs n >= {floor}, got n = {cell.dgp.n}")
+        configs = tuple(_cell_configs(cell, self.tests, self.alpha, self.B) for cell in self.cells)
+        object.__setattr__(self, "configs", configs)
 
 
 def grid_cells(
@@ -252,29 +281,20 @@ def _subseed(master_seed: int, *path: int) -> int:
 
 
 def _run_replication(args) -> list[int]:
-    """One dataset, every test of the cell. Returns an outcome code per test."""
-    cell, tests, alpha, B, master_seed, ci, r = args
-    data = generate(cell.dgp, substream(master_seed, ci, r, 0))
-    sd = standardize(data)
-    bw = default_bandwidths(cell.dgp.n, cell.c)
+    """One dataset, every test of the cell, given the cell's configurations
+    (``_cell_configs``). Returns an outcome code per test."""
+    dgp, configs, alpha, master_seed, ci, r = args
+    sd = standardize(generate(dgp, substream(master_seed, ci, r, 0)))
     sm = None
     outcomes = []
-    for ti, t in enumerate(tests):
+    for ti, cfg in enumerate(configs):
         try:
-            if t.statistic == "fisher":
+            if cfg is None:
                 _, reject = fisher_test(sd, alpha)
             else:
                 if sm is None:
-                    sm = compute_smoother(sd, bw.g)
-                cfg = TestConfig(
-                    bandwidths=bw,
-                    statistic=t.statistic,
-                    psi=t.psi,
-                    critical=t.critical,
-                    alpha=alpha,
-                    B=B,
-                    seed=_subseed(master_seed, ci, r, 1 + ti),
-                )
+                    sm = compute_smoother(sd, cfg.bandwidths.g)
+                cfg = dataclasses.replace(cfg, seed=_subseed(master_seed, ci, r, 1 + ti))
                 reject = decide_scaled(sd, sm, cfg).reject
             outcomes.append(_REJECT if reject else _ACCEPT)
         except DegenerateStatisticError:
@@ -325,10 +345,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ResultTable:
 def _tabulate(cfg: ExperimentConfig, mapper, progress) -> ResultTable:
     """The grid's rows, with ``mapper`` running the replications of a cell."""
     rows = []
-    for ci, cell in enumerate(cfg.cells):
+    for ci, (cell, configs) in enumerate(zip(cfg.cells, cfg.configs)):
         t0 = time.perf_counter()
         tasks = [
-            (cell, cfg.tests, cfg.alpha, cfg.B, cfg.master_seed, ci, r)
+            (cell.dgp, configs, cfg.alpha, cfg.master_seed, ci, r)
             for r in range(cfg.replications)
         ]
         outcomes = list(mapper(_run_replication, tasks))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ScaledDataset
+from .data import Dataset
 from .kernels import PairWeights, mixed_kernel_matrix
 
 # leave-one-out smoothing needs at least two other observations
@@ -48,7 +48,7 @@ class SmootherOutput:
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
+def compute_smoother(d: Dataset, g: float) -> SmootherOutput:
     """Leave-one-out density, regression, and weighted-residual vectors."""
     n = d.n
     if n < MIN_OBSERVATIONS:
@@ -67,8 +67,8 @@ def compute_smoother(d: ScaledDataset, g: float) -> SmootherOutput:
         )
     if not g > 0:
         raise ValueError("estimation bandwidth g must be positive")
-    y = d.dataset.y
-    cont, disc = d.dataset.w_split()
+    y = d.y
+    cont, disc = d.w_split()
 
     pair = mixed_kernel_matrix(cont, disc, g)
     row_sum, y_sum = pair.row_sums, pair.product(y)

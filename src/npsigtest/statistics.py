@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .data import ColumnKind, ScaledDataset
+from .data import ColumnKind, Dataset
 from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
 from .smoother import SmootherOutput, centred
 
@@ -80,7 +80,7 @@ class StatEngine:
 
     def __init__(
         self,
-        d: ScaledDataset,
+        d: Dataset,
         sm: SmootherOutput,
         h: float,
         psi: str = "normal",
@@ -88,21 +88,20 @@ class StatEngine:
     ):
         if not h > 0:
             raise ValueError("test bandwidth h must be positive")
-        ds = d.dataset
-        self.n = ds.n
+        self.n = d.n
         self.L = sm.pairwise
-        w_cont, w_disc = ds.w_split()
+        w_cont, w_disc = d.w_split()
         if mode not in ("psi", "joint"):
             raise ValueError(f"unknown engine mode {mode!r}")
-        if mode == "joint" and any(k is not ColumnKind.CONTINUOUS for k in ds.x_kinds):
+        if mode == "joint" and any(k is not ColumnKind.CONTINUOUS for k in d.x_kinds):
             raise ValueError("LV requires continuous X")
         kmat = mixed_kernel_matrix(w_cont, w_disc, h)
         if mode == "psi":
-            self.M = psi_matrix(psi, ds.x, kmat)
-            self.rate_dim = ds.p_cont
+            self.M = psi_matrix(psi, d.x, kmat)
+            self.rate_dim = d.p_cont
         else:
-            self.M = joint_x_kernel_matrix(ds.x, h, kmat)
-            self.rate_dim = ds.p_cont + ds.q
+            self.M = joint_x_kernel_matrix(d.x, h, kmat)
+            self.rate_dim = d.p_cont + d.q
         self.M2 = self.M.squared()
         self.h_power = h**self.rate_dim
         self._itilde = None
@@ -203,11 +202,13 @@ class StatEngine:
 class CvmEngine:
     """Componentwise-dominance indicator matrix for the marked-process statistic."""
 
-    def __init__(self, d: ScaledDataset):
-        ds = d.dataset
-        both = np.hstack([ds.w, ds.x])
-        # E[i, j] = 1 iff observation j is componentwise <= observation i
-        self.E = np.all(both[None, :, :] <= both[:, None, :], axis=2).astype(float)
+    def __init__(self, d: Dataset):
+        # E[i, j] = 1 iff observation j is componentwise <= observation i,
+        # built a column at a time so no n-by-n-by-(p+q) array is held
+        below = np.ones((d.n, d.n), dtype=bool)
+        for col in np.hstack([d.w, d.x]).T:
+            below &= col[None, :] <= col[:, None]
+        self.E = below.astype(float)
 
     def statistic(self, uf: np.ndarray):
         """The CvM statistic of a residual vector uf, or of each row of uf."""
@@ -221,24 +222,23 @@ def fisher_min_n(p: int, q: int) -> int:
     return p + q + 2
 
 
-def fisher_test(d: ScaledDataset, alpha: float) -> tuple[float, bool]:
+def fisher_test(d: Dataset, alpha: float) -> tuple[float, bool]:
     """F-test of the x coefficients in a linear regression of y on (1, w, x)."""
-    ds = d.dataset
-    n, p, q = ds.n, ds.p, ds.q
+    n, p, q = d.n, d.p, d.q
     if q < 1:
         raise ValueError("F-test needs at least one x column")
     if n < fisher_min_n(p, q):
         raise ValueError(f"F-test needs n > 1 + p + q (n={n}, p={p}, q={q})")
     df2 = n - 1 - p - q
     ones = np.ones((n, 1))
-    z0 = np.hstack([ones, ds.w])
-    z1 = np.hstack([ones, ds.w, ds.x])
-    beta1, _, rank, _ = np.linalg.lstsq(z1, ds.y, rcond=None)
+    z0 = np.hstack([ones, d.w])
+    z1 = np.hstack([ones, d.w, d.x])
+    beta1, _, rank, _ = np.linalg.lstsq(z1, d.y, rcond=None)
     if rank < z1.shape[1]:  # e.g. a discrete x column that is constant
         raise DegenerateStatisticError("F-test design matrix is rank deficient", cause="observed")
-    rss0 = float(np.sum(np.square(ds.y - z0 @ np.linalg.lstsq(z0, ds.y, rcond=None)[0])))
-    rss1 = float(np.sum(np.square(ds.y - z1 @ beta1)))
-    scale = float(np.dot(ds.y, ds.y)) + 1.0
+    rss0 = float(np.sum(np.square(d.y - z0 @ np.linalg.lstsq(z0, d.y, rcond=None)[0])))
+    rss1 = float(np.sum(np.square(d.y - z1 @ beta1)))
+    scale = float(np.dot(d.y, d.y)) + 1.0
     if rss1 <= 1e-12 * scale:
         # exact fit under the full model: infinite F unless the restricted
         # model already fits exactly too

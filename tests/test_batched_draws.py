@@ -99,7 +99,7 @@ def per_draw_reference(sd, sm, cfg):
     within 1e-12 of the same estimator at the residuals' rounding scale
     sum_k L_ik (|y_i| + |y_k|) / (n - 1).
     """
-    n, y = sd.n, sd.dataset.y
+    n, y = sd.n, sd.y
     L = sm.pairwise.dense()
     if cfg.statistic == "dgm":
         cvm = CvmEngine(sd)
@@ -189,7 +189,7 @@ class TestBatchedAgainstPerDraw:
         sm = compute_smoother(sd, cfg.bandwidths.g)
         reference = per_draw_reference(sd, sm, cfg)
         t, fallback, noise, t_scale = (np.array(v) for v in zip(*reference))
-        t_batch, fallback_batch = _draw_statistics(_engine(sd, sm, cfg), sm, sd.dataset.y, cfg)
+        t_batch, fallback_batch = _draw_statistics(_engine(sd, sm, cfg), sm, sd.y, cfg)
         for b in np.flatnonzero(~noise):
             assert fallback_batch[b] == fallback[b]
             assert np.isnan(t_batch[b]) == np.isnan(t[b])
@@ -315,7 +315,7 @@ class TestItildeOperator:
         # decomposition of the four-index sum from the dense matrices
         sd, sm, bw = wide_case(seed=44, n=30)
         eng = StatEngine(sd, sm, bw.h, mode=mode)
-        y = sd.dataset.y
+        y = sd.y
         rows = np.stack([y, null_resample(sm, y, explicit_multipliers(30, 3, 0))])
         ufs = recompute_uf(sm.pairwise, rows)
         n4 = 30 * 29 * 28 * 27

@@ -302,7 +302,7 @@ class TestRunTest:
         sd = standardize(d)
         sm = compute_smoother(sd, 1.0)
         engine = StatEngine(sd, sm, 0.2)
-        assert engine.var_tilde(sd.dataset.y, sm.uf) < 0
+        assert engine.var_tilde(sd.y, sm.uf) < 0
         assert res.diagnostics["fallback_used"] is True
         assert res.variance_estimate == engine.var_hat(sm.uf)
 
@@ -333,7 +333,7 @@ class TestReuseCorrectness:
         scratch = StatEngine(sdf, smf, bw.h, psi="normal")
 
         assert np.allclose(smf.uf, fast_uf, rtol=1e-12, atol=1e-15)
-        assert scratch.itilde(sdf.dataset.y, smf.uf) == pytest.approx(fast_itilde, rel=1e-12)
+        assert scratch.itilde(sdf.y, smf.uf) == pytest.approx(fast_itilde, rel=1e-12)
         assert scratch.var_hat(smf.uf) == pytest.approx(fast_var, rel=1e-12)
 
 

@@ -125,6 +125,17 @@ class TestCmdTest:
         assert code == EXIT_RUNTIME
         assert "column 'x1' appears more than once" in capsys.readouterr().err
 
+    def test_constant_column_named_by_role(self, tmp_path, capsys):
+        # x2, the second x column, is constant; the CSV's column 1 is w1
+        path = tmp_path / "const.csv"
+        path.write_text("y,w1,x1,x2\n" + "".join(
+            f"{i % 3},{i},{i * i % 7},5\n" for i in range(12)))
+        code = main(["test", "--data", str(path), "--y", "y", "--w", "w1",
+                     "--x", "x1,x2", "--seed", "1", "--asymptotic"])
+        assert code == EXIT_RUNTIME
+        assert ("error: x column 2 has zero sample standard deviation; "
+                "mark it discrete or remove it") in capsys.readouterr().err
+
     def test_var_tilde_below_its_floor_runtime_error(self, tmp_path, capsys):
         d = generate(
             DgpSpec(family="continuous", n=6, q=1), np.random.default_rng(4)

@@ -183,7 +183,7 @@ class TestStandardize:
             x_kinds=(),
         )
         sd = standardize(d)
-        assert np.allclose(sd.dataset.w[:, 0], [0.0, 1.0, 2.0])
+        assert np.allclose(sd.w[:, 0], [0.0, 1.0, 2.0])
 
     def test_unit_sd_column_unchanged(self):
         rng = np.random.default_rng(5)
@@ -197,7 +197,7 @@ class TestStandardize:
             x_kinds=(),
         )
         sd = standardize(d)
-        assert np.allclose(sd.dataset.w[:, 0], col, atol=1e-12)
+        assert np.allclose(sd.w[:, 0], col, atol=1e-12)
 
     def test_constant_continuous_column_errors(self):
         d = Dataset(
@@ -219,16 +219,16 @@ class TestStandardize:
             x_kinds=(),
         )
         sd = standardize(d)
-        assert np.array_equal(sd.dataset.w[:, 1], d.w[:, 1])
+        assert np.array_equal(sd.w[:, 1], d.w[:, 1])
 
     def test_idempotent(self):
         d = make_dataset(7, 25, q=2)
         once = standardize(d)
-        twice = standardize(once.dataset)
-        assert np.allclose(twice.dataset.w, once.dataset.w, rtol=0.0, atol=1e-12)
-        assert np.allclose(twice.dataset.x, once.dataset.x, rtol=0.0, atol=1e-12)
+        twice = standardize(once)
+        assert np.allclose(twice.w, once.w, rtol=0.0, atol=1e-12)
+        assert np.allclose(twice.x, once.x, rtol=0.0, atol=1e-12)
 
     def test_y_untouched(self):
         d = make_dataset(8, 15)
         sd = standardize(d)
-        assert np.array_equal(sd.dataset.y, d.y)
+        assert np.array_equal(sd.y, d.y)

@@ -250,6 +250,23 @@ class TestGridAndDesigns:
             ExperimentConfig(cells=cells, tests=tests, replications=1, master_seed=1)
         ExperimentConfig(cells=cells, tests=tests[:1], replications=1, master_seed=1)
 
+    @pytest.mark.parametrize(
+        "tests, c, options, message",
+        [
+            ((TestTemplate("f", "fisher"),), 2.0, {"alpha": 1.5}, "alpha must be in"),
+            ((TestTemplate("lmp"),), 2.0, {"B": 0}, "test lmp: bootstrap size B"),
+            ((TestTemplate("lmp"), TestTemplate("f", "fisher")), -1.0, {}, "factor c must be positive"),
+            ((TestTemplate("d", "dgm", critical="asymptotic"),), 2.0, {}, "test d: the dgm statistic"),
+            ((TestTemplate("z", "zeta"),), 2.0, {}, "test z: unknown statistic 'zeta'"),
+        ],
+    )
+    def test_bad_experiment_refused_when_built(self, tests, c, options, message):
+        # each is refused by the constructor, before its first replication
+        # runs (a fisher test at alpha = 1.5 would write a rate of 0)
+        cells = grid_cells("continuous", ("null",), (40,), (1,), (0.0,), (c,))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(cells=cells, tests=tests, replications=1, master_seed=1, **options)
+
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     def test_sample_size_floors(self, name):
         # a grid below a test's floor is refused when the experiment is

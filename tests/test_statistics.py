@@ -62,7 +62,7 @@ class TestOracleEquivalence:
         _, sd, sm, bw, tables = oracle_case(seed, n, q, psi_family)
         eng = StatEngine(sd, sm, bw.h, psi=psi_family)
         assert close_in_both_shapes(eng.ihat, (sm.uf,), oracle_ihat(tables))
-        assert close_in_both_shapes(eng.itilde, (sd.dataset.y, sm.uf), oracle_itilde(tables))
+        assert close_in_both_shapes(eng.itilde, (sd.y, sm.uf), oracle_itilde(tables))
         assert close_in_both_shapes(eng.var_hat, (sm.uf,), oracle_var_hat(tables, sm.uf))
 
     def test_lv_against_joint_oracle(self):
@@ -70,7 +70,7 @@ class TestOracleEquivalence:
             _, sd, sm, bw, _ = oracle_case(seed, 8, 2, "normal")
             joint = OracleTables(sd, bw.g, bw.h, joint=True)
             lv = StatEngine(sd, sm, bw.h, mode="joint")
-            assert close(lv.itilde(sd.dataset.y, sm.uf), oracle_itilde(joint))
+            assert close(lv.itilde(sd.y, sm.uf), oracle_itilde(joint))
 
     def test_decomposition_identity_brute_force(self):
         for seed in (100, 101, 102):
@@ -94,7 +94,7 @@ class TestOracleEquivalence:
         sm = compute_smoother(sd, 1.5)
         psi = "indicator"
         tables = OracleTables(sd, 1.5, 1.2, psi=psi)
-        got = StatEngine(sd, sm, 1.2, psi=psi).itilde(sd.dataset.y, sm.uf)
+        got = StatEngine(sd, sm, 1.2, psi=psi).itilde(sd.y, sm.uf)
         assert close(got, oracle_itilde(tables))
 
     def test_var_tilde_matches_its_defining_sum(self):
@@ -102,7 +102,7 @@ class TestOracleEquivalence:
             _, sd, sm, bw, tables = oracle_case(seed, 8, 1, "normal")
             eng = StatEngine(sd, sm, bw.h)
             want = oracle_var_tilde_nested(tables)
-            assert close_in_both_shapes(eng.var_tilde, (sd.dataset.y, sm.uf), want)
+            assert close_in_both_shapes(eng.var_tilde, (sd.y, sm.uf), want)
 
     def test_var_tilde_vs_exact_arrangement_average(self):
         # the production path relaxes cross-index constraints, so at n = 8
@@ -110,7 +110,7 @@ class TestOracleEquivalence:
         # vanish together and stay on a common scale
         _, sd, sm, bw, tables = oracle_case(10, 8, 1, "normal")
         eng = StatEngine(sd, sm, bw.h)
-        fast = eng.var_tilde(sd.dataset.y, sm.uf)
+        fast = eng.var_tilde(sd.y, sm.uf)
         exact = oracle_var_tilde(tables)
         scale = eng.var_hat(sm.uf)
         assert abs(fast - exact) <= 5.0 * scale
@@ -163,7 +163,7 @@ class TestListPathEdgeCases:
         for got, want in zip((sm.fhat, sm.rhat, sm.uf), oracle_smoother(sd, g)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True)
         eng = StatEngine(sd, sm, h)
-        y = sd.dataset.y
+        y = sd.y
         assert close(eng.ihat(sm.uf), oracle_ihat(tables))
         assert close_in_both_shapes(eng.itilde, (y, sm.uf), oracle_itilde(tables))
         assert close(eng.var_hat(sm.uf), oracle_var_hat(tables, sm.uf))
@@ -200,7 +200,7 @@ class TestListPathEdgeCases:
 class TestTrivialCases:
     def test_constant_response_zeroes_everything(self):
         sd, sm = constant_response_case()
-        y = sd.dataset.y
+        y = sd.y
         eng = StatEngine(sd, sm, 1.0)
         assert eng.ihat(sm.uf) == 0.0
         assert eng.itilde(y, sm.uf) == 0.0
@@ -214,7 +214,7 @@ class TestTrivialCases:
         sm = compute_smoother(sd, 1.5)
         eng = StatEngine(sd, sm, 1e-9)
         assert eng.ihat(sm.uf) == 0.0
-        assert eng.itilde(sd.dataset.y, sm.uf) == 0.0
+        assert eng.itilde(sd.y, sm.uf) == 0.0
 
     def test_var_hat_single_active_residual(self):
         sd, sm = constant_response_case()
@@ -228,7 +228,7 @@ class TestSampleSizeFloors:
     def engine(n):
         sd = standardize(make_dataset(1, n))
         sm = compute_smoother(sd, 3.0)
-        return sd.dataset.y, sm.uf, StatEngine(sd, sm, 3.0)
+        return sd.y, sm.uf, StatEngine(sd, sm, 3.0)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_itilde_needs_five(self, n):
@@ -287,14 +287,14 @@ class TestLv:
         sm = compute_smoother(sd, 1.5)
         lv = StatEngine(sd, sm, 1.1, mode="joint")
         # the indicator psi over zero columns is identically one
-        ref = StatEngine(sd, sm, 1.1, psi="indicator").itilde(sd.dataset.y, sm.uf)
-        assert close(lv.itilde(sd.dataset.y, sm.uf), ref)
+        ref = StatEngine(sd, sm, 1.1, psi="indicator").itilde(sd.y, sm.uf)
+        assert close(lv.itilde(sd.y, sm.uf), ref)
         assert lv.rate_dim == 2
 
     def test_constant_response(self):
         sd, sm = constant_response_case()
         lv = StatEngine(sd, sm, 1.0, mode="joint")
-        raw = lv.itilde(sd.dataset.y, sm.uf)
+        raw = lv.itilde(sd.y, sm.uf)
         assert raw == 0.0
         assert math.isnan(studentize(raw, lv.var_hat(sm.uf), sd.n, 1.0, lv.rate_dim))
 
@@ -335,6 +335,30 @@ class TestDgm:
         sdp = standardize(dp)
         smp = compute_smoother(sdp, 1.2)
         assert CvmEngine(sdp).statistic(smp.uf) == pytest.approx(base, rel=1e-10)
+
+    def test_build_memory_does_not_grow_with_columns(self):
+        # 22 columns: an n-by-n-by-(p+q) comparison would peak at about
+        # 3 times the float E; a column at a time stays near E itself
+        n = 300
+        rng = np.random.default_rng(24)
+        sd = standardize(
+            Dataset(
+                y=rng.standard_normal(n),
+                w=rng.standard_normal((n, 2)),
+                x=rng.standard_normal((n, 20)),
+                w_kinds=all_continuous(2),
+                x_kinds=all_continuous(20),
+            )
+        )
+        tracemalloc.start()
+        try:
+            E = CvmEngine(sd).E
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        both = np.hstack([sd.w, sd.x])
+        assert np.array_equal(E, np.all(both[None, :, :] <= both[:, None, :], axis=2))
+        assert peak < 1.5 * E.nbytes
 
 
 class TestFisher:
@@ -407,7 +431,7 @@ class TestFisher:
 class TestInvariancesSeeded:
     def test_shift_leaves_raw_statistics(self, small_case):
         data, sd, sm, bw, psi = small_case
-        base = StatEngine(sd, sm, bw.h, psi=psi).itilde(sd.dataset.y, sm.uf)
+        base = StatEngine(sd, sm, bw.h, psi=psi).itilde(sd.y, sm.uf)
         shifted = Dataset(
             y=data.y - 11.0,
             w=data.w,
@@ -417,7 +441,7 @@ class TestInvariancesSeeded:
         )
         sds = standardize(shifted)
         sms = compute_smoother(sds, bw.g)
-        shifted_itilde = StatEngine(sds, sms, bw.h, psi=psi).itilde(sds.dataset.y, sms.uf)
+        shifted_itilde = StatEngine(sds, sms, bw.h, psi=psi).itilde(sds.y, sms.uf)
         assert shifted_itilde == pytest.approx(base, rel=1e-10)
 
     def test_pair_weight_symmetry(self, small_case):
