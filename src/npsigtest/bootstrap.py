@@ -248,24 +248,24 @@ def _quantile_rank(alpha: float, b: int) -> int:
     return min(max(int(math.ceil((1.0 - alpha) * (b + 1))), 1), b)
 
 
-def _engine_key(cfg: TestConfig) -> tuple:
-    """What the pair-weight engine of a test depends on besides the sample."""
-    if cfg.statistic == "dgm":
-        return ("dgm",)
-    if cfg.statistic == "lv":
-        return ("joint", cfg.bandwidths.h)
-    return ("psi", cfg.bandwidths.h, cfg.psi)
-
-
 def _engine(d: Dataset, sm: SmootherOutput, cfg: TestConfig):
     """The pair-weight engine of the configured statistic, built once per
-    smoothed sample and kept in ``sm.cache``."""
-    key = _engine_key(cfg)
+    smoothed sample and kept in ``sm.cache`` under what it depends on
+    besides the sample."""
+    h = cfg.bandwidths.h
+    if cfg.statistic == "dgm":
+        key = ("dgm",)
+    elif cfg.statistic == "lv":
+        key = ("joint", h)
+    else:
+        key = ("psi", h, cfg.psi)
     if key not in sm.cache:
         if key[0] == "dgm":
             sm.cache[key] = CvmEngine(d)
+        elif key[0] == "joint":
+            sm.cache[key] = StatEngine(d, sm, h, mode="joint")
         else:
-            sm.cache[key] = StatEngine(d, sm, cfg.bandwidths.h, cfg.psi, mode=key[0])
+            sm.cache[key] = StatEngine(d, sm, h, cfg.psi)
     return sm.cache[key]
 
 
@@ -314,18 +314,27 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
     """Decision step on an already standardized and smoothed sample, so a
     Monte Carlo replication can share one smoother across several tests.
 
-    The engine and the observed statistic are kept in ``sm.cache``, so
-    tests that differ only in their critical value or seed share them.
+    ``sm.cache`` holds the pair-weight engines only, so tests that share an
+    engine share its build; each test evaluates its own observed statistic.
     """
     eng = _engine(sd, sm, cfg)
     y = sd.y
-    observed = _engine_key(cfg) + (cfg.statistic, cfg.variance)
-    if observed not in sm.cache:
-        sm.cache[observed] = _evaluate(eng, cfg, y, sm.uf)
-    raw, omega2, t, fallback = sm.cache[observed]
+    raw, omega2, t, fallback = _evaluate(eng, cfg, y, sm.uf)
     if np.isnan(t):
         cause = "observed" if np.any(sm.fhat > 0.0) else "no_support"
-        raise DegenerateStatisticError("test degenerate at this bandwidth", cause=cause)
+        message = "test degenerate at this bandwidth"
+        if cause == "observed" and cfg.statistic != "dgm" and not eng.M.values.any():
+            message = (
+                "no two observations within the test bandwidth "
+                f"h = {cfg.bandwidths.h:.6g} carry a nonzero pair weight; "
+                "increase the bandwidth factor c (--c)"
+            )
+            if cfg.statistic != "lv" and cfg.psi == "indicator":
+                message += (
+                    "; psi=indicator weighs only pairs with equal x values, so "
+                    "continuous x columns need psi=normal or psi=triangular"
+                )
+        raise DegenerateStatisticError(message, cause=cause)
     t = float(t)
     diagnostics = {"fallback_used": bool(fallback), "fhat_zeros": int(np.sum(sm.fhat <= 0.0))}
 

@@ -36,9 +36,9 @@ class SmootherOutput:
     weights. ``rhat`` is NaN where the local density is 0: consumers that
     divide by anything must check ``fhat > 0`` first.
 
-    ``cache`` holds what the bootstrap builds on this sample (the
-    pair-weight engines and their observed statistics), so the tests of one
-    Monte Carlo replication share them; they live as long as this object.
+    ``cache`` holds the pair-weight engines the bootstrap builds on this
+    sample, and nothing else, so the tests of one Monte Carlo replication
+    share them; they live as long as this object.
     """
 
     fhat: np.ndarray

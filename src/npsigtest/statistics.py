@@ -224,6 +224,8 @@ def fisher_min_n(p: int, q: int) -> int:
 
 def fisher_test(d: Dataset, alpha: float) -> tuple[float, bool]:
     """F-test of the x coefficients in a linear regression of y on (1, w, x)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     n, p, q = d.n, d.p, d.q
     if q < 1:
         raise ValueError("F-test needs at least one x column")

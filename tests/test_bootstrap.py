@@ -21,7 +21,7 @@ from npsigtest.kernels import Bandwidths, default_bandwidths
 from npsigtest.oracles import OracleTables, oracle_dgm, oracle_smoother
 from npsigtest.selfcheck import multiplier_moment_exact, _Q5
 from npsigtest.smoother import compute_smoother, recompute_uf
-from npsigtest.statistics import DegenerateStatisticError, StatEngine
+from npsigtest.statistics import CvmEngine, DegenerateStatisticError, StatEngine
 
 from conftest import explicit_multipliers, make_dataset
 
@@ -335,6 +335,31 @@ class TestReuseCorrectness:
         assert np.allclose(smf.uf, fast_uf, rtol=1e-12, atol=1e-15)
         assert scratch.itilde(sdf.y, smf.uf) == pytest.approx(fast_itilde, rel=1e-12)
         assert scratch.var_hat(smf.uf) == pytest.approx(fast_var, rel=1e-12)
+
+
+class TestSampleSharing:
+    def test_tests_share_engines_not_observed_statistics(self, monkeypatch):
+        sd = standardize(make_dataset(61, 100, q=2))
+        bw = default_bandwidths(100, 2.0)
+        sm = compute_smoother(sd, bw.g)
+        built = []
+        init = StatEngine.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StatEngine, "__init__", counted)
+        lmp = decide_scaled(sd, sm, TestConfig(bw, B=9, seed=3))
+        lmp_asym = decide_scaled(sd, sm, TestConfig(bw, critical="asymptotic"))
+        decide_scaled(sd, sm, TestConfig(bw, statistic="lv", B=9, seed=3))
+        decide_scaled(sd, sm, TestConfig(bw, statistic="dgm", B=9, seed=3))
+
+        assert lmp.raw == lmp_asym.raw
+        assert lmp.variance_estimate == lmp_asym.variance_estimate
+        assert lmp.standardized == lmp_asym.standardized
+        assert len(built) == 2  # lmp and lmp-asym share one, lv builds the other
+        assert all(isinstance(v, (StatEngine, CvmEngine)) for v in sm.cache.values())
 
 
 class TestDgmDrawByHand:

@@ -146,6 +146,18 @@ class TestCmdTest:
         assert code == EXIT_RUNTIME
         assert "var_tilde needs n >= 7" in capsys.readouterr().err
 
+    def test_no_weighted_pair_names_the_remedy(self, tmp_path, capsys):
+        # psi=indicator weighs only pairs with equal x, and x1 is continuous
+        d = generate(DgpSpec(family="continuous", n=80, q=1), np.random.default_rng(1))
+        path = tmp_path / "cont.csv"
+        save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1",)))
+        code = main(base_args(path) + ["--seed", "1", "--asymptotic", "--psi", "indicator"])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "no two observations within the test bandwidth h = 0.431468" in err
+        assert "increase the bandwidth factor c (--c)" in err
+        assert "continuous x columns need psi=normal or psi=triangular" in err
+
     def test_asymptotic_flag(self, null_csv, capsys):
         code = main(base_args(null_csv) + ["--seed", "99", "--asymptotic", "--json"])
         record = json.loads(capsys.readouterr().out)

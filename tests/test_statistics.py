@@ -427,6 +427,12 @@ class TestFisher:
         with pytest.raises(ValueError, match="n > 1"):
             fisher_test(standardize(d), 0.05)
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.0])
+    def test_alpha_outside_unit_interval_refused(self, alpha):
+        # fdtri of a probability outside [0, 1] is NaN, and f > NaN is false
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            fisher_test(standardize(make_dataset(33, 20, q=2)), alpha)
+
 
 class TestInvariancesSeeded:
     def test_shift_leaves_raw_statistics(self, small_case):
