@@ -86,6 +86,15 @@ class TestConfig:
         if self.critical == "bootstrap" and not 1 <= self.B <= MAX_DRAWS:
             raise ValueError(f"bootstrap size B must be in [1, {MAX_DRAWS}]")
 
+    @property
+    def weight(self) -> str | None:
+        """The pair weight the statistic reads: ``psi`` for itilde and ihat,
+        ``"joint"`` (an x kernel at h) for lv, and None for dgm, which
+        weighs no pairs."""
+        if self.statistic == "dgm":
+            return None
+        return "joint" if self.statistic == "lv" else self.psi
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -111,14 +120,15 @@ class TestResult:
     def to_record(self) -> dict:
         """Flat key-value view for CSV/JSON serialization.
 
-        The variance slot is None for statistics that are not studentized
-        (dgm), keeping the JSON strictly parseable.
+        ``psi`` is the pair weight the test used (``TestConfig.weight``).
+        The variance slots are None for dgm, which is not studentized,
+        keeping the JSON strictly parseable.
         """
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "statistic": self.config.statistic,
-            "psi": self.config.psi,
-            "variance": self.config.variance,
+            "psi": self.config.weight,
+            "variance": None if self.config.statistic == "dgm" else self.config.variance,
             "critical_method": self.config.critical,
             "n": self.n,
             "raw": self.raw,
@@ -250,22 +260,11 @@ def _quantile_rank(alpha: float, b: int) -> int:
 
 def _engine(d: Dataset, sm: SmootherOutput, cfg: TestConfig):
     """The pair-weight engine of the configured statistic, built once per
-    smoothed sample and kept in ``sm.cache`` under what it depends on
-    besides the sample."""
-    h = cfg.bandwidths.h
-    if cfg.statistic == "dgm":
-        key = ("dgm",)
-    elif cfg.statistic == "lv":
-        key = ("joint", h)
-    else:
-        key = ("psi", h, cfg.psi)
+    smoothed sample and kept in ``sm.cache`` under the test bandwidth and
+    the pair weight (``TestConfig.weight``; dgm's weighs no pairs)."""
+    key = (cfg.bandwidths.h, cfg.weight)
     if key not in sm.cache:
-        if key[0] == "dgm":
-            sm.cache[key] = CvmEngine(d)
-        elif key[0] == "joint":
-            sm.cache[key] = StatEngine(d, sm, h, mode="joint")
-        else:
-            sm.cache[key] = StatEngine(d, sm, h, cfg.psi)
+        sm.cache[key] = CvmEngine(d) if cfg.weight is None else StatEngine(d, sm, *key)
     return sm.cache[key]
 
 
@@ -316,20 +315,26 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
 
     ``sm.cache`` holds the pair-weight engines only, so tests that share an
     engine share its build; each test evaluates its own observed statistic.
+    A smoother computed at another g than ``cfg.bandwidths.g`` is refused.
     """
+    if sm.g != cfg.bandwidths.g:
+        raise ValueError(
+            f"the smoother was computed at g = {sm.g!r}, but the test is "
+            f"configured with g = {cfg.bandwidths.g!r}"
+        )
     eng = _engine(sd, sm, cfg)
     y = sd.y
     raw, omega2, t, fallback = _evaluate(eng, cfg, y, sm.uf)
     if np.isnan(t):
         cause = "observed" if np.any(sm.fhat > 0.0) else "no_support"
         message = "test degenerate at this bandwidth"
-        if cause == "observed" and cfg.statistic != "dgm" and not eng.M.values.any():
+        if cause == "observed" and cfg.weight is not None and not eng.M.values.any():
             message = (
                 "no two observations within the test bandwidth "
                 f"h = {cfg.bandwidths.h:.6g} carry a nonzero pair weight; "
                 "increase the bandwidth factor c (--c)"
             )
-            if cfg.statistic != "lv" and cfg.psi == "indicator":
+            if cfg.weight == "indicator":
                 message += (
                     "; psi=indicator weighs only pairs with equal x values, so "
                     "continuous x columns need psi=normal or psi=triangular"

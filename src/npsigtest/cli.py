@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,7 +20,7 @@ import time
 from .bootstrap import MAX_DRAWS, STATISTICS, VARIANCES, TestConfig, run_test
 from .data import ColumnSchema, DataError, load_dataset
 from .designs import FIGURE_TAGS, TEMPLATES, figure_design, replications
-from .kernels import PSI_FAMILIES, default_bandwidths
+from .kernels import PSI_FAMILIES, Bandwidths, default_bandwidths
 from .selfcheck import run_all
 from .simulation import ALTERNATIVES, FAMILIES, ExperimentConfig, grid_cells, run_experiment
 from .statistics import DegenerateStatisticError
@@ -175,7 +176,12 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--x", type=_listed(), required=True, help="columns under test")
     t.add_argument("--disc", type=_listed(allow_empty=True), default="", help="discrete columns")
     t.add_argument("--stat", default="itilde", choices=STATISTICS)
-    t.add_argument("--psi", default="normal", choices=PSI_FAMILIES)
+    t.add_argument(
+        "--psi",
+        default="normal",
+        choices=PSI_FAMILIES,
+        help="pair weight of itilde and ihat (lv and dgm ignore it)",
+    )
     t.add_argument("--variance", default="var_hat", choices=VARIANCES)
     t.add_argument("--c", type=_bounded(float, 0), default=2.0, help="test bandwidth factor")
     t.add_argument("--alpha", type=_bounded(float, 0, 1), default=0.05)
@@ -233,8 +239,9 @@ def _render_test(result, args) -> str:
         writer.writerow(record.values())
         return buf.getvalue().rstrip("\n")
     var = record["variance_estimate"]
+    used = [f"{k}={record[k]}" for k in ("psi", "variance") if record[k] is not None]
     lines = [
-        f"statistic {record['statistic']} (psi={record['psi']}, variance={record['variance']})",
+        f"statistic {record['statistic']}" + (f" ({', '.join(used)})" if used else ""),
         f"  raw statistic     : {record['raw']:.6g}",
         f"  variance estimate : {var:.6g}" if var is not None else "  variance estimate : n/a",
         f"  standardized      : {record['standardized']:.6g}",
@@ -257,18 +264,22 @@ def _cmd_test(args) -> int:
     except DataError as exc:  # argparse has checked each flag alone, not their columns
         print(f"error: --y/--w/--x/--disc: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:  # checked before the data are read; the bandwidths follow from n
+        cfg = TestConfig(
+            bandwidths=Bandwidths(g=1.0, h=1.0),
+            statistic=args.stat,
+            psi=args.psi,
+            variance=args.variance,
+            critical="asymptotic" if args.asymptotic else "bootstrap",
+            alpha=args.alpha,
+            B=args.boot,
+        )
+    except ValueError as exc:  # argparse has checked each flag alone, not their combinations
+        print(f"error: --stat/--asymptotic: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     seed = _seed(args)
     data = load_dataset(args.data, schema)
-    cfg = TestConfig(
-        bandwidths=default_bandwidths(data.n, args.c),
-        statistic=args.stat,
-        psi=args.psi,
-        variance=args.variance,
-        critical="asymptotic" if args.asymptotic else "bootstrap",
-        alpha=args.alpha,
-        B=args.boot,
-        seed=seed,
-    )
+    cfg = dataclasses.replace(cfg, bandwidths=default_bandwidths(data.n, args.c), seed=seed)
     result = run_test(data, cfg)
     print(_render_test(result, args))
     return EXIT_REJECT if result.reject else EXIT_OK

@@ -45,7 +45,13 @@ _DENSE_ROWS = 64
 # PairWeights.triple_sums sums over lists while it has at most
 # n^2 / _TERMS_PER_N2 terms, else densely: on one core a list term cost
 # 50-100 ns, and the dense form 5-50 ns per entry of its n-by-n scatter
-# (n = 50 to 2000, c = 0.5 to 8); they broke even at n^2/11 to n^2/9 terms
+# (n = 50 to 2000, c = 0.5 to 8); they broke even at n^2/11 to n^2/9 terms.
+# The benchmark has a workload on each side (seed 1, c = 2, one BLAS thread,
+# best of 7): mc-n100 (3,411 terms against 1,000) and boot-n500 (61,167
+# against 25,000), all-continuous, take the dense form, 0.15 and 1.5 ms
+# against 0.18 and 4.4 ms for the lists; asym-n2000, whose w has a 3-level
+# discrete column, takes the lists (117,576 against 400,000), 6.3 ms
+# against 9.0 ms dense
 _TERMS_PER_N2 = 10
 
 

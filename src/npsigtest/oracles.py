@@ -57,8 +57,9 @@ def eval_psi(psi: str, x_diff) -> float:
     raise ValueError(f"unknown psi family {psi!r}")
 
 
-def _pair_tables(d: Dataset, g: float, h: float, psi: str, joint: bool):
-    """Scalar-built L, K, and psi pair tables (plain nested loops)."""
+def _pair_tables(d: Dataset, g: float, h: float, psi: str):
+    """Scalar-built L, K, and psi pair tables (plain nested loops); psi
+    ``"joint"`` is ``lv``'s x kernel at h."""
     n = d.n
     w_cont, w_disc = d.w_split()
     L = [[0.0] * n for _ in range(n)]
@@ -71,7 +72,7 @@ def _pair_tables(d: Dataset, g: float, h: float, psi: str, joint: bool):
             wd_eq = w_disc[i] == w_disc[j]
             L[i][j] = eval_mixed_kernel(w_cont[i] - w_cont[j], wd_eq, g)
             K[i][j] = eval_mixed_kernel(w_cont[i] - w_cont[j], wd_eq, h)
-            if joint:  # identically 1 when x is empty, as in joint_x_kernel_matrix
+            if psi == "joint":  # identically 1 when x is empty, as in joint_x_kernel_matrix
                 P[i][j] = eval_mixed_kernel(d.x[i] - d.x[j], (), h) if d.q else 1.0
             else:
                 P[i][j] = eval_psi(psi, d.x[i] - d.x[j])
@@ -81,18 +82,11 @@ def _pair_tables(d: Dataset, g: float, h: float, psi: str, joint: bool):
 class OracleTables:
     """Pair tables plus the response vector, shared by the oracle sums below."""
 
-    def __init__(
-        self,
-        d: Dataset,
-        g: float,
-        h: float,
-        psi: str = "normal",
-        joint: bool = False,
-    ):
+    def __init__(self, d: Dataset, g: float, h: float, psi: str = "normal"):
         self.n = d.n
         self.y = [float(v) for v in d.y]
-        self.L, self.K, self.P = _pair_tables(d, g, h, psi, joint)
-        self.h_power = h ** (d.p_cont + (d.q if joint else 0))
+        self.L, self.K, self.P = _pair_tables(d, g, h, psi)
+        self.h_power = h ** (d.p_cont + (d.q if psi == "joint" else 0))
 
 
 def oracle_smoother(d: Dataset, g: float):

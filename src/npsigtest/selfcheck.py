@@ -89,8 +89,8 @@ def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
                 ("var_hat", eng.var_hat, (sm.uf,), oracle_var_hat(tables, sm.uf)),
             ]
             if psi_family != "indicator":
-                joint = OracleTables(sd, bw.g, bw.h, joint=True)
-                lv = StatEngine(sd, sm, bw.h, mode="joint")
+                joint = OracleTables(sd, bw.g, bw.h, "joint")
+                lv = StatEngine(sd, sm, bw.h, "joint")
                 checks.append(("lv", lv.itilde, (y, sm.uf), oracle_itilde(joint)))
                 checks.append(("lv-variance", lv.var_hat, (sm.uf,), oracle_var_hat(joint, sm.uf)))
             for name, method, args, slow in checks:

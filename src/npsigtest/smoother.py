@@ -33,8 +33,9 @@ MAX_OBSERVATIONS = 4000
 @dataclass(frozen=True)
 class SmootherOutput:
     """Per-observation leave-one-out quantities plus the reusable kernel
-    weights. ``rhat`` is NaN where the local density is 0: consumers that
-    divide by anything must check ``fhat > 0`` first.
+    weights, and the estimation bandwidth ``g`` they were computed at.
+    ``rhat`` is NaN where the local density is 0: consumers that divide by
+    anything must check ``fhat > 0`` first.
 
     ``cache`` holds the pair-weight engines the bootstrap builds on this
     sample, and nothing else, so the tests of one Monte Carlo replication
@@ -45,6 +46,7 @@ class SmootherOutput:
     rhat: np.ndarray
     uf: np.ndarray
     pairwise: PairWeights
+    g: float
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -76,7 +78,7 @@ def compute_smoother(d: Dataset, g: float) -> SmootherOutput:
     pos = row_sum > 0.0
     rhat[pos] = y_sum[pos] / row_sum[pos]
     uf = recompute_uf(pair, y)
-    return SmootherOutput(fhat=row_sum / (n - 1), rhat=rhat, uf=uf, pairwise=pair)
+    return SmootherOutput(fhat=row_sum / (n - 1), rhat=rhat, uf=uf, pairwise=pair, g=g)
 
 
 def recompute_uf(pairwise: PairWeights, y: np.ndarray) -> np.ndarray:

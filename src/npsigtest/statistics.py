@@ -5,7 +5,7 @@ leave-one-out residual products, taken over pairs (``StatEngine.ihat``) or
 with all coinciding-index ("diagonal") terms removed via a four-distinct-index
 arrangement average (``StatEngine.itilde``). Two studentizations are
 provided, plus the competitor statistics used in the experiments: a
-jointly-smoothed variant (``StatEngine`` in ``joint`` mode), a Cramer-von-Mises
+jointly-smoothed variant (``StatEngine`` with ``psi="joint"``), a Cramer-von-Mises
 functional of the marked residual process (``CvmEngine``), and an F-test
 against a linear specification (``fisher_test``).
 
@@ -66,42 +66,34 @@ def studentize(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
 class StatEngine:
     """Pair-weight workspace for repeated statistic evaluation.
 
-    Builds the test weights M once (the w kernel at bandwidth h times either
-    the psi weight or, in ``joint`` mode, an x kernel at the same
-    bandwidth), on the pairs inside the w kernel's support only. Every
-    statistic reads the residuals uf of a response, or of each row of a
-    block; ``itilde`` and ``var_tilde`` read the response too, and take no
-    product with L. ``itilde`` builds its coefficient lists on its first
-    call; a test without a bootstrap holds no n-by-n matrix, except the one
+    Builds the test weights M once (the w kernel at bandwidth h times the
+    pair weight ``psi``: a name from ``PSI_FAMILIES``, or ``"joint"``, the
+    x kernel at the same bandwidth that ``lv`` smooths with), on the pairs
+    inside the w kernel's support only. Every statistic reads the residuals
+    uf of a response, or of each row of a block; ``itilde`` and
+    ``var_tilde`` read the response too, and take no product with L.
+    ``itilde`` builds its coefficient lists on its first call; a test
+    without a bootstrap holds no n-by-n matrix, except the one
     ``PairWeights.triple_sums`` scatters while it builds them if that is
     cheaper than its lists. The four-index ``itilde`` needs n >= 5 and the
     six-index ``var_tilde`` n >= 7; both raise ``ValueError`` below that.
     """
 
-    def __init__(
-        self,
-        d: Dataset,
-        sm: SmootherOutput,
-        h: float,
-        psi: str = "normal",
-        mode: str = "psi",
-    ):
+    def __init__(self, d: Dataset, sm: SmootherOutput, h: float, psi: str = "normal"):
         if not h > 0:
             raise ValueError("test bandwidth h must be positive")
         self.n = d.n
         self.L = sm.pairwise
         w_cont, w_disc = d.w_split()
-        if mode not in ("psi", "joint"):
-            raise ValueError(f"unknown engine mode {mode!r}")
-        if mode == "joint" and any(k is not ColumnKind.CONTINUOUS for k in d.x_kinds):
+        if psi == "joint" and any(k is not ColumnKind.CONTINUOUS for k in d.x_kinds):
             raise ValueError("LV requires continuous X")
         kmat = mixed_kernel_matrix(w_cont, w_disc, h)
-        if mode == "psi":
-            self.M = psi_matrix(psi, d.x, kmat)
-            self.rate_dim = d.p_cont
-        else:
+        if psi == "joint":
             self.M = joint_x_kernel_matrix(d.x, h, kmat)
             self.rate_dim = d.p_cont + d.q
+        else:
+            self.M = psi_matrix(psi, d.x, kmat)
+            self.rate_dim = d.p_cont
         self.M2 = self.M.squared()
         self.h_power = h**self.rate_dim
         self._itilde = None

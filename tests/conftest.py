@@ -35,3 +35,15 @@ def small_case():
     bw = Bandwidths(g=1.5, h=1.2, c=1.0)
     sm = compute_smoother(sd, bw.g)
     return data, sd, sm, bw, "normal"
+
+
+def wide_case(seed: int = 41, n: int = 25):
+    """Dataset, its standardized copy, smoother and bandwidths, with g wide
+    enough that no observation is isolated (every leave-one-out density is
+    positive)."""
+    d = make_dataset(seed, n, q=1)
+    sd = standardize(d)
+    bw = Bandwidths(g=4.0, h=1.0, c=1.0)
+    sm = compute_smoother(sd, bw.g)
+    assert np.all(sm.fhat > 0)
+    return d, sd, sm, bw

@@ -27,7 +27,7 @@ from npsigtest.selfcheck import ABS_TOL, REL_TOL, close
 from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import CvmEngine, DegenerateStatisticError, StatEngine
 
-from conftest import explicit_multipliers, make_dataset
+from conftest import explicit_multipliers, make_dataset, wide_case
 
 
 def fsum_dot(a, b):
@@ -104,8 +104,7 @@ def per_draw_reference(sd, sm, cfg):
     if cfg.statistic == "dgm":
         cvm = CvmEngine(sd)
     else:
-        mode = "joint" if cfg.statistic == "lv" else "psi"
-        eng = StatEngine(sd, sm, cfg.bandwidths.h, cfg.psi, mode=mode)
+        eng = StatEngine(sd, sm, cfg.bandwidths.h, cfg.weight)
     out = []
     for b in range(cfg.B):
         ystar = null_resample(sm, y, explicit_multipliers(n, cfg.seed, b))
@@ -226,19 +225,12 @@ def count_scatters(monkeypatch):
     return scatters
 
 
-def wide_case(seed=41, n=25):
-    d = make_dataset(seed, n, q=1)
-    sd = standardize(d)
-    bw = Bandwidths(g=4.0, h=1.0, c=1.0)
-    return sd, compute_smoother(sd, bw.g), bw
-
-
 class TestDrawBlocks:
     def test_blocks_do_not_change_the_draws(self):
         # the first 199 draws of B = 300 are the B = 199 run's, although the
         # last block of 199 draws is partial and the same draws of 300 are not
         assert 199 % DRAW_BLOCK and 300 // DRAW_BLOCK > 199 // DRAW_BLOCK
-        sd, sm, bw = wide_case()
+        _, sd, sm, bw = wide_case()
         short = decide_scaled(sd, sm, TestConfig(bandwidths=bw, B=199, seed=11))
         long = decide_scaled(sd, sm, TestConfig(bandwidths=bw, B=300, seed=11))
         assert len(long.bootstrap_draws) == 300
@@ -309,12 +301,12 @@ class TestIsolatedResponses:
 
 
 class TestItildeOperator:
-    @pytest.mark.parametrize("mode", ["psi", "joint"])
-    def test_quadratic_form_is_itilde(self, mode):
+    @pytest.mark.parametrize("psi", ["normal", "joint"])
+    def test_quadratic_form_is_itilde(self, psi):
         # each row of a block is itilde of that row alone, and the
         # decomposition of the four-index sum from the dense matrices
-        sd, sm, bw = wide_case(seed=44, n=30)
-        eng = StatEngine(sd, sm, bw.h, mode=mode)
+        _, sd, sm, bw = wide_case(seed=44, n=30)
+        eng = StatEngine(sd, sm, bw.h, psi)
         y = sd.y
         rows = np.stack([y, null_resample(sm, y, explicit_multipliers(30, 3, 0))])
         ufs = recompute_uf(sm.pairwise, rows)
@@ -325,7 +317,7 @@ class TestItildeOperator:
             assert close(got, (full - s1 - 2.0 * s2 + s3) / n4)
 
     def test_constant_rows_give_exact_zeros(self):
-        sd, sm, bw = wide_case()
+        _, sd, sm, bw = wide_case()
         eng = StatEngine(sd, sm, bw.h)
         rows = np.zeros((3, sd.n))
         assert np.array_equal(eng.itilde(rows, recompute_uf(sm.pairwise, rows)), np.zeros(3))

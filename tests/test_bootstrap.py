@@ -23,18 +23,7 @@ from npsigtest.selfcheck import multiplier_moment_exact, _Q5
 from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import CvmEngine, DegenerateStatisticError, StatEngine
 
-from conftest import explicit_multipliers, make_dataset
-
-
-def wide_case(seed=41, n=25):
-    """Dataset plus smoother with bandwidth wide enough that no observation
-    is isolated (every leave-one-out density is positive)."""
-    d = make_dataset(seed, n, q=1)
-    sd = standardize(d)
-    bw = Bandwidths(g=4.0, h=1.0, c=1.0)
-    sm = compute_smoother(sd, bw.g)
-    assert np.all(sm.fhat > 0)
-    return d, sd, sm, bw
+from conftest import explicit_multipliers, make_dataset, wide_case
 
 
 class TestMultipliers:
@@ -310,7 +299,7 @@ class TestRunTest:
         d = make_dataset(56, 40, q=1)
         cfg = TestConfig(bandwidths=default_bandwidths(40, 2.0), B=29, seed=8)
         rec = run_test(d, cfg).to_record()
-        assert rec["schema_version"] == 2
+        assert rec["schema_version"] == 3
         assert "diag_degenerate_variance" not in rec
         assert all(np.isscalar(v) or isinstance(v, (bool, str)) for v in rec.values())
 
@@ -360,6 +349,16 @@ class TestSampleSharing:
         assert lmp.standardized == lmp_asym.standardized
         assert len(built) == 2  # lmp and lmp-asym share one, lv builds the other
         assert all(isinstance(v, (StatEngine, CvmEngine)) for v in sm.cache.values())
+        assert len(sm.cache) == 3  # one per pair weight: normal, joint, and dgm's None
+
+    def test_smoother_at_another_g_is_refused(self):
+        # the smoother's weights at g enter every statistic, so one computed
+        # at another g would decide a different test than the record reports
+        _, sd, sm, bw = wide_case()
+        cfg = TestConfig(Bandwidths(g=2.0, h=bw.h), B=9)
+        with pytest.raises(ValueError, match=r"computed at g = 4\.0.*configured with g = 2\.0"):
+            decide_scaled(sd, sm, cfg)
+        assert sm.cache == {}  # refused before any engine is built
 
 
 class TestDgmDrawByHand:

@@ -62,7 +62,27 @@ class TestCmdTest:
             "seed",
         ):
             assert key in record
-        assert record["schema_version"] == 2
+        assert record["schema_version"] == 3
+
+    @pytest.mark.parametrize(
+        "flags, psi, variance",
+        [
+            (["--psi", "triangular"], "triangular", "var_hat"),
+            (["--stat", "lv", "--psi", "indicator"], "joint", "var_hat"),
+            (["--stat", "dgm", "--variance", "var_tilde"], None, None),
+        ],
+    )
+    def test_output_names_the_weight_the_test_used(self, null_csv, capsys, flags, psi, variance):
+        # lv weighs pairs by its own x kernel and dgm weighs none, so
+        # neither reports the --psi (nor dgm the --variance) it ignored
+        args = base_args(null_csv) + flags + ["--boot", "19", "--seed", "99"]
+        assert main(args + ["--json"]) in (EXIT_OK, EXIT_REJECT)
+        record = json.loads(capsys.readouterr().out)
+        assert (record["psi"], record["variance"]) == (psi, variance)
+        assert record["schema_version"] == 3
+        main(args)
+        used = f" (psi={psi}, variance={variance})" if psi else ""
+        assert capsys.readouterr().out.splitlines()[0] == f"statistic {record['statistic']}{used}"
 
     def test_csv_output_two_lines(self, null_csv, capsys):
         code = main(base_args(null_csv) + ["--seed", "99", "--csv"])
@@ -157,6 +177,16 @@ class TestCmdTest:
         assert "no two observations within the test bandwidth h = 0.431468" in err
         assert "increase the bandwidth factor c (--c)" in err
         assert "continuous x columns need psi=normal or psi=triangular" in err
+
+    @pytest.mark.parametrize("data", ["null.csv", "missing.csv"])
+    def test_dgm_with_asymptotic_usage_error(self, null_csv, capsys, data):
+        # a usage error whatever the data: it is found before they are read
+        args = base_args(null_csv.with_name(data))
+        code = main(args + ["--seed", "1", "--stat", "dgm", "--asymptotic"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --stat/--asymptotic: ")
+        assert "use bootstrap critical values" in err
 
     def test_asymptotic_flag(self, null_csv, capsys):
         code = main(base_args(null_csv) + ["--seed", "99", "--asymptotic", "--json"])

@@ -68,8 +68,8 @@ class TestOracleEquivalence:
     def test_lv_against_joint_oracle(self):
         for seed in (5, 6):
             _, sd, sm, bw, _ = oracle_case(seed, 8, 2, "normal")
-            joint = OracleTables(sd, bw.g, bw.h, joint=True)
-            lv = StatEngine(sd, sm, bw.h, mode="joint")
+            joint = OracleTables(sd, bw.g, bw.h, "joint")
+            lv = StatEngine(sd, sm, bw.h, "joint")
             assert close(lv.itilde(sd.y, sm.uf), oracle_itilde(joint))
 
     def test_decomposition_identity_brute_force(self):
@@ -272,7 +272,7 @@ class TestLv:
         sd = standardize(d)
         sm = compute_smoother(sd, 1.5)
         with pytest.raises(ValueError, match="LV requires continuous X"):
-            StatEngine(sd, sm, 1.0, mode="joint")
+            StatEngine(sd, sm, 1.0, psi="joint")
 
     def test_empty_x_reduces_to_unit_psi(self):
         base = make_dataset(30, 10)
@@ -285,7 +285,7 @@ class TestLv:
         )
         sd = standardize(d)
         sm = compute_smoother(sd, 1.5)
-        lv = StatEngine(sd, sm, 1.1, mode="joint")
+        lv = StatEngine(sd, sm, 1.1, psi="joint")
         # the indicator psi over zero columns is identically one
         ref = StatEngine(sd, sm, 1.1, psi="indicator").itilde(sd.y, sm.uf)
         assert close(lv.itilde(sd.y, sm.uf), ref)
@@ -293,7 +293,7 @@ class TestLv:
 
     def test_constant_response(self):
         sd, sm = constant_response_case()
-        lv = StatEngine(sd, sm, 1.0, mode="joint")
+        lv = StatEngine(sd, sm, 1.0, psi="joint")
         raw = lv.itilde(sd.y, sm.uf)
         assert raw == 0.0
         assert math.isnan(studentize(raw, lv.var_hat(sm.uf), sd.n, 1.0, lv.rate_dim))
