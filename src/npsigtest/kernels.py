@@ -12,11 +12,14 @@ even densities (unit second moment) applied to the norm of the difference;
 The kernel in w has compact support and a bandwidth that shrinks with n, so
 each observation has few neighbours. The builders here therefore return
 ``PairWeights``: the (row, column, value) lists of the nonzero pair weights.
-``mixed_kernel_matrix`` finds the pairs inside the support by sorting on the
-first continuous w column, and ``psi_matrix`` and ``joint_x_kernel_matrix``
-weigh only those pairs. Every value is computed by the same elementwise
-formula a dense n-by-n build would use, so ``PairWeights.dense`` is equal to
-it entry for entry.
+``mixed_kernel_matrix`` tests candidate pairs from one of two sources: a
+window search, which sorts on the first continuous w column, or the pairs
+of the same kernel at a bandwidth at least as wide, which it filters. A
+sample is searched once, at the smoother's g, and the test weights at h <= g
+filter those pairs. ``psi_matrix`` and ``joint_x_kernel_matrix`` weigh only
+the pairs found. Every value is computed by the same elementwise formula a
+dense n-by-n build would use, so ``PairWeights.dense`` is equal to it entry
+for entry, whichever the source.
 
 The scalar kernel at one difference vector is written out independently in
 ``oracles``, which shares no code with these builders, so the oracle tests
@@ -67,7 +70,13 @@ class Bandwidths:
 
 
 def default_bandwidths(n: int, c: float) -> Bandwidths:
-    """Estimation bandwidth n^(-1/6) and test bandwidth c * n^(-2.1/6)."""
+    """Estimation bandwidth g = n^(-1/6) and test bandwidth
+    h = c * n^(-2.1/6).
+
+    h <= g exactly when c <= n^(1.1/6) (2.0 at n = 44, 2.3 at n = 100, 4.0
+    at n = 2000); the test's pair weights are then found by filtering the
+    smoother's pairs instead of a second search (``mixed_kernel_matrix``).
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     if not c > 0:
@@ -264,7 +273,7 @@ class PairWeights:
 
 def _disc_equal(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """True where all discrete coordinates of rows i and j agree exactly."""
-    return (a[i] == a[j]).all(axis=1)
+    return (np.take(a, i, axis=0) == np.take(a, j, axis=0)).all(axis=1)
 
 
 def _sq_norms(diff: np.ndarray) -> np.ndarray:
@@ -272,20 +281,26 @@ def _sq_norms(diff: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def mixed_kernel_matrix(cont: np.ndarray, disc: np.ndarray, bandwidth: float) -> PairWeights:
-    """Pair weights h^(-p_c) K((w_i - w_j)/h) times the discrete-equality
-    indicator, for i != j.
+def _sq_dists(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance between rows i and j of a, pair by pair
+    (``np.take`` gathers rows several times faster than ``a[i]``, but
+    slower than ``np.zeros`` when a has no columns)."""
+    if not a.shape[1]:
+        return np.zeros(len(i))
+    return _sq_norms(np.take(a, i, axis=0) - np.take(a, j, axis=0))
+
+
+def _window(cont: np.ndarray, disc: np.ndarray, bandwidth: float):
+    """The window search's sort ``order`` of the observations, and its
+    candidate pairs (i, j) with the rank of j, ``_CHUNK`` at a time.
 
     The observations are sorted by their discrete group (``np.unique``,
     which groups as ``==`` does) and then by the first continuous column
-    (if any). For each observation only those in its discrete group whose
-    first coordinate lies within a window slightly wider than the bandwidth
-    are tested, ``_CHUNK`` candidates at a time, with the dense formula:
-    squared distance / (h * h) < 1. The window never leaves the group, so
-    every candidate has equal discrete columns.
+    (if any). The candidates of each observation are those in its discrete
+    group whose first coordinate lies within a window slightly wider than
+    the bandwidth. The window never leaves the group, so every candidate has
+    equal discrete columns.
     """
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
     n, p_c = cont.shape
     first = cont[:, 0] if p_c else np.zeros(n)
     # complex numbers order by real part, then imaginary part
@@ -296,20 +311,59 @@ def mixed_kernel_matrix(cont: np.ndarray, disc: np.ndarray, bandwidth: float) ->
     order = np.argsort(key)
     key = key[order]
     # wide enough that rounding in the distance never drops a pair inside
-    # the support; the exact test below removes any extra candidate
+    # the support; the exact test in mixed_kernel_matrix removes any extra
+    # candidate
     reach = 1j * (bandwidth * (1.0 + 1e-9) + 1e-12 * float(np.abs(first).max(initial=0.0)))
     lo = np.searchsorted(key, key - reach, side="left")
     counts = np.searchsorted(key, key + reach, side="right") - lo
     rank = _rank(order)
     starts, counts = lo[rank], counts[rank]
+
+    def candidates():
+        for part in _chunks(counts):
+            i = np.repeat(np.arange(part.start, part.stop), counts[part])
+            b = _ranges(starts[part], counts[part])
+            yield i, order[b], b
+
+    return order, candidates()
+
+
+def mixed_kernel_matrix(
+    cont: np.ndarray, disc: np.ndarray, bandwidth: float, within: PairWeights | None = None
+) -> PairWeights:
+    """Pair weights h^(-p_c) K((w_i - w_j)/h) times the discrete-equality
+    indicator, for i != j.
+
+    The candidate pairs come from one of two sources. Without ``within``,
+    a window search (``_window``) finds them. ``within`` gives the pairs of
+    this kernel at a bandwidth at least this one, on the same sample (the
+    smoother's L); its entries are then the candidates, as every pair inside
+    this support is inside that one (h <= g gives h * h <= g * g under
+    correct rounding, so s / (g * g) <= s / (h * h) < 1). Either way each
+    candidate gets the dense formula: squared distance / (h * h) < 1, then
+    the kernel value. The window's sort key does not depend on the
+    bandwidth, so both sources list the same entries in the same order,
+    with the same values and keys.
+    """
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
+    n, p_c = cont.shape
+    if within is None:
+        order, candidates = _window(cont, disc, bandwidth)
+    else:
+        order, ranks = within.order, within.rank[within.cols]
+        candidates = [
+            (within.rows[k : k + _CHUNK], within.cols[k : k + _CHUNK], ranks[k : k + _CHUNK])
+            for k in range(0, max(len(ranks), 1), _CHUNK)
+        ]
     scale = bandwidth ** (-p_c)
     found = []
-    for part in _chunks(counts):
-        i = np.repeat(np.arange(part.start, part.stop), counts[part])
-        b = _ranges(starts[part], counts[part])
-        j = order[b]
-        sq = _sq_norms(cont[i] - cont[j]) / (bandwidth * bandwidth)
-        keep = (sq < 1.0) & (i != j)
+    for i, j, b in candidates:
+        sq = _sq_dists(cont, i, j) / (bandwidth * bandwidth)
+        # the places of the kept candidates: where few are kept, as in a
+        # window on one of several continuous columns, gathering these is
+        # several times faster than masking with a boolean array
+        keep = np.flatnonzero((sq < 1.0) & (i != j))
         found.append((i[keep], j[keep], b[keep], _epanechnikov_of_sqnorm(sq[keep]) * scale))
     i, j, b, values = (np.concatenate(v) for v in zip(*found))
     pairs = PairWeights(n, i, j, values, order)
@@ -334,7 +388,7 @@ def psi_matrix(psi: str, x: np.ndarray, pairs: PairWeights) -> PairWeights:
     if psi == "indicator":
         weight = _disc_equal(x, i, j).astype(float)
     else:
-        weight = psi_profile(psi, np.sqrt(_sq_norms(x[i] - x[j])))
+        weight = psi_profile(psi, np.sqrt(_sq_dists(x, i, j)))
     return _nonzero(pairs, pairs.values * weight)
 
 
@@ -344,6 +398,6 @@ def joint_x_kernel_matrix(x: np.ndarray, bandwidth: float, pairs: PairWeights) -
     if x.shape[1] == 0:
         return pairs
     i, j = pairs.rows, pairs.cols
-    s = _sq_norms(x[i] - x[j]) / (bandwidth * bandwidth)
+    s = _sq_dists(x, i, j) / (bandwidth * bandwidth)
     weight = _epanechnikov_of_sqnorm(s) * bandwidth ** (-x.shape[1])
     return _nonzero(pairs, pairs.values * weight)

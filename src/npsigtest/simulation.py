@@ -34,7 +34,13 @@ from .bootstrap import TestConfig, decide_scaled
 from .data import ColumnKind, Dataset, all_continuous, standardize
 from .kernels import default_bandwidths
 from .smoother import MIN_OBSERVATIONS, compute_smoother
-from .statistics import ITILDE_MIN_N, DegenerateStatisticError, fisher_min_n, fisher_test
+from .statistics import (
+    ITILDE_MIN_N,
+    DegenerateStatisticError,
+    check_bandwidth,
+    fisher_min_n,
+    fisher_test,
+)
 
 THETA = np.array([1.0, -1.0]) / math.sqrt(2.0)
 NOISE_SD = 2.0
@@ -127,8 +133,9 @@ def _min_n(t: TestTemplate, dgp: DgpSpec) -> int:
 
 def _cell_configs(cell: Cell, tests, alpha: float, B: int) -> tuple[TestConfig | None, ...]:
     """Each test's configuration at the cell, with seed 0, or None for the
-    F-test, which reads only alpha; ``TestConfig`` and ``default_bandwidths``
-    refuse a bad test here, before any replication runs."""
+    F-test, which reads only alpha; ``TestConfig``, ``default_bandwidths``
+    and ``check_bandwidth`` refuse a bad test here, before any replication
+    runs."""
     bw = default_bandwidths(cell.dgp.n, cell.c)
     configs = []
     for t in tests:
@@ -139,6 +146,9 @@ def _cell_configs(cell: Cell, tests, alpha: float, B: int) -> tuple[TestConfig |
             configs.append(
                 TestConfig(bw, t.statistic, t.psi, critical=t.critical, alpha=alpha, B=B)
             )
+            if t.statistic != "dgm":  # dgm weighs no pairs
+                # w has two continuous columns, and lv smooths x as well
+                check_bandwidth(bw.h, 2 + (cell.dgp.q if t.statistic == "lv" else 0))
         except ValueError as exc:
             raise ValueError(f"test {t.name}: {exc}") from None
     return tuple(configs)

@@ -63,15 +63,36 @@ def studentize(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
     return np.where(omega2 > 0.0, t, math.nan)
 
 
+def check_bandwidth(h: float, rate_dim: int) -> None:
+    """Refuse a test bandwidth h at which h**k or h**-k overflows a float,
+    k = max(rate_dim, 2): an engine of that rate dimension takes powers of h
+    up to the k-th, and divides by h * h."""
+    k = max(rate_dim, 2)
+    for power in (k, -k):
+        try:
+            h**power
+        except OverflowError:
+            remedy = "smaller" if power > 0 else "larger"
+            raise ValueError(
+                f"the test bandwidth h = {h:.6g} is out of range: h**{power} overflows "
+                f"a float; choose a {remedy} bandwidth factor c (--c, or --cs of simulate)"
+            ) from None
+
+
 class StatEngine:
     """Pair-weight workspace for repeated statistic evaluation.
 
     Builds the test weights M once (the w kernel at bandwidth h times the
     pair weight ``psi``: a name from ``PSI_FAMILIES``, or ``"joint"``, the
     x kernel at the same bandwidth that ``lv`` smooths with), on the pairs
-    inside the w kernel's support only. Every statistic reads the residuals
-    uf of a response, or of each row of a block; ``itilde`` and
-    ``var_tilde`` read the response too, and take no product with L.
+    inside the w kernel's support only. When h <= g those pairs are a
+    subset of the smoother's L, so they are filtered from L's entries
+    rather than searched for again (``mixed_kernel_matrix``), with the same
+    result; a wider h searches anew. An h at which a power the engine takes
+    overflows a float is refused (``check_bandwidth``). Every statistic
+    reads the residuals uf of a response, or of each row of a block;
+    ``itilde`` and ``var_tilde`` read the response too, and take no product
+    with L.
     ``itilde`` builds its coefficient lists on its first call; a test
     without a bootstrap holds no n-by-n matrix, except the one
     ``PairWeights.triple_sums`` scatters while it builds them if that is
@@ -87,13 +108,13 @@ class StatEngine:
         w_cont, w_disc = d.w_split()
         if psi == "joint" and any(k is not ColumnKind.CONTINUOUS for k in d.x_kinds):
             raise ValueError("LV requires continuous X")
-        kmat = mixed_kernel_matrix(w_cont, w_disc, h)
+        self.rate_dim = d.p_cont + d.q if psi == "joint" else d.p_cont
+        check_bandwidth(h, self.rate_dim)
+        kmat = mixed_kernel_matrix(w_cont, w_disc, h, sm.pairwise if h <= sm.g else None)
         if psi == "joint":
             self.M = joint_x_kernel_matrix(d.x, h, kmat)
-            self.rate_dim = d.p_cont + d.q
         else:
             self.M = psi_matrix(psi, d.x, kmat)
-            self.rate_dim = d.p_cont
         self.M2 = self.M.squared()
         self.h_power = h**self.rate_dim
         self._itilde = None

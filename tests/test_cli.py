@@ -188,6 +188,16 @@ class TestCmdTest:
         assert err.startswith("error: --stat/--asymptotic: ")
         assert "use bootstrap critical values" in err
 
+    @pytest.mark.parametrize("c, power", [("1e300", "h**2"), ("1e-300", "h**-2")])
+    def test_overflowing_bandwidth_factor_is_refused(self, null_csv, capsys, c, power):
+        # h**2 or h**-2 would overflow a float: refused with a message, not
+        # an OverflowError past main
+        code = main(base_args(null_csv) + ["--seed", "1", "--asymptotic", "--c", c])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: the test bandwidth h = ")
+        assert f"{power} overflows a float" in err and "bandwidth factor c (--c" in err
+
     def test_asymptotic_flag(self, null_csv, capsys):
         code = main(base_args(null_csv) + ["--seed", "99", "--asymptotic", "--json"])
         record = json.loads(capsys.readouterr().out)
@@ -395,6 +405,26 @@ class TestCmdSimulate:
         assert code == EXIT_OK
         [cfg] = seen
         assert cfg.cells == figure_design("level-disc")[0]
+
+    @pytest.mark.parametrize(
+        "cs, tests, refused",
+        [
+            ("1e300", "lmp", "test lmp: the test bandwidth h = 3.50461e+299 is out of range: h**2"),
+            ("1e-300", "dgm,lmp", "test lmp: the test bandwidth h = 3.50461e-301 is out of range: h**-2"),
+            # lv takes powers of h up to p + q = 2 + 5
+            ("2,1e-60", "lmp,lv", "test lv: the test bandwidth h = 3.50461e-61 is out of range: h**-7"),
+        ],
+    )
+    def test_overflowing_bandwidth_factor_usage_error(self, tmp_path, capsys, cs, tests, refused):
+        out = tmp_path / "t.csv"
+        code = main(["simulate", "--family", "continuous", "--n", "20", "--q", "5", "--cs", cs,
+                     "--tests", tests, "--reps", "1", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: --family/--alt/--n/--q/--tests: {refused} overflows a float" in err
+        assert "bandwidth factor c (--c" in err
+        assert "cell 1/" not in err  # refused before any replication
+        assert not out.exists()
 
     def test_lv_on_discrete_family_usage_error(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -1,10 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import npsigtest.kernels as kernels
+from npsigtest.bootstrap import TestConfig, run_test
+from npsigtest.data import ColumnKind, Dataset, all_continuous
+from npsigtest.designs import LMP, LMP_ASYM, LV
 from npsigtest.kernels import (
     Bandwidths,
     PairWeights,
@@ -15,6 +20,11 @@ from npsigtest.kernels import (
     psi_profile,
 )
 from npsigtest.oracles import eval_kernel, eval_mixed_kernel, eval_psi
+from npsigtest.simulation import Cell, DgpSpec, ExperimentConfig, run_experiment
+from npsigtest.smoother import compute_smoother
+from npsigtest.statistics import StatEngine
+
+from conftest import make_dataset
 
 
 def all_pairs(n):
@@ -209,12 +219,26 @@ def dense_x_weight(weight, x, h):
     return psi_profile(weight, np.sqrt(dense_sq_dists(x)))
 
 
+def count_searches(monkeypatch):
+    """The bandwidth of each window search (``kernels._window``) from now on."""
+    searches = []
+    window = kernels._window
+
+    def counted(cont, disc, bandwidth):
+        searches.append(bandwidth)
+        return window(cont, disc, bandwidth)
+
+    monkeypatch.setattr(kernels, "_window", counted)
+    return searches
+
+
 class TestPairLists:
     @pytest.mark.parametrize("design", ["continuous", "mixed", "discrete", "signed-zero"])
-    @pytest.mark.parametrize("h_over_g", [0.6, 1.7])
+    @pytest.mark.parametrize("h_over_g", [0.6, 1.0, 1.7])
     @pytest.mark.parametrize("weight", ["normal", "triangular", "indicator", "lv"])
-    def test_scatter_equals_dense_build(self, design, h_over_g, weight):
-        # every stored value is the dense formula's, entry for entry
+    def test_scatter_equals_dense_build(self, monkeypatch, design, h_over_g, weight):
+        # every stored value is the dense formula's, entry for entry, whether
+        # the engine filters the smoother's pairs (h <= g) or searches anew
         rng = np.random.default_rng(17)
         n, p_c, p_d = 150, *{
             "continuous": (2, 0), "mixed": (2, 1), "discrete": (0, 2), "signed-zero": (1, 1)
@@ -229,16 +253,87 @@ class TestPairLists:
             x = np.round(x)
         g = 0.5
         h = h_over_g * g
-        L = mixed_kernel_matrix(cont, disc, g)
+        d = Dataset(
+            y=rng.standard_normal(n),
+            w=np.hstack([cont, disc]),
+            x=x,
+            w_kinds=(ColumnKind.CONTINUOUS,) * p_c + (ColumnKind.DISCRETE,) * p_d,
+            x_kinds=all_continuous(2),
+        )
+        sm = compute_smoother(d, g)
+        L = sm.pairwise
         assert np.array_equal(L.dense(), dense_w_kernel(cont, disc, g))
-        K = mixed_kernel_matrix(cont, disc, h)
-        if weight == "lv":
-            M = joint_x_kernel_matrix(x, h, K)
-        else:
-            M = psi_matrix(weight, x, K)
+        searches = count_searches(monkeypatch)
+        M = StatEngine(d, sm, h, "joint" if weight == "lv" else weight).M
+        assert searches == ([h] if h > g else [])
         want = dense_w_kernel(cont, disc, h) * dense_x_weight(weight, x, h)
         assert np.array_equal(M.dense(), want)
         # each nonzero entry listed once, by row and then by rank
         for W in (L, M):
             assert len(W.values) == np.count_nonzero(W.dense())
             assert np.all(np.diff(W.rows * n + W.rank[W.cols]) > 0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 300),
+        p_c=st.integers(0, 3),
+        p_d=st.integers(0, 2),
+        grid=st.sampled_from([0, 1, 2, 8]),
+        duplicates=st.integers(0, 20),
+        signed_zero=st.booleans(),
+        g=st.floats(0.05, 3.0),
+        h_over_g=st.floats(1e-3, 1.0),
+        chunk=st.sampled_from([kernels._CHUNK, 97]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_filter_equals_search(
+        self, seed, n, p_c, p_d, grid, duplicates, signed_zero, g, h_over_g, chunk
+    ):
+        # the pairs at h <= g filtered from the pairs at g are the pairs a
+        # fresh search at h finds, in the same order with the same values,
+        # also when either source is taken a few candidates at a time
+        rng = np.random.default_rng(seed)
+        cont = rng.standard_normal((n, p_c))
+        if grid:  # coordinates on a grid tie
+            cont = np.round(cont * grid) / grid
+        disc = rng.integers(-1, 2, size=(n, p_d)).astype(float)
+        if signed_zero and p_d:
+            disc[(disc[:, 0] == 0.0) & (rng.random(n) < 0.5), 0] = -0.0
+        copies = rng.integers(0, n, size=(min(duplicates, n // 2), 2))
+        cont[copies[:, 0]], disc[copies[:, 0]] = cont[copies[:, 1]], disc[copies[:, 1]]
+        h = h_over_g * g
+        with mock.patch.object(kernels, "_CHUNK", chunk):
+            L = mixed_kernel_matrix(cont, disc, g)
+            filtered = mixed_kernel_matrix(cont, disc, h, within=L)
+            searched = mixed_kernel_matrix(cont, disc, h)
+        for name in ("rows", "cols", "values", "order", "_keys"):
+            assert np.array_equal(getattr(filtered, name), getattr(searched, name)), name
+
+
+class TestSearchesPerSample:
+    """The pair search runs once per sample, at g; an engine at h <= g
+    filters the smoother's pairs."""
+
+    def test_asymptotic_test(self, monkeypatch):
+        searches = count_searches(monkeypatch)
+        bw = default_bandwidths(100, 2.0)
+        assert bw.h < bw.g
+        run_test(make_dataset(5, 100), TestConfig(bandwidths=bw, critical="asymptotic"))
+        assert searches == [bw.g]
+
+    def test_monte_carlo_replication(self, monkeypatch):
+        # the engines of lmp (shared with lmp-asym) and lv filter L
+        searches = count_searches(monkeypatch)
+        cell = Cell(DgpSpec(family="continuous", n=100, q=2), c=2.0)
+        cfg = ExperimentConfig(
+            cells=(cell,), tests=(LMP, LMP_ASYM, LV), replications=1, master_seed=1,
+            alpha=0.10, B=19,
+        )
+        run_experiment(cfg)
+        assert searches == [default_bandwidths(100, 2.0).g]
+
+    def test_wider_test_bandwidth_searches_again(self, monkeypatch):
+        searches = count_searches(monkeypatch)
+        bw = Bandwidths(g=0.5, h=0.8)
+        run_test(make_dataset(5, 100), TestConfig(bandwidths=bw, critical="asymptotic"))
+        assert searches == [0.5, 0.8]
