@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -195,39 +196,15 @@ def _parse_column(cells: list[str]) -> tuple[np.ndarray, tuple[int, str | None] 
     return col, None
 
 
-def load_dataset(path: str | Path, schema: ColumnSchema) -> Dataset:
-    """Read a delimited numeric table with a header row into a Dataset.
-
-    Errors name the offending row (1-based, excluding the header) and column.
-    """
-    path = Path(path)
-    try:
-        # utf-8-sig: a byte-order mark, as Excel writes, is not part of the header
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            header = [c.strip() for c in header]
-            rows = [row for row in reader if "".join(row).strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-    wanted = [schema.y, *schema.w, *schema.x]
-    positions = {}
-    for name in wanted:
-        if name not in header:
-            raise DataError(f"missing column '{name}' in {path}")
-        if header.count(name) > 1:
-            raise DataError(f"column '{name}' appears more than once in the header of {path}")
-        positions[name] = header.index(name)
-
+def _parse_rows(path: Path, rows: list[list[str]], width: int, positions: dict) -> dict:
+    """The columns named in ``positions`` (name: place in the header) of the
+    rows ``csv.reader`` read, as floats; the first bad cell, or a row not
+    ``width`` fields wide, is a ``DataError``."""
     n = len(rows)
     # the first row whose field count is wrong; cells after it are not read
-    short = next((r for r, row in enumerate(rows) if len(row) != len(header)), n)
+    short = next((r for r, row in enumerate(rows) if len(row) != width), n)
     values, errors = {}, []
-    for c, name in enumerate(wanted):
+    for c, name in enumerate(positions):
         cells = [row[positions[name]] for row in rows[:short]]
         values[name], bad = _parse_column(cells)
         if bad is not None:
@@ -241,8 +218,73 @@ def load_dataset(path: str | Path, schema: ColumnSchema) -> Dataset:
         raise DataError(min(errors)[2])
     if short < n:
         raise DataError(
-            f"{path}: row {short + 1} has {len(rows[short])} fields, header has {len(header)}"
+            f"{path}: row {short + 1} has {len(rows[short])} fields, header has {width}"
         )
+    return values
+
+
+def _load_table(path: Path, width: int) -> np.ndarray | None:
+    """The data rows (all but the first line) as one float table, parsed by
+    numpy's C reader, or None where the table is not one ``load_dataset``
+    would take as it stands: the reader raises or warns (as on an empty
+    table), the width is not ``width``, or a value is not finite."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, encoding="utf-8-sig", ndmin=2
+            )
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def load_dataset(path: str | Path, schema: ColumnSchema) -> Dataset:
+    """Read a delimited numeric table with a header row into a Dataset.
+
+    The header is read by ``csv.reader``. The rows are read first by
+    ``np.loadtxt``, whose C parser reads a well-formed file (every row as
+    wide as the header, every cell a finite number, blank lines skipped)
+    about twice as fast, with the same values. Any file it refuses (a
+    quoted, empty or non-numeric cell, a whitespace-only line, a short or
+    long row, a non-finite value, no data rows) is read again by
+    ``csv.reader``, cell by cell where numpy refuses a column, so every
+    error is the one that path gives: errors name the offending row
+    (1-based, excluding the header) and column.
+    """
+    path = Path(path)
+    try:
+        # utf-8-sig: a byte-order mark, as Excel writes, is not part of the header
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            header = [c.strip() for c in header]
+            table = _load_table(path, len(header))
+            if table is None:
+                rows = [row for row in reader if "".join(row).strip()]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+    wanted = [schema.y, *schema.w, *schema.x]
+    positions = {}
+    for name in wanted:
+        if name not in header:
+            raise DataError(f"missing column '{name}' in {path}")
+        if header.count(name) > 1:
+            raise DataError(f"column '{name}' appears more than once in the header of {path}")
+        positions[name] = header.index(name)
+
+    if table is not None:
+        n = len(table)
+        values = {name: table[:, positions[name]] for name in wanted}
+    else:
+        n = len(rows)
+        values = _parse_rows(path, rows, len(header), positions)
 
     w = np.column_stack([values[c] for c in schema.w]) if schema.w else np.empty((n, 0))
     if schema.x:

@@ -13,13 +13,16 @@ The kernel in w has compact support and a bandwidth that shrinks with n, so
 each observation has few neighbours. The builders here therefore return
 ``PairWeights``: the (row, column, value) lists of the nonzero pair weights.
 ``mixed_kernel_matrix`` tests candidate pairs from one of two sources: a
-window search, which sorts on the first continuous w column, or the pairs
-of the same kernel at a bandwidth at least as wide, which it filters. A
-sample is searched once, at the smoother's g, and the test weights at h <= g
-filter those pairs. ``psi_matrix`` and ``joint_x_kernel_matrix`` weigh only
-the pairs found. Every value is computed by the same elementwise formula a
-dense n-by-n build would use, so ``PairWeights.dense`` is equal to it entry
-for entry, whichever the source.
+window search, which sorts on the first continuous w column and cuts the
+second into strips, or the pairs of the same kernel at a bandwidth at least
+as wide, which it filters. A sample is searched once, at the smoother's g,
+and the test weights at h <= g filter those pairs. ``psi_matrix`` and
+``joint_x_kernel_matrix`` weigh only the pairs found. Every value is
+computed by the same elementwise formula a dense n-by-n build would use, so
+``PairWeights.dense`` is equal to it entry for entry, whichever the source.
+An entry is looked up by its position: each row's entries lie in a band of
+the search's sort order, and a table of the bands gives an entry's place in
+the lists in one gather.
 
 The scalar kernel at one difference vector is written out independently in
 ``oracles``, which shares no code with these builders, so the oracle tests
@@ -46,15 +49,18 @@ _CHUNK = 1 << 18
 _DENSE_ROWS = 64
 
 # PairWeights.triple_sums sums over lists while it has at most
-# n^2 / _TERMS_PER_N2 terms, else densely: on one core a list term cost
-# 50-100 ns, and the dense form 5-50 ns per entry of its n-by-n scatter
-# (n = 50 to 2000, c = 0.5 to 8); they broke even at n^2/11 to n^2/9 terms.
-# The benchmark has a workload on each side (seed 1, c = 2, one BLAS thread,
-# best of 7): mc-n100 (3,411 terms against 1,000) and boot-n500 (61,167
-# against 25,000), all-continuous, take the dense form, 0.15 and 1.5 ms
-# against 0.18 and 4.4 ms for the lists; asym-n2000, whose w has a 3-level
-# discrete column, takes the lists (117,576 against 400,000), 6.3 ms
-# against 9.0 ms dense
+# n^2 / _TERMS_PER_N2 terms, else densely: on one core, with the lookup by
+# position, a list term cost 26-75 ns from n = 500 up (40-340 ns below, where
+# the fixed cost of each call weighs more), and the dense form 2-40 ns per
+# entry of its n-by-n scatter (n = 50 to 2000, c = 0.5 to 8); they broke even
+# at n^2/2 to n^2/19 terms. The benchmark has a workload on each side (seed
+# 1, c = 2, one BLAS thread, best of 7): mc-n100 (3,411 terms against 1,000)
+# and boot-n500 (61,167 against 25,000), all-continuous, take the dense form,
+# 0.14 and 1.4-1.5 ms against 0.13-0.14 and 1.6 ms for the lists; asym-n2000,
+# whose w has a 3-level discrete column, takes the lists (117,576 against
+# 400,000), 3.3-3.5 ms against 9.8-10.3 ms dense. A lower constant would move
+# mc-n100 and boot-n500 to the lists, which sum in another order, so it waits
+# for a rounding-aware degeneracy rule
 _TERMS_PER_N2 = 10
 
 
@@ -130,9 +136,11 @@ class PairWeights:
     as the lists of its entries, every nonzero one among them: ``rows``,
     ``cols`` and ``values``, with (i, j) and (j, i) both listed. ``order``
     lists the observations so that each one's neighbours are close to it
-    (the builders' sort), and
-    ``rank`` is each observation's place in it. The entries are sorted by
-    row, and within a row by the rank of the column.
+    (the builders' sort), and ``rank`` is each observation's place in it.
+    The entries are sorted by row, and within a row by the rank of the
+    column, so a row's entries span a band of ranks: ``index_of`` and
+    ``values_at`` look an entry up in a table of these bands, built on first
+    use and kept.
 
     ``degree`` and ``row_sums`` (W 1) are taken from the lists once. A
     product with one vector is a gather and an ``np.bincount`` over the
@@ -152,13 +160,13 @@ class PairWeights:
         self.rank = _rank(order)
         self.degree = np.bincount(rows, minlength=n)
         self.row_sums = np.bincount(rows, values, n)
-        self._keys = None
+        self._band = None
         self._dense = None
 
     def with_values(self, values: np.ndarray) -> PairWeights:
         """Weights with the same entries and new values, one per entry."""
         out = PairWeights(self.n, self.rows, self.cols, values, self.order)
-        out._keys = self._keys
+        out._band = self._band
         return out
 
     def squared(self) -> PairWeights:
@@ -178,18 +186,46 @@ class PairWeights:
             return np.bincount(self.rows, self.values * y[self.cols], self.n)
         return y @ self.dense()
 
+    def _band_table(self):
+        """The table behind ``index_of``, built on first use and kept.
+
+        An entry (i, j) lies d = rank[j] - rank[i] != 0 places from its row
+        in ``order``. Its step is d - 1 if d > 0, else d, which leaves no gap
+        at the row itself. A row's entries are sorted by rank, so their steps
+        span a band of consecutive integers, one slot per step, from the
+        first entry's to the last's. Returns each row's lowest step, count
+        of slots and first slot, and the place in the lists of the entry in
+        each slot (-1 in a slot with no entry, and in one more at the end).
+
+        A row's entries lie in its first-column window, one range of
+        ``order`` that holds the row itself, so the row has fewer slots than
+        that window has candidates. On all-discrete w, where a row lists all
+        of its group, it has as many slots as entries.
+        """
+        if self._band is None:
+            n, degree = self.n, self.degree
+            steps = self.rank[self.cols] - self.rank[self.rows]
+            steps -= steps > 0
+            starts = np.cumsum(degree) - degree
+            lowest = np.zeros(n, dtype=np.intp)
+            slots = np.zeros(n, dtype=np.intp)
+            some = degree > 0
+            lowest[some] = steps[starts[some]]
+            slots[some] = steps[starts[some] + degree[some] - 1] - lowest[some] + 1
+            first = np.cumsum(slots) - slots
+            at = np.full(int(slots.sum()) + 1, -1, dtype=np.intp)
+            at[first[self.rows] + steps - lowest[self.rows]] = np.arange(len(steps))
+            self._band = lowest, slots, first, at
+        return self._band
+
     def index_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The place in the lists of each entry (rows, cols), -1 where there
-        is none."""
-        if self._keys is None:
-            self._keys = self.rows * self.n + self.rank[self.cols]
-        if not len(self._keys):
-            return np.full(len(rows), -1)
-        keys = rows * self.n + self.rank[cols]
-        at = np.searchsorted(self._keys, keys)
-        np.minimum(at, len(self._keys) - 1, out=at)
-        at[self._keys[at] != keys] = -1
-        return at
+        is none: one gather from ``_band_table``."""
+        lowest, slots, first, at = self._band_table()
+        steps = np.take(self.rank, cols) - np.take(self.rank, rows)
+        offset = steps - (steps > 0) - np.take(lowest, rows)
+        inside = (offset >= 0) & (offset < np.take(slots, rows)) & (steps != 0)
+        return np.take(at, np.where(inside, np.take(first, rows) + offset, -1))
 
     def values_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The value of each entry (rows, cols), 0 where there is none (the
@@ -290,42 +326,74 @@ def _sq_dists(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return _sq_norms(np.take(a, i, axis=0) - np.take(a, j, axis=0))
 
 
+def _slack(bandwidth: float, column: np.ndarray) -> float:
+    """The bandwidth widened so that rounding in the distance never drops a
+    pair inside the support, on the magnitude of ``column``; the exact test
+    in mixed_kernel_matrix removes any extra candidate."""
+    return bandwidth * (1.0 + 1e-9) + 1e-12 * float(np.abs(column).max(initial=0.0))
+
+
 def _window(cont: np.ndarray, disc: np.ndarray, bandwidth: float):
-    """The window search's sort ``order`` of the observations, and its
-    candidate pairs (i, j) with the rank of j, ``_CHUNK`` at a time.
+    """The window search's sort ``order`` of the observations, its candidate
+    pairs (i, j), ``_CHUNK`` at a time, and whether they come by row and
+    then by the rank of j (else by row only).
 
     The observations are sorted by their discrete group (``np.unique``,
     which groups as ``==`` does) and then by the first continuous column
     (if any). The candidates of each observation are those in its discrete
     group whose first coordinate lies within a window slightly wider than
-    the bandwidth. The window never leaves the group, so every candidate has
-    equal discrete columns.
+    the bandwidth: one range of ``order``. The window never leaves the
+    group, so every candidate has equal discrete columns.
+
+    With two or more continuous columns, the second one is also cut into
+    strips at least as wide as the window. The strips are numbered by the
+    dense rank of floor(w2 / width), so any two observations closer than
+    the window lie in the same or adjacent strips, at any bandwidth. A
+    second sort by (group, strip, first column) then makes the candidates
+    three ranges: the window in the observation's own strip and in the
+    strip on each side, which on a spread-out second column holds a few
+    times fewer candidates than the window alone. They come strip by strip.
     """
     n, p_c = cont.shape
     first = cont[:, 0] if p_c else np.zeros(n)
     # complex numbers order by real part, then imaginary part
     key = np.zeros(n, dtype=complex)
-    if disc.shape[1]:
+    if disc.shape[1] == 1:
+        # one column sorts as numbers, many times faster than as matrix rows
+        key.real = np.unique(disc[:, 0], return_inverse=True)[1]
+    elif disc.shape[1]:
         key.real = np.unique(disc, axis=0, return_inverse=True)[1].reshape(-1)
     key.imag = first
     order = np.argsort(key)
-    key = key[order]
-    # wide enough that rounding in the distance never drops a pair inside
-    # the support; the exact test in mixed_kernel_matrix removes any extra
-    # candidate
-    reach = 1j * (bandwidth * (1.0 + 1e-9) + 1e-12 * float(np.abs(first).max(initial=0.0)))
-    lo = np.searchsorted(key, key - reach, side="left")
-    counts = np.searchsorted(key, key + reach, side="right") - lo
-    rank = _rank(order)
-    starts, counts = lo[rank], counts[rank]
+    reach = 1j * _slack(bandwidth, first)
+    if p_c < 2:
+        source = order
+        key = key[source]
+        centres = key[None, :]
+    else:
+        second = cont[:, 1]
+        strips, strip = np.unique(np.floor(second / _slack(bandwidth, second)), return_inverse=True)
+        # (group, strip) as one number, with room for a strip on each side
+        # that never reaches the next group
+        key.real = key.real * (len(strips) + 2) + strip.reshape(-1) + 1
+        source = np.argsort(key)
+        key = key[source]
+        centres = key + np.array([[-1.0], [0.0], [1.0]])
+    # one range per row of centres, each row searched in sorted order, then
+    # taken back to the observations' order: (observation, range)
+    shape = (len(centres), n)
+    lo = np.searchsorted(key, (centres - reach).ravel(), side="left").reshape(shape)
+    counts = np.searchsorted(key, (centres + reach).ravel(), side="right").reshape(shape) - lo
+    back = _rank(source)
+    lo, counts = lo[:, back].T, counts[:, back].T
+    per_row = counts.sum(axis=1)
 
     def candidates():
-        for part in _chunks(counts):
-            i = np.repeat(np.arange(part.start, part.stop), counts[part])
-            b = _ranges(starts[part], counts[part])
-            yield i, order[b], b
+        for part in _chunks(per_row):
+            i = np.repeat(np.arange(part.start, part.stop), per_row[part])
+            yield i, source[_ranges(lo[part].ravel(), counts[part].ravel())]
 
-    return order, candidates()
+    return order, candidates(), p_c < 2
 
 
 def mixed_kernel_matrix(
@@ -341,35 +409,37 @@ def mixed_kernel_matrix(
     this support is inside that one (h <= g gives h * h <= g * g under
     correct rounding, so s / (g * g) <= s / (h * h) < 1). Either way each
     candidate gets the dense formula: squared distance / (h * h) < 1, then
-    the kernel value. The window's sort key does not depend on the
-    bandwidth, so both sources list the same entries in the same order,
-    with the same values and keys.
+    the kernel value. The window's sort ``order`` does not depend on the
+    bandwidth, and the entries are listed by row and then by the rank of
+    the column in it (the strips' candidates are sorted back to it), so both
+    sources list the same entries in the same order, with the same values.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     n, p_c = cont.shape
     if within is None:
-        order, candidates = _window(cont, disc, bandwidth)
+        order, candidates, ordered = _window(cont, disc, bandwidth)
     else:
-        order, ranks = within.order, within.rank[within.cols]
+        order, ordered = within.order, True
         candidates = [
-            (within.rows[k : k + _CHUNK], within.cols[k : k + _CHUNK], ranks[k : k + _CHUNK])
-            for k in range(0, max(len(ranks), 1), _CHUNK)
+            (within.rows[k : k + _CHUNK], within.cols[k : k + _CHUNK])
+            for k in range(0, max(len(within.rows), 1), _CHUNK)
         ]
     scale = bandwidth ** (-p_c)
     found = []
-    for i, j, b in candidates:
+    for i, j in candidates:
         sq = _sq_dists(cont, i, j) / (bandwidth * bandwidth)
         # the places of the kept candidates: where few are kept, as in a
         # window on one of several continuous columns, gathering these is
         # several times faster than masking with a boolean array
         keep = np.flatnonzero((sq < 1.0) & (i != j))
-        found.append((i[keep], j[keep], b[keep], _epanechnikov_of_sqnorm(sq[keep]) * scale))
-    i, j, b, values = (np.concatenate(v) for v in zip(*found))
-    pairs = PairWeights(n, i, j, values, order)
-    # the entries come out by row, and within a row by rank: sorted keys
-    pairs._keys = i * n + b
-    return pairs
+        found.append((i[keep], j[keep], _epanechnikov_of_sqnorm(sq[keep]) * scale))
+    i, j, values = (np.concatenate(v) for v in zip(*found))
+    if not ordered:
+        # each row's entries by the rank of the column; no two share a key
+        by_key = np.argsort(i * n + _rank(order)[j])
+        i, j, values = i[by_key], j[by_key], values[by_key]
+    return PairWeights(n, i, j, values, order)
 
 
 def _nonzero(pairs: PairWeights, values: np.ndarray) -> PairWeights:

@@ -170,9 +170,8 @@ class StatEngine:
         W = np.append(L.values, 0.0)[at]  # L on M's entries, then M∘L∘L
         G, H = M.triple_sums(L)
         e = np.bincount(L.cols, H, n)
-        # L is symmetric: sorting its entries by their mirrors' keys puts
-        # the mirror (k, i) of each entry (i, k) in its place
-        H += H[np.argsort(L.cols * n + L.rank[L.rows])]
+        # L is symmetric: the mirror (k, i) of each entry (i, k) is listed
+        H += H[L.index_of(L.cols, L.rows)]
         N = M.with_values(M.values * W)
         W *= N.values
         diagonal = e + 2.0 * np.bincount(M.rows, W, n)

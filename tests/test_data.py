@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import npsigtest.data as data
 from npsigtest.data import (
     ColumnKind,
     ColumnSchema,
@@ -112,6 +113,66 @@ class TestLoadDataset:
         assert np.array_equal(d.y, d2.y)
         assert np.array_equal(d.w, d2.w)
         assert np.array_equal(d.x, d2.x)
+
+
+# files on which numpy's reader and csv.reader must agree; True where numpy's
+# reader takes the file as it stands
+INGEST_CASES = {
+    "byte-order mark": ("\ufeffy,w1,w2,x1\n1,2,3,4\n5,6,7,8\n", True),
+    "CRLF": ("y,w1,w2,x1\r\n1,2,3,4\r\n5,6,7,8\r\n", True),
+    "blank lines": ("y,w1,w2,x1\n\n1,2,3,4\n\n5,6,7,8\n\n", True),
+    "whitespace-only lines": ("y,w1,w2,x1\n1,2,3,4\n  \n\t\n5,6,7,8\n", False),
+    "comma-only row": ("y,w1,w2,x1\n1,2,3,4\n,,,\n5,6,7,8\n", False),
+    "quoted cells": ('y,w1,w2,x1\n"1",2,3,4\n5,"6",7,8\n', False),
+    "spaces and tabs": ("y,w1,w2,x1\n 1 ,\t2,3\t, 4\n5 , 6,7 ,8\n", True),
+    "underscore": ("y,w1,w2,x1\n1_000,2,3,4\n5,6,7,8\n", False),
+    "hexadecimal": ("y,w1,w2,x1\n0x10,2,3,4\n5,6,7,8\n", False),
+    "hash": ("y,w1,w2,x1\n1,2#x,3,4\n5,6,7,8\n", False),
+    "nan": ("y,w1,w2,x1\n1,2,nan,4\n5,6,7,8\n", False),
+    "inf": ("y,w1,w2,x1\n1,2,3,4\n5,-inf,7,8\n", False),
+    "short row": ("y,w1,w2,x1\n1,2,3,4\n5,6,7\n", False),
+    "every row one field longer": ("y,w1,w2,x1\n1,2,3,4,9\n5,6,7,8,9\n", False),
+    "unwanted non-numeric column": ("y,w1,note,w2,x1\n1,2,a,3,4\n5,6,b,7,8\n", False),
+    "header only": ("y,w1,w2,x1\n", False),
+}
+
+
+@pytest.mark.parametrize("case", list(INGEST_CASES))
+def test_numpy_reader_agrees_with_csv_reader(tmp_path, monkeypatch, case):
+    # load_dataset reads a file with np.loadtxt where it can and with
+    # csv.reader where numpy refuses it: the two give the same Dataset, or
+    # the same error, on every file
+    text, numpy_reads_it = INGEST_CASES[case]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    schema = ColumnSchema(y="y", w=("w1", "w2"), x=("x1",))
+    csv_reads = []
+    parse_rows = data._parse_rows
+    monkeypatch.setattr(
+        data, "_parse_rows", lambda *a: csv_reads.append(1) or parse_rows(*a)
+    )
+
+    def load():
+        try:
+            d = load_dataset(path, schema)
+        except DataError as exc:
+            return str(exc)
+        return d.y, d.w, d.x
+
+    as_is = load()
+    assert csv_reads == ([] if numpy_reads_it else [1])
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    csv_only = load()
+    if isinstance(csv_only, str):
+        assert as_is == csv_only
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(as_is, csv_only, strict=True))
+    if case == "header only":
+        assert csv_only.endswith("need at least 2 observations")
 
 
 class TestSchema:

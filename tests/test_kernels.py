@@ -278,10 +278,10 @@ class TestPairLists:
         n=st.integers(5, 300),
         p_c=st.integers(0, 3),
         p_d=st.integers(0, 2),
-        grid=st.sampled_from([0, 1, 2, 8]),
+        grid=st.sampled_from([0, 1, 2, 8, "g", "h"]),
         duplicates=st.integers(0, 20),
         signed_zero=st.booleans(),
-        g=st.floats(0.05, 3.0),
+        g=st.one_of(st.floats(0.05, 3.0), st.sampled_from([1e-9, 1e9])),
         h_over_g=st.floats(1e-3, 1.0),
         chunk=st.sampled_from([kernels._CHUNK, 97]),
     )
@@ -291,23 +291,64 @@ class TestPairLists:
     ):
         # the pairs at h <= g filtered from the pairs at g are the pairs a
         # fresh search at h finds, in the same order with the same values,
-        # also when either source is taken a few candidates at a time
+        # also when either source is taken a few candidates at a time; a
+        # grid of step g or h puts points on the edges of the search's
+        # strips, and g far below or above the data's spread finds no pairs
+        # or all of them
         rng = np.random.default_rng(seed)
+        h = h_over_g * g
         cont = rng.standard_normal((n, p_c))
         if grid:  # coordinates on a grid tie
-            cont = np.round(cont * grid) / grid
+            step = g if grid == "g" else h if grid == "h" else 1.0 / grid
+            cont = np.round(cont / step) * step
         disc = rng.integers(-1, 2, size=(n, p_d)).astype(float)
         if signed_zero and p_d:
             disc[(disc[:, 0] == 0.0) & (rng.random(n) < 0.5), 0] = -0.0
         copies = rng.integers(0, n, size=(min(duplicates, n // 2), 2))
         cont[copies[:, 0]], disc[copies[:, 0]] = cont[copies[:, 1]], disc[copies[:, 1]]
-        h = h_over_g * g
         with mock.patch.object(kernels, "_CHUNK", chunk):
             L = mixed_kernel_matrix(cont, disc, g)
             filtered = mixed_kernel_matrix(cont, disc, h, within=L)
             searched = mixed_kernel_matrix(cont, disc, h)
-        for name in ("rows", "cols", "values", "order", "_keys"):
+        for name in ("rows", "cols", "values", "order"):
             assert np.array_equal(getattr(filtered, name), getattr(searched, name)), name
+        for W, bandwidth in ((L, g), (searched, h)):
+            assert np.array_equal(W.dense(), dense_w_kernel(cont, disc, bandwidth))
+            # every (row, col) is looked up by position: its place, or -1
+            place = {(i, j): k for k, (i, j) in enumerate(zip(W.rows, W.cols))}
+            rows, cols = (a.ravel() for a in np.indices((n, n)))
+            want = np.array([place.get(pair, -1) for pair in zip(rows, cols)])
+            assert np.array_equal(W.index_of(rows, cols), want)
+            assert np.array_equal(W.values_at(rows, cols), W.dense().ravel())
+
+
+class TestBandTable:
+    """``index_of`` looks entries up by position in a table of each row's
+    band of ranks, which is never larger than the search that found them."""
+
+    @pytest.mark.parametrize("p_c, p_d", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 2)])
+    @pytest.mark.parametrize("bandwidth", [0.2, 0.7])
+    def test_slots_at_most_the_first_column_window(self, p_c, p_d, bandwidth):
+        rng = np.random.default_rng(29)
+        n = 400
+        cont = rng.standard_normal((n, p_c))
+        disc = rng.integers(0, 3, size=(n, p_d)).astype(float)
+        searched = mixed_kernel_matrix(cont, disc, bandwidth)
+        filtered = mixed_kernel_matrix(cont, disc, 0.5 * bandwidth, within=searched)
+        for W, at in ((searched, bandwidth), (filtered, 0.5 * bandwidth)):
+            # the one-range window on the first column, each row's own
+            # place in it included
+            _, candidates, _ = kernels._window(cont[:, :1], disc, at)
+            window = np.bincount(np.concatenate([i for i, _ in candidates]), minlength=n)
+            slots = W._band_table()[1]
+            assert np.all(slots <= window - 1)
+            assert slots.sum() <= window.sum()
+
+    def test_all_discrete_w_has_a_slot_per_entry(self):
+        rng = np.random.default_rng(31)
+        disc = rng.integers(0, 3, size=(300, 2)).astype(float)
+        W = mixed_kernel_matrix(np.empty((300, 0)), disc, 0.5)
+        assert W._band_table()[1].sum() == len(W.values)
 
 
 class TestSearchesPerSample:
