@@ -16,7 +16,9 @@ each observation has few neighbours. The builders here therefore return
 window search, which sorts on the first continuous w column and cuts the
 second into strips, or the pairs of the same kernel at a bandwidth at least
 as wide, which it filters. A sample is searched once, at the smoother's g,
-and the test weights at h <= g filter those pairs. ``psi_matrix`` and
+and the test weights at h <= g filter those pairs, unless a search at h
+tests fewer candidates by enough to cost less (``search_is_cheaper``; one
+continuous w column at h well below g). ``psi_matrix`` and
 ``joint_x_kernel_matrix`` weigh only the pairs found. Every value is
 computed by the same elementwise formula a dense n-by-n build would use, so
 ``PairWeights.dense`` is equal to it entry for entry, whichever the source.
@@ -62,6 +64,34 @@ _DENSE_ROWS = 64
 # mc-n100 and boot-n500 to the lists, which sum in another order, so it waits
 # for a rounding-aware degeneracy rule
 _TERMS_PER_N2 = 10
+
+# a window search on one continuous w column costs about as much as
+# filtering _SEARCH_PER_CANDIDATE entries per candidate it tests, plus
+# _SEARCH_PER_ROW per observation (its sort and ranges). Fitted on one
+# continuous column, n = 500 and 2000, g/h = 1.25 to 3, one core: the two
+# sources broke even at |L| = 2.7 and 1.5 times the search's candidates
+_SEARCH_PER_CANDIDATE = 1.25
+_SEARCH_PER_ROW = 50
+
+# observations per tile of PairWeights.product
+_TILE = 16
+
+# bytes of the block's columns that PairWeights.product gathers for one
+# group of tiles: about a core's L2 cache
+_GATHER_BYTES = 1 << 19
+
+# PairWeights.product multiplies a block by tiles while
+# _VOLUME_PER_N2 * (their padded volume + _TILE_CALL) <= n^2, else by the
+# dense matrix. On one core, 64-row blocks, the dense GEMM cost 2-3 ns per
+# entry of n^2 (n = 100 to 4000), and the tiles 4-11 ns per entry of their
+# volume plus about 10 us a call. They broke even at about n^2/2 from n =
+# 1000 up (n = 2000: 8.5 against 9.9 ms at 0.43 n^2, 16 against 9.5 ms at
+# 0.55 n^2), and never paid at n = 100 (0.026-0.052 against 0.025-0.029
+# ms). On the boot-n500 design (0.18 n^2) L took 0.23 against 0.81 ms; on
+# w of one 3-level discrete column (0.66 n^2) tiles took 19 against 10-12
+# ms at n = 2000
+_VOLUME_PER_N2 = 2.5
+_TILE_CALL = 4000
 
 
 @dataclass(frozen=True)
@@ -137,6 +167,10 @@ class PairWeights:
     ``cols`` and ``values``, with (i, j) and (j, i) both listed. ``order``
     lists the observations so that each one's neighbours are close to it
     (the builders' sort), and ``rank`` is each observation's place in it.
+    ``near`` is the window search's finer order in two dimensions (by
+    discrete group, strip of the second continuous column, then first
+    column), in which the rows of a short run have few neighbours between
+    them; it is ``order`` when there is no second continuous column.
     The entries are sorted by row, and within a row by the rank of the
     column, so a row's entries span a band of ranks: ``index_of`` and
     ``values_at`` look an entry up in a table of these bands, built on first
@@ -145,28 +179,35 @@ class PairWeights:
     ``degree`` and ``row_sums`` (W 1) are taken from the lists once. A
     product with one vector is a gather and an ``np.bincount`` over the
     lists, so it costs O(entries). A product with a block of rows, one
-    bootstrap draw per row, goes through the dense matrix instead: it is
-    scattered from the lists on first use and kept, and a block is then one
-    BLAS product. Which form a product takes is decided in ``product`` and
-    nowhere else.
+    bootstrap draw per row, is one of two BLAS forms. Where the
+    neighbourhoods are narrow it multiplies tiles: runs of ``_TILE`` rows
+    in ``near``, each with only the columns its entries touch
+    (``_tile_layout``). Elsewhere it multiplies the dense matrix. Either
+    is built from the lists on first use and kept; the tables behind the
+    band lookup and the tiles depend only on the entries, so weights made
+    by ``with_values`` share them. Which form a product takes is decided in
+    ``product`` and nowhere else.
     """
 
-    def __init__(self, n: int, rows, cols, values, order):
+    def __init__(self, n: int, rows, cols, values, order, near=None):
         self.n = n
         self.rows = rows
         self.cols = cols
         self.values = values
         self.order = order
+        self.near = order if near is None else near
         self.rank = _rank(order)
         self.degree = np.bincount(rows, minlength=n)
         self.row_sums = np.bincount(rows, values, n)
-        self._band = None
+        # tables of the entries, whatever their values: shared by with_values
+        self._layouts = {}
         self._dense = None
+        self._tiled = None
 
     def with_values(self, values: np.ndarray) -> PairWeights:
         """Weights with the same entries and new values, one per entry."""
-        out = PairWeights(self.n, self.rows, self.cols, values, self.order)
-        out._band = self._band
+        out = PairWeights(self.n, self.rows, self.cols, values, self.order, self.near)
+        out._layouts = self._layouts
         return out
 
     def squared(self) -> PairWeights:
@@ -181,10 +222,68 @@ class PairWeights:
         return self._dense
 
     def product(self, y: np.ndarray) -> np.ndarray:
-        """W y for a vector y, or y W for a block of rows."""
+        """W y for a vector y, or y W for a block of rows: by tiles where
+        their padded volume, plus ``_TILE_CALL`` for the cost of a call, is
+        at most n^2 / ``_VOLUME_PER_N2``, else by the dense matrix."""
         if y.ndim == 1:
             return np.bincount(self.rows, self.values * y[self.cols], self.n)
-        return y @ self.dense()
+        layout = self._tile_layout()
+        if layout is None:
+            return y @ self.dense()
+        cols, place, at = layout
+        if self._tiled is None:
+            self._tiled = np.zeros((len(cols), _TILE, cols.shape[1]))
+            self._tiled.flat[at] = self.values
+        # W is symmetric, so y W is (W yᵀ)ᵀ: each tile of rows of W times
+        # the rows of yᵀ its columns pick, a group of tiles at a time so
+        # that the rows they gather stay in cache
+        yt = np.ascontiguousarray(y.T)
+        tiles = np.empty((len(cols), _TILE, len(y)))
+        step = max(1, _GATHER_BYTES // max(1, 8 * len(y) * cols.shape[1]))
+        for lo in range(0, len(cols), step):
+            part = slice(lo, lo + step)
+            np.matmul(self._tiled[part], np.take(yt, cols[part], axis=0), out=tiles[part])
+        return np.take(tiles.reshape(-1, len(y)), place, axis=0).T
+
+    def _tile_layout(self):
+        """The tiles of ``product``, or None where the dense product is
+        cheaper; built on first use and shared by ``with_values``.
+
+        The observations are cut into tiles of ``_TILE`` consecutive ones in
+        ``near``, and each tile keeps the columns its rows' entries touch,
+        in increasing order, padded to the widest tile with column 0 (at
+        weight 0). Returns each tile's columns, each observation's place in
+        ``near`` (its row among the tiles' rows) and the place of each entry
+        in the tiles' values, an array of shape (tiles, _TILE, widest).
+        """
+        if "tiles" not in self._layouts:
+            self._layouts["tiles"] = None
+            n, count = self.n, -(-self.n // _TILE)
+
+            def pays(volume):
+                return (volume + _TILE_CALL) * _VOLUME_PER_N2 <= n * n
+
+            # the tiles hold every entry, so more entries than the volume
+            # allows rule them out before any table is built
+            if pays(len(self.values)):
+                place = _rank(self.near)
+                # which (tile, column) pairs hold entries, as one flag each
+                # (not np.unique, which loads numpy.ma on its first call)
+                key = place[self.rows] // _TILE * n + self.cols
+                held = np.zeros(count * n, dtype=bool)
+                held[key] = True
+                tile, col = np.divmod(np.flatnonzero(held), n)
+                widths = np.bincount(tile, minlength=count)
+                widest = int(widths.max(initial=0))
+                if pays(count * _TILE * widest):
+                    slot = np.arange(len(tile)) - (np.cumsum(widths) - widths)[tile]
+                    cols = np.zeros((count, widest), dtype=np.intp)
+                    cols[tile, slot] = col
+                    # each entry's slot: its pair's place among the held ones
+                    at = np.cumsum(held, dtype=np.intp)[key] - 1
+                    at = place[self.rows] * widest + np.take(slot, at)
+                    self._layouts["tiles"] = cols, place, at
+        return self._layouts["tiles"]
 
     def _band_table(self):
         """The table behind ``index_of``, built on first use and kept.
@@ -202,7 +301,7 @@ class PairWeights:
         that window has candidates. On all-discrete w, where a row lists all
         of its group, it has as many slots as entries.
         """
-        if self._band is None:
+        if "band" not in self._layouts:
             n, degree = self.n, self.degree
             steps = self.rank[self.cols] - self.rank[self.rows]
             steps -= steps > 0
@@ -215,8 +314,8 @@ class PairWeights:
             first = np.cumsum(slots) - slots
             at = np.full(int(slots.sum()) + 1, -1, dtype=np.intp)
             at[first[self.rows] + steps - lowest[self.rows]] = np.arange(len(steps))
-            self._band = lowest, slots, first, at
-        return self._band
+            self._layouts["band"] = lowest, slots, first, at
+        return self._layouts["band"]
 
     def index_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The place in the lists of each entry (rows, cols), -1 where there
@@ -245,7 +344,7 @@ class PairWeights:
         cols = np.concatenate([self.cols, other.cols[new]])
         by_key = np.argsort(rows * self.n + self.rank[cols])
         values = np.concatenate([values, other.values[new]])[by_key]
-        return PairWeights(self.n, rows[by_key], cols[by_key], values, self.order)
+        return PairWeights(self.n, rows[by_key], cols[by_key], values, self.order, self.near)
 
     def triple_sums(self, a: PairWeights) -> tuple[np.ndarray, np.ndarray]:
         """The terms W_ij A_ik A_jk summed over k at each entry (i, j) of W,
@@ -334,9 +433,10 @@ def _slack(bandwidth: float, column: np.ndarray) -> float:
 
 
 def _window(cont: np.ndarray, disc: np.ndarray, bandwidth: float):
-    """The window search's sort ``order`` of the observations, its candidate
-    pairs (i, j), ``_CHUNK`` at a time, and whether they come by row and
-    then by the rank of j (else by row only).
+    """The window search's sort ``order`` of the observations, the order
+    ``source`` it searches in (``PairWeights.near``), its candidate pairs
+    (i, j), ``_CHUNK`` at a time, and whether they come by row and then by
+    the rank of j (else by row only).
 
     The observations are sorted by their discrete group (``np.unique``,
     which groups as ``==`` does) and then by the first continuous column
@@ -393,7 +493,41 @@ def _window(cont: np.ndarray, disc: np.ndarray, bandwidth: float):
             i = np.repeat(np.arange(part.start, part.stop), per_row[part])
             yield i, source[_ranges(lo[part].ravel(), counts[part].ravel())]
 
-    return order, candidates(), p_c < 2
+    return order, source, candidates(), p_c < 2
+
+
+def search_is_cheaper(
+    cont: np.ndarray, disc: np.ndarray, bandwidth: float, within: PairWeights
+) -> bool:
+    """Whether a window search at ``bandwidth`` costs less than filtering the
+    pairs ``within`` of a wider one (``mixed_kernel_matrix``).
+
+    On one continuous column (or none) the window at the bandwidth is exact,
+    so a search tests about as many candidates as it keeps, while ``within``
+    holds about (its bandwidth / this one) times as many. With two or more
+    continuous columns the filter is taken.
+    """
+    if cont.shape[1] > 1:
+        return False
+    count = _window_count(cont, disc, bandwidth, within.order)
+    return _SEARCH_PER_CANDIDATE * count + _SEARCH_PER_ROW * within.n < len(within.values)
+
+
+def _window_count(cont: np.ndarray, disc: np.ndarray, bandwidth: float, order: np.ndarray) -> int:
+    """The number of candidates ``_window`` tests on at most one continuous
+    column, from its sort ``order``, which does not depend on the bandwidth.
+    There the discrete groups lie in consecutive runs, and a row starts a
+    new one where its discrete columns differ (``!=``, which groups as
+    ``==`` does) from the row before."""
+    key = np.zeros(len(order), dtype=complex)
+    if disc.shape[1]:
+        sorted_disc = np.take(disc, order, axis=0)
+        key.real[1:] = np.cumsum((sorted_disc[1:] != sorted_disc[:-1]).any(axis=1))
+    if cont.shape[1]:
+        key.imag = np.take(cont[:, 0], order)
+    reach = 1j * _slack(bandwidth, key.imag)
+    lo = np.searchsorted(key, key - reach, side="left")
+    return int((np.searchsorted(key, key + reach, side="right") - lo).sum())
 
 
 def mixed_kernel_matrix(
@@ -413,14 +547,15 @@ def mixed_kernel_matrix(
     bandwidth, and the entries are listed by row and then by the rank of
     the column in it (the strips' candidates are sorted back to it), so both
     sources list the same entries in the same order, with the same values.
+    Filtered weights keep the ``near`` of ``within``.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     n, p_c = cont.shape
     if within is None:
-        order, candidates, ordered = _window(cont, disc, bandwidth)
+        order, near, candidates, ordered = _window(cont, disc, bandwidth)
     else:
-        order, ordered = within.order, True
+        order, near, ordered = within.order, within.near, True
         candidates = [
             (within.rows[k : k + _CHUNK], within.cols[k : k + _CHUNK])
             for k in range(0, max(len(within.rows), 1), _CHUNK)
@@ -439,14 +574,16 @@ def mixed_kernel_matrix(
         # each row's entries by the rank of the column; no two share a key
         by_key = np.argsort(i * n + _rank(order)[j])
         i, j, values = i[by_key], j[by_key], values[by_key]
-    return PairWeights(n, i, j, values, order)
+    return PairWeights(n, i, j, values, order, near)
 
 
 def _nonzero(pairs: PairWeights, values: np.ndarray) -> PairWeights:
     """The entries of ``pairs`` at which ``values`` is nonzero, with those
     values."""
     keep = values != 0.0
-    return PairWeights(pairs.n, pairs.rows[keep], pairs.cols[keep], values[keep], pairs.order)
+    return PairWeights(
+        pairs.n, pairs.rows[keep], pairs.cols[keep], values[keep], pairs.order, pairs.near
+    )
 
 
 def psi_matrix(psi: str, x: np.ndarray, pairs: PairWeights) -> PairWeights:

@@ -11,8 +11,10 @@ For each observation i the smoother produces, using every other observation:
 The kernel weights L are kept as ``PairWeights`` lists so the statistics and
 the bootstrap can reuse them; ``fhat``, ``rhat`` and ``uf`` are sums over the
 lists, ``fhat`` and ``rhat`` from the same row sums L 1 and product L y. A
-bootstrap test holds a few n-by-n float64 matrices in memory at once, so
-samples are limited to ``MAX_OBSERVATIONS`` rows.
+bootstrap test can hold the memory of a few n-by-n float64 matrices at once
+(the pair weights it multiplies densely where neighbourhoods are wide, the
+dense triple sums of ``itilde``, and the lists), so samples are limited to
+``MAX_OBSERVATIONS`` rows.
 """
 
 from __future__ import annotations
@@ -56,10 +58,14 @@ def compute_smoother(d: Dataset, g: float) -> SmootherOutput:
     if n < MIN_OBSERVATIONS:
         raise ValueError(f"leave-one-out smoothing needs n >= {MIN_OBSERVATIONS}")
     if n > MAX_OBSERVATIONS:
-        # the largest measured peak of a bootstrap test (tracemalloc, n = 400
-        # and 1500, p = 1 or 2, q = 1 or 5, c = 0.5 or 2), in n-by-n float64
-        # matrices; it is smaller at larger n
-        held = 10
+        # the largest measured peak of a bootstrap test (tracemalloc, B = 199,
+        # p = 1 or 2 continuous w columns, q = 1 or 5, c = 0.5 or 2, var_hat
+        # or var_tilde), in n-by-n float64 matrices: 3.25 at n = 4000 (5.86
+        # at n = 1500), with p = 1, whose rows have the most neighbours (L
+        # lists 0.14 n^2 entries at n = 4000, and building itilde's
+        # coefficients from them peaks at 2.3 matrices); with p = 2, 1.23
+        # (1.48). It is smaller at larger n
+        held = 4
         mb = 8 * n * n / 2**20
         raise ValueError(
             f"{n} observations exceed the limit of {MAX_OBSERVATIONS}: the test "

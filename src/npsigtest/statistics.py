@@ -15,10 +15,12 @@ lists of their few nonzero entries. Each reads the leave-one-out residuals
 uf of the response (``smoother.recompute_uf``, its one product with L) and
 has one body for one vector or a block of them, one per row, so the observed
 data and the wild-bootstrap draws go through the same code: a vector is
-summed over the lists, a block by BLAS products with the dense matrices,
-which ``PairWeights`` scatters on first use. ``itilde``'s coefficient lists
-are built once per engine, from sums over the triples (i, j, k) that M and
-L connect. The oracles pin both shapes at 1e-10 relative for n = 6, 8, 10.
+summed over the lists, a block by BLAS products with the tiles of each
+matrix that hold its entries, or with the dense matrix where its
+neighbourhoods are wide (``PairWeights.product``). ``itilde``'s
+coefficient lists are built once per engine, from sums over the triples
+(i, j, k) that M and L connect. The oracles pin both shapes at 1e-10
+relative for n = 6, 8, 10.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 from .data import ColumnKind, Dataset
-from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
+from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix, search_is_cheaper
 from .smoother import SmootherOutput, centred
 
 # fewest observations of the four-distinct-index itilde
@@ -88,7 +90,9 @@ class StatEngine:
     inside the w kernel's support only. When h <= g those pairs are a
     subset of the smoother's L, so they are filtered from L's entries
     rather than searched for again (``mixed_kernel_matrix``), with the same
-    result; a wider h searches anew. An h at which a power the engine takes
+    result, unless a search tests so many fewer candidates that it costs
+    less (``search_is_cheaper``: one continuous w column at h well below
+    g); a wider h searches anew. An h at which a power the engine takes
     overflows a float is refused (``check_bandwidth``). Every statistic
     reads the residuals uf of a response, or of each row of a block;
     ``itilde`` and ``var_tilde`` read the response too, and take no product
@@ -110,7 +114,10 @@ class StatEngine:
             raise ValueError("LV requires continuous X")
         self.rate_dim = d.p_cont + d.q if psi == "joint" else d.p_cont
         check_bandwidth(h, self.rate_dim)
-        kmat = mixed_kernel_matrix(w_cont, w_disc, h, sm.pairwise if h <= sm.g else None)
+        within = sm.pairwise
+        if h > sm.g or search_is_cheaper(w_cont, w_disc, h, within):
+            within = None
+        kmat = mixed_kernel_matrix(w_cont, w_disc, h, within)
         if psi == "joint":
             self.M = joint_x_kernel_matrix(d.x, h, kmat)
         else:
@@ -189,7 +196,8 @@ class StatEngine:
         For each i, A_i sums (y_i - y_k)(y_i - y_k') L_ik L_ik' over k != k'
         (both != i): the square of s_i = (n - 1) uf_i less
         Q_i = sum_k (y_i - y_k)^2 L_ik^2, which is expanded with L∘L (built
-        on the first call and kept, with its dense form). A_i of an
+        on the first call and kept, with the tiles or dense matrix of its
+        block products). A_i of an
         observation with fewer than two neighbours is an empty sum, so it
         is set to exactly zero. The cross-restrictions tying k, k' to the
         other pair's indices are dropped, which costs an O(1/n) deviation

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import npsigtest.kernels as kernels
@@ -25,6 +29,8 @@ from npsigtest.smoother import compute_smoother
 from npsigtest.statistics import StatEngine
 
 from conftest import make_dataset
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def all_pairs(n):
@@ -338,7 +344,7 @@ class TestBandTable:
         for W, at in ((searched, bandwidth), (filtered, 0.5 * bandwidth)):
             # the one-range window on the first column, each row's own
             # place in it included
-            _, candidates, _ = kernels._window(cont[:, :1], disc, at)
+            _, _, candidates, _ = kernels._window(cont[:, :1], disc, at)
             window = np.bincount(np.concatenate([i for i, _ in candidates]), minlength=n)
             slots = W._band_table()[1]
             assert np.all(slots <= window - 1)
@@ -378,3 +384,151 @@ class TestSearchesPerSample:
         bw = Bandwidths(g=0.5, h=0.8)
         run_test(make_dataset(5, 100), TestConfig(bandwidths=bw, critical="asymptotic"))
         assert searches == [0.5, 0.8]
+
+    @pytest.mark.parametrize("h, searched", [(0.5, False), (0.1, True)])
+    def test_one_continuous_w_column_searches_when_that_is_cheaper(
+        self, monkeypatch, h, searched
+    ):
+        # the window on one column is exact: at h = g it tests |L| + n
+        # candidates, more than filtering L, and at h = g / 5 about a fifth
+        # as many as L holds, so fewer than the filter
+        searches = count_searches(monkeypatch)
+        bw = Bandwidths(g=0.5, h=h)
+        d = make_dataset(5, 400, p=1)
+        run_test(d, TestConfig(bandwidths=bw, critical="asymptotic"))
+        assert searches == ([0.5, h] if searched else [0.5])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 200),
+        p_c=st.integers(0, 1),
+        p_d=st.integers(0, 2),
+        grid=st.booleans(),
+        bandwidth=st.sampled_from([1e-9, 0.01, 0.1, 0.5, 2.0, 1e9]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_candidate_count_is_the_searchs(self, seed, n, p_c, p_d, grid, bandwidth):
+        # the count that chooses the source is the number of candidates a
+        # search at that bandwidth would test, from the sort order of a
+        # search at another (the order does not depend on the bandwidth)
+        rng = np.random.default_rng(seed)
+        cont = rng.standard_normal((n, p_c))
+        if grid:
+            cont = np.round(cont * 4.0) / 4.0
+        disc = rng.integers(-1, 2, size=(n, p_d)).astype(float)
+        disc[disc == 0.0] = rng.choice([0.0, -0.0], size=int((disc == 0.0).sum()))
+        _, _, candidates, _ = kernels._window(cont, disc, bandwidth)
+        want = sum(len(i) for i, _ in candidates)
+        order = kernels._window(cont, disc, 1.0)[0]
+        assert kernels._window_count(cont, disc, bandwidth, order) == want
+
+
+@pytest.fixture
+def tiles_forced(monkeypatch):
+    """Every block product takes the tiles, at any n."""
+    monkeypatch.setattr(kernels, "_VOLUME_PER_N2", 0)
+
+
+def product_form(W):
+    """The form ``PairWeights.product`` takes for a block: tiles or dense."""
+    return "dense" if W._tile_layout() is None else "tiles"
+
+
+class TestTiledProducts:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 300),
+        p_c=st.integers(0, 3),
+        p_d=st.integers(0, 2),
+        bandwidth=st.sampled_from([0.05, 0.3, 0.8, 2.0]),
+        filtered=st.booleans(),
+        rows=st.sampled_from([1, 7, 64]),
+    )
+    @settings(
+        max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_tiles_equal_the_dense_product(
+        self, tiles_forced, seed, n, p_c, p_d, bandwidth, filtered, rows
+    ):
+        # on the pairs of a search (or filtered from a wider one), with
+        # symmetric values, rows with no entries at a small bandwidth, and n
+        # that is mostly not a multiple of the tile
+        rng = np.random.default_rng(seed)
+        cont = rng.standard_normal((n, p_c))
+        disc = rng.integers(0, 3, size=(n, p_d)).astype(float)
+        W = mixed_kernel_matrix(cont, disc, bandwidth)
+        if filtered:
+            W = mixed_kernel_matrix(cont, disc, 0.6 * bandwidth, within=W)
+        W = psi_matrix("normal", rng.standard_normal((n, 2)), W)
+        y = rng.standard_normal((rows, n))
+        assert product_form(W) == "tiles"
+        dense = W.dense()
+        scale = np.abs(y) @ np.abs(dense)
+        assert np.all(np.abs(W.product(y) - y @ dense) <= 1e-13 * scale)
+        # the entries' layout is shared by weights with other values
+        V = W.squared()
+        assert V._tile_layout() is W._tile_layout()
+        assert np.all(np.abs(V.product(y) - y @ V.dense()) <= 1e-13 * (np.abs(y) @ V.dense()))
+
+    def test_no_entries(self, tiles_forced):
+        W = mixed_kernel_matrix(np.arange(20.0)[:, None], np.empty((20, 0)), 0.5)
+        assert len(W.values) == 0 and product_form(W) == "tiles"
+        assert np.array_equal(W.product(np.ones((3, 20))), np.zeros((3, 20)))
+
+    def test_rule(self):
+        # dense where the neighbourhoods are wide (all-discrete w, or n = 100
+        # as in mc-n100), tiles where they are narrow (the boot-n500 design)
+        rng = np.random.default_rng(3)
+        disc = rng.integers(0, 3, size=(500, 1)).astype(float)
+        assert product_form(mixed_kernel_matrix(np.empty((500, 0)), disc, 1.0)) == "dense"
+        for n, form in ((100, "dense"), (500, "tiles"), (2000, "tiles")):
+            bw = default_bandwidths(n, 2.0)
+            sm = compute_smoother(make_dataset(1, n, q=5), bw.g)
+            assert product_form(sm.pairwise) == form
+            assert product_form(StatEngine(make_dataset(1, n, q=5), sm, bw.h).M) == form
+
+    def test_bootstrap_test_scatters_no_dense_matrix(self, monkeypatch):
+        # B = 19 on the boot-n500 design at n = 1000: every block product
+        # takes the tiles; what is left is the dense A of the triple sums
+        dense = []
+        scatter = PairWeights.dense
+
+        def counted(self):
+            dense.append(self.n)
+            return scatter(self)
+
+        monkeypatch.setattr(PairWeights, "dense", counted)
+        n = 1000
+        cfg = TestConfig(bandwidths=default_bandwidths(n, 2.0), B=19)
+        d = make_dataset(2, n, q=5)
+        tracemalloc.start()
+        try:
+            run_test(d, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dense == []
+        assert peak < 2.0 * 8 * n * n
+
+    def test_oracle_and_batched_suites_with_tiles_forced(self):
+        # the oracles at 1e-10 and the batched draws against the per-draw
+        # path, with every block product (n = 6 to 100 there) through tiles;
+        # the two tests that count dense scatters do not apply
+        batched = "tests/test_batched_draws.py"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(TESTS), "src"), TESTS, env.get("PYTHONPATH", "")]
+        )
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "-p", "tiles_forced", "tests/test_statistics.py", batched,
+                "--deselect",
+                f"{batched}::TestDrawBlocks::test_scatters_do_not_grow_with_the_blocks",
+                "--deselect",
+                f"{batched}::TestItildeOperator::test_asymptotic_test_never_builds_the_operator",
+            ],
+            env=env, capture_output=True, text=True, cwd=os.path.dirname(TESTS),
+        )
+        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+        assert "2 deselected" in run.stdout
