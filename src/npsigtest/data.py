@@ -170,56 +170,27 @@ class ColumnSchema:
         )
 
 
-def _parse_column(cells: list[str]) -> tuple[np.ndarray, tuple[int, str | None] | None]:
-    """The cells as floats, parsed as ``float(cell)`` parses them, and the
-    first cell that is not a finite number as (row, the stripped cell if it
-    is not a number at all, else None), or None if there is none.
-
-    numpy converts the whole column at once; only a column it refuses, or
-    that holds a non-finite value, is read again cell by cell.
-    """
-    try:
-        col = np.array(cells, dtype=float)
-        if np.isfinite(col).all():
-            return col, None
-    except ValueError:
-        col = np.empty(len(cells))
-    for r, raw in enumerate(cells):
-        cell = raw.strip()
-        try:
-            v = float(cell)
-        except ValueError:
-            return col, (r, cell)
-        if math.isnan(v) or math.isinf(v):
-            return col, (r, None)
-        col[r] = v
-    return col, None
-
-
 def _parse_rows(path: Path, rows: list[list[str]], width: int, positions: dict) -> dict:
     """The columns named in ``positions`` (name: place in the header) of the
-    rows ``csv.reader`` read, as floats; the first bad cell, or a row not
-    ``width`` fields wide, is a ``DataError``."""
-    n = len(rows)
-    # the first row whose field count is wrong; cells after it are not read
-    short = next((r for r, row in enumerate(rows) if len(row) != width), n)
-    values, errors = {}, []
-    for c, name in enumerate(positions):
-        cells = [row[positions[name]] for row in rows[:short]]
-        values[name], bad = _parse_column(cells)
-        if bad is not None:
-            r, cell = bad
-            if cell is None:
-                message = f"{path}: non-finite value at row {r + 1}, column '{name}'"
-            else:
-                message = f"{path}: non-numeric cell at row {r + 1}, column '{name}': {cell!r}"
-            errors.append((r, c, message))
-    if errors:
-        raise DataError(min(errors)[2])
-    if short < n:
-        raise DataError(
-            f"{path}: row {short + 1} has {len(rows[short])} fields, header has {width}"
-        )
+    rows ``csv.reader`` read, as ``float(cell)`` parses each stripped cell.
+    Read row by row, and in each row in the order of ``positions``, the
+    first row not ``width`` fields wide or cell that is not a finite number
+    is a ``DataError``."""
+    values = {name: np.empty(len(rows)) for name in positions}
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(f"{path}: row {r + 1} has {len(row)} fields, header has {width}")
+        for name, place in positions.items():
+            cell = row[place].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric cell at row {r + 1}, column '{name}': {cell!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise DataError(f"{path}: non-finite value at row {r + 1}, column '{name}'")
+            values[name][r] = v
     return values
 
 
@@ -250,9 +221,9 @@ def load_dataset(path: str | Path, schema: ColumnSchema) -> Dataset:
     about twice as fast, with the same values. Any file it refuses (a
     quoted, empty or non-numeric cell, a whitespace-only line, a short or
     long row, a non-finite value, no data rows) is read again by
-    ``csv.reader``, cell by cell where numpy refuses a column, so every
-    error is the one that path gives: errors name the offending row
-    (1-based, excluding the header) and column.
+    ``csv.reader`` and parsed row by row with ``float()``. An error names
+    the first bad row or cell in that order: its row (1-based, excluding
+    the header) and column.
     """
     path = Path(path)
     try:

@@ -16,9 +16,7 @@ each observation has few neighbours. The builders here therefore return
 window search, which sorts on the first continuous w column and cuts the
 second into strips, or the pairs of the same kernel at a bandwidth at least
 as wide, which it filters. A sample is searched once, at the smoother's g,
-and the test weights at h <= g filter those pairs, unless a search at h
-tests fewer candidates by enough to cost less (``search_is_cheaper``; one
-continuous w column at h well below g). ``psi_matrix`` and
+and the test weights at every h <= g filter those pairs. ``psi_matrix`` and
 ``joint_x_kernel_matrix`` weigh only the pairs found. Every value is
 computed by the same elementwise formula a dense n-by-n build would use, so
 ``PairWeights.dense`` is equal to it entry for entry, whichever the source.
@@ -64,14 +62,6 @@ _DENSE_ROWS = 64
 # mc-n100 and boot-n500 to the lists, which sum in another order, so it waits
 # for a rounding-aware degeneracy rule
 _TERMS_PER_N2 = 10
-
-# a window search on one continuous w column costs about as much as
-# filtering _SEARCH_PER_CANDIDATE entries per candidate it tests, plus
-# _SEARCH_PER_ROW per observation (its sort and ranges). Fitted on one
-# continuous column, n = 500 and 2000, g/h = 1.25 to 3, one core: the two
-# sources broke even at |L| = 2.7 and 1.5 times the search's candidates
-_SEARCH_PER_CANDIDATE = 1.25
-_SEARCH_PER_ROW = 50
 
 # observations per tile of PairWeights.product
 _TILE = 16
@@ -494,40 +484,6 @@ def _window(cont: np.ndarray, disc: np.ndarray, bandwidth: float):
             yield i, source[_ranges(lo[part].ravel(), counts[part].ravel())]
 
     return order, source, candidates(), p_c < 2
-
-
-def search_is_cheaper(
-    cont: np.ndarray, disc: np.ndarray, bandwidth: float, within: PairWeights
-) -> bool:
-    """Whether a window search at ``bandwidth`` costs less than filtering the
-    pairs ``within`` of a wider one (``mixed_kernel_matrix``).
-
-    On one continuous column (or none) the window at the bandwidth is exact,
-    so a search tests about as many candidates as it keeps, while ``within``
-    holds about (its bandwidth / this one) times as many. With two or more
-    continuous columns the filter is taken.
-    """
-    if cont.shape[1] > 1:
-        return False
-    count = _window_count(cont, disc, bandwidth, within.order)
-    return _SEARCH_PER_CANDIDATE * count + _SEARCH_PER_ROW * within.n < len(within.values)
-
-
-def _window_count(cont: np.ndarray, disc: np.ndarray, bandwidth: float, order: np.ndarray) -> int:
-    """The number of candidates ``_window`` tests on at most one continuous
-    column, from its sort ``order``, which does not depend on the bandwidth.
-    There the discrete groups lie in consecutive runs, and a row starts a
-    new one where its discrete columns differ (``!=``, which groups as
-    ``==`` does) from the row before."""
-    key = np.zeros(len(order), dtype=complex)
-    if disc.shape[1]:
-        sorted_disc = np.take(disc, order, axis=0)
-        key.real[1:] = np.cumsum((sorted_disc[1:] != sorted_disc[:-1]).any(axis=1))
-    if cont.shape[1]:
-        key.imag = np.take(cont[:, 0], order)
-    reach = 1j * _slack(bandwidth, key.imag)
-    lo = np.searchsorted(key, key - reach, side="left")
-    return int((np.searchsorted(key, key + reach, side="right") - lo).sum())
 
 
 def mixed_kernel_matrix(

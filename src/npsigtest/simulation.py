@@ -40,6 +40,7 @@ from .statistics import (
     check_bandwidth,
     fisher_min_n,
     fisher_test,
+    rate_dimension,
 )
 
 THETA = np.array([1.0, -1.0]) / math.sqrt(2.0)
@@ -143,12 +144,11 @@ def _cell_configs(cell: Cell, tests, alpha: float, B: int) -> tuple[TestConfig |
             configs.append(None)
             continue
         try:
-            configs.append(
-                TestConfig(bw, t.statistic, t.psi, critical=t.critical, alpha=alpha, B=B)
-            )
-            if t.statistic != "dgm":  # dgm weighs no pairs
-                # w has two continuous columns, and lv smooths x as well
-                check_bandwidth(bw.h, 2 + (cell.dgp.q if t.statistic == "lv" else 0))
+            cfg = TestConfig(bw, t.statistic, t.psi, critical=t.critical, alpha=alpha, B=B)
+            configs.append(cfg)
+            if cfg.weight is not None:  # dgm weighs no pairs
+                # w has two continuous columns
+                check_bandwidth(bw.h, rate_dimension(2, cell.dgp.q, cfg.weight))
         except ValueError as exc:
             raise ValueError(f"test {t.name}: {exc}") from None
     return tuple(configs)

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .data import ColumnKind, Dataset
-from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix, search_is_cheaper
+from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
 from .smoother import SmootherOutput, centred
 
 # fewest observations of the four-distinct-index itilde
@@ -65,6 +65,13 @@ def studentize(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
     return np.where(omega2 > 0.0, t, math.nan)
 
 
+def rate_dimension(p_cont: int, q: int, weight: str) -> int:
+    """The power of h in an engine's studentization: the continuous w
+    columns, and for the ``"joint"`` weight (``lv``, which smooths x with
+    w) the q x columns as well."""
+    return p_cont + q if weight == "joint" else p_cont
+
+
 def check_bandwidth(h: float, rate_dim: int) -> None:
     """Refuse a test bandwidth h at which h**k or h**-k overflows a float,
     k = max(rate_dim, 2): an engine of that rate dimension takes powers of h
@@ -90,9 +97,7 @@ class StatEngine:
     inside the w kernel's support only. When h <= g those pairs are a
     subset of the smoother's L, so they are filtered from L's entries
     rather than searched for again (``mixed_kernel_matrix``), with the same
-    result, unless a search tests so many fewer candidates that it costs
-    less (``search_is_cheaper``: one continuous w column at h well below
-    g); a wider h searches anew. An h at which a power the engine takes
+    result; a wider h searches anew. An h at which a power the engine takes
     overflows a float is refused (``check_bandwidth``). Every statistic
     reads the residuals uf of a response, or of each row of a block;
     ``itilde`` and ``var_tilde`` read the response too, and take no product
@@ -112,11 +117,9 @@ class StatEngine:
         w_cont, w_disc = d.w_split()
         if psi == "joint" and any(k is not ColumnKind.CONTINUOUS for k in d.x_kinds):
             raise ValueError("LV requires continuous X")
-        self.rate_dim = d.p_cont + d.q if psi == "joint" else d.p_cont
+        self.rate_dim = rate_dimension(d.p_cont, d.q, psi)
         check_bandwidth(h, self.rate_dim)
-        within = sm.pairwise
-        if h > sm.g or search_is_cheaper(w_cont, w_disc, h, within):
-            within = None
+        within = sm.pairwise if h <= sm.g else None
         kmat = mixed_kernel_matrix(w_cont, w_disc, h, within)
         if psi == "joint":
             self.M = joint_x_kernel_matrix(d.x, h, kmat)

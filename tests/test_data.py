@@ -87,13 +87,20 @@ class TestLoadDataset:
         # column it is in, and a short row only when no cell before it is bad
         schema = ColumnSchema(y="y", w=("w1",), x=("x1",))
         cases = [
-            ("1,2,3\n4,5,oops\n7,inf,9\n", "non-numeric cell at row 2, column 'x1'"),
-            ("1,2,3\n4,5,inf\noops,8,9\n", "non-finite value at row 2, column 'x1'"),
-            ("1,2,3\n4,5\n7,oops,9\n", "row 2 has 2 fields, header has 3"),
-            ("1,oops,3\n4,5\n", "non-numeric cell at row 1, column 'w1': 'oops'"),
+            ("y,w1,x1", "1,2,3\n4,5,oops\n7,inf,9\n", "non-numeric cell at row 2, column 'x1'"),
+            ("y,w1,x1", "1,2,3\n4,5,inf\noops,8,9\n", "non-finite value at row 2, column 'x1'"),
+            ("y,w1,x1", "1,2,3\n4,5\n7,oops,9\n", "row 2 has 2 fields, header has 3"),
+            ("y,w1,x1", "1,oops,3\n4,5\n", "non-numeric cell at row 1, column 'w1': 'oops'"),
+            # the short row's own cells are not read
+            ("y,w1,x1", "1,2,3\n4,oops\n", "row 2 has 2 fields, header has 3"),
+            # z is in no role, so its cells are not read
+            ("y,w1,x1,z", "1,2,3,4\n4,5,6,oops\n7,8,nan,10\n",
+             "non-finite value at row 3, column 'x1'"),
+            # within a row, y is read first, wherever the header puts it
+            ("w1,x1,y", "1,2,3\noops,5,inf\n", "non-finite value at row 2, column 'y'"),
         ]
-        for i, (body, message) in enumerate(cases):
-            path = write(tmp_path, "y,w1,x1\n" + body, name=f"bad{i}.csv")
+        for i, (header, body, message) in enumerate(cases):
+            path = write(tmp_path, header + "\n" + body, name=f"bad{i}.csv")
             with pytest.raises(DataError, match=message):
                 load_dataset(path, schema)
 

@@ -385,42 +385,15 @@ class TestSearchesPerSample:
         run_test(make_dataset(5, 100), TestConfig(bandwidths=bw, critical="asymptotic"))
         assert searches == [0.5, 0.8]
 
-    @pytest.mark.parametrize("h, searched", [(0.5, False), (0.1, True)])
-    def test_one_continuous_w_column_searches_when_that_is_cheaper(
-        self, monkeypatch, h, searched
-    ):
-        # the window on one column is exact: at h = g it tests |L| + n
-        # candidates, more than filtering L, and at h = g / 5 about a fifth
-        # as many as L holds, so fewer than the filter
+    @pytest.mark.parametrize("h", [0.5, 0.1])
+    def test_one_continuous_w_column_filters_at_every_h_below_g(self, monkeypatch, h):
+        # on one column the window is exact, so a search at h = g / 5 would
+        # test about a fifth of L's entries; L is filtered all the same
         searches = count_searches(monkeypatch)
         bw = Bandwidths(g=0.5, h=h)
         d = make_dataset(5, 400, p=1)
         run_test(d, TestConfig(bandwidths=bw, critical="asymptotic"))
-        assert searches == ([0.5, h] if searched else [0.5])
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 200),
-        p_c=st.integers(0, 1),
-        p_d=st.integers(0, 2),
-        grid=st.booleans(),
-        bandwidth=st.sampled_from([1e-9, 0.01, 0.1, 0.5, 2.0, 1e9]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_candidate_count_is_the_searchs(self, seed, n, p_c, p_d, grid, bandwidth):
-        # the count that chooses the source is the number of candidates a
-        # search at that bandwidth would test, from the sort order of a
-        # search at another (the order does not depend on the bandwidth)
-        rng = np.random.default_rng(seed)
-        cont = rng.standard_normal((n, p_c))
-        if grid:
-            cont = np.round(cont * 4.0) / 4.0
-        disc = rng.integers(-1, 2, size=(n, p_d)).astype(float)
-        disc[disc == 0.0] = rng.choice([0.0, -0.0], size=int((disc == 0.0).sum()))
-        _, _, candidates, _ = kernels._window(cont, disc, bandwidth)
-        want = sum(len(i) for i, _ in candidates)
-        order = kernels._window(cont, disc, 1.0)[0]
-        assert kernels._window_count(cont, disc, bandwidth, order) == want
+        assert searches == [0.5]
 
 
 @pytest.fixture
