@@ -386,7 +386,7 @@ class TestSearchesPerSample:
         assert searches == [0.5, 0.8]
 
     @pytest.mark.parametrize("h", [0.5, 0.1])
-    def test_one_continuous_w_column_filters_at_every_h_below_g(self, monkeypatch, h):
+    def test_one_continuous_w_column_always_filters(self, monkeypatch, h):
         # on one column the window is exact, so a search at h = g / 5 would
         # test about a fifth of L's entries; L is filtered all the same
         searches = count_searches(monkeypatch)
