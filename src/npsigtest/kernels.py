@@ -11,14 +11,15 @@ even densities (unit second moment) applied to the norm of the difference;
 
 The kernel in w has compact support and a bandwidth that shrinks with n, so
 each observation has few neighbours. The builders here therefore return
-``PairWeights``: the (row, column, value) lists of the nonzero pair weights.
-``mixed_kernel_matrix`` tests candidate pairs from one of two sources: a
-window search, which sorts on the first continuous w column and cuts the
-second into strips, or the pairs of the same kernel at a bandwidth at least
-as wide, which it filters. A sample is searched once, at the smoother's g,
-and the test weights at every h <= g filter those pairs. ``psi_matrix`` and
-``joint_x_kernel_matrix`` weigh only the pairs found. Every value is
-computed by the same elementwise formula a dense n-by-n build would use, so
+``PairWeights``: the (row, column, value) lists of the pairs inside the w
+kernel's support. ``mixed_kernel_matrix`` tests candidate pairs from one of
+two sources: a window search, which sorts on the first continuous w column
+and cuts the second into strips (one strip where there is no second), or
+the pairs of the same kernel at a bandwidth at least as wide, which it
+filters. A sample is searched once, at the smoother's g, and the test
+weights at every h <= g filter those pairs. ``psi_matrix`` and
+``joint_x_kernel_matrix`` reweigh the pairs found and drop none. Every value
+is computed by the same elementwise formula a dense n-by-n build would use, so
 ``PairWeights.dense`` is equal to it entry for entry, whichever the source.
 An entry is looked up by its position: each row's entries lie in a band of
 the search's sort order, and a table of the bands gives an entry's place in
@@ -153,14 +154,16 @@ def _rank(order: np.ndarray) -> np.ndarray:
 
 class PairWeights:
     """A symmetric n-by-n matrix of pair weights with a zero diagonal, held
-    as the lists of its entries, every nonzero one among them: ``rows``,
-    ``cols`` and ``values``, with (i, j) and (j, i) both listed. ``order``
+    as the lists of its entries, every nonzero one among them and maybe
+    some of weight 0 (the pairs of the w kernel that psi weighs 0):
+    ``rows``, ``cols`` and ``values``, with (i, j) and (j, i) both listed.
+    ``degree`` counts a row's entries of either kind. ``order``
     lists the observations so that each one's neighbours are close to it
     (the builders' sort), and ``rank`` is each observation's place in it.
     ``near`` is the window search's finer order in two dimensions (by
     discrete group, strip of the second continuous column, then first
     column), in which the rows of a short run have few neighbours between
-    them; it is ``order`` when there is no second continuous column.
+    them; with no second continuous column it sorts as ``order``.
     The entries are sorted by row, and within a row by the rank of the
     column, so a row's entries span a band of ranks: ``index_of`` and
     ``values_at`` look an entry up in a table of these bands, built on first
@@ -179,13 +182,13 @@ class PairWeights:
     ``product`` and nowhere else.
     """
 
-    def __init__(self, n: int, rows, cols, values, order, near=None):
+    def __init__(self, n: int, rows, cols, values, order, near):
         self.n = n
         self.rows = rows
         self.cols = cols
         self.values = values
         self.order = order
-        self.near = order if near is None else near
+        self.near = near
         self.rank = _rank(order)
         self.degree = np.bincount(rows, minlength=n)
         self.row_sums = np.bincount(rows, values, n)
@@ -321,21 +324,6 @@ class PairWeights:
         place -1 picks the 0 appended to the values)."""
         return np.append(self.values, 0.0)[self.index_of(rows, cols)]
 
-    def plus(self, other: PairWeights, at: np.ndarray) -> PairWeights:
-        """W + V for pair weights V with the same ``order``, each entry
-        listed once, given the place ``at`` of each entry of V in W's lists
-        (``index_of``)."""
-        new = at < 0
-        values = self.values.copy()
-        values[at[~new]] += other.values[~new]
-        if not new.any():
-            return self.with_values(values)
-        rows = np.concatenate([self.rows, other.rows[new]])
-        cols = np.concatenate([self.cols, other.cols[new]])
-        by_key = np.argsort(rows * self.n + self.rank[cols])
-        values = np.concatenate([values, other.values[new]])[by_key]
-        return PairWeights(self.n, rows[by_key], cols[by_key], values, self.order, self.near)
-
     def triple_sums(self, a: PairWeights) -> tuple[np.ndarray, np.ndarray]:
         """The terms W_ij A_ik A_jk summed over k at each entry (i, j) of W,
         which gives W∘(A Aᵀ), and over j at each entry (i, k) of A, which
@@ -346,8 +334,10 @@ class PairWeights:
         entries (i, k) of A and looks (j, k) up in A. When that count, the
         sum over i of deg_W(i) deg_A(i), would cost more than the dense form
         (``_dense_triple_sums``), the sums are taken densely instead.
+        Entries of zero weight change no sum: W's are skipped, and A's give
+        zero terms over the lists and are skipped by the dense form.
         """
-        counts = a.degree[self.rows]
+        counts = np.where(self.values != 0.0, a.degree[self.rows], 0)
         if counts.sum() * _TERMS_PER_N2 > self.n**2:
             return self._dense_triple_sums(a)
         starts = (np.cumsum(a.degree) - a.degree)[self.rows]
@@ -368,8 +358,8 @@ class PairWeights:
         The observations are renumbered in ``order``, where each one's
         neighbours are close to it, and A is scattered into one dense
         matrix. W is scattered ``_DENSE_ROWS`` rows at a time, and each
-        block's products span only the columns its rows reach: with discrete
-        w columns, about one discrete group.
+        block's products span only the columns its rows' entries of nonzero
+        weight reach: with discrete w columns, about one discrete group.
         """
         n, rank = self.n, self.rank
         dense_a = np.zeros((n, n))
@@ -379,9 +369,10 @@ class PairWeights:
         a_starts = np.cumsum(a.degree) - a.degree
         for lo in range(0, n, _DENSE_ROWS):
             block_rows = self.order[lo : lo + _DENSE_ROWS]
-            # the entries of W and of A in these rows, renumbered
+            # the entries of nonzero weight of W and of A in these rows
             w_at = _ranges(w_starts[block_rows], self.degree[block_rows])
             a_at = _ranges(a_starts[block_rows], a.degree[block_rows])
+            w_at, a_at = w_at[self.values[w_at] != 0.0], a_at[a.values[a_at] != 0.0]
             if not w_at.size or not a_at.size:
                 continue
             wi, j = rank[self.rows[w_at]] - lo, rank[self.cols[w_at]]
@@ -424,66 +415,63 @@ def _slack(bandwidth: float, column: np.ndarray) -> float:
 
 def _window(cont: np.ndarray, disc: np.ndarray, bandwidth: float):
     """The window search's sort ``order`` of the observations, the order
-    ``source`` it searches in (``PairWeights.near``), its candidate pairs
-    (i, j), ``_CHUNK`` at a time, and whether they come by row and then by
-    the rank of j (else by row only).
+    ``near`` it searches in (``PairWeights.near``), and its candidate pairs
+    (i, j), ``_CHUNK`` at a time, by row.
 
-    The observations are sorted by their discrete group (``np.unique``,
-    which groups as ``==`` does) and then by the first continuous column
-    (if any). The candidates of each observation are those in its discrete
-    group whose first coordinate lies within a window slightly wider than
-    the bandwidth: one range of ``order``. The window never leaves the
-    group, so every candidate has equal discrete columns.
+    The observations are sorted by their discrete group and then by the
+    first continuous column (if any). The groups are ranked one discrete
+    column at a time with 1-D ``np.unique``, which groups as ``==`` does,
+    so they come in the lexicographic order of the columns. The candidates
+    of each observation are those in its discrete group whose first
+    coordinate lies within a window slightly wider than the bandwidth: one
+    range of ``order``. The window never leaves the group, so every
+    candidate has equal discrete columns.
 
-    With two or more continuous columns, the second one is also cut into
-    strips at least as wide as the window. The strips are numbered by the
-    dense rank of floor(w2 / width), so any two observations closer than
-    the window lie in the same or adjacent strips, at any bandwidth. A
-    second sort by (group, strip, first column) then makes the candidates
-    three ranges: the window in the observation's own strip and in the
-    strip on each side, which on a spread-out second column holds a few
-    times fewer candidates than the window alone. They come strip by strip.
+    The second continuous column (0 where there is none) is cut into strips
+    at least as wide as the window. The strips are numbered by the dense
+    rank of floor(w2 / width), so any two observations closer than the
+    window lie in the same or adjacent strips, at any bandwidth. A second
+    sort by (group, strip, first column), ``near``, then makes the
+    candidates three ranges: the window in the observation's own strip and
+    in the strip on each side, which on a spread-out second column holds a
+    few times fewer candidates than the window alone. They come strip by
+    strip; without a second continuous column there is one strip.
     """
     n, p_c = cont.shape
     first = cont[:, 0] if p_c else np.zeros(n)
+    second = cont[:, 1] if p_c > 1 else np.zeros(n)
+    group = np.zeros(n, dtype=np.intp)
+    for column in disc.T:
+        # the inverse alone: a plain np.unique loads numpy.ma on its first call
+        levels, level = np.unique(column, return_inverse=True)
+        group = np.unique(group * len(levels) + level, return_inverse=True)[1]
     # complex numbers order by real part, then imaginary part
     key = np.zeros(n, dtype=complex)
-    if disc.shape[1] == 1:
-        # one column sorts as numbers, many times faster than as matrix rows
-        key.real = np.unique(disc[:, 0], return_inverse=True)[1]
-    elif disc.shape[1]:
-        key.real = np.unique(disc, axis=0, return_inverse=True)[1].reshape(-1)
-    key.imag = first
+    key.real, key.imag = group, first
     order = np.argsort(key)
+    strips, strip = np.unique(np.floor(second / _slack(bandwidth, second)), return_inverse=True)
+    # (group, strip) as one number, with room for a strip on each side that
+    # never reaches the next group
+    key.real = key.real * (len(strips) + 2) + strip + 1
+    near = np.argsort(key)
+    key = key[near]
+    centres = key + np.array([[-1.0], [0.0], [1.0]])
     reach = 1j * _slack(bandwidth, first)
-    if p_c < 2:
-        source = order
-        key = key[source]
-        centres = key[None, :]
-    else:
-        second = cont[:, 1]
-        strips, strip = np.unique(np.floor(second / _slack(bandwidth, second)), return_inverse=True)
-        # (group, strip) as one number, with room for a strip on each side
-        # that never reaches the next group
-        key.real = key.real * (len(strips) + 2) + strip.reshape(-1) + 1
-        source = np.argsort(key)
-        key = key[source]
-        centres = key + np.array([[-1.0], [0.0], [1.0]])
     # one range per row of centres, each row searched in sorted order, then
     # taken back to the observations' order: (observation, range)
     shape = (len(centres), n)
     lo = np.searchsorted(key, (centres - reach).ravel(), side="left").reshape(shape)
     counts = np.searchsorted(key, (centres + reach).ravel(), side="right").reshape(shape) - lo
-    back = _rank(source)
+    back = _rank(near)
     lo, counts = lo[:, back].T, counts[:, back].T
     per_row = counts.sum(axis=1)
 
     def candidates():
         for part in _chunks(per_row):
             i = np.repeat(np.arange(part.start, part.stop), per_row[part])
-            yield i, source[_ranges(lo[part].ravel(), counts[part].ravel())]
+            yield i, near[_ranges(lo[part].ravel(), counts[part].ravel())]
 
-    return order, source, candidates(), p_c < 2
+    return order, near, candidates()
 
 
 def mixed_kernel_matrix(
@@ -499,19 +487,20 @@ def mixed_kernel_matrix(
     this support is inside that one (h <= g gives h * h <= g * g under
     correct rounding, so s / (g * g) <= s / (h * h) < 1). Either way each
     candidate gets the dense formula: squared distance / (h * h) < 1, then
-    the kernel value. The window's sort ``order`` does not depend on the
-    bandwidth, and the entries are listed by row and then by the rank of
-    the column in it (the strips' candidates are sorted back to it), so both
-    sources list the same entries in the same order, with the same values.
-    Filtered weights keep the ``near`` of ``within``.
+    the kernel value, which is positive there. The window's sort ``order``
+    does not depend on the bandwidth, and the entries are listed by row and
+    then by the rank of the column in it (the searched ones are sorted back
+    to it; ``within``'s already are), so both sources list the same entries
+    in the same order, with the same values. Filtered weights keep the
+    ``near`` of ``within``.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     n, p_c = cont.shape
     if within is None:
-        order, near, candidates, ordered = _window(cont, disc, bandwidth)
+        order, near, candidates = _window(cont, disc, bandwidth)
     else:
-        order, near, ordered = within.order, within.near, True
+        order, near = within.order, within.near
         candidates = [
             (within.rows[k : k + _CHUNK], within.cols[k : k + _CHUNK])
             for k in range(0, max(len(within.rows), 1), _CHUNK)
@@ -526,25 +515,22 @@ def mixed_kernel_matrix(
         keep = np.flatnonzero((sq < 1.0) & (i != j))
         found.append((i[keep], j[keep], _epanechnikov_of_sqnorm(sq[keep]) * scale))
     i, j, values = (np.concatenate(v) for v in zip(*found))
-    if not ordered:
-        # each row's entries by the rank of the column; no two share a key
-        by_key = np.argsort(i * n + _rank(order)[j])
-        i, j, values = i[by_key], j[by_key], values[by_key]
+    del found
+    if within is None:
+        # each row's entries by the rank of the column; no two share a
+        # key, so a stable sort (faster on the sorted runs of the strips)
+        # gives the one order. One list at a time, so at most one is held twice
+        by_key = np.argsort(i * n + _rank(order)[j], kind="stable")
+        i = i[by_key]
+        j = j[by_key]
+        values = values[by_key]
     return PairWeights(n, i, j, values, order, near)
-
-
-def _nonzero(pairs: PairWeights, values: np.ndarray) -> PairWeights:
-    """The entries of ``pairs`` at which ``values`` is nonzero, with those
-    values."""
-    keep = values != 0.0
-    return PairWeights(
-        pairs.n, pairs.rows[keep], pairs.cols[keep], values[keep], pairs.order, pairs.near
-    )
 
 
 def psi_matrix(psi: str, x: np.ndarray, pairs: PairWeights) -> PairWeights:
     """The pair weights ``pairs`` times psi of the x difference, evaluated on
-    their entries only."""
+    their entries only. Every entry is kept, also where psi is 0, so the
+    weights share the entries of ``pairs`` and their tables."""
     if psi not in PSI_FAMILIES:
         raise ValueError(f"unknown psi family {psi!r}")
     i, j = pairs.rows, pairs.cols
@@ -552,15 +538,16 @@ def psi_matrix(psi: str, x: np.ndarray, pairs: PairWeights) -> PairWeights:
         weight = _disc_equal(x, i, j).astype(float)
     else:
         weight = psi_profile(psi, np.sqrt(_sq_dists(x, i, j)))
-    return _nonzero(pairs, pairs.values * weight)
+    return pairs.with_values(pairs.values * weight)
 
 
 def joint_x_kernel_matrix(x: np.ndarray, bandwidth: float, pairs: PairWeights) -> PairWeights:
     """The pair weights ``pairs`` times h^(-q) K((x_i - x_j)/h), evaluated on
-    their entries only; ``pairs`` itself when x is empty."""
+    their entries only, every one kept as in ``psi_matrix``; ``pairs``
+    itself when x is empty."""
     if x.shape[1] == 0:
         return pairs
     i, j = pairs.rows, pairs.cols
     s = _sq_dists(x, i, j) / (bandwidth * bandwidth)
     weight = _epanechnikov_of_sqnorm(s) * bandwidth ** (-x.shape[1])
-    return _nonzero(pairs, pairs.values * weight)
+    return pairs.with_values(pairs.values * weight)

@@ -33,7 +33,7 @@ import numpy as np
 from .bootstrap import TestConfig, decide_scaled
 from .data import ColumnKind, Dataset, all_continuous, standardize
 from .kernels import default_bandwidths
-from .smoother import MIN_OBSERVATIONS, compute_smoother
+from .smoother import MAX_OBSERVATIONS, MIN_OBSERVATIONS, compute_smoother
 from .statistics import (
     ITILDE_MIN_N,
     DegenerateStatisticError,
@@ -43,7 +43,7 @@ from .statistics import (
     rate_dimension,
 )
 
-THETA = np.array([1.0, -1.0]) / math.sqrt(2.0)
+THETA = np.array([1.0, -1.0]) / math.sqrt(2.0)  # w has len(THETA) columns
 NOISE_SD = 2.0
 BERNOULLI_P = 0.6
 
@@ -89,7 +89,7 @@ def _shape_of_index(alternative: str, index: np.ndarray) -> np.ndarray:
 def generate(spec: DgpSpec, rng: np.random.Generator) -> Dataset:
     """A sample of the design, as the module docstring describes."""
     n = spec.n
-    w = rng.standard_normal((n, 2))
+    w = rng.standard_normal((n, len(THETA)))
     widx = w @ THETA
     if spec.family == "continuous":
         x = rng.standard_normal((n, spec.q))
@@ -102,7 +102,7 @@ def generate(spec: DgpSpec, rng: np.random.Generator) -> Dataset:
         departure = spec.delta * _shape_of_index(spec.alternative, widx) * x[:, 0]
     eps = NOISE_SD * rng.standard_normal(n)
     y = widx**3 - widx + departure + eps
-    return Dataset(y=y, w=w, x=x, w_kinds=all_continuous(2), x_kinds=x_kinds)
+    return Dataset(y=y, w=w, x=x, w_kinds=all_continuous(len(THETA)), x_kinds=x_kinds)
 
 
 @dataclass(frozen=True)
@@ -122,14 +122,15 @@ class Cell:
     c: float
 
 
-def _min_n(t: TestTemplate, dgp: DgpSpec) -> int:
-    """Fewest observations test t runs on in the design, from the floors
-    that the smoother and the test's statistic enforce."""
+def _n_range(t: TestTemplate, dgp: DgpSpec) -> tuple[int, float]:
+    """Fewest and most observations test t runs on in the design: the floors
+    that the smoother and the test's statistic enforce, and the smoother's
+    ceiling, which the F-test, smoothing nothing, does not have."""
     if t.statistic == "fisher":
-        return fisher_min_n(2, dgp.q)  # w has two columns
+        return fisher_min_n(len(THETA), dgp.q), math.inf
     if t.statistic in ("itilde", "lv"):
-        return max(MIN_OBSERVATIONS, ITILDE_MIN_N)
-    return MIN_OBSERVATIONS
+        return max(MIN_OBSERVATIONS, ITILDE_MIN_N), MAX_OBSERVATIONS
+    return MIN_OBSERVATIONS, MAX_OBSERVATIONS
 
 
 def _cell_configs(cell: Cell, tests, alpha: float, B: int) -> tuple[TestConfig | None, ...]:
@@ -147,8 +148,7 @@ def _cell_configs(cell: Cell, tests, alpha: float, B: int) -> tuple[TestConfig |
             cfg = TestConfig(bw, t.statistic, t.psi, critical=t.critical, alpha=alpha, B=B)
             configs.append(cfg)
             if cfg.weight is not None:  # dgm weighs no pairs
-                # w has two continuous columns
-                check_bandwidth(bw.h, rate_dimension(2, cell.dgp.q, cfg.weight))
+                check_bandwidth(bw.h, rate_dimension(len(THETA), cell.dgp.q, cfg.weight))
         except ValueError as exc:
             raise ValueError(f"test {t.name}: {exc}") from None
     return tuple(configs)
@@ -183,10 +183,12 @@ class ExperimentConfig:
                 "and the discrete_x family's X is discrete"
             )
         for cell in self.cells:
+            n = cell.dgp.n
             for t in self.tests:
-                floor = _min_n(t, cell.dgp)
-                if cell.dgp.n < floor:
-                    raise ValueError(f"test {t.name} needs n >= {floor}, got n = {cell.dgp.n}")
+                floor, ceiling = _n_range(t, cell.dgp)
+                if not floor <= n <= ceiling:
+                    bound = f">= {floor}" if n < floor else f"<= {ceiling}"
+                    raise ValueError(f"test {t.name} needs n {bound}, got n = {n}")
         configs = tuple(_cell_configs(cell, self.tests, self.alpha, self.B) for cell in self.cells)
         object.__setattr__(self, "configs", configs)
 

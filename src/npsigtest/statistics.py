@@ -11,13 +11,13 @@ against a linear specification (``fisher_test``).
 
 Every statistic is a quadratic form in the response, over the kernel weights
 L and the test weights M = K_h(w)∘psi, which ``kernels.PairWeights`` holds as
-lists of their few nonzero entries. Each reads the leave-one-out residuals
-uf of the response (``smoother.recompute_uf``, its one product with L) and
-has one body for one vector or a block of them, one per row, so the observed
-data and the wild-bootstrap draws go through the same code: a vector is
-summed over the lists, a block by BLAS products with the tiles of each
-matrix that hold its entries, or with the dense matrix where its
-neighbourhoods are wide (``PairWeights.product``). ``itilde``'s
+lists of the few pairs inside the w kernel's support. Each reads the
+leave-one-out residuals uf of the response (``smoother.recompute_uf``, its
+one product with L) and has one body for one vector or a block of them, one
+per row, so the observed data and the wild-bootstrap draws go through the
+same code: a vector is summed over the lists, a block by BLAS products with
+the tiles of each matrix that hold its entries, or with the dense matrix
+where its neighbourhoods are wide (``PairWeights.product``). ``itilde``'s
 coefficient lists are built once per engine, from sums over the triples
 (i, j, k) that M and L connect. The oracles pin both shapes at 1e-10
 relative for n = 6, 8, 10.
@@ -94,14 +94,15 @@ class StatEngine:
     Builds the test weights M once (the w kernel at bandwidth h times the
     pair weight ``psi``: a name from ``PSI_FAMILIES``, or ``"joint"``, the
     x kernel at the same bandwidth that ``lv`` smooths with), on the pairs
-    inside the w kernel's support only. When h <= g those pairs are a
+    inside the w kernel's support only, every one of them: psi reweighs
+    them and drops none, also where it is 0. When h <= g those pairs are a
     subset of the smoother's L, so they are filtered from L's entries
     rather than searched for again (``mixed_kernel_matrix``), with the same
-    result; a wider h searches anew. An h at which a power the engine takes
-    overflows a float is refused (``check_bandwidth``). Every statistic
-    reads the residuals uf of a response, or of each row of a block;
-    ``itilde`` and ``var_tilde`` read the response too, and take no product
-    with L.
+    result; a wider h searches anew, and finds all of L's pairs among
+    others. An h at which a power the engine takes overflows a float is
+    refused (``check_bandwidth``). Every statistic reads the residuals uf
+    of a response, or of each row of a block; ``itilde`` and ``var_tilde``
+    read the response too, and take no product with L.
     ``itilde`` builds its coefficient lists on its first call; a test
     without a bootstrap holds no n-by-n matrix, except the one
     ``PairWeights.triple_sums`` scatters while it builds them if that is
@@ -119,8 +120,8 @@ class StatEngine:
             raise ValueError("LV requires continuous X")
         self.rate_dim = rate_dimension(d.p_cont, d.q, psi)
         check_bandwidth(h, self.rate_dim)
-        within = sm.pairwise if h <= sm.g else None
-        kmat = mixed_kernel_matrix(w_cont, w_disc, h, within)
+        self._M_within_L = h <= sm.g
+        kmat = mixed_kernel_matrix(w_cont, w_disc, h, sm.pairwise if self._M_within_L else None)
         if psi == "joint":
             self.M = joint_x_kernel_matrix(d.x, h, kmat)
         else:
@@ -173,8 +174,11 @@ class StatEngine:
         return total / float(math.perm(self.n, 4))
 
     def _itilde_terms(self):
-        """N, the symmetric Q = 2W - G + H + Hᵀ, listed on the union of the
-        entries of M and L, and the diagonal e + 2 W 1 of ``itilde``."""
+        """N, the symmetric Q = 2W - G + H + Hᵀ and the diagonal e + 2 W 1
+        of ``itilde``. N, W and G are listed on M's entries and H on L's.
+        M's entries lie inside L's when h <= g, and L's inside M's when
+        h > g, so Q is listed on the wider of the two and shares its band
+        table and tiles."""
         n, L, M = self.n, self.L, self.M
         at = L.index_of(M.rows, M.cols)
         W = np.append(L.values, 0.0)[at]  # L on M's entries, then M∘L∘L
@@ -186,11 +190,15 @@ class StatEngine:
         W *= N.values
         diagonal = e + 2.0 * np.bincount(M.rows, W, n)
         on_M = 2.0 * W - G
-        # released before the merge: with lists as long as a dense matrix
+        # released before Q is built: with lists as long as a dense matrix
         # is large (all pairs of a few discrete groups), this is the peak
         del W, G
-        Q = L.with_values(H).plus(M.with_values(on_M), at)
-        return N, Q, diagonal
+        if self._M_within_L:
+            H[at] += on_M
+            return N, L.with_values(H), diagonal
+        in_L = at >= 0
+        on_M[in_L] += H[at[in_L]]
+        return N, M.with_values(on_M), diagonal
 
     def var_tilde(self, y: np.ndarray, uf: np.ndarray):
         """Six-index studentizer via nested distinctness, of a response y and

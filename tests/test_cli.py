@@ -10,7 +10,7 @@ import pytest
 import npsigtest
 from npsigtest import cli
 from npsigtest.cli import EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
-from npsigtest.data import ColumnSchema, save_dataset
+from npsigtest.data import ColumnKind, ColumnSchema, Dataset, save_dataset
 from npsigtest.designs import TEMPLATES, figure_design
 from npsigtest.simulation import DgpSpec, ResultTable, generate, grid_cells
 
@@ -451,6 +451,8 @@ class TestCmdSimulate:
             (["--family", "continuous", "--q", "0"], "continuous design needs q >= 1"),
             (["--family", "discrete_x", "--q", "3,-1", "--n", "30", "--boot", "9"],
              "the Bernoulli-x design has one x column (q = 1); got q = 3"),
+            (["--family", "continuous", "--n", "4001", "--boot", "9", "--tests", "lmp-asym"],
+             "test lmp-asym needs n <= 4000, got n = 4001"),
         ],
     )
     def test_grid_the_design_cannot_take_usage_error(self, tmp_path, capsys, extra, message):
@@ -555,17 +557,33 @@ class TestNegativeControl:
         assert not ok
 
 
-def test_import_does_not_load_scipy_stats(null_csv):
+def test_import_does_not_load_scipy_stats(null_csv, tmp_path):
     # scipy is imported only by the F-test, when it runs: importing any of it
     # (scipy.special alone took about 0.3 s) would be most of the start-up
     # time. A bootstrap test and an asymptotic var_tilde test load none of it
-    # either.
+    # either, nor numpy.ma, which a plain np.unique loads on its first call
+    # (numpy 2.4); the last run groups a 3-level discrete w column, as the
+    # pair search does with np.unique
+    d = generate(DgpSpec(family="continuous", n=60, q=1), np.random.default_rng(4))
+    levels = np.random.default_rng(5).integers(0, 3, size=(60, 1)).astype(float)
+    disc_w = tmp_path / "disc_w.csv"
+    save_dataset(
+        disc_w,
+        Dataset(
+            y=d.y, w=np.hstack([d.w, levels]), x=d.x,
+            w_kinds=(*d.w_kinds, ColumnKind.DISCRETE), x_kinds=d.x_kinds,
+        ),
+        ColumnSchema(y="y", w=("w1", "w2", "w3"), x=("x1",)),
+    )
     runs = [
         base_args(null_csv) + ["--boot", "9", "--seed", "1"],
         base_args(null_csv) + ["--asymptotic", "--variance", "var_tilde"],
+        ["test", "--data", str(disc_w), "--y", "y", "--w", "w1,w2,w3", "--x", "x1",
+         "--disc", "w3", "--asymptotic"],
     ]
     check = (
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "loaded = [m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']]; "
         "assert not loaded, loaded"
     )
     code = (

@@ -36,7 +36,7 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 def all_pairs(n):
     """Weight 1 on every pair i != j."""
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
-    return PairWeights(n, rows, cols, np.ones(len(rows)), np.arange(n))
+    return PairWeights(n, rows, cols, np.ones(len(rows)), np.arange(n), np.arange(n))
 
 
 class TestEvalKernel:
@@ -274,9 +274,10 @@ class TestPairLists:
         assert searches == ([h] if h > g else [])
         want = dense_w_kernel(cont, disc, h) * dense_x_weight(weight, x, h)
         assert np.array_equal(M.dense(), want)
-        # each nonzero entry listed once, by row and then by rank
-        for W in (L, M):
-            assert len(W.values) == np.count_nonzero(W.dense())
+        # each pair inside the w kernel's support listed once, also where
+        # the x weight is 0, by row and then by rank
+        for W, bandwidth in ((L, g), (M, h)):
+            assert len(W.values) == np.count_nonzero(dense_w_kernel(cont, disc, bandwidth))
             assert np.all(np.diff(W.rows * n + W.rank[W.cols]) > 0)
 
     @given(
@@ -318,6 +319,15 @@ class TestPairLists:
             searched = mixed_kernel_matrix(cont, disc, h)
         for name in ("rows", "cols", "values", "order"):
             assert np.array_equal(getattr(filtered, name), getattr(searched, name)), name
+        # the sort is by the discrete rows as np.unique(axis=0) ranks them,
+        # which groups -0.0 with 0.0, then by the first continuous column;
+        # without a second one the search runs in that order
+        key = np.zeros(n, dtype=complex)
+        key.real = np.unique(disc, axis=0, return_inverse=True)[1].reshape(-1)
+        key.imag = cont[:, 0] if p_c else 0.0
+        assert np.array_equal(searched.order, np.argsort(key))
+        if p_c <= 1:
+            assert np.array_equal(searched.near, searched.order)
         for W, bandwidth in ((L, g), (searched, h)):
             assert np.array_equal(W.dense(), dense_w_kernel(cont, disc, bandwidth))
             # every (row, col) is looked up by position: its place, or -1
@@ -344,7 +354,7 @@ class TestBandTable:
         for W, at in ((searched, bandwidth), (filtered, 0.5 * bandwidth)):
             # the one-range window on the first column, each row's own
             # place in it included
-            _, _, candidates, _ = kernels._window(cont[:, :1], disc, at)
+            _, _, candidates = kernels._window(cont[:, :1], disc, at)
             window = np.bincount(np.concatenate([i for i, _ in candidates]), minlength=n)
             slots = W._band_table()[1]
             assert np.all(slots <= window - 1)

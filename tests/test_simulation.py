@@ -17,6 +17,7 @@ from npsigtest.simulation import (
     run_experiment,
     _shape_of_index,
 )
+from npsigtest.smoother import MAX_OBSERVATIONS
 
 
 def continuous_spec(**kw):
@@ -279,6 +280,23 @@ class TestGridAndDesigns:
         cells = grid_cells("continuous", ("null",), (floor,), (2,), (0.0,), (2.0,))
         cfg = ExperimentConfig(cells=cells, tests=tests, replications=3, master_seed=1, B=9)
         assert run_experiment(cfg).rows[0].reps == 3
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_sample_size_ceiling(self, name):
+        # a grid above the smoother's ceiling is refused when the experiment
+        # is built, by every test that smooths; the F-test smooths nothing
+        # and runs there
+        n = MAX_OBSERVATIONS + 1
+        tests = (TEMPLATES[name],)
+        if name == "fisher":
+            cells = grid_cells("continuous", ("null",), (n,), (2,), (0.0,), (2.0,))
+            cfg = ExperimentConfig(cells=cells, tests=tests, replications=1, master_seed=1)
+            assert run_experiment(cfg).rows[0].reps == 1
+            return
+        above = grid_cells("continuous", ("null",), (40, n), (2,), (0.0,), (2.0,))
+        message = f"test {name} needs n <= {MAX_OBSERVATIONS}, got n = {n}"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(cells=above, tests=tests, replications=1, master_seed=1)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown figure tag"):

@@ -197,6 +197,64 @@ class TestListPathEdgeCases:
         assert peak < 6.0 * 8 * n * n
 
 
+def without_zeros(W):
+    """The pair weights W without its entries of zero weight."""
+    keep = W.values != 0.0
+    return kernels.PairWeights(
+        W.n, W.rows[keep], W.cols[keep], W.values[keep], W.order, W.near
+    )
+
+
+class TestZeroWeightEntries:
+    """psi and lv's x kernel reweigh the pairs of the w kernel at h and drop
+    none, so M holds entries of zero weight."""
+
+    @pytest.mark.parametrize("h_over_g", [0.6, 1.7])
+    @pytest.mark.parametrize("weight", ["normal", "triangular", "indicator", "lv"])
+    def test_q_takes_the_wider_entries(self, weight, h_over_g):
+        # M's entries lie inside L's when h <= g, and L's inside M's when
+        # h > g; Q takes the wider entries, with their band table and tiles
+        rng = np.random.default_rng(43)
+        n, g = 150, 0.5
+        x = rng.standard_normal((n, 2))
+        d = Dataset(
+            y=rng.standard_normal(n),
+            w=np.hstack([rng.standard_normal((n, 2)), rng.integers(0, 2, (n, 1))]),
+            x=np.round(x) if weight == "indicator" else x,
+            w_kinds=all_continuous(2) + (ColumnKind.DISCRETE,),
+            x_kinds=all_continuous(2),
+        )
+        sm = compute_smoother(d, g)
+        eng = StatEngine(d, sm, h_over_g * g, "joint" if weight == "lv" else weight)
+        eng.itilde(d.y, sm.uf)
+        Q = eng._itilde[1]
+        wider, narrower = (eng.L, eng.M) if h_over_g <= 1.0 else (eng.M, eng.L)
+        assert np.all(wider.index_of(narrower.rows, narrower.cols) >= 0)
+        assert Q.rows is wider.rows and Q.cols is wider.cols
+        assert Q._layouts is wider._layouts
+
+    @pytest.mark.parametrize("triples", ["lists", "dense"])
+    def test_triple_sums_skip_them(self, triples, monkeypatch):
+        # explicit zeros in W and in A leave every sum of the other entries
+        # as it is, bit for bit, and give their own entries sums of 0
+        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0 if triples == "lists" else math.inf)
+        rng = np.random.default_rng(47)
+        n = 200
+        cont = rng.standard_normal((n, 2))
+        disc = rng.integers(0, 3, size=(n, 1)).astype(float)
+        A = kernels.mixed_kernel_matrix(cont, disc, 0.6)
+        W = kernels.mixed_kernel_matrix(cont, disc, 0.4, within=A)
+        W = kernels.psi_matrix("indicator", rng.integers(0, 2, size=(n, 1)), W)
+        A = A.with_values(A.values * (rng.random(len(A.values)) < 0.8))
+        assert 0 < np.count_nonzero(W.values) < len(W.values)
+        assert 0 < np.count_nonzero(A.values) < len(A.values)
+        at_w, at_a = W.triple_sums(A)
+        want_w, want_a = without_zeros(W).triple_sums(without_zeros(A))
+        assert np.array_equal(at_w[W.values != 0.0], want_w)
+        assert np.array_equal(at_a[A.values != 0.0], want_a)
+        assert not at_w[W.values == 0.0].any() and not at_a[A.values == 0.0].any()
+
+
 class TestTrivialCases:
     def test_constant_response_zeroes_everything(self):
         sd, sm = constant_response_case()
