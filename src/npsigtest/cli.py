@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -156,6 +157,7 @@ def _load_config_args(argv: list[str]) -> list[str]:
     return rest[:1] + injected + rest[1:]
 
 
+@functools.cache  # built once per process; parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npsigtest",

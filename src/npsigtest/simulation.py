@@ -22,10 +22,8 @@ import functools
 import io
 import itertools
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,7 +322,12 @@ def _worker_pool(workers: int):
     Workers are spawned rather than forked, so each loads its BLAS library
     afresh under the thread-count variables set here instead of inheriting
     the parent's thread pool; the parent's environment is restored on exit.
+    ``multiprocessing`` and ``concurrent.futures`` are imported here, so a
+    process that starts no pool does not pay for their import.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

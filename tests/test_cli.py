@@ -558,12 +558,13 @@ class TestNegativeControl:
 
 
 def test_import_does_not_load_scipy_stats(null_csv, tmp_path):
-    # scipy is imported only by the F-test, when it runs: importing any of it
-    # (scipy.special alone took about 0.3 s) would be most of the start-up
-    # time. A bootstrap test and an asymptotic var_tilde test load none of it
-    # either, nor numpy.ma, which a plain np.unique loads on its first call
-    # (numpy 2.4); the last run groups a 3-level discrete w column, as the
-    # pair search does with np.unique
+    # the package needs numpy only: importing any of scipy (scipy.special
+    # alone took about 0.3 s) would be most of the start-up time. A bootstrap
+    # test, an asymptotic var_tilde test and a one-worker simulation with the
+    # F-test load none of it, nor numpy.ma, which a plain np.unique loads on
+    # its first call (numpy 2.4), nor multiprocessing and concurrent, which
+    # only a pool of workers needs; the third run groups a 3-level discrete
+    # w column, as the pair search does with np.unique
     d = generate(DgpSpec(family="continuous", n=60, q=1), np.random.default_rng(4))
     levels = np.random.default_rng(5).integers(0, 3, size=(60, 1)).astype(float)
     disc_w = tmp_path / "disc_w.csv"
@@ -580,18 +581,50 @@ def test_import_does_not_load_scipy_stats(null_csv, tmp_path):
         base_args(null_csv) + ["--asymptotic", "--variance", "var_tilde"],
         ["test", "--data", str(disc_w), "--y", "y", "--w", "w1,w2,w3", "--x", "x1",
          "--disc", "w3", "--asymptotic"],
+        ["simulate", "--family", "continuous", "--alt", "null,linear", "--n", "40",
+         "--deltas", "1.0", "--cs", "2", "--tests", "lmp-asym,fisher", "--reps", "4",
+         "--threads", "1", "--seed", "3", "--out", str(tmp_path / "sim.csv")],
     ]
     check = (
         "loaded = [m for m in sys.modules "
-        "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']]; "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent') "
+        "or m.split('.')[:2] == ['numpy', 'ma']]; "
         "assert not loaded, loaded"
     )
     code = (
-        "import sys, npsigtest, npsigtest.cli, npsigtest.selfcheck, npsigtest.designs; "
-        f"{check}; "
-        f"codes = [npsigtest.cli.main(args) for args in {runs!r}]; "
-        f"assert set(codes) <= {{{EXIT_OK}, {EXIT_REJECT}}}, codes; "
-        f"{check}"
+        "import sys, npsigtest, npsigtest.cli, npsigtest.selfcheck, npsigtest.designs\n"
+        f"{check}\n"
+        f"for args in {runs!r}:\n"
+        "    code = npsigtest.cli.main(args)\n"
+        f"    assert code in ({EXIT_OK}, {EXIT_REJECT}), (args, code)\n"
+        f"    {check}\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert len((tmp_path / "sim.csv").read_text().splitlines()) == 1 + 2 * 2
+
+
+def test_parser_is_built_once(null_csv, capsys):
+    # one parser serves every call in a process: a usage error leaves
+    # nothing behind that a later call would see
+    runs = [
+        base_args(null_csv) + ["--boot", "0"],
+        base_args(null_csv) + ["--asymptotic", "--json", "--seed", "1"],
+        base_args(null_csv) + ["--bogus"],
+        ["test", "--help"],
+        base_args(null_csv) + ["--asymptotic", "--csv", "--seed", "1"],
+    ]
+
+    def outcome(args):
+        code = main(args)
+        return code, capsys.readouterr()
+
+    alone = []
+    for args in runs:
+        cli._build_parser.cache_clear()
+        alone.append(outcome(args))
+    cli._build_parser.cache_clear()
+    together = [outcome(args) for args in runs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert together == alone
+    assert [code for code, _ in alone] == [EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]

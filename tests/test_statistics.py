@@ -26,6 +26,7 @@ from npsigtest.statistics import (
     CvmEngine,
     DegenerateStatisticError,
     StatEngine,
+    f_tail,
     fisher_test,
     studentize,
 )
@@ -233,11 +234,10 @@ class TestZeroWeightEntries:
         assert Q.rows is wider.rows and Q.cols is wider.cols
         assert Q._layouts is wider._layouts
 
-    @pytest.mark.parametrize("triples", ["lists", "dense"])
-    def test_triple_sums_skip_them(self, triples, monkeypatch):
-        # explicit zeros in W and in A leave every sum of the other entries
-        # as it is, bit for bit, and give their own entries sums of 0
-        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0 if triples == "lists" else math.inf)
+    @staticmethod
+    def weights_with_zeros():
+        """W (psi on the w kernel's pairs) and A (the w kernel at a wider
+        bandwidth), each with explicit zeros among its entries."""
         rng = np.random.default_rng(47)
         n = 200
         cont = rng.standard_normal((n, 2))
@@ -248,11 +248,51 @@ class TestZeroWeightEntries:
         A = A.with_values(A.values * (rng.random(len(A.values)) < 0.8))
         assert 0 < np.count_nonzero(W.values) < len(W.values)
         assert 0 < np.count_nonzero(A.values) < len(A.values)
+        return W, A
+
+    @pytest.mark.parametrize("triples", ["lists", "dense"])
+    def test_triple_sums_skip_them(self, triples, monkeypatch):
+        # explicit zeros in W and in A leave every sum of the other entries
+        # as it is, bit for bit, and give their own entries sums of 0
+        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0 if triples == "lists" else math.inf)
+        W, A = self.weights_with_zeros()
         at_w, at_a = W.triple_sums(A)
         want_w, want_a = without_zeros(W).triple_sums(without_zeros(A))
         assert np.array_equal(at_w[W.values != 0.0], want_w)
         assert np.array_equal(at_a[A.values != 0.0], want_a)
         assert not at_w[W.values == 0.0].any() and not at_a[A.values == 0.0].any()
+
+    def test_dense_bands_skip_them(self, monkeypatch):
+        # each block of the dense triple sums multiplies only the band of
+        # the scattered A that its entries of nonzero weight reach: explicit
+        # zeros leave every band's extent, and so its cost, as it is. The
+        # sums alone do not tell: padding a product with zeros moves no bit.
+        def bands(w, a):
+            seen = []
+
+            class Spy(np.ndarray):
+                def __getitem__(self, key):
+                    if isinstance(key, tuple) and all(isinstance(k, slice) for k in key):
+                        seen.append(tuple((int(k.start), int(k.stop)) for k in key))
+                    return np.asarray(super().__getitem__(key))
+
+            class SpyingNumpy:
+                # numpy, but the n-by-n scatter of A records its slices
+                def __getattr__(self, name):
+                    return getattr(np, name)
+
+                def zeros(self, shape, *args, **kwargs):
+                    out = np.zeros(shape, *args, **kwargs)
+                    return out.view(Spy) if shape == (w.n, w.n) else out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "np", SpyingNumpy())
+                w._dense_triple_sums(a)
+            return seen
+
+        W, A = self.weights_with_zeros()
+        seen = bands(W, A)
+        assert seen and seen == bands(without_zeros(W), without_zeros(A))
 
 
 class TestTrivialCases:
@@ -487,9 +527,55 @@ class TestFisher:
 
     @pytest.mark.parametrize("alpha", [1.5, 0.0])
     def test_alpha_outside_unit_interval_refused(self, alpha):
-        # fdtri of a probability outside [0, 1] is NaN, and f > NaN is false
+        # unchecked, alpha = 0 would never reject and alpha = 1.5 always would
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             fisher_test(standardize(make_dataset(33, 20, q=2)), alpha)
+
+
+# residual degrees of freedom from the fewest an F-test takes up to about
+# the largest sample a smoothing test takes (n = 4000)
+F_TAIL_DF2 = (1, 2, 3, 4, 5, 7, 10, 20, 50, 100, 200, 500, 1000, 2000, 3990, 4000)
+
+
+class TestFTail:
+    def test_matches_scipy(self):
+        from scipy.special import fdtrc, fdtri
+
+        # f from the lower tail through the bulk to an upper tail of 1e-12
+        probs = np.concatenate([np.geomspace(1e-6, 0.5, 30), 1.0 - np.geomspace(0.5, 1e-12, 30)[1:]])
+        worst = 0.0
+        for q in range(1, 9):
+            for df2 in F_TAIL_DF2:
+                for f in fdtri(q, df2, probs):
+                    want = float(fdtrc(q, df2, f))
+                    if want >= 1e-12:
+                        worst = max(worst, abs(f_tail(float(f), q, df2) - want) / want)
+        assert worst <= 1e-10
+
+    def test_two_numerator_degrees_of_freedom_closed_form(self):
+        # P(F >= f) = (1 + 2 f / df2)^(-df2 / 2) when q = 2
+        for df2 in F_TAIL_DF2:
+            for f in np.geomspace(1e-6, 60.0, 40):
+                want = (1.0 + 2.0 * f / df2) ** (-df2 / 2.0)
+                if want >= 1e-12:
+                    assert f_tail(float(f), 2, df2) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
+    def test_decisions_match_the_quantile(self, alpha):
+        from scipy.special import fdtri
+
+        for q in range(1, 9):
+            for df2 in F_TAIL_DF2:
+                crit = float(fdtri(q, df2, 1.0 - alpha))
+                for f in (crit * (1.0 + 1e-9), crit * (1.0 - 1e-9)):
+                    assert (f_tail(f, q, df2) < alpha) == (f > crit), (q, df2, f)
+
+    def test_ends(self):
+        # f <= 0 (the restricted fit's rss the smaller by rounding) and an
+        # infinite f
+        assert f_tail(0.0, 3, 10) == 1.0
+        assert f_tail(-1e-17, 3, 10) == 1.0
+        assert f_tail(math.inf, 3, 10) == 0.0
 
 
 class TestInvariancesSeeded:
