@@ -23,7 +23,10 @@ is computed by the same elementwise formula a dense n-by-n build would use, so
 ``PairWeights.dense`` is equal to it entry for entry, whichever the source.
 An entry is looked up by its position: each row's entries lie in a band of
 the search's sort order, and a table of the bands gives an entry's place in
-the lists in one gather.
+the lists in one gather. Every loop over candidates or list terms takes
+about ``_CHUNK`` of them at a time (the triple sums in parts of whole rows),
+so its work arrays stay a few hundred kB at any n and the sums do not
+depend on the part size.
 
 The scalar kernel at one difference vector is written out independently in
 ``oracles``, which shares no code with these builders, so the oracle tests
@@ -42,26 +45,38 @@ _NORMAL_C = 1.0 / math.sqrt(2.0 * math.pi)
 
 PSI_FAMILIES = ("triangular", "normal", "indicator")
 
-# candidate pairs (or triples) handled at once; bounds the work arrays
-_CHUNK = 1 << 18
+# candidate pairs, or list terms of the triple sums, handled at once: bounds
+# the work arrays at a few hundred kB, so they are reused from the heap and
+# not mapped afresh each time. On the asym-n2000 design (one core, medians
+# of 30 interleaved rounds), budgets of 2^12, 2^13, 2^14, 2^15, 2^16 and
+# 2^18 gave the list triple sums 4.6, 4.0, 4.0, 4.3, 6.0 and 7.4 ms, peaks
+# of 0.9, 1.2, 1.8, 3.0, 5.4 and 9.2 MB, and 121, 0, 102, 434, 1343 and 2506
+# page faults a call; its search at g took 3.5-4.0 ms at every budget. At
+# n = 2000 on one continuous or one 3-level discrete w column (0.63 and 1.33
+# million entries) the search and the filter were within 15% of their best
+# from 2^13 to 2^16
+_CHUNK = 1 << 13
 
 # rows of W per block in PairWeights._dense_triple_sums; bounds its work
 # arrays at a few blocks of this many rows besides the one dense matrix A
 _DENSE_ROWS = 64
 
 # PairWeights.triple_sums sums over lists while it has at most
-# n^2 / _TERMS_PER_N2 terms, else densely: on one core, with the lookup by
-# position, a list term cost 26-75 ns from n = 500 up (40-340 ns below, where
-# the fixed cost of each call weighs more), and the dense form 2-40 ns per
-# entry of its n-by-n scatter (n = 50 to 2000, c = 0.5 to 8); they broke even
-# at n^2/2 to n^2/19 terms. The benchmark has a workload on each side (seed
-# 1, c = 2, one BLAS thread, best of 7): mc-n100 (3,411 terms against 1,000)
-# and boot-n500 (61,167 against 25,000), all-continuous, take the dense form,
-# 0.14 and 1.4-1.5 ms against 0.13-0.14 and 1.6 ms for the lists; asym-n2000,
-# whose w has a 3-level discrete column, takes the lists (117,576 against
-# 400,000), 3.3-3.5 ms against 9.8-10.3 ms dense. A lower constant would move
-# mc-n100 and boot-n500 to the lists, which sum in another order, so it waits
-# for a rounding-aware degeneracy rule
+# n^2 / _TERMS_PER_N2 terms, else densely. On one core (best of 7, n = 50 to
+# 2000, c = 0.5 to 8, two continuous w columns with or without a 3-level
+# discrete one), with the lists in parts of _CHUNK terms: a list term cost
+# 34-69 ns from n = 500 up (up to 190 ns on the sparsest designs, below
+# n^2/300 terms, and 50 ns to 7 us below n = 500, where the fixed cost of
+# each call weighs more), and the dense form 2.4-74 ns per entry of its
+# n-by-n scatter; from n = 500 up they broke even at n^2/1.6 to n^2/48
+# terms. The benchmark has a workload on each side (seed 1, c = 2, one BLAS
+# thread, best of 7 in each of three rounds): mc-n100 (3,411 terms against
+# 1,000) and boot-n500 (61,167 against 25,000), all-continuous, take the
+# dense form, 0.23-0.25 and 2.0-2.3 ms against 0.19-0.22 and 2.6-2.9 ms for
+# the lists; asym-n2000, whose w has a 3-level discrete column, takes the
+# lists (117,576 against 400,000), 5.5-5.8 ms against 11.5-11.8 ms dense. A
+# lower constant would move mc-n100 and boot-n500 to the lists, which sum in
+# another order, so it waits for a rounding-aware degeneracy rule
 _TERMS_PER_N2 = 10
 
 # observations per tile of PairWeights.product
@@ -163,11 +178,10 @@ class PairWeights:
     ``near`` is the window search's finer order in two dimensions (by
     discrete group, strip of the second continuous column, then first
     column), in which the rows of a short run have few neighbours between
-    them; with no second continuous column it sorts as ``order``.
+    them; where the search has one strip it is ``order``.
     The entries are sorted by row, and within a row by the rank of the
-    column, so a row's entries span a band of ranks: ``index_of`` and
-    ``values_at`` look an entry up in a table of these bands, built on first
-    use and kept.
+    column, so a row's entries span a band of ranks: ``index_of`` looks an
+    entry up in a table of these bands, built on first use and kept.
 
     ``degree`` and ``row_sums`` (W 1) are taken from the lists once. A
     product with one vector is a gather and an ``np.bincount`` over the
@@ -319,11 +333,6 @@ class PairWeights:
         inside = (offset >= 0) & (offset < np.take(slots, rows)) & (steps != 0)
         return np.take(at, np.where(inside, np.take(first, rows) + offset, -1))
 
-    def values_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The value of each entry (rows, cols), 0 where there is none (the
-        place -1 picks the 0 appended to the values)."""
-        return np.append(self.values, 0.0)[self.index_of(rows, cols)]
-
     def triple_sums(self, a: PairWeights) -> tuple[np.ndarray, np.ndarray]:
         """The terms W_ij A_ik A_jk summed over k at each entry (i, j) of W,
         which gives W∘(A Aᵀ), and over j at each entry (i, k) of A, which
@@ -336,20 +345,37 @@ class PairWeights:
         (``_dense_triple_sums``), the sums are taken densely instead.
         Entries of zero weight change no sum: W's are skipped, and A's give
         zero terms over the lists and are skipped by the dense form.
+
+        The lists are summed in parts of consecutive whole rows of W, of
+        about ``_CHUNK`` terms each (a row with more is a part of its own).
+        Every term of an entry (i, j) of W or (i, k) of A comes from row i
+        of W, so each part's ``np.bincount`` gives its rows' entries their
+        one-pass sums, and writes them to its own range of each list: the
+        sums are the same at any budget, and the work arrays are bounded by
+        it (or by the terms of the longest row), not by the number of terms.
         """
         counts = np.where(self.values != 0.0, a.degree[self.rows], 0)
         if counts.sum() * _TERMS_PER_N2 > self.n**2:
             return self._dense_triple_sums(a)
-        starts = (np.cumsum(a.degree) - a.degree)[self.rows]
-        at_w, at_a = np.zeros(len(self.values)), np.zeros(len(a.values))
-        for part in _chunks(counts):
-            count = counts[part]
-            entry = np.repeat(np.arange(part.stop - part.start), count)
-            ik = _ranges(starts[part], count)
-            terms = self.values[part][entry] * a.values[ik]
-            terms *= a.values_at(self.cols[part][entry], a.cols[ik])
-            at_w[part] = np.bincount(entry, terms, len(count))
-            at_a += np.bincount(ik, terms, len(at_a))
+        # where each row's entries begin in the lists, and where the last ends
+        w_bounds = np.append(0, np.cumsum(self.degree))
+        a_bounds = np.append(0, np.cumsum(a.degree))
+        starts = a_bounds[self.rows]
+        # A's values and a 0 at the end, which the place -1 (no entry) picks
+        a_values = np.append(a.values, 0.0)
+        at_w, at_a = np.empty(len(self.values)), np.empty(len(a.values))
+        row_terms = np.bincount(self.rows, counts, self.n).astype(np.intp)
+        for part in _chunks(row_terms):
+            w_part = slice(w_bounds[part.start], w_bounds[part.stop])
+            a_part = slice(a_bounds[part.start], a_bounds[part.stop])
+            count = counts[w_part]
+            entry = np.repeat(np.arange(len(count)), count)
+            ik = _ranges(starts[w_part], count)
+            terms = self.values[w_part][entry] * a.values[ik]
+            terms *= a_values[a.index_of(self.cols[w_part][entry], a.cols[ik])]
+            at_w[w_part] = np.bincount(entry, terms, len(count))
+            ik -= a_part.start
+            at_a[a_part] = np.bincount(ik, terms, a_part.stop - a_part.start)
         return at_w, at_a
 
     def _dense_triple_sums(self, a: PairWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +461,9 @@ def _window(cont: np.ndarray, disc: np.ndarray, bandwidth: float):
     candidates three ranges: the window in the observation's own strip and
     in the strip on each side, which on a spread-out second column holds a
     few times fewer candidates than the window alone. They come strip by
-    strip; without a second continuous column there is one strip.
+    strip. Where there is one strip (no second continuous column, or one
+    narrower than the window), ``near`` is ``order`` itself and the
+    candidates are one range, in the order of their rank.
     """
     n, p_c = cont.shape
     first = cont[:, 0] if p_c else np.zeros(n)
@@ -450,12 +478,16 @@ def _window(cont: np.ndarray, disc: np.ndarray, bandwidth: float):
     key.real, key.imag = group, first
     order = np.argsort(key)
     strips, strip = np.unique(np.floor(second / _slack(bandwidth, second)), return_inverse=True)
-    # (group, strip) as one number, with room for a strip on each side that
-    # never reaches the next group
-    key.real = key.real * (len(strips) + 2) + strip + 1
-    near = np.argsort(key)
+    if len(strips) > 1:
+        # (group, strip) as one number, with room for a strip on each side
+        # that never reaches the next group
+        key.real = key.real * (len(strips) + 2) + strip + 1
+        near = np.argsort(key)
+        sides = [[-1.0], [0.0], [1.0]]
+    else:
+        near, sides = order, [[0.0]]
     key = key[near]
-    centres = key + np.array([[-1.0], [0.0], [1.0]])
+    centres = key + np.array(sides)
     reach = 1j * _slack(bandwidth, first)
     # one range per row of centres, each row searched in sorted order, then
     # taken back to the observations' order: (observation, range)
@@ -490,7 +522,8 @@ def mixed_kernel_matrix(
     the kernel value, which is positive there. The window's sort ``order``
     does not depend on the bandwidth, and the entries are listed by row and
     then by the rank of the column in it (the searched ones are sorted back
-    to it; ``within``'s already are), so both sources list the same entries
+    to it where the search has more than one strip; ``within``'s and one
+    strip's already are), so both sources list the same entries
     in the same order, with the same values. Filtered weights keep the
     ``near`` of ``within``.
     """
@@ -516,10 +549,12 @@ def mixed_kernel_matrix(
         found.append((i[keep], j[keep], _epanechnikov_of_sqnorm(sq[keep]) * scale))
     i, j, values = (np.concatenate(v) for v in zip(*found))
     del found
-    if within is None:
+    if within is None and near is not order:
         # each row's entries by the rank of the column; no two share a
         # key, so a stable sort (faster on the sorted runs of the strips)
-        # gives the one order. One list at a time, so at most one is held twice
+        # gives the one order. One list at a time, so at most one is held
+        # twice. With one strip, near is order and each row's candidates
+        # are one range of it, already in this order
         by_key = np.argsort(i * n + _rank(order)[j], kind="stable")
         i = i[by_key]
         j = j[by_key]

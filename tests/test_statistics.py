@@ -117,6 +117,16 @@ class TestOracleEquivalence:
         assert abs(fast - exact) <= 5.0 * scale
 
 
+def force_triples(monkeypatch, triples):
+    """Forces the triple sums behind the coefficients of itilde onto their
+    dense form, onto the lists, or onto the lists in parts of one row each
+    (a budget of 1 term: the search and the filter then take one row, or
+    one candidate, at a time too)."""
+    monkeypatch.setattr(kernels, "_TERMS_PER_N2", math.inf if triples == "dense" else 0.0)
+    if triples == "row-parts":
+        monkeypatch.setattr(kernels, "_CHUNK", 1)
+
+
 def edge_case(name):
     """A sample of a shape the random oracle cases rarely produce, with its
     bandwidths (g, h)."""
@@ -149,12 +159,12 @@ class TestListPathEdgeCases:
     @pytest.mark.parametrize(
         "name", ["isolated", "duplicated", "discrete_w", "wide_h", "n5", "n7"]
     )
-    @pytest.mark.parametrize("triples", ["lists", "dense"])
+    @pytest.mark.parametrize("triples", ["lists", "dense", "row-parts"])
     def test_vector_statistics_match_oracles(self, name, triples, monkeypatch):
         # the statistics over the pair lists, with the triple sums behind
-        # the coefficients of itilde forced onto either of their two forms;
+        # the coefficients of itilde forced onto each of their forms;
         # itilde also on a block of two rows
-        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0 if triples == "lists" else math.inf)
+        force_triples(monkeypatch, triples)
         sd, g, h = edge_case(name)
         sm = compute_smoother(sd, g)
         if name == "isolated":
@@ -250,12 +260,12 @@ class TestZeroWeightEntries:
         assert 0 < np.count_nonzero(A.values) < len(A.values)
         return W, A
 
-    @pytest.mark.parametrize("triples", ["lists", "dense"])
+    @pytest.mark.parametrize("triples", ["lists", "dense", "row-parts"])
     def test_triple_sums_skip_them(self, triples, monkeypatch):
         # explicit zeros in W and in A leave every sum of the other entries
         # as it is, bit for bit, and give their own entries sums of 0
-        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0 if triples == "lists" else math.inf)
         W, A = self.weights_with_zeros()
+        force_triples(monkeypatch, triples)
         at_w, at_a = W.triple_sums(A)
         want_w, want_a = without_zeros(W).triple_sums(without_zeros(A))
         assert np.array_equal(at_w[W.values != 0.0], want_w)
@@ -293,6 +303,62 @@ class TestZeroWeightEntries:
         W, A = self.weights_with_zeros()
         seen = bands(W, A)
         assert seen and seen == bands(without_zeros(W), without_zeros(A))
+
+
+class TestTripleSumParts:
+    """The list form of the triple sums runs in parts of whole rows of W,
+    of about ``_CHUNK`` terms each."""
+
+    def test_equal_at_every_budget(self, monkeypatch):
+        # 300 spread observations with a few neighbours each, and a tight
+        # cluster of 40 whose rows have 39 * 39 terms each: more than a
+        # budget of 1 or 97, and several such rows to a part of the default
+        # budget; the last budget takes everything in one part. Every term
+        # of an entry of W or of A comes from one row of W, so each sum is
+        # the same one-pass sum whatever the budget
+        rng = np.random.default_rng(53)
+        cont = np.vstack([20.0 * rng.random((300, 2)), 30.0 + 1e-3 * rng.standard_normal((40, 2))])
+        W = kernels.mixed_kernel_matrix(cont, np.zeros((340, 0)), 0.5)
+        A = kernels.mixed_kernel_matrix(cont, np.zeros((340, 0)), 0.7)
+        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0)
+        row_terms = np.bincount(W.rows, A.degree[W.rows], W.n)
+        assert row_terms.max() > 97 and row_terms.sum() > 2 * kernels._CHUNK
+        got = []
+        for budget in (1, 97, kernels._CHUNK, int(row_terms.sum())):
+            monkeypatch.setattr(kernels, "_CHUNK", budget)
+            got.append(W.triple_sums(A))
+        for at_w, at_a in got[1:]:
+            assert np.array_equal(at_w, got[0][0]) and np.array_equal(at_a, got[0][1])
+
+    def test_asym_n2000_memory(self, monkeypatch):
+        # the asym-n2000 benchmark design: n = 2000, two continuous w
+        # columns and one discrete w column of 3 levels, three continuous x
+        # columns, c = 2. The list form held 8.9 MB at once when it took all
+        # of its 113,115 terms in one part; in parts of 2^13 terms, 1.2 MB.
+        # L's band table is built first, as itilde builds it before its
+        # triple sums
+        n = 2000
+        rng = np.random.default_rng(2000)
+        d = Dataset(
+            y=rng.standard_normal(n),
+            w=np.hstack([rng.standard_normal((n, 2)), rng.integers(0, 3, (n, 1))]),
+            x=rng.standard_normal((n, 3)),
+            w_kinds=all_continuous(2) + (ColumnKind.DISCRETE,),
+            x_kinds=all_continuous(3),
+        )
+        bw = default_bandwidths(n, 2.0)
+        sd = standardize(d)
+        eng = StatEngine(sd, compute_smoother(sd, bw.g), bw.h)
+        L, M = eng.L, eng.M
+        L.index_of(M.rows, M.cols)
+        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0)
+        tracemalloc.start()
+        try:
+            M.triple_sums(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestTrivialCases:
