@@ -315,7 +315,9 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
 
     ``sm.cache`` holds the pair-weight engines only, so tests that share an
     engine share its build; each test evaluates its own observed statistic.
-    A smoother computed at another g than ``cfg.bandwidths.g`` is refused.
+    A smoother computed at another g than ``cfg.bandwidths.g`` is refused,
+    and so is an ``itilde`` or ``lv`` test on a sample where the statistic
+    is 0 for every response (``StatEngine.itilde_vanishes``).
     """
     if sm.g != cfg.bandwidths.g:
         raise ValueError(
@@ -325,7 +327,8 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
     eng = _engine(sd, sm, cfg)
     y = sd.y
     raw, omega2, t, fallback = _evaluate(eng, cfg, y, sm.uf)
-    if np.isnan(t):
+    vanishes = cfg.statistic in ("itilde", "lv") and eng.itilde_vanishes()
+    if np.isnan(t) or vanishes:
         cause = "observed" if np.any(sm.fhat > 0.0) else "no_support"
         message = "test degenerate at this bandwidth"
         if cause == "observed" and cfg.weight is not None and not eng.M.values.any():
@@ -339,6 +342,14 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
                     "; psi=indicator weighs only pairs with equal x values, so "
                     "continuous x columns need psi=normal or psi=triangular"
                 )
+        elif cause == "observed" and vanishes:
+            message = (
+                "in no weighted pair within the test bandwidth "
+                f"h = {cfg.bandwidths.h:.6g} do both observations have another "
+                f"neighbour within the smoothing bandwidth g = {cfg.bandwidths.g:.6g}, "
+                f"two distinct ones, so {cfg.statistic} is 0 for every response; "
+                "increase the bandwidth factor c (--c)"
+            )
         raise DegenerateStatisticError(message, cause=cause)
     t = float(t)
     diagnostics = {"fallback_used": bool(fallback), "fhat_zeros": int(np.sum(sm.fhat <= 0.0))}

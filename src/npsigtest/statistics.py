@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from .data import ColumnKind, Dataset
-from .kernels import joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
+from .kernels import PairWeights, joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
 from .smoother import SmootherOutput, centred
 
 # fewest observations of the four-distinct-index itilde
@@ -45,8 +45,9 @@ _FRACTION_MAX_TERMS = 10_000
 
 
 class DegenerateStatisticError(RuntimeError):
-    """Raised when a test cannot be standardized (nonpositive variance) or,
-    for the F-test, when its design matrix is rank deficient.
+    """Raised when a test cannot be standardized (nonpositive variance),
+    when ``itilde`` is 0 for every response (``StatEngine.itilde_vanishes``)
+    or, for the F-test, when its design matrix is rank deficient.
 
     ``cause`` names what was degenerate: ``"observed"``, the statistic of the
     data; ``"no_support"``, the same when the design density estimate fhat is
@@ -93,6 +94,24 @@ def check_bandwidth(h: float, rate_dim: int) -> None:
                 f"the test bandwidth h = {h:.6g} is out of range: h**{power} overflows "
                 f"a float; choose a {remedy} bandwidth factor c (--c, or --cs of simulate)"
             ) from None
+
+
+def _reached(L: PairWeights, M: PairWeights, at: np.ndarray) -> np.ndarray:
+    """Whether an arrangement reaches each entry (i, j) of M, whose place in
+    L's lists is ``at`` (-1 where L has no such entry).
+
+    The entry feeds ``itilde`` through the k != l outside {i, j} with
+    L_ik L_jl != 0. There is none when i or j has no neighbour besides the
+    other, or when each has exactly one and it is the same one.
+    """
+    linked = at >= 0
+    i_others = L.degree[M.rows] - linked
+    j_others = L.degree[M.cols] - linked
+    # with the link taken out, the sum of an observation's neighbours is
+    # its one other neighbour
+    sums = np.bincount(L.rows, L.cols, L.n)
+    same = sums[M.rows] - M.cols * linked == sums[M.cols] - M.rows * linked
+    return (i_others > 0) & (j_others > 0) & ((i_others > 1) | (j_others > 1) | ~same)
 
 
 class StatEngine:
@@ -165,13 +184,10 @@ class StatEngine:
 
         taken one term at a time, in this order, over coefficients built on
         the first call (``_itilde_terms``). Where itilde is 0 in exact
-        arithmetic (no arrangement has weight) the result is the rounding
-        residue of these sums, and a test is decided on it (ROADMAP item 2).
+        arithmetic (no arrangement has weight, ``itilde_vanishes``) the
+        result is the rounding residue of these sums.
         """
-        self._require_n(ITILDE_MIN_N, "itilde")
-        if self._itilde is None:
-            self._itilde = self._itilde_terms()
-        N, Q, diagonal = self._itilde
+        N, Q, diagonal, _ = self._itilde_coefficients()
         y = centred(y, self.L)
         S = (self.n - 1) * uf
         total = _dots(S, self.M.product(S))
@@ -180,14 +196,29 @@ class StatEngine:
         total -= _dots(y, diagonal * y)
         return total / float(math.perm(self.n, 4))
 
+    def itilde_vanishes(self) -> bool:
+        """Whether ``itilde`` is 0 in exact arithmetic for every response:
+        no entry of M of nonzero weight is reached by an arrangement of four
+        distinct indices (``_reached``). As computed it is then rounding
+        residue, so ``decide_scaled`` decides no test on it."""
+        return self._itilde_coefficients()[3]
+
+    def _itilde_coefficients(self):
+        """``_itilde_terms``, built on the first call and kept."""
+        self._require_n(ITILDE_MIN_N, "itilde")
+        if self._itilde is None:
+            self._itilde = self._itilde_terms()
+        return self._itilde
+
     def _itilde_terms(self):
         """N, the symmetric Q = 2W - G + H + Hᵀ and the diagonal e + 2 W 1
-        of ``itilde``. N, W and G are listed on M's entries and H on L's.
-        M's entries lie inside L's when h <= g, and L's inside M's when
-        h > g, so Q is listed on the wider of the two and shares its band
-        table and tiles."""
+        of ``itilde``, and whether it vanishes (``itilde_vanishes``). N, W
+        and G are listed on M's entries and H on L's. M's entries lie inside
+        L's when h <= g, and L's inside M's when h > g, so Q is listed on
+        the wider of the two and shares its band table and tiles."""
         n, L, M = self.n, self.L, self.M
         at = L.index_of(M.rows, M.cols)
+        vanishes = not M.values[_reached(L, M, at)].any()
         W = np.append(L.values, 0.0)[at]  # L on M's entries, then M∘L∘L
         G, H = M.triple_sums(L)
         e = np.bincount(L.cols, H, n)
@@ -202,10 +233,10 @@ class StatEngine:
         del W, G
         if self._M_within_L:
             H[at] += on_M
-            return N, L.with_values(H), diagonal
+            return N, L.with_values(H), diagonal, vanishes
         in_L = at >= 0
         on_M[in_L] += H[at[in_L]]
-        return N, M.with_values(on_M), diagonal
+        return N, M.with_values(on_M), diagonal, vanishes
 
     def var_tilde(self, y: np.ndarray, uf: np.ndarray):
         """Six-index studentizer via nested distinctness, of a response y and

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from npsigtest import bootstrap
 from npsigtest.bootstrap import (
+    CRITICALS,
     DRAW_BLOCK,
     MAX_DEGENERATE_DRAW_FRACTION,
     STATISTICS,
@@ -382,6 +383,30 @@ class TestDegenerateCause:
         with pytest.raises(DegenerateStatisticError, match="test degenerate") as info:
             run_test(d, cfg)
         assert info.value.cause == "no_support"
+
+    @pytest.mark.parametrize("critical", CRITICALS)
+    @pytest.mark.parametrize("statistic", ["itilde", "lv"])
+    def test_itilde_of_lone_triangles(self, statistic, critical):
+        # three far-apart triangles: the two ends of each weighted pair have
+        # one other neighbour each, the same one, so no arrangement of four
+        # distinct indices has weight and itilde is 0 for every response;
+        # ihat, which keeps the coinciding indices, still decides
+        w = np.repeat([0.0, 3.0, 6.0], 3)[:, None] + np.tile([0.0, 0.1, 0.2], 3)[:, None]
+        d = Dataset(
+            y=np.arange(9.0) ** 2,
+            w=w,
+            x=w.copy(),
+            w_kinds=all_continuous(1),
+            x_kinds=all_continuous(1),
+        )
+        bw = Bandwidths(g=0.3, h=0.3)
+        cfg = TestConfig(bandwidths=bw, statistic=statistic, critical=critical, B=19)
+        with pytest.raises(DegenerateStatisticError, match=r"0 for every response.*--c") as info:
+            run_test(d, cfg)
+        assert info.value.cause == "observed"
+        eng = StatEngine(standardize(d), compute_smoother(standardize(d), bw.g), bw.h)
+        assert len(eng.M.values) == 18 and eng.itilde_vanishes()
+        run_test(d, TestConfig(bandwidths=bw, statistic="ihat", critical=critical, B=19))
 
     def test_draws(self):
         # two mutually-nearest pairs, each isolated from the rest, with
