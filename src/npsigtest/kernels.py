@@ -14,19 +14,20 @@ each observation has few neighbours. The builders here therefore return
 ``PairWeights``: the (row, column, value) lists of the pairs inside the w
 kernel's support. ``mixed_kernel_matrix`` tests candidate pairs from one of
 two sources: a window search, which sorts on the first continuous w column
-and cuts the second into strips (one strip where there is no second), or
-the pairs of the same kernel at a bandwidth at least as wide, which it
-filters. A sample is searched once, at the smoother's g, and the test
-weights at every h <= g filter those pairs. ``psi_matrix`` and
-``joint_x_kernel_matrix`` reweigh the pairs found and drop none. Every value
-is computed by the same elementwise formula a dense n-by-n build would use, so
-``PairWeights.dense`` is equal to it entry for entry, whichever the source.
-An entry is looked up by its position: each row's entries lie in a band of
-the search's sort order, and a table of the bands gives an entry's place in
-the lists in one gather. Every loop over candidates or list terms takes
-about ``_CHUNK`` of them at a time (the triple sums in parts of whole rows),
-so its work arrays stay a few hundred kB at any n and the sums do not
-depend on the part size.
+within strips of the second (one strip where there is no second), or the
+pairs of the same kernel at a bandwidth at least as wide, which it filters.
+Either way the kept pairs stay in the order their source gives them: by
+row, and within a row in the search's order. A sample is searched once, at
+the smoother's g, and the test weights at every h <= g filter those pairs.
+``psi_matrix`` and ``joint_x_kernel_matrix`` reweigh the pairs found and
+drop none. Every value is computed by the same elementwise formula a dense
+n-by-n build would use, so ``PairWeights.dense`` is equal to it entry for
+entry, whichever the source. An entry is looked up by its position: each
+row's entries lie in a band of the search's order, and a table of the bands
+gives an entry's place in the lists in one gather. Every loop over
+candidates or list terms takes about ``_CHUNK`` of them at a time (the
+triple sums in parts of whole rows), so its work arrays stay a few hundred
+kB at any n and the sums do not depend on the part size.
 
 The scalar kernel at one difference vector is written out independently in
 ``oracles``, which shares no code with these builders, so the oracle tests
@@ -172,23 +173,24 @@ class PairWeights:
     as the lists of its entries, every nonzero one among them and maybe
     some of weight 0 (the pairs of the w kernel that psi weighs 0):
     ``rows``, ``cols`` and ``values``, with (i, j) and (j, i) both listed.
-    ``degree`` counts a row's entries of either kind. ``order``
-    lists the observations so that each one's neighbours are close to it
-    (the builders' sort), and ``rank`` is each observation's place in it.
-    ``near`` is the window search's finer order in two dimensions (by
-    discrete group, strip of the second continuous column, then first
-    column), in which the rows of a short run have few neighbours between
-    them; where the search has one strip it is ``order``.
-    The entries are sorted by row, and within a row by the rank of the
-    column, so a row's entries span a band of ranks: ``index_of`` looks an
-    entry up in a table of these bands, built on first use and kept.
+    ``degree`` counts a row's entries of either kind. ``order`` is the
+    window search's order of the observations (by discrete group, strip of
+    the second continuous column, then first column), in which each one's
+    neighbours are close to it and the rows of a short run have few
+    neighbours between them; ``rank`` is each observation's place in it.
+    The entries are listed by row, and within a row by the rank of the
+    column, as the search finds them, so a row's entries span a band of
+    ranks: ``index_of`` looks an entry up in a table of these bands, built
+    on first use and kept. ``block_order`` sorts the observations by
+    discrete group and first column alone; it orders the row blocks of the
+    dense triple sums (``_dense_triple_sums``) and nothing else.
 
     ``degree`` and ``row_sums`` (W 1) are taken from the lists once. A
     product with one vector is a gather and an ``np.bincount`` over the
     lists, so it costs O(entries). A product with a block of rows, one
     bootstrap draw per row, is one of two BLAS forms. Where the
     neighbourhoods are narrow it multiplies tiles: runs of ``_TILE`` rows
-    in ``near``, each with only the columns its entries touch
+    in ``order``, each with only the columns its entries touch
     (``_tile_layout``). Elsewhere it multiplies the dense matrix. Either
     is built from the lists on first use and kept; the tables behind the
     band lookup and the tiles depend only on the entries, so weights made
@@ -196,13 +198,13 @@ class PairWeights:
     ``product`` and nowhere else.
     """
 
-    def __init__(self, n: int, rows, cols, values, order, near):
+    def __init__(self, n: int, rows, cols, values, order, block_order):
         self.n = n
         self.rows = rows
         self.cols = cols
         self.values = values
         self.order = order
-        self.near = near
+        self.block_order = block_order
         self.rank = _rank(order)
         self.degree = np.bincount(rows, minlength=n)
         self.row_sums = np.bincount(rows, values, n)
@@ -213,7 +215,7 @@ class PairWeights:
 
     def with_values(self, values: np.ndarray) -> PairWeights:
         """Weights with the same entries and new values, one per entry."""
-        out = PairWeights(self.n, self.rows, self.cols, values, self.order, self.near)
+        out = PairWeights(self.n, self.rows, self.cols, values, self.order, self.block_order)
         out._layouts = self._layouts
         return out
 
@@ -257,10 +259,10 @@ class PairWeights:
         cheaper; built on first use and shared by ``with_values``.
 
         The observations are cut into tiles of ``_TILE`` consecutive ones in
-        ``near``, and each tile keeps the columns its rows' entries touch,
+        ``order``, and each tile keeps the columns its rows' entries touch,
         in increasing order, padded to the widest tile with column 0 (at
         weight 0). Returns each tile's columns, each observation's place in
-        ``near`` (its row among the tiles' rows) and the place of each entry
+        ``order`` (its row among the tiles' rows) and the place of each entry
         in the tiles' values, an array of shape (tiles, _TILE, widest).
         """
         if "tiles" not in self._layouts:
@@ -273,7 +275,7 @@ class PairWeights:
             # the tiles hold every entry, so more entries than the volume
             # allows rule them out before any table is built
             if pays(len(self.values)):
-                place = _rank(self.near)
+                place = self.rank
                 # which (tile, column) pairs hold entries, as one flag each
                 # (not np.unique, which loads numpy.ma on its first call)
                 key = place[self.rows] // _TILE * n + self.cols
@@ -303,10 +305,11 @@ class PairWeights:
         of slots and first slot, and the place in the lists of the entry in
         each slot (-1 in a slot with no entry, and in one more at the end).
 
-        A row's entries lie in its first-column window, one range of
-        ``order`` that holds the row itself, so the row has fewer slots than
-        that window has candidates. On all-discrete w, where a row lists all
-        of its group, it has as many slots as entries.
+        A row's entries lie among the candidates of the search that found
+        them, ranges of ``order`` in the row's strip and the strips on each
+        side, so the row has fewer slots than those ranges span. On
+        all-discrete w, where a row lists all of its group, it has as many
+        slots as entries.
         """
         if "band" not in self._layouts:
             n, degree = self.n, self.degree
@@ -337,7 +340,8 @@ class PairWeights:
         """The terms W_ij A_ik A_jk summed over k at each entry (i, j) of W,
         which gives W∘(A Aᵀ), and over j at each entry (i, k) of A, which
         gives A∘(W A); each in its list's order. ``a`` has the entries of a
-        symmetric pair-weight matrix and the same ``order`` as W.
+        symmetric pair-weight matrix on the same sample as W, and so the
+        same ``block_order``; its ``order`` may differ.
 
         Over the lists this enumerates, for each entry (i, j) of W, the
         entries (i, k) of A and looks (j, k) up in A. When that count, the
@@ -381,20 +385,24 @@ class PairWeights:
     def _dense_triple_sums(self, a: PairWeights) -> tuple[np.ndarray, np.ndarray]:
         """``triple_sums`` by banded dense products.
 
-        The observations are renumbered in ``order``, where each one's
-        neighbours are close to it, and A is scattered into one dense
-        matrix. W is scattered ``_DENSE_ROWS`` rows at a time, and each
-        block's products span only the columns its rows' entries of nonzero
-        weight reach: with discrete w columns, about one discrete group.
+        The observations are renumbered in ``block_order``, where each
+        one's neighbours are close to it along the first column, and A is
+        scattered into one dense matrix. W is scattered ``_DENSE_ROWS`` rows
+        at a time, and each block's products span only the columns its
+        rows' entries of nonzero weight reach: with discrete w columns,
+        about one discrete group. Blocked in ``order`` instead, the bands
+        of the strips on either side widen each block, which made these
+        sums 20% slower at n = 500 and 60% slower at n = 2000 on two
+        continuous w columns.
         """
-        n, rank = self.n, self.rank
+        n, rank = self.n, _rank(self.block_order)
         dense_a = np.zeros((n, n))
         dense_a[rank[a.rows], rank[a.cols]] = a.values
         at_w, at_a = np.zeros(len(self.values)), np.zeros(len(a.values))
         w_starts = np.cumsum(self.degree) - self.degree
         a_starts = np.cumsum(a.degree) - a.degree
         for lo in range(0, n, _DENSE_ROWS):
-            block_rows = self.order[lo : lo + _DENSE_ROWS]
+            block_rows = self.block_order[lo : lo + _DENSE_ROWS]
             # the entries of nonzero weight of W and of A in these rows
             w_at = _ranges(w_starts[block_rows], self.degree[block_rows])
             a_at = _ranges(a_starts[block_rows], a.degree[block_rows])
@@ -440,30 +448,29 @@ def _slack(bandwidth: float, column: np.ndarray) -> float:
 
 
 def _window(cont: np.ndarray, disc: np.ndarray, bandwidth: float):
-    """The window search's sort ``order`` of the observations, the order
-    ``near`` it searches in (``PairWeights.near``), and its candidate pairs
-    (i, j), ``_CHUNK`` at a time, by row.
+    """The window search's ``order`` of the observations, its
+    ``block_order`` (``PairWeights``), and its candidate pairs (i, j),
+    ``_CHUNK`` at a time, by row and then by the rank of j in ``order``.
 
-    The observations are sorted by their discrete group and then by the
-    first continuous column (if any). The groups are ranked one discrete
+    The candidates of each observation are those in its discrete group
+    whose first continuous coordinate (if any) lies within a window
+    slightly wider than the bandwidth. The groups are ranked one discrete
     column at a time with 1-D ``np.unique``, which groups as ``==`` does,
-    so they come in the lexicographic order of the columns. The candidates
-    of each observation are those in its discrete group whose first
-    coordinate lies within a window slightly wider than the bandwidth: one
-    range of ``order``. The window never leaves the group, so every
-    candidate has equal discrete columns.
+    so they come in the lexicographic order of the columns. The window
+    never leaves the group, so every candidate has equal discrete columns.
 
     The second continuous column (0 where there is none) is cut into strips
     at least as wide as the window. The strips are numbered by the dense
     rank of floor(w2 / width), so any two observations closer than the
-    window lie in the same or adjacent strips, at any bandwidth. A second
-    sort by (group, strip, first column), ``near``, then makes the
-    candidates three ranges: the window in the observation's own strip and
-    in the strip on each side, which on a spread-out second column holds a
-    few times fewer candidates than the window alone. They come strip by
-    strip. Where there is one strip (no second continuous column, or one
-    narrower than the window), ``near`` is ``order`` itself and the
-    candidates are one range, in the order of their rank.
+    window lie in the same or adjacent strips, at any bandwidth. ``order``
+    sorts by (group, strip, first column), which makes the candidates three
+    ranges of it: the window in the observation's own strip and in the
+    strip on each side, which on a spread-out second column holds a few
+    times fewer candidates than the window alone. They come strip by strip,
+    so in the order of their rank. Where there is one strip (no second
+    continuous column, or one narrower than the window), the ranges on
+    either side are empty and ``order`` is ``block_order``, the sort by
+    (group, first column).
     """
     n, p_c = cont.shape
     first = cont[:, 0] if p_c else np.zeros(n)
@@ -476,34 +483,30 @@ def _window(cont: np.ndarray, disc: np.ndarray, bandwidth: float):
     # complex numbers order by real part, then imaginary part
     key = np.zeros(n, dtype=complex)
     key.real, key.imag = group, first
-    order = np.argsort(key)
+    block_order = np.argsort(key)
     strips, strip = np.unique(np.floor(second / _slack(bandwidth, second)), return_inverse=True)
-    if len(strips) > 1:
-        # (group, strip) as one number, with room for a strip on each side
-        # that never reaches the next group
-        key.real = key.real * (len(strips) + 2) + strip + 1
-        near = np.argsort(key)
-        sides = [[-1.0], [0.0], [1.0]]
-    else:
-        near, sides = order, [[0.0]]
-    key = key[near]
-    centres = key + np.array(sides)
+    # (group, strip) as one number, with room for a strip on each side
+    # that never reaches the next group
+    key.real = key.real * (len(strips) + 2) + strip + 1
+    order = np.argsort(key)
+    key = key[order]
+    centres = key + np.array([[-1.0], [0.0], [1.0]])
     reach = 1j * _slack(bandwidth, first)
-    # one range per row of centres, each row searched in sorted order, then
-    # taken back to the observations' order: (observation, range)
+    # one range per strip side, each searched in sorted order, then taken
+    # back to the observations' order: (observation, range)
     shape = (len(centres), n)
     lo = np.searchsorted(key, (centres - reach).ravel(), side="left").reshape(shape)
     counts = np.searchsorted(key, (centres + reach).ravel(), side="right").reshape(shape) - lo
-    back = _rank(near)
+    back = _rank(order)
     lo, counts = lo[:, back].T, counts[:, back].T
     per_row = counts.sum(axis=1)
 
     def candidates():
         for part in _chunks(per_row):
             i = np.repeat(np.arange(part.start, part.stop), per_row[part])
-            yield i, near[_ranges(lo[part].ravel(), counts[part].ravel())]
+            yield i, order[_ranges(lo[part].ravel(), counts[part].ravel())]
 
-    return order, near, candidates()
+    return order, block_order, candidates()
 
 
 def mixed_kernel_matrix(
@@ -519,21 +522,19 @@ def mixed_kernel_matrix(
     this support is inside that one (h <= g gives h * h <= g * g under
     correct rounding, so s / (g * g) <= s / (h * h) < 1). Either way each
     candidate gets the dense formula: squared distance / (h * h) < 1, then
-    the kernel value, which is positive there. The window's sort ``order``
-    does not depend on the bandwidth, and the entries are listed by row and
-    then by the rank of the column in it (the searched ones are sorted back
-    to it where the search has more than one strip; ``within``'s and one
-    strip's already are), so both sources list the same entries
-    in the same order, with the same values. Filtered weights keep the
-    ``near`` of ``within``.
+    the kernel value, which is positive there. The kept pairs stay in the
+    order of the candidates: by row, and then by the rank of the column in
+    the search's ``order``, which filtered weights take from ``within``.
+    Both sources give each row the same entries with the same values; a
+    search at this bandwidth lists them in its own strips' order.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     n, p_c = cont.shape
     if within is None:
-        order, near, candidates = _window(cont, disc, bandwidth)
+        order, block_order, candidates = _window(cont, disc, bandwidth)
     else:
-        order, near = within.order, within.near
+        order, block_order = within.order, within.block_order
         candidates = [
             (within.rows[k : k + _CHUNK], within.cols[k : k + _CHUNK])
             for k in range(0, max(len(within.rows), 1), _CHUNK)
@@ -548,18 +549,7 @@ def mixed_kernel_matrix(
         keep = np.flatnonzero((sq < 1.0) & (i != j))
         found.append((i[keep], j[keep], _epanechnikov_of_sqnorm(sq[keep]) * scale))
     i, j, values = (np.concatenate(v) for v in zip(*found))
-    del found
-    if within is None and near is not order:
-        # each row's entries by the rank of the column; no two share a
-        # key, so a stable sort (faster on the sorted runs of the strips)
-        # gives the one order. One list at a time, so at most one is held
-        # twice. With one strip, near is order and each row's candidates
-        # are one range of it, already in this order
-        by_key = np.argsort(i * n + _rank(order)[j], kind="stable")
-        i = i[by_key]
-        j = j[by_key]
-        values = values[by_key]
-    return PairWeights(n, i, j, values, order, near)
+    return PairWeights(n, i, j, values, order, block_order)
 
 
 def psi_matrix(psi: str, x: np.ndarray, pairs: PairWeights) -> PairWeights:

@@ -280,6 +280,31 @@ class TestPairLists:
             assert len(W.values) == np.count_nonzero(dense_w_kernel(cont, disc, bandwidth))
             assert np.all(np.diff(W.rows * n + W.rank[W.cols]) > 0)
 
+    @pytest.mark.parametrize("chunk", [1, kernels._CHUNK])
+    @pytest.mark.parametrize("p_d", [0, 1])
+    @pytest.mark.parametrize("p_c", [1, 2, 3])
+    def test_lists_keep_the_search_order(self, monkeypatch, p_c, p_d, chunk):
+        # the entries are listed as the window search finds them, row by
+        # row and strip by strip, and sorted into no other order: each row's
+        # are strictly increasing in the rank of the list order, and they
+        # are exactly the dense build's pairs
+        rng = np.random.default_rng(37)
+        n, bandwidth = 300, 0.6
+        cont = rng.standard_normal((n, p_c))
+        disc = rng.integers(0, 3, size=(n, p_d)).astype(float)
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        W = mixed_kernel_matrix(cont, disc, bandwidth)
+        assert np.all(np.diff(W.rows * n + W.rank[W.cols]) > 0)
+        dense = dense_w_kernel(cont, disc, bandwidth)
+        assert len(W.values) == np.count_nonzero(dense)
+        assert np.array_equal(W.dense(), dense)
+        order, _, candidates = kernels._window(cont, disc, bandwidth)
+        i, j = (np.concatenate(v) for v in zip(*candidates))
+        found = dense[i, j] > 0.0
+        assert np.array_equal(W.order, order)
+        assert np.array_equal(W.rows, i[found])
+        assert np.array_equal(W.cols, j[found])
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(5, 300),
@@ -297,7 +322,8 @@ class TestPairLists:
         self, seed, n, p_c, p_d, grid, duplicates, signed_zero, g, h_over_g, chunk
     ):
         # the pairs at h <= g filtered from the pairs at g are the pairs a
-        # fresh search at h finds, in the same order with the same values,
+        # fresh search at h finds, each row with the same (column, value)
+        # pairs, in L's order where the search at h lists them in its own,
         # also when either source is taken a few candidates at a time; a
         # grid of step g or h puts points on the edges of the search's
         # strips, and g far below or above the data's spread finds no pairs
@@ -317,17 +343,21 @@ class TestPairLists:
             L = mixed_kernel_matrix(cont, disc, g)
             filtered = mixed_kernel_matrix(cont, disc, h, within=L)
             searched = mixed_kernel_matrix(cont, disc, h)
-        for name in ("rows", "cols", "values", "order"):
-            assert np.array_equal(getattr(filtered, name), getattr(searched, name)), name
-        # the sort is by the discrete rows as np.unique(axis=0) ranks them,
-        # which groups -0.0 with 0.0, then by the first continuous column;
-        # without a second one the search runs in that order
+        by_pair = [np.lexsort((W.cols, W.rows)) for W in (filtered, searched)]
+        for name in ("rows", "cols", "values"):
+            got, want = (getattr(W, name)[at] for W, at in zip((filtered, searched), by_pair))
+            assert np.array_equal(got, want), name
+        assert filtered.order is L.order
+        assert np.all(np.diff(L.index_of(filtered.rows, filtered.cols)) > 0)
+        # the row blocks' order is by the discrete rows as np.unique(axis=0)
+        # ranks them, which groups -0.0 with 0.0, then by the first
+        # continuous column; without a second one the search runs in it
         key = np.zeros(n, dtype=complex)
         key.real = np.unique(disc, axis=0, return_inverse=True)[1].reshape(-1)
         key.imag = cont[:, 0] if p_c else 0.0
-        assert np.array_equal(searched.order, np.argsort(key))
+        assert np.array_equal(searched.block_order, np.argsort(key))
         if p_c <= 1:
-            assert np.array_equal(searched.near, searched.order)
+            assert np.array_equal(searched.order, searched.block_order)
         for W, bandwidth in ((L, g), (searched, h)):
             assert np.array_equal(W.dense(), dense_w_kernel(cont, disc, bandwidth))
             # every (row, col) is looked up by position: its place, or -1
@@ -348,6 +378,10 @@ class TestBandTable:
     @pytest.mark.parametrize("p_c, p_d", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 2)])
     @pytest.mark.parametrize("bandwidth", [0.2, 0.7])
     def test_slots_at_most_the_first_column_window(self, p_c, p_d, bandwidth):
+        # a row's slots are at most the span in the lists' order of the
+        # window search's candidates at the same bandwidth, which hold its
+        # entries and the row itself; with one strip (one continuous w
+        # column) that window is one range of the first column
         rng = np.random.default_rng(29)
         n = 400
         cont = rng.standard_normal((n, p_c))
@@ -355,13 +389,15 @@ class TestBandTable:
         searched = mixed_kernel_matrix(cont, disc, bandwidth)
         filtered = mixed_kernel_matrix(cont, disc, 0.5 * bandwidth, within=searched)
         for W, at in ((searched, bandwidth), (filtered, 0.5 * bandwidth)):
-            # the one-range window on the first column, each row's own
-            # place in it included
-            _, _, candidates = kernels._window(cont[:, :1], disc, at)
-            window = np.bincount(np.concatenate([i for i, _ in candidates]), minlength=n)
+            _, _, candidates = kernels._window(cont, disc, at)
+            i, j = (np.concatenate(v) for v in zip(*candidates))
+            lowest, highest = np.full(n, n), np.full(n, -1)
+            np.minimum.at(lowest, i, W.rank[j])
+            np.maximum.at(highest, i, W.rank[j])
+            span = highest - lowest
             slots = W._band_table()[1]
-            assert np.all(slots <= window - 1)
-            assert slots.sum() <= window.sum()
+            assert np.all(slots <= span)
+            assert slots.sum() <= span.sum()
 
     def test_all_discrete_w_has_a_slot_per_entry(self):
         rng = np.random.default_rng(31)

@@ -212,7 +212,7 @@ def without_zeros(W):
     """The pair weights W without its entries of zero weight."""
     keep = W.values != 0.0
     return kernels.PairWeights(
-        W.n, W.rows[keep], W.cols[keep], W.values[keep], W.order, W.near
+        W.n, W.rows[keep], W.cols[keep], W.values[keep], W.order, W.block_order
     )
 
 
