@@ -309,6 +309,35 @@ def run_test(d: Dataset, cfg: TestConfig) -> TestResult:
     return decide_scaled(sd, sm, cfg)
 
 
+def _refusal(eng, cfg: TestConfig, raw, omega2, vanishes: bool) -> str:
+    """Why the observed statistic decides no test, and what to change."""
+    h, g = cfg.bandwidths.h, cfg.bandwidths.g
+    if cfg.weight is not None and not eng.M.values.any():
+        message = (
+            f"no two observations within the test bandwidth h = {h:.6g} carry a "
+            "nonzero pair weight; increase the bandwidth factor c (--c)"
+        )
+        if cfg.weight == "indicator":
+            message += (
+                "; psi=indicator weighs only pairs with equal x values, so "
+                "continuous x columns need psi=normal or psi=triangular"
+            )
+        return message
+    if vanishes:
+        return (
+            f"in no weighted pair within the test bandwidth h = {h:.6g} do both "
+            f"observations have another neighbour within the smoothing bandwidth "
+            f"g = {g:.6g}, two distinct ones, so {cfg.statistic} is 0 for every "
+            "response; increase the bandwidth factor c (--c)"
+        )
+    if not np.isfinite([raw, omega2]).all():
+        return (
+            f"the {cfg.statistic} statistic or its variance overflows a float at "
+            "this scale of the response; rescale y (divide it by a constant)"
+        )
+    return "test degenerate at this bandwidth"
+
+
 def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResult:
     """Decision step on an already standardized and smoothed sample, so a
     Monte Carlo replication can share one smoother across several tests.
@@ -329,28 +358,9 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
     raw, omega2, t, fallback = _evaluate(eng, cfg, y, sm.uf)
     vanishes = cfg.statistic in ("itilde", "lv") and eng.itilde_vanishes()
     if np.isnan(t) or vanishes:
-        cause = "observed" if np.any(sm.fhat > 0.0) else "no_support"
-        message = "test degenerate at this bandwidth"
-        if cause == "observed" and cfg.weight is not None and not eng.M.values.any():
-            message = (
-                "no two observations within the test bandwidth "
-                f"h = {cfg.bandwidths.h:.6g} carry a nonzero pair weight; "
-                "increase the bandwidth factor c (--c)"
-            )
-            if cfg.weight == "indicator":
-                message += (
-                    "; psi=indicator weighs only pairs with equal x values, so "
-                    "continuous x columns need psi=normal or psi=triangular"
-                )
-        elif cause == "observed" and vanishes:
-            message = (
-                "in no weighted pair within the test bandwidth "
-                f"h = {cfg.bandwidths.h:.6g} do both observations have another "
-                f"neighbour within the smoothing bandwidth g = {cfg.bandwidths.g:.6g}, "
-                f"two distinct ones, so {cfg.statistic} is 0 for every response; "
-                "increase the bandwidth factor c (--c)"
-            )
-        raise DegenerateStatisticError(message, cause=cause)
+        if not np.any(sm.fhat > 0.0):
+            raise DegenerateStatisticError("test degenerate at this bandwidth", cause="no_support")
+        raise DegenerateStatisticError(_refusal(eng, cfg, raw, omega2, vanishes), cause="observed")
     t = float(t)
     diagnostics = {"fallback_used": bool(fallback), "fhat_zeros": int(np.sum(sm.fhat <= 0.0))}
 

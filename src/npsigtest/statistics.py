@@ -45,9 +45,10 @@ _FRACTION_MAX_TERMS = 10_000
 
 
 class DegenerateStatisticError(RuntimeError):
-    """Raised when a test cannot be standardized (nonpositive variance),
-    when ``itilde`` is 0 for every response (``StatEngine.itilde_vanishes``)
-    or, for the F-test, when its design matrix is rank deficient.
+    """Raised when a test cannot be standardized (a variance that is not
+    positive and finite, or a standardized value that is not finite), when
+    ``itilde`` is 0 for every response (``StatEngine.itilde_vanishes``) or,
+    for the F-test, when its design matrix is rank deficient.
 
     ``cause`` names what was degenerate: ``"observed"``, the statistic of the
     data; ``"no_support"``, the same when the design density estimate fhat is
@@ -66,11 +67,12 @@ def _dots(a: np.ndarray, b: np.ndarray):
 
 
 def studentize(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
-    """n h^(p_c/2) I_n / omega_n, elementwise; NaN marks a degenerate
-    (nonpositive-variance) value."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    """n h^(p_c/2) I_n / omega_n, elementwise; NaN marks a degenerate value:
+    a variance that is not positive and finite (0, or an overflow to inf),
+    or a standardized value that is not finite."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         t = n * h ** (p_c / 2.0) * i_n / np.sqrt(omega2)
-    return np.where(omega2 > 0.0, t, math.nan)
+    return np.where((omega2 > 0.0) & (omega2 < math.inf) & np.isfinite(t), t, math.nan)
 
 
 def rate_dimension(p_cont: int, q: int, weight: str) -> int:

@@ -385,6 +385,20 @@ class TestDegenerateCause:
         assert info.value.cause == "no_support"
 
     @pytest.mark.parametrize("critical", CRITICALS)
+    @pytest.mark.parametrize("variance, scale", [("var_hat", 1e78), ("var_tilde", 1e75)])
+    def test_variance_overflow(self, variance, scale, critical):
+        # at this scale of y the variance overflows to inf; the test is
+        # refused, not decided on t = 0
+        d = make_dataset(5, 200, q=2)
+        d = Dataset(y=d.y * scale, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+        cfg = TestConfig(
+            bandwidths=default_bandwidths(200, 2.0), variance=variance, critical=critical, B=19
+        )
+        with pytest.raises(DegenerateStatisticError, match="overflows.*rescale y") as info:
+            run_test(d, cfg)
+        assert info.value.cause == "observed"
+
+    @pytest.mark.parametrize("critical", CRITICALS)
     @pytest.mark.parametrize("statistic", ["itilde", "lv"])
     def test_itilde_of_lone_triangles(self, statistic, critical):
         # three far-apart triangles: the two ends of each weighted pair have

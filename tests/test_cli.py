@@ -178,6 +178,31 @@ class TestCmdTest:
         assert "increase the bandwidth factor c (--c)" in err
         assert "continuous x columns need psi=normal or psi=triangular" in err
 
+    def test_variance_overflow_runtime_error(self, tmp_path, capsys):
+        # y at 1e78 overflows var_hat: one error line, no decision
+        d = generate(DgpSpec(family="continuous", n=200, q=2), np.random.default_rng(5))
+        d = Dataset(y=d.y * 1e78, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+        path = tmp_path / "big.csv"
+        save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1", "x2")))
+        args = ["test", "--data", str(path), "--y", "y", "--w", "w1,w2", "--x", "x1,x2"]
+        code = main(args + ["--seed", "1", "--asymptotic"])
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "overflows a float" in lines[0] and "rescale y" in lines[0]
+
+    def test_empty_csv_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert main(base_args(path) + ["--seed", "1"]) == EXIT_RUNTIME
+        assert "empty file" in capsys.readouterr().err
+
+    def test_missing_data_file_runtime_error(self, tmp_path, capsys):
+        assert main(base_args(tmp_path / "none.csv") + ["--seed", "1"]) == EXIT_RUNTIME
+        assert "cannot read" in capsys.readouterr().err
+
     @pytest.mark.parametrize("data", ["null.csv", "missing.csv"])
     def test_dgm_with_asymptotic_usage_error(self, null_csv, capsys, data):
         # a usage error whatever the data: it is found before they are read
@@ -269,6 +294,15 @@ class TestCmdTest:
         code = main(base_args(null_csv) + ["--config", str(cfg)])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["seed"] == 99
+
+    def test_config_colon_lines(self, null_csv, tmp_path, capsys):
+        # `key: value`, as the README documents, reads as `key = value`
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("seed: 99\nboot: 29\njson: true\n")
+        code = main(base_args(null_csv) + ["--config", str(cfg)])
+        assert code == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert (record["seed"], record["B"]) == (99, 29)
 
     def test_config_equals_file(self, null_csv, tmp_path, capsys):
         cfg = tmp_path / "run.conf"

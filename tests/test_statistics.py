@@ -417,6 +417,16 @@ class TestStandardize:
         t = studentize(np.float64(1.0), np.float64(0.0), 50, 0.3, 2)
         assert math.isnan(t)
 
+    def test_not_finite_flagged(self):
+        # a variance that overflowed to inf, or a standardized value that
+        # did, is degenerate: NaN, never 0 or inf
+        t = studentize(
+            np.array([1.0, 1.0, 1e300, math.inf, 1.0]),
+            np.array([math.inf, 4.0, 1e-300, 4.0, math.nan]),
+            50, 0.3, 2,
+        )
+        assert np.isnan(t[[0, 2, 3, 4]]).all() and math.isfinite(t[1])
+
     def test_unit_algebra(self):
         n, h, p_c, omega = 40, 0.25, 2, 1.7
         t = studentize(np.float64(omega / (n * h ** (p_c / 2))), np.float64(omega**2), n, h, p_c)
@@ -550,6 +560,16 @@ class TestFisher:
         f, reject = fisher_test(standardize(d), 0.05)
         assert math.isinf(f)
         assert reject
+
+    def test_exact_fit_without_x_does_not_reject(self):
+        # y exactly linear in (1, w): both models fit exactly, so f is 0
+        rng = np.random.default_rng(32)
+        n = 25
+        w = rng.standard_normal((n, 2))
+        y = 1.0 + w @ np.array([1.0, 2.0])
+        x = rng.standard_normal((n, 1))
+        d = Dataset(y=y, w=w, x=x, w_kinds=all_continuous(2), x_kinds=all_continuous(1))
+        assert fisher_test(standardize(d), 0.05) == (0.0, False)
 
     def test_matches_normal_equations_oracle(self):
         d = make_dataset(33, 20, q=2)
