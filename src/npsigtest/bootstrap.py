@@ -273,10 +273,12 @@ def _evaluate(eng, cfg: TestConfig, y: np.ndarray, uf: np.ndarray):
     used-variance-fallback) of a response vector, or of each row of a block
     of responses, given its leave-one-out residuals uf. A degenerate
     statistic standardizes to NaN; dgm is not studentized, so its variance
-    is NaN and its standardized value is the raw one."""
+    is NaN and its standardized value is the raw one, or NaN where that is
+    not finite (an overflow)."""
     if cfg.statistic == "dgm":
         raw = eng.statistic(uf)
-        return raw, np.full(np.shape(raw), math.nan), raw, np.zeros(np.shape(raw), dtype=bool)
+        t = np.where(np.isfinite(raw), raw, math.nan)
+        return raw, np.full(np.shape(raw), math.nan), t, np.zeros(np.shape(raw), dtype=bool)
     raw = eng.ihat(uf) if cfg.statistic == "ihat" else eng.itilde(y, uf)
     omega2 = eng.var_hat(uf) if cfg.variance == "var_hat" else eng.var_tilde(y, uf)
     fallback = (cfg.variance == "var_tilde") & (omega2 <= 0.0)
@@ -330,10 +332,12 @@ def _refusal(eng, cfg: TestConfig, raw, omega2, vanishes: bool) -> str:
             f"g = {g:.6g}, two distinct ones, so {cfg.statistic} is 0 for every "
             "response; increase the bandwidth factor c (--c)"
         )
-    if not np.isfinite([raw, omega2]).all():
+    if cfg.weight is None or not np.isfinite([raw, omega2]).all():
+        # dgm's statistic is NaN here only where it is not finite
+        what = "statistic" if cfg.weight is None else "statistic or its variance"
         return (
-            f"the {cfg.statistic} statistic or its variance overflows a float at "
-            "this scale of the response; rescale y (divide it by a constant)"
+            f"the {cfg.statistic} {what} overflows a float at this scale of the "
+            "response; rescale y (divide it by a constant)"
         )
     return "test degenerate at this bandwidth"
 
@@ -346,7 +350,9 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
     engine share its build; each test evaluates its own observed statistic.
     A smoother computed at another g than ``cfg.bandwidths.g`` is refused,
     and so is an ``itilde`` or ``lv`` test on a sample where the statistic
-    is 0 for every response (``StatEngine.itilde_vanishes``).
+    is 0 for every response (``StatEngine.itilde_vanishes``). The observed
+    statistic is taken with numpy's overflow raised, so an overflow is
+    refused at once and numpy prints no warning for it.
     """
     if sm.g != cfg.bandwidths.g:
         raise ValueError(
@@ -355,7 +361,12 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
         )
     eng = _engine(sd, sm, cfg)
     y = sd.y
-    raw, omega2, t, fallback = _evaluate(eng, cfg, y, sm.uf)
+    try:
+        with np.errstate(over="raise"):
+            raw, omega2, t, fallback = _evaluate(eng, cfg, y, sm.uf)
+    except FloatingPointError:
+        raw = omega2 = t = math.nan
+        fallback = False
     vanishes = cfg.statistic in ("itilde", "lv") and eng.itilde_vanishes()
     if np.isnan(t) or vanishes:
         if not np.any(sm.fhat > 0.0):

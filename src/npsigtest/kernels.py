@@ -23,8 +23,9 @@ the smoother's g, and the test weights at every h <= g filter those pairs.
 drop none. Every value is computed by the same elementwise formula a dense
 n-by-n build would use, so ``PairWeights.dense`` is equal to it entry for
 entry, whichever the source. An entry is looked up by its position: each
-row's entries lie in a band of the search's order, and a table of the bands
-gives an entry's place in the lists in one gather. Every loop over
+row's entries lie in a band of the search's order, and a table with a slot
+for every rank of each band, the row's own included, gives an entry's
+place in the lists after one bounds check, in one gather. Every loop over
 candidates or list terms takes about ``_CHUNK`` of them at a time (the
 triple sums in parts of whole rows), so its work arrays stay a few hundred
 kB at any n and the sums do not depend on the part size.
@@ -36,6 +37,7 @@ check every kernel value as well as every sum.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -180,10 +182,11 @@ class PairWeights:
     neighbours between them; ``rank`` is each observation's place in it.
     The entries are listed by row, and within a row by the rank of the
     column, as the search finds them, so a row's entries span a band of
-    ranks: ``index_of`` looks an entry up in a table of these bands, built
-    on first use and kept. ``block_order`` sorts the observations by
-    discrete group and first column alone; it orders the row blocks of the
-    dense triple sums (``_dense_triple_sums``) and nothing else.
+    ranks: ``index_of`` looks an entry up in a table of these bands
+    (``_band_table``), built on first use and kept. ``block_order`` sorts
+    the observations by discrete group and first column alone; it orders
+    the row blocks of the dense triple sums (``_dense_triple_sums``) and
+    nothing else.
 
     ``degree`` and ``row_sums`` (W 1) are taken from the lists once. A
     product with one vector is a gather and an ``np.bincount`` over the
@@ -192,10 +195,10 @@ class PairWeights:
     neighbourhoods are narrow it multiplies tiles: runs of ``_TILE`` rows
     in ``order``, each with only the columns its entries touch
     (``_tile_layout``). Elsewhere it multiplies the dense matrix. Either
-    is built from the lists on first use and kept; the tables behind the
-    band lookup and the tiles depend only on the entries, so weights made
-    by ``with_values`` share them. Which form a product takes is decided in
-    ``product`` and nowhere else.
+    is built from the lists on first use and kept. ``rank``, ``degree`` and
+    the tables behind the band lookup and the tiles depend only on the
+    entries, so weights made by ``with_values`` share them. Which form a
+    product takes is decided in ``product`` and nowhere else.
     """
 
     def __init__(self, n: int, rows, cols, values, order, block_order):
@@ -214,9 +217,15 @@ class PairWeights:
         self._tiled = None
 
     def with_values(self, values: np.ndarray) -> PairWeights:
-        """Weights with the same entries and new values, one per entry."""
-        out = PairWeights(self.n, self.rows, self.cols, values, self.order, self.block_order)
-        out._layouts = self._layouts
+        """Weights with the same entries and new values, one per entry. They
+        share ``rank``, ``degree`` and the band and tile tables, which
+        depend on the entries only; ``row_sums``, the dense matrix and the
+        tiles' values are their own."""
+        out = copy.copy(self)
+        out.values = values
+        out.row_sums = np.bincount(self.rows, values, self.n)
+        out._dense = None
+        out._tiled = None
         return out
 
     def squared(self) -> PairWeights:
@@ -297,44 +306,53 @@ class PairWeights:
     def _band_table(self):
         """The table behind ``index_of``, built on first use and kept.
 
-        An entry (i, j) lies d = rank[j] - rank[i] != 0 places from its row
-        in ``order``. Its step is d - 1 if d > 0, else d, which leaves no gap
-        at the row itself. A row's entries are sorted by rank, so their steps
-        span a band of consecutive integers, one slot per step, from the
-        first entry's to the last's. Returns each row's lowest step, count
-        of slots and first slot, and the place in the lists of the entry in
-        each slot (-1 in a slot with no entry, and in one more at the end).
+        A row's entries are sorted by the rank of their columns, so they lie
+        in a band of ranks, from its first entry's to its last's. The band
+        has one slot per rank, the row's own among them where it lies
+        inside: that slot, and any other rank with no entry, holds -1.
+        Entry (j, k) sits at slot ``first[j] + rank[k] - low[j]``, where
+        ``low[j]`` is the rank of row j's first column, if
+        ``0 <= rank[k] - low[j] < slots[j]``; an empty row has no slots.
+        Returns ``rank``, ``low``, ``slots``, ``first`` and the place in the
+        lists of the entry in each slot, after a first slot of -1 to which
+        a lookup outside every band is sent. Ranks and lows are int32,
+        slots uint32 (an offset viewed as unsigned makes the bounds check
+        one compare), and firsts and places int32 below 2^31 slots, which
+        covers every n the package accepts.
 
         A row's entries lie among the candidates of the search that found
         them, ranges of ``order`` in the row's strip and the strips on each
-        side, so the row has fewer slots than those ranges span. On
-        all-discrete w, where a row lists all of its group, it has as many
-        slots as entries.
+        side, so the row's slots other than its own are at most the span of
+        those ranges. On all-discrete w, where a row lists the rest of its
+        group, those slots are as many as its entries.
         """
         if "band" not in self._layouts:
             n, degree = self.n, self.degree
-            steps = self.rank[self.cols] - self.rank[self.rows]
-            steps -= steps > 0
-            starts = np.cumsum(degree) - degree
-            lowest = np.zeros(n, dtype=np.intp)
-            slots = np.zeros(n, dtype=np.intp)
-            some = degree > 0
-            lowest[some] = steps[starts[some]]
-            slots[some] = steps[starts[some] + degree[some] - 1] - lowest[some] + 1
-            first = np.cumsum(slots) - slots
-            at = np.full(int(slots.sum()) + 1, -1, dtype=np.intp)
-            at[first[self.rows] + steps - lowest[self.rows]] = np.arange(len(steps))
-            self._layouts["band"] = lowest, slots, first, at
+            rank = self.rank.astype(np.int32)
+            col_rank = np.take(rank, self.cols)
+            ends = np.cumsum(degree)
+            some = np.flatnonzero(degree)
+            low = np.zeros(n, dtype=np.int32)
+            slots = np.zeros(n, dtype=np.int32)
+            low[some] = col_rank[ends[some] - degree[some]]
+            slots[some] = col_rank[ends[some] - 1] - low[some] + 1
+            total = int(slots.sum()) + 1
+            places = np.int32 if total < 2**31 else np.intp
+            first = np.cumsum(slots, dtype=places) - slots + 1
+            at = np.full(total, -1, dtype=places)
+            at[np.repeat(first - low, degree) + col_rank] = np.arange(len(col_rank), dtype=places)
+            self._layouts["band"] = rank, low, slots.view(np.uint32), first, at
         return self._layouts["band"]
 
     def index_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The place in the lists of each entry (rows, cols), -1 where there
-        is none: one gather from ``_band_table``."""
-        lowest, slots, first, at = self._band_table()
-        steps = np.take(self.rank, cols) - np.take(self.rank, rows)
-        offset = steps - (steps > 0) - np.take(lowest, rows)
-        inside = (offset >= 0) & (offset < np.take(slots, rows)) & (steps != 0)
-        return np.take(at, np.where(inside, np.take(first, rows) + offset, -1))
+        is none: one bounds check and one gather from ``_band_table``."""
+        rank, low, slots, first, at = self._band_table()
+        offset = np.take(rank, cols) - np.take(low, rows)
+        place = np.take(first, rows) + offset
+        # a lookup outside its row's band reads the first slot, -1
+        place *= offset.view(np.uint32) < np.take(slots, rows)
+        return np.take(at, place)
 
     def triple_sums(self, a: PairWeights) -> tuple[np.ndarray, np.ndarray]:
         """The terms W_ij A_ik A_jk summed over k at each entry (i, j) of W,
@@ -344,11 +362,14 @@ class PairWeights:
         same ``block_order``; its ``order`` may differ.
 
         Over the lists this enumerates, for each entry (i, j) of W, the
-        entries (i, k) of A and looks (j, k) up in A. When that count, the
-        sum over i of deg_W(i) deg_A(i), would cost more than the dense form
-        (``_dense_triple_sums``), the sums are taken densely instead.
-        Entries of zero weight change no sum: W's are skipped, and A's give
-        zero terms over the lists and are skipped by the dense form.
+        entries (i, k) of A and looks (j, k) up in A's band table, as
+        ``index_of`` does: row j's low, slots and first slot are gathered
+        once per entry of W, and k's rank once per entry of A in the part.
+        When the count of terms, the sum over i of deg_W(i) deg_A(i), would
+        cost more than the dense form (``_dense_triple_sums``), the sums are
+        taken densely instead. Entries of zero weight change no sum: W's are
+        skipped, and A's give zero terms over the lists and are skipped by
+        the dense form.
 
         The lists are summed in parts of consecutive whole rows of W, of
         about ``_CHUNK`` terms each (a row with more is a part of its own).
@@ -361,10 +382,10 @@ class PairWeights:
         counts = np.where(self.values != 0.0, a.degree[self.rows], 0)
         if counts.sum() * _TERMS_PER_N2 > self.n**2:
             return self._dense_triple_sums(a)
+        rank, low, slots, first, at = a._band_table()
         # where each row's entries begin in the lists, and where the last ends
         w_bounds = np.append(0, np.cumsum(self.degree))
         a_bounds = np.append(0, np.cumsum(a.degree))
-        starts = a_bounds[self.rows]
         # A's values and a 0 at the end, which the place -1 (no entry) picks
         a_values = np.append(a.values, 0.0)
         at_w, at_a = np.empty(len(self.values)), np.empty(len(a.values))
@@ -372,13 +393,16 @@ class PairWeights:
         for part in _chunks(row_terms):
             w_part = slice(w_bounds[part.start], w_bounds[part.stop])
             a_part = slice(a_bounds[part.start], a_bounds[part.stop])
-            count = counts[w_part]
+            count, j = counts[w_part], self.cols[w_part]
             entry = np.repeat(np.arange(len(count)), count)
-            ik = _ranges(starts[w_part], count)
-            terms = self.values[w_part][entry] * a.values[ik]
-            terms *= a_values[a.index_of(self.cols[w_part][entry], a.cols[ik])]
+            # each term's entry (i, k) of A, counted from the part's first
+            ik = _ranges(a_bounds[self.rows[w_part]] - a_part.start, count)
+            terms = np.repeat(self.values[w_part], count) * a.values[a_part][ik]
+            offset = np.take(rank, a.cols[a_part])[ik] - np.repeat(low[j], count)
+            place = np.repeat(first[j], count) + offset
+            place *= offset.view(np.uint32) < np.repeat(slots[j], count)
+            terms *= np.take(a_values, np.take(at, place))
             at_w[w_part] = np.bincount(entry, terms, len(count))
-            ik -= a_part.start
             at_a[a_part] = np.bincount(ik, terms, a_part.stop - a_part.start)
         return at_w, at_a
 
@@ -432,12 +456,27 @@ def _sq_norms(diff: np.ndarray) -> np.ndarray:
 
 
 def _sq_dists(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance between rows i and j of a, pair by pair
-    (``np.take`` gathers rows several times faster than ``a[i]``, but
-    slower than ``np.zeros`` when a has no columns)."""
+    """Squared Euclidean distance between rows i and j of a, pair by pair.
+    Up to two columns, a column at a time: two squares add up to the same
+    sum in either order, so this equals ``_sq_norms`` of the differences,
+    and gathering single columns with ``np.take`` is about twice as fast as
+    gathering rows."""
+    if a.shape[1] > 2:
+        diff = np.take(a, i, axis=0)
+        diff -= np.take(a, j, axis=0)
+        return _sq_norms(diff)
     if not a.shape[1]:
         return np.zeros(len(i))
-    return _sq_norms(np.take(a, i, axis=0) - np.take(a, j, axis=0))
+    sq = None
+    for column in a.T:
+        diff = np.take(column, i)
+        diff -= np.take(column, j)
+        diff *= diff
+        if sq is None:
+            sq = diff
+        else:
+            sq += diff
+    return sq
 
 
 def _slack(bandwidth: float, column: np.ndarray) -> float:
@@ -542,12 +581,20 @@ def mixed_kernel_matrix(
     scale = bandwidth ** (-p_c)
     found = []
     for i, j in candidates:
-        sq = _sq_dists(cont, i, j) / (bandwidth * bandwidth)
+        sq = _sq_dists(cont, i, j)
+        sq /= bandwidth * bandwidth
+        inside = sq < 1.0
+        if within is None:  # the window holds each row itself; L does not
+            inside &= i != j
         # the places of the kept candidates: where few are kept, as in a
         # window on one of several continuous columns, gathering these is
         # several times faster than masking with a boolean array
-        keep = np.flatnonzero((sq < 1.0) & (i != j))
-        found.append((i[keep], j[keep], _epanechnikov_of_sqnorm(sq[keep]) * scale))
+        keep = np.flatnonzero(inside)
+        # the kernel where s < 1, (1 - s) 0.75 h^(-p_c), in place
+        value = np.subtract(1.0, sq[keep])
+        value *= 0.75
+        value *= scale
+        found.append((i[keep], j[keep], value))
     i, j, values = (np.concatenate(v) for v in zip(*found))
     return PairWeights(n, i, j, values, order, block_order)
 

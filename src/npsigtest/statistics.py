@@ -47,8 +47,9 @@ _FRACTION_MAX_TERMS = 10_000
 class DegenerateStatisticError(RuntimeError):
     """Raised when a test cannot be standardized (a variance that is not
     positive and finite, or a standardized value that is not finite), when
-    ``itilde`` is 0 for every response (``StatEngine.itilde_vanishes``) or,
-    for the F-test, when its design matrix is rank deficient.
+    ``dgm``'s statistic is not finite, when ``itilde`` is 0 for every
+    response (``StatEngine.itilde_vanishes``) or, for the F-test, when its
+    design matrix is rank deficient.
 
     ``cause`` names what was degenerate: ``"observed"``, the statistic of the
     data; ``"no_support"``, the same when the design density estimate fhat is

@@ -2,6 +2,7 @@
 against its dense arrangement sums, and the causes of degenerate tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -383,6 +384,29 @@ class TestDegenerateCause:
         with pytest.raises(DegenerateStatisticError, match="test degenerate") as info:
             run_test(d, cfg)
         assert info.value.cause == "no_support"
+
+    def test_dgm_draws_that_overflow_are_degenerate(self):
+        # y times 2^k scales dgm's statistic and draws by exactly 4^k. At
+        # the first k where a draw overflows, the observed statistic stays
+        # finite; the draws that overflow are counted as degenerate and
+        # dropped, and the others are kept, scaled
+        d = make_dataset(5, 200, q=2)
+        cfg = TestConfig(bandwidths=default_bandwidths(200, 2.0), statistic="dgm", B=99)
+        base = run_test(d, cfg)
+        assert base.diagnostics["degenerate_draws"] == 0
+        k = 0
+        while not np.any(base.bootstrap_draws > sys.float_info.max / 4.0**k):
+            k += 1
+        over = base.bootstrap_draws > sys.float_info.max / 4.0**k
+        assert base.raw <= sys.float_info.max / 4.0**k
+        assert 0 < over.sum() <= MAX_DEGENERATE_DRAW_FRACTION * cfg.B
+        scaled = Dataset(
+            y=d.y * 2.0**k, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds
+        )
+        got = run_test(scaled, cfg)
+        assert got.diagnostics["degenerate_draws"] == over.sum()
+        assert np.array_equal(got.bootstrap_draws, base.bootstrap_draws[~over] * 4.0**k)
+        assert got.raw == base.raw * 4.0**k
 
     @pytest.mark.parametrize("critical", CRITICALS)
     @pytest.mark.parametrize("variance, scale", [("var_hat", 1e78), ("var_tilde", 1e75)])

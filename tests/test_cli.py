@@ -193,6 +193,37 @@ class TestCmdTest:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "overflows a float" in lines[0] and "rescale y" in lines[0]
 
+    @pytest.mark.parametrize(
+        "extra, statistic",
+        [
+            (["--stat", "dgm", "--boot", "19"], "dgm statistic"),
+            (["--asymptotic"], "itilde statistic or its variance"),
+            (["--asymptotic", "--variance", "var_tilde"], "itilde statistic or its variance"),
+        ],
+    )
+    def test_overflow_is_one_error_line(self, tmp_path, extra, statistic):
+        # y at 1e300 overflows dgm's statistic, var_hat's uf * uf and
+        # var_tilde's y * y: refused with exit 1 and the error line alone on
+        # stderr, no numpy warning before it, and not decided on inf > inf.
+        # A fresh process, so that no warning filter of the tests applies
+        d = generate(DgpSpec(family="continuous", n=200, q=2), np.random.default_rng(5))
+        d = Dataset(y=d.y * 1e300, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+        path = tmp_path / "huge.csv"
+        save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1", "x2")))
+        args = ["test", "--data", str(path), "--y", "y", "--w", "w1,w2", "--x", "x1,x2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "npsigtest.cli", *args, "--seed", "1", *extra],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_RUNTIME
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: the {statistic} overflows a float at this scale of the response; "
+            "rescale y (divide it by a constant)\n"
+        )
+
     def test_empty_csv_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")

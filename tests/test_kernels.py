@@ -371,6 +371,14 @@ class TestPairLists:
             assert np.array_equal(values, W.dense().ravel())
 
 
+def slots_besides_own(W):
+    """Each row's slots in ``W``'s band table, less the row's own rank
+    where its band holds it."""
+    rank, low, slots, _, _ = W._band_table()
+    own = (rank - low).view(np.uint32) < slots
+    return slots.astype(np.intp) - own
+
+
 class TestBandTable:
     """``index_of`` looks entries up by position in a table of each row's
     band of ranks, which is never larger than the search that found them."""
@@ -378,10 +386,11 @@ class TestBandTable:
     @pytest.mark.parametrize("p_c, p_d", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 2)])
     @pytest.mark.parametrize("bandwidth", [0.2, 0.7])
     def test_slots_at_most_the_first_column_window(self, p_c, p_d, bandwidth):
-        # a row's slots are at most the span in the lists' order of the
-        # window search's candidates at the same bandwidth, which hold its
-        # entries and the row itself; with one strip (one continuous w
-        # column) that window is one range of the first column
+        # a row's slots other than its own are at most the span in the
+        # lists' order of the window search's candidates at the same
+        # bandwidth, which hold its entries and the row itself; with one
+        # strip (one continuous w column) that window is one range of the
+        # first column
         rng = np.random.default_rng(29)
         n = 400
         cont = rng.standard_normal((n, p_c))
@@ -395,7 +404,7 @@ class TestBandTable:
             np.minimum.at(lowest, i, W.rank[j])
             np.maximum.at(highest, i, W.rank[j])
             span = highest - lowest
-            slots = W._band_table()[1]
+            slots = slots_besides_own(W)
             assert np.all(slots <= span)
             assert slots.sum() <= span.sum()
 
@@ -403,7 +412,49 @@ class TestBandTable:
         rng = np.random.default_rng(31)
         disc = rng.integers(0, 3, size=(300, 2)).astype(float)
         W = mixed_kernel_matrix(np.empty((300, 0)), disc, 0.5)
-        assert W._band_table()[1].sum() == len(W.values)
+        assert slots_besides_own(W).sum() == len(W.values)
+
+    def test_lookups_equal_a_dict(self):
+        # on one first column with ties, a row's band holds the row when it
+        # has neighbours on both sides and not when they lie on one side;
+        # an isolated observation has an empty row. Both the search and the
+        # filter, whose bands have gaps, are looked up for every (row, col)
+        first = np.array([0.0, 0.0, 0.0, 0.3, 0.3, 0.6, 5.0, 9.0, 9.2, 9.2, 9.4, 20.0, 20.0])
+        n = len(first)
+        cont = np.column_stack([first, 0.05 * np.random.default_rng(41).standard_normal(n)])
+        searched = mixed_kernel_matrix(cont, np.zeros((n, 0)), 0.5)
+        filtered = mixed_kernel_matrix(cont, np.zeros((n, 0)), 0.25, within=searched)
+        rows, cols = (a.ravel() for a in np.indices((n, n)))
+        for W in (searched, filtered):
+            rank, low, slots, _, _ = W._band_table()
+            own = (rank - low).view(np.uint32) < slots
+            assert own.any() and (~own & (W.degree > 0)).any() and (W.degree == 0).any()
+            place = {(i, j): k for k, (i, j) in enumerate(zip(W.rows, W.cols))}
+            want = np.array([place.get(pair, -1) for pair in zip(rows, cols)])
+            assert np.array_equal(W.index_of(rows, cols), want)
+
+
+class TestWithValues:
+    def test_shares_the_entries_tables_not_the_values(self):
+        # rank, degree and the band and tile tables depend on the entries
+        # only; the row sums, the dense matrix and the tiles' values are
+        # the new values', so a block product after with_values uses them
+        rng = np.random.default_rng(43)
+        n = 200
+        cont = rng.standard_normal((n, 2))
+        y = rng.standard_normal((5, n))
+        for volume in (0, math.inf):  # tiles, then the dense matrix
+            with mock.patch.object(kernels, "_VOLUME_PER_N2", volume):
+                W = mixed_kernel_matrix(cont, np.zeros((n, 0)), 0.6)
+                W.index_of(W.rows, W.cols)
+                before = W.product(y)
+                V = W.with_values(2.0 * W.values)
+                assert V.rank is W.rank and V.degree is W.degree
+                assert V._layouts is W._layouts
+                assert V._dense is None and V._tiled is None
+                assert np.array_equal(V.row_sums, 2.0 * W.row_sums)
+                assert np.array_equal(V.product(y), 2.0 * before)
+                assert np.array_equal(W.product(y), before)
 
 
 class TestSearchesPerSample:

@@ -309,6 +309,44 @@ class TestTripleSumParts:
     """The list form of the triple sums runs in parts of whole rows of W,
     of about ``_CHUNK`` terms each."""
 
+    @staticmethod
+    def clustered_weights():
+        """300 spread observations with a few neighbours each, and a tight
+        cluster of 40 whose rows have 39 * 39 terms each."""
+        rng = np.random.default_rng(53)
+        cont = np.vstack([20.0 * rng.random((300, 2)), 30.0 + 1e-3 * rng.standard_normal((40, 2))])
+        W = kernels.mixed_kernel_matrix(cont, np.zeros((340, 0)), 0.5)
+        A = kernels.mixed_kernel_matrix(cont, np.zeros((340, 0)), 0.7)
+        return W, A
+
+    @pytest.mark.parametrize("budget", [1, 97, kernels._CHUNK])
+    @pytest.mark.parametrize("design", ["clustered", "zeros"])
+    def test_equal_to_sequential_sums(self, monkeypatch, design, budget):
+        # each sum is taken term by term in list order, W's entries of
+        # zero weight skipped: for each entry (i, j) of W in turn, and each
+        # entry (i, k) of A in turn, (W_ij * A_ik) * A_jk is added to the
+        # sums of (i, j) and (i, k), A_jk read from a dict (0 where A has
+        # no such entry). Any other order of the additions fails here
+        if design == "clustered":
+            W, A = self.clustered_weights()
+        else:
+            W, A = TestZeroWeightEntries.weights_with_zeros()
+        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0)
+        monkeypatch.setattr(kernels, "_CHUNK", budget)
+        at_w, at_a = W.triple_sums(A)
+        a_rows, a_cols, a_values = A.rows.tolist(), A.cols.tolist(), A.values.tolist()
+        a_at = dict(zip(zip(a_rows, a_cols), a_values))
+        a_start = (np.cumsum(A.degree) - A.degree).tolist()
+        want_w, want_a = [0.0] * len(W.values), [0.0] * len(a_values)
+        for e, (i, j, w) in enumerate(zip(W.rows.tolist(), W.cols.tolist(), W.values.tolist())):
+            if w == 0.0:
+                continue
+            for ik in range(a_start[i], a_start[i] + int(A.degree[i])):
+                term = (w * a_values[ik]) * a_at.get((j, a_cols[ik]), 0.0)
+                want_w[e] += term
+                want_a[ik] += term
+        assert np.array_equal(at_w, want_w) and np.array_equal(at_a, want_a)
+
     def test_equal_at_every_budget(self, monkeypatch):
         # 300 spread observations with a few neighbours each, and a tight
         # cluster of 40 whose rows have 39 * 39 terms each: more than a
@@ -316,10 +354,7 @@ class TestTripleSumParts:
         # budget; the last budget takes everything in one part. Every term
         # of an entry of W or of A comes from one row of W, so each sum is
         # the same one-pass sum whatever the budget
-        rng = np.random.default_rng(53)
-        cont = np.vstack([20.0 * rng.random((300, 2)), 30.0 + 1e-3 * rng.standard_normal((40, 2))])
-        W = kernels.mixed_kernel_matrix(cont, np.zeros((340, 0)), 0.5)
-        A = kernels.mixed_kernel_matrix(cont, np.zeros((340, 0)), 0.7)
+        W, A = self.clustered_weights()
         monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0)
         row_terms = np.bincount(W.rows, A.degree[W.rows], W.n)
         assert row_terms.max() > 97 and row_terms.sum() > 2 * kernels._CHUNK
