@@ -311,7 +311,29 @@ def run_test(d: Dataset, cfg: TestConfig) -> TestResult:
     return decide_scaled(sd, sm, cfg)
 
 
-def _refusal(eng, cfg: TestConfig, raw, omega2, vanishes: bool) -> str:
+def _underflow(eng, cfg: TestConfig, y: np.ndarray, uf: np.ndarray) -> str | None:
+    """The refusal of an observed test that is degenerate (for dgm: whose
+    statistic is 0) only at this scale of the response, else None. The test
+    is evaluated again on y and uf times the power of two that brings y's
+    spread, its range, into [0.5, 1); that product is exact."""
+    with np.errstate(over="ignore"):
+        spread = float(np.ptp(y))
+    k = -math.frexp(spread)[1]  # 0 for a range of 0 or inf
+    if k == 0:
+        return None
+    with np.errstate(all="ignore"):
+        raw, _, t, _ = _evaluate(eng, cfg, np.ldexp(y, k), np.ldexp(uf, k))
+    degenerate = raw == 0.0 if cfg.statistic == "dgm" else np.isnan(t)
+    if degenerate:
+        return None
+    what = "statistic" if cfg.weight is None else "statistic or its variance"
+    return (
+        f"the {cfg.statistic} {what} underflows a float at this scale of the "
+        f"response (y spans {spread:.6g}); rescale y (multiply it by a constant)"
+    )
+
+
+def _refusal(eng, cfg: TestConfig, y, uf, raw, omega2, vanishes: bool) -> str:
     """Why the observed statistic decides no test, and what to change."""
     h, g = cfg.bandwidths.h, cfg.bandwidths.g
     if cfg.weight is not None and not eng.M.values.any():
@@ -339,7 +361,7 @@ def _refusal(eng, cfg: TestConfig, raw, omega2, vanishes: bool) -> str:
             f"the {cfg.statistic} {what} overflows a float at this scale of the "
             "response; rescale y (divide it by a constant)"
         )
-    return "test degenerate at this bandwidth"
+    return _underflow(eng, cfg, y, uf) or "test degenerate at this bandwidth"
 
 
 def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResult:
@@ -352,7 +374,10 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
     and so is an ``itilde`` or ``lv`` test on a sample where the statistic
     is 0 for every response (``StatEngine.itilde_vanishes``). The observed
     statistic is taken with numpy's overflow raised, so an overflow is
-    refused at once and numpy prints no warning for it.
+    refused at once and numpy prints no warning for it. A test that would be
+    refused as degenerate, or a dgm statistic of exactly 0, is evaluated
+    again on the response rescaled by a power of two (``_underflow``); if
+    that one is not degenerate, the refusal names the scale of y.
     """
     if sm.g != cfg.bandwidths.g:
         raise ValueError(
@@ -371,7 +396,11 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
     if np.isnan(t) or vanishes:
         if not np.any(sm.fhat > 0.0):
             raise DegenerateStatisticError("test degenerate at this bandwidth", cause="no_support")
-        raise DegenerateStatisticError(_refusal(eng, cfg, raw, omega2, vanishes), cause="observed")
+        raise DegenerateStatisticError(
+            _refusal(eng, cfg, y, sm.uf, raw, omega2, vanishes), cause="observed"
+        )
+    if cfg.statistic == "dgm" and raw == 0.0 and (message := _underflow(eng, cfg, y, sm.uf)):
+        raise DegenerateStatisticError(message, cause="observed")
     t = float(t)
     diagnostics = {"fallback_used": bool(fallback), "fhat_zeros": int(np.sum(sm.fhat <= 0.0))}
 

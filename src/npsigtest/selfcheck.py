@@ -71,11 +71,11 @@ def oracle_case(seed: int, n: int, q: int, psi_family: str):
     return data, sd, sm, bw, tables
 
 
-def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
+def check_oracle_equivalence(seeds) -> tuple[str, bool, str]:
     """Fast paths match enumeration oracles at 1e-10 relative, each on a
     vector and on the same vector stacked twice as rows (the bootstrap's
-    shape)."""
-    families = ("normal", "triangular", "indicator")
+    shape), at n = 6, 8 and 10."""
+    families, sizes = ("normal", "triangular", "indicator"), (6, 8, 10)
     for si, seed in enumerate(seeds):
         for n in sizes:
             q = 1 + (si % 2)
@@ -107,11 +107,10 @@ def check_oracle_equivalence(seeds, sizes=(6, 8, 10)) -> tuple[str, bool, str]:
     return ("oracle-equivalence", True, f"{len(seeds)} seeds x {len(sizes)} sizes")
 
 
-def check_decomposition_identity(
-    seeds, n: int = 8, v2_coefficient: float = 2.0
-) -> tuple[str, bool, str]:
+def check_decomposition_identity(seeds, v2_coefficient: float = 2.0) -> tuple[str, bool, str]:
     """Enumerated four-distinct-index total equals the enumerated pair total
-    minus its coinciding-index sums (both sides brute force)."""
+    minus its coinciding-index sums (both sides brute force), at n = 8."""
+    n = 8
     for si, seed in enumerate(seeds):
         psi_family = ("normal", "triangular", "indicator")[si % 3]
         tables = oracle_case(seed, n, 1 + si % 2, psi_family)[-1]
@@ -160,8 +159,10 @@ def multiplier_moment_exact(k: int) -> _Q5:
     return p_low * low.pow(k) + p_high * high.pow(k)
 
 
-def check_multiplier_moments(seed: int = 20240, ndraws: int = 1_000_000):
-    """Exact moments (0, 1, 1) and empirical moments within 4 standard errors."""
+def check_multiplier_moments():
+    """Exact moments (0, 1, 1), and empirical moments of a million draws
+    within 4 standard errors."""
+    seed, ndraws = 20240, 1_000_000
     for k, expected in ((1, _Q5(0)), (2, _Q5(1)), (3, _Q5(1))):
         if multiplier_moment_exact(k) != expected:
             return ("multiplier-moments", False, f"exact moment {k} wrong")
@@ -191,8 +192,9 @@ def _tn(data: Dataset) -> float:
     return run_test(data, cfg).standardized
 
 
-def check_invariances(seed: int = 7, n: int = 50) -> tuple[str, bool, str]:
+def check_invariances() -> tuple[str, bool, str]:
     """Shift/scale/permutation/rescaling invariances of the statistics at n=50."""
+    seed, n = 7, 50
     data = random_dataset(seed, n, q=2)
     sd = standardize(data)
     bw = default_bandwidths(n, 2.0)

@@ -85,9 +85,11 @@ def rate_dimension(p_cont: int, q: int, weight: str) -> int:
 
 def check_bandwidth(h: float, rate_dim: int) -> None:
     """Refuse a test bandwidth h at which h**k or h**-k overflows a float,
-    k = max(rate_dim, 2): an engine of that rate dimension takes powers of h
-    up to the k-th, and divides by h * h."""
-    k = max(rate_dim, 2)
+    k = max(2 rate_dim, 2): an engine of that rate dimension divides by
+    h * h, and its M∘M carries h**-(2 rate_dim), which overflows where h is
+    small and falls below the normal floats where h**(2 rate_dim)
+    overflows."""
+    k = max(2 * rate_dim, 2)
     for power in (k, -k):
         try:
             h**power

@@ -42,7 +42,7 @@ def report(num, name, detail):
 
 def test_criterion_1_oracle_equivalence():
     t0 = time.perf_counter()
-    name, ok, detail = check_oracle_equivalence(seeds=list(range(1, 51)), sizes=(6, 8, 10))
+    name, ok, detail = check_oracle_equivalence(seeds=list(range(1, 51)))
     elapsed = time.perf_counter() - t0
     assert ok, detail
     assert elapsed < 30.0, f"oracle battery took {elapsed:.1f}s (budget 30s)"
@@ -51,7 +51,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_decomposition_identity():
     t0 = time.perf_counter()
-    name, ok, detail = check_decomposition_identity(seeds=list(range(100, 150)), n=8)
+    name, ok, detail = check_decomposition_identity(seeds=list(range(100, 150)))
     elapsed = time.perf_counter() - t0
     assert ok, detail
     assert elapsed < 10.0, f"decomposition battery took {elapsed:.1f}s (budget 10s)"
@@ -60,7 +60,7 @@ def test_criterion_2_decomposition_identity():
 
 def test_criterion_3_multiplier_law():
     t0 = time.perf_counter()
-    name, ok, detail = check_multiplier_moments(seed=20240, ndraws=1_000_000)
+    name, ok, detail = check_multiplier_moments()
     elapsed = time.perf_counter() - t0
     assert ok, detail
     assert elapsed < 5.0, f"multiplier checks took {elapsed:.1f}s (budget 5s)"
@@ -191,7 +191,7 @@ def test_criterion_6_power_ordering():
 
 def test_criterion_7_invariance_suite():
     t0 = time.perf_counter()
-    name, ok, detail = check_invariances(seed=7, n=50)
+    name, ok, detail = check_invariances()
     elapsed = time.perf_counter() - t0
     assert ok, detail
     assert elapsed < 10.0

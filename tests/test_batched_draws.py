@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from npsigtest import bootstrap
@@ -29,7 +29,10 @@ from npsigtest.selfcheck import ABS_TOL, REL_TOL, close
 from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import CvmEngine, DegenerateStatisticError, StatEngine
 
-from conftest import explicit_multipliers, make_dataset, wide_case
+from conftest import explicit_multipliers, make_dataset, record_forms, wide_case
+
+# every test runs in each form of the pair-weight sums (conftest.FORMS)
+pytestmark = pytest.mark.usefixtures("form")
 
 
 def fsum_dot(a, b):
@@ -182,8 +185,11 @@ def bootstrap_cases(draw):
 
 
 class TestBatchedAgainstPerDraw:
+    # one run per form, each from its own instance of the class
     @given(bootstrap_cases())
-    @settings(max_examples=150, deadline=None)
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.differing_executors]
+    )
     def test_draws_and_counts_match(self, case):
         data, cfg = case
         sd = standardize(data)
@@ -228,6 +234,17 @@ def count_scatters(monkeypatch):
 
 
 class TestDrawBlocks:
+    def test_the_form_is_taken(self, form, monkeypatch):
+        # a bootstrap test at n = 25: the chosen form takes the dense
+        # triple sums and dense block products, the forced form the lists
+        # and the tiles
+        taken = record_forms(monkeypatch)
+        _, sd, sm, bw = wide_case()
+        decide_scaled(sd, sm, TestConfig(bandwidths=bw, variance="var_tilde", B=DRAW_BLOCK))
+        forced = form == "forced"
+        assert taken["triples"] == ["lists" if forced else "dense"]
+        assert taken["products"] == {"tiles" if forced else "dense"}
+
     def test_blocks_do_not_change_the_draws(self):
         # the first 199 draws of B = 300 are the B = 199 run's, although the
         # last block of 199 draws is partial and the same draws of 300 are not
@@ -238,6 +255,7 @@ class TestDrawBlocks:
         assert len(long.bootstrap_draws) == 300
         assert np.allclose(long.bootstrap_draws[:199], short.bootstrap_draws, rtol=1e-12, atol=0)
 
+    @pytest.mark.chosen_form_only  # counts the dense forms' scatters
     def test_scatters_do_not_grow_with_the_blocks(self, monkeypatch):
         # each dense n-by-n scatter is made once per test, not once per
         # block of draws: B = 64 is one block and B = 199 four
@@ -343,6 +361,7 @@ class TestItildeOperator:
         assert eng.var_tilde(y[0], uf[0]) == 0.0
         assert np.array_equal(eng.var_tilde(y, uf), np.zeros(5))
 
+    @pytest.mark.chosen_form_only  # counts the dense forms' scatters
     def test_asymptotic_test_never_builds_the_operator(self, monkeypatch):
         # a test without a bootstrap sums every statistic over the lists
         # and scatters no dense n-by-n matrix; a bootstrap test does

@@ -244,15 +244,65 @@ class TestCmdTest:
         assert err.startswith("error: --stat/--asymptotic: ")
         assert "use bootstrap critical values" in err
 
-    @pytest.mark.parametrize("c, power", [("1e300", "h**2"), ("1e-300", "h**-2")])
+    @pytest.mark.parametrize("c, power", [("1e300", "h**4"), ("1e-300", "h**-4")])
     def test_overflowing_bandwidth_factor_is_refused(self, null_csv, capsys, c, power):
-        # h**2 or h**-2 would overflow a float: refused with a message, not
-        # an OverflowError past main
+        # h**4 or h**-4 (M∘M's power of h on two continuous w columns) would
+        # overflow a float: refused with a message, not an OverflowError
+        # past main
         code = main(base_args(null_csv) + ["--seed", "1", "--asymptotic", "--c", c])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: the test bandwidth h = ")
         assert f"{power} overflows a float" in err and "bandwidth factor c (--c" in err
+
+    @pytest.mark.parametrize("variance", ["var_hat", "var_tilde"])
+    def test_bandwidth_overflowing_the_squared_weights_is_refused(self, tmp_path, capsys, variance):
+        # w rows in 30 identical pairs: at c = 1e-80 each pair weighs
+        # 0.75 h**-2, finite, but M∘M holds h**-4, which overflows. Refused
+        # before any weight is built, with the one error line naming h and
+        # --c, not y; at c = 1e-60 the test decides
+        d = generate(DgpSpec(family="continuous", n=60, q=1), np.random.default_rng(1))
+        w = d.w.copy()
+        w[1::2] = w[0::2]
+        path = tmp_path / "pairs.csv"
+        d = Dataset(y=d.y, w=w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+        save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1",)))
+        args = base_args(path) + ["--seed", "1", "--asymptotic", "--variance", variance]
+        assert main(args + ["--c", "1e-80"]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the test bandwidth h = 2.38587e-81 is out of range: h**-4 overflows a "
+            "float; choose a larger bandwidth factor c (--c, or --cs of simulate)\n"
+        )
+        assert main(args + ["--c", "1e-60"]) in (EXIT_OK, EXIT_REJECT)
+
+    @pytest.mark.parametrize(
+        "scale, extra, statistic",
+        [
+            (1e-80, ["--asymptotic"], "itilde statistic or its variance"),
+            (1e-80, ["--asymptotic", "--variance", "var_tilde"], "itilde statistic or its variance"),
+            (1e-80, ["--boot", "19"], "itilde statistic or its variance"),
+            (1e-80, ["--boot", "19", "--variance", "var_tilde"], "itilde statistic or its variance"),
+            (1e-300, ["--stat", "dgm", "--boot", "19"], "dgm statistic"),
+        ],
+    )
+    def test_underflow_names_the_scale_of_y(self, tmp_path, capsys, scale, extra, statistic):
+        # at this scale of y the variance, or dgm's statistic, underflows to
+        # 0: refused with the one error line naming y's scale, not the
+        # bandwidth, and dgm is not decided on 0
+        d = generate(DgpSpec(family="continuous", n=200, q=2), np.random.default_rng(5))
+        d = Dataset(y=d.y * scale, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+        path = tmp_path / "tiny.csv"
+        save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1", "x2")))
+        args = ["test", "--data", str(path), "--y", "y", "--w", "w1,w2", "--x", "x1,x2"]
+        assert main(args + ["--seed", "1", *extra]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the {statistic} underflows a float at this scale of the response "
+            f"(y spans {float(np.ptp(d.y)):.6g}); rescale y (multiply it by a constant)\n"
+        )
 
     def test_asymptotic_flag(self, null_csv, capsys):
         code = main(base_args(null_csv) + ["--seed", "99", "--asymptotic", "--json"])
@@ -474,10 +524,10 @@ class TestCmdSimulate:
     @pytest.mark.parametrize(
         "cs, tests, refused",
         [
-            ("1e300", "lmp", "test lmp: the test bandwidth h = 3.50461e+299 is out of range: h**2"),
-            ("1e-300", "dgm,lmp", "test lmp: the test bandwidth h = 3.50461e-301 is out of range: h**-2"),
-            # lv takes powers of h up to p + q = 2 + 5
-            ("2,1e-60", "lmp,lv", "test lv: the test bandwidth h = 3.50461e-61 is out of range: h**-7"),
+            ("1e300", "lmp", "test lmp: the test bandwidth h = 3.50461e+299 is out of range: h**4"),
+            ("1e-300", "dgm,lmp", "test lmp: the test bandwidth h = 3.50461e-301 is out of range: h**-4"),
+            # lv's M∘M carries h**-2(p + q), p + q = 2 + 5
+            ("2,1e-60", "lmp,lv", "test lv: the test bandwidth h = 3.50461e-61 is out of range: h**-14"),
         ],
     )
     def test_overflowing_bandwidth_factor_usage_error(self, tmp_path, capsys, cs, tests, refused):

@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +24,7 @@ from npsigtest.simulation import Cell, DgpSpec, ExperimentConfig, run_experiment
 from npsigtest.smoother import compute_smoother
 from npsigtest.statistics import StatEngine
 
-from conftest import make_dataset
-
-TESTS = os.path.dirname(os.path.abspath(__file__))
+from conftest import force_forms, make_dataset
 
 
 def all_pairs(n):
@@ -292,7 +286,7 @@ class TestPairLists:
         n, bandwidth = 300, 0.6
         cont = rng.standard_normal((n, p_c))
         disc = rng.integers(0, 3, size=(n, p_d)).astype(float)
-        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        force_forms(monkeypatch, chunk=chunk)
         W = mixed_kernel_matrix(cont, disc, bandwidth)
         assert np.all(np.diff(W.rows * n + W.rank[W.cols]) > 0)
         dense = dense_w_kernel(cont, disc, bandwidth)
@@ -339,7 +333,8 @@ class TestPairLists:
             disc[(disc[:, 0] == 0.0) & (rng.random(n) < 0.5), 0] = -0.0
         copies = rng.integers(0, n, size=(min(duplicates, n // 2), 2))
         cont[copies[:, 0]], disc[copies[:, 0]] = cont[copies[:, 1]], disc[copies[:, 1]]
-        with mock.patch.object(kernels, "_CHUNK", chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            force_forms(patch, chunk=chunk)
             L = mixed_kernel_matrix(cont, disc, g)
             filtered = mixed_kernel_matrix(cont, disc, h, within=L)
             searched = mixed_kernel_matrix(cont, disc, h)
@@ -443,8 +438,9 @@ class TestWithValues:
         n = 200
         cont = rng.standard_normal((n, 2))
         y = rng.standard_normal((5, n))
-        for volume in (0, math.inf):  # tiles, then the dense matrix
-            with mock.patch.object(kernels, "_VOLUME_PER_N2", volume):
+        for products in ("tiles", "dense"):
+            with pytest.MonkeyPatch.context() as patch:
+                force_forms(patch, products=products)
                 W = mixed_kernel_matrix(cont, np.zeros((n, 0)), 0.6)
                 W.index_of(W.rows, W.cols)
                 before = W.product(y)
@@ -499,7 +495,7 @@ class TestSearchesPerSample:
 @pytest.fixture
 def tiles_forced(monkeypatch):
     """Every block product takes the tiles, at any n."""
-    monkeypatch.setattr(kernels, "_VOLUME_PER_N2", 0)
+    force_forms(monkeypatch, products="tiles")
 
 
 def product_form(W):
@@ -582,26 +578,3 @@ class TestTiledProducts:
             tracemalloc.stop()
         assert dense == []
         assert peak < 2.0 * 8 * n * n
-
-    def test_oracle_and_batched_suites_with_tiles_forced(self):
-        # the oracles at 1e-10 and the batched draws against the per-draw
-        # path, with every block product (n = 6 to 100 there) through tiles;
-        # the two tests that count dense scatters do not apply
-        batched = "tests/test_batched_draws.py"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(TESTS), "src"), TESTS, env.get("PYTHONPATH", "")]
-        )
-        run = subprocess.run(
-            [
-                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                "-p", "tiles_forced", "tests/test_statistics.py", batched,
-                "--deselect",
-                f"{batched}::TestDrawBlocks::test_scatters_do_not_grow_with_the_blocks",
-                "--deselect",
-                f"{batched}::TestItildeOperator::test_asymptotic_test_never_builds_the_operator",
-            ],
-            env=env, capture_output=True, text=True, cwd=os.path.dirname(TESTS),
-        )
-        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
-        assert "2 deselected" in run.stdout

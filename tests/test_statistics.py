@@ -21,7 +21,7 @@ from npsigtest.oracles import (
     oracle_var_tilde_nested,
 )
 from npsigtest.selfcheck import close, oracle_case, random_dataset
-from npsigtest.smoother import compute_smoother
+from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import (
     CvmEngine,
     DegenerateStatisticError,
@@ -31,7 +31,10 @@ from npsigtest.statistics import (
     studentize,
 )
 
-from conftest import make_dataset
+from conftest import force_forms, make_dataset, record_forms
+
+# every test runs in each form of the pair-weight sums (conftest.FORMS)
+pytestmark = pytest.mark.usefixtures("form")
 
 
 def constant_response_case(n=8):
@@ -55,6 +58,23 @@ def close_in_both_shapes(method, args, want):
 
 
 class TestOracleEquivalence:
+    def test_the_form_is_taken(self, form, monkeypatch):
+        # at the oracles' n the chosen form takes the dense triple sums and
+        # dense block products, and the forced form the lists and the
+        # tiles: a fork that stopped reading its constant would make the
+        # forced form test the chosen one again
+        taken = record_forms(monkeypatch)
+        _, sd, sm, bw, _ = oracle_case(1, 8, 1, "normal")
+        eng = StatEngine(sd, sm, bw.h)
+        rows = np.stack([sd.y, sd.y[::-1]])
+        ufs = recompute_uf(sm.pairwise, rows)
+        eng.itilde(rows, ufs)
+        eng.var_hat(ufs)
+        eng.var_tilde(rows, ufs)
+        forced = form == "forced"
+        assert taken["triples"] == ["lists" if forced else "dense"]
+        assert taken["products"] == {"tiles" if forced else "dense"}
+
     @pytest.mark.parametrize("n", [6, 8, 10])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_battery(self, seed, n):
@@ -117,14 +137,15 @@ class TestOracleEquivalence:
         assert abs(fast - exact) <= 5.0 * scale
 
 
-def force_triples(monkeypatch, triples):
-    """Forces the triple sums behind the coefficients of itilde onto their
-    dense form, onto the lists, or onto the lists in parts of one row each
-    (a budget of 1 term: the search and the filter then take one row, or
-    one candidate, at a time too)."""
-    monkeypatch.setattr(kernels, "_TERMS_PER_N2", math.inf if triples == "dense" else 0.0)
-    if triples == "row-parts":
-        monkeypatch.setattr(kernels, "_CHUNK", 1)
+# the forms of the triple sums behind the coefficients of itilde: dense,
+# over the lists, or over the lists in parts of one row each (a budget of 1
+# term: the search and the filter then take one row, or one candidate, at a
+# time too)
+TRIPLES = {
+    "lists": {"triples": "lists"},
+    "dense": {"triples": "dense"},
+    "row-parts": {"triples": "lists", "chunk": 1},
+}
 
 
 def edge_case(name):
@@ -164,7 +185,7 @@ class TestListPathEdgeCases:
         # the statistics over the pair lists, with the triple sums behind
         # the coefficients of itilde forced onto each of their forms;
         # itilde also on a block of two rows
-        force_triples(monkeypatch, triples)
+        force_forms(monkeypatch, **TRIPLES[triples])
         sd, g, h = edge_case(name)
         sm = compute_smoother(sd, g)
         if name == "isolated":
@@ -265,7 +286,7 @@ class TestZeroWeightEntries:
         # explicit zeros in W and in A leave every sum of the other entries
         # as it is, bit for bit, and give their own entries sums of 0
         W, A = self.weights_with_zeros()
-        force_triples(monkeypatch, triples)
+        force_forms(monkeypatch, **TRIPLES[triples])
         at_w, at_a = W.triple_sums(A)
         want_w, want_a = without_zeros(W).triple_sums(without_zeros(A))
         assert np.array_equal(at_w[W.values != 0.0], want_w)
@@ -331,8 +352,7 @@ class TestTripleSumParts:
             W, A = self.clustered_weights()
         else:
             W, A = TestZeroWeightEntries.weights_with_zeros()
-        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0)
-        monkeypatch.setattr(kernels, "_CHUNK", budget)
+        force_forms(monkeypatch, triples="lists", chunk=budget)
         at_w, at_a = W.triple_sums(A)
         a_rows, a_cols, a_values = A.rows.tolist(), A.cols.tolist(), A.values.tolist()
         a_at = dict(zip(zip(a_rows, a_cols), a_values))
@@ -355,12 +375,12 @@ class TestTripleSumParts:
         # of an entry of W or of A comes from one row of W, so each sum is
         # the same one-pass sum whatever the budget
         W, A = self.clustered_weights()
-        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0)
+        force_forms(monkeypatch, triples="lists")
         row_terms = np.bincount(W.rows, A.degree[W.rows], W.n)
         assert row_terms.max() > 97 and row_terms.sum() > 2 * kernels._CHUNK
         got = []
         for budget in (1, 97, kernels._CHUNK, int(row_terms.sum())):
-            monkeypatch.setattr(kernels, "_CHUNK", budget)
+            force_forms(monkeypatch, chunk=budget)
             got.append(W.triple_sums(A))
         for at_w, at_a in got[1:]:
             assert np.array_equal(at_w, got[0][0]) and np.array_equal(at_a, got[0][1])
@@ -386,7 +406,7 @@ class TestTripleSumParts:
         eng = StatEngine(sd, compute_smoother(sd, bw.g), bw.h)
         L, M = eng.L, eng.M
         L.index_of(M.rows, M.cols)
-        monkeypatch.setattr(kernels, "_TERMS_PER_N2", 0.0)
+        force_forms(monkeypatch, triples="lists")
         tracemalloc.start()
         try:
             M.triple_sums(L)
