@@ -10,14 +10,22 @@ evaluated together, one block of ``DRAW_BLOCK`` resampled responses at a
 time, through the same statistic bodies as the observed response, over the
 pair weights it already built.
 
-``draw_multipliers(n, seed, draws)`` fills a block without building a
-``SeedSequence`` per draw. It runs the ``SeedSequence`` pool hash for every b
-of the block at once in uint32 numpy arithmetic, giving the words each
-draw's ``generate_state(4, uint64)`` would return, from which numpy's
-``PCG64`` seeds itself through the ``ISeedSequence`` interface. numpy's RNG
-policy (NEP 19) keeps these streams stable; ``tests/test_bootstrap.py``
-checks them against the explicit form. A draw index must fit in one 32-bit
-entropy word, so B <= 2**32.
+Per test the draw path does what it can once, and per draw only what must
+differ. ``_start_states`` runs the ``SeedSequence`` pool hash for up to
+``_STATE_BLOCKS`` whole blocks of draw indices at once in uint32 numpy
+arithmetic (all of B = 199 in one call), giving the words each draw's
+``generate_state(4, uint64)`` would return. One ``ISeedSequence`` object per
+block (``_Words``) hands each draw's ``PCG64`` the next row of those words,
+and a ``Generator`` on it fills the draw's row of uniforms
+(``_uniforms``). A Mammen multiplier takes one of two values, so each
+resampled response is a selection, ``np.where(u < MAMMEN_P_LOW, y_low,
+y_high)``, between the two responses ``null_resample`` gives for the two
+multipliers, computed once per test by the same float operations it applies
+to each element (``_resampled_blocks``). ``draw_multipliers`` reads the same
+uniform fill. numpy's RNG policy (NEP 19) keeps these streams stable;
+``tests/test_bootstrap.py`` checks them, and every resampled block, against
+the explicit form. A draw index must fit in one 32-bit entropy word, so
+B <= 2**32.
 """
 
 from __future__ import annotations
@@ -53,6 +61,10 @@ DRAW_BLOCK = 64
 
 # draw indices b run over range(B) and must each fit in one uint32 word
 MAX_DRAWS = 1 << 32
+
+# whole draw blocks whose start states are derived together: all of B = 199
+# in one call, and at most 1024 x 4 words held at any B
+_STATE_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -212,16 +224,41 @@ def _start_states(seed: int, b: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-class _StartState(ISeedSequence):
-    """Seeds a ``PCG64`` with words ``_start_states`` already derived."""
+class _Words(ISeedSequence):
+    """Seeds each ``PCG64`` built on it with the next row of the start-state
+    words ``_start_states`` derived, so a block of draws shares one object."""
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self._rows = iter(words)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("only PCG64's request for 4 uint64 words is derived")
-        return self.words
+        return next(self._rows)
+
+
+def _uniforms(words: np.ndarray, n: int) -> np.ndarray:
+    """One row per row of start-state words: the first ``n`` doubles in
+    [0, 1) of the ``PCG64`` stream those words seed."""
+    u = np.empty((len(words), n))
+    seeds = _Words(words)
+    for row in u:
+        np.random.Generator(np.random.PCG64(seeds)).random(out=row)
+    return u
+
+
+def _uniform_blocks(n: int, seed: int, draws):
+    """``_uniforms`` of the streams ``SeedSequence([seed mod 2**64, b])`` of
+    the draw indices b in ``draws`` (a range or an int array), one block of
+    ``DRAW_BLOCK`` rows at a time, in order. The start states are derived
+    ``_STATE_BLOCKS`` whole blocks at a time."""
+    chunk = _STATE_BLOCKS * DRAW_BLOCK
+    for lo in range(0, len(draws), chunk):
+        part = draws[lo : lo + chunk]
+        b = np.arange(part.start, part.stop) if isinstance(part, range) else part
+        words = _start_states(seed, b)
+        for start in range(0, len(words), DRAW_BLOCK):
+            yield _uniforms(words[start : start + DRAW_BLOCK], n)
 
 
 def draw_multipliers(n: int, seed: int, draws) -> np.ndarray:
@@ -233,15 +270,14 @@ def draw_multipliers(n: int, seed: int, draws) -> np.ndarray:
     b = np.asarray(draws, dtype=np.int64).reshape(-1)
     if b.size and not (b.min() >= 0 and b.max() < MAX_DRAWS):
         raise ValueError(f"draw indices must be in [0, {MAX_DRAWS})")
-    u = np.empty((b.size, n))
-    for words, row in zip(_start_states(seed, b), u):
-        np.random.Generator(np.random.PCG64(_StartState(words))).random(out=row)
+    u = np.concatenate([np.empty((0, n)), *_uniform_blocks(n, seed, b)])
     return np.where(u < MAMMEN_P_LOW, MAMMEN_LOW, MAMMEN_HIGH)
 
 
 def null_resample(sm: SmootherOutput, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Null-imposing resample rhat + eta * (y - rhat); isolated observations
-    keep their original response. ``eta`` may hold one draw per row.
+    keep their original response. ``eta`` may hold one draw per row; a
+    column gives each row one multiplier for every observation.
 
     Where fhat_i = 0 the kernel row L_i. vanishes identically, so Y*_i is
     multiplied by zero in every pairwise statistic; carrying y_i through is
@@ -251,6 +287,18 @@ def null_resample(sm: SmootherOutput, y: np.ndarray, eta: np.ndarray) -> np.ndar
     with np.errstate(invalid="ignore"):
         star = sm.rhat + eta * (y - sm.rhat)
     return np.where(sm.fhat > 0.0, star, y)
+
+
+def _resampled_blocks(sm: SmootherOutput, y: np.ndarray, seed: int, B: int):
+    """The resampled responses of draws 0 … B-1, one block of
+    ``DRAW_BLOCK`` rows at a time: ``null_resample(sm, y,
+    draw_multipliers(len(y), seed, draws))`` of each block, taken by
+    selection. A Mammen multiplier is one of two values, so every y*_i is
+    one of two responses computed once per test by the same float
+    operations."""
+    y_low, y_high = null_resample(sm, y, np.array([[MAMMEN_LOW], [MAMMEN_HIGH]]))
+    for u in _uniform_blocks(len(y), seed, range(B)):
+        yield np.where(u < MAMMEN_P_LOW, y_low, y_high)
 
 
 def _quantile_rank(alpha: float, b: int) -> int:
@@ -294,12 +342,10 @@ def _draw_statistics(
     """Standardized statistic of every multiplier draw of the response y
     (NaN if degenerate) and whether it used the variance fallback,
     ``DRAW_BLOCK`` draws at a time."""
-    blocks = []
-    for start in range(0, cfg.B, DRAW_BLOCK):
-        stop = min(start + DRAW_BLOCK, cfg.B)
-        eta = draw_multipliers(len(y), cfg.seed, range(start, stop))
-        ystar = null_resample(sm, y, eta)
-        blocks.append(_evaluate(eng, cfg, ystar, recompute_uf(sm.pairwise, ystar))[2:])
+    blocks = [
+        _evaluate(eng, cfg, ystar, recompute_uf(sm.pairwise, ystar))[2:]
+        for ystar in _resampled_blocks(sm, y, cfg.seed, cfg.B)
+    ]
     t, fallback = zip(*blocks)
     return np.concatenate(t), np.concatenate(fallback)
 

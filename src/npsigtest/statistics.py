@@ -38,6 +38,9 @@ from .smoother import SmootherOutput, centred
 
 # fewest observations of the four-distinct-index itilde
 ITILDE_MIN_N = 5
+# the smallest normal float: a variance below it has lost significant bits
+# to underflow, and studentizes like 0
+_TINY = np.finfo(float).tiny
 # terms of the F tail's continued fraction before it gives up: F-tests of
 # up to 30 x columns and 1e8 residual degrees of freedom took at most 42,
 # at every f from the 1e-9 quantile to a tail of 1e-12
@@ -45,8 +48,8 @@ _FRACTION_MAX_TERMS = 10_000
 
 
 class DegenerateStatisticError(RuntimeError):
-    """Raised when a test cannot be standardized (a variance that is not
-    positive and finite, or a standardized value that is not finite), when
+    """Raised when a test cannot be standardized (a variance that is not a
+    finite normal float, or a standardized value that is not finite), when
     ``dgm``'s statistic is not finite, when ``itilde`` is 0 for every
     response (``StatEngine.itilde_vanishes``) or, for the F-test, when its
     design matrix is rank deficient.
@@ -69,11 +72,12 @@ def _dots(a: np.ndarray, b: np.ndarray):
 
 def studentize(i_n, omega2, n: int, h: float, p_c: int) -> np.ndarray:
     """n h^(p_c/2) I_n / omega_n, elementwise; NaN marks a degenerate value:
-    a variance that is not positive and finite (0, or an overflow to inf),
-    or a standardized value that is not finite."""
+    a variance that is not a finite normal float (0, a value underflowed
+    into the subnormals, or an overflow to inf), or a standardized value
+    that is not finite."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         t = n * h ** (p_c / 2.0) * i_n / np.sqrt(omega2)
-    return np.where((omega2 > 0.0) & (omega2 < math.inf) & np.isfinite(t), t, math.nan)
+    return np.where((omega2 >= _TINY) & (omega2 < math.inf) & np.isfinite(t), t, math.nan)
 
 
 def rate_dimension(p_cont: int, q: int, weight: str) -> int:

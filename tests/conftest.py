@@ -94,10 +94,15 @@ def make_dataset(seed: int, n: int, q: int = 1, p: int = 2) -> Dataset:
     return Dataset(y=y, w=w, x=x, w_kinds=all_continuous(p), x_kinds=all_continuous(q))
 
 
+def explicit_uniforms(n: int, seed: int, b: int) -> np.ndarray:
+    """The first n doubles of bootstrap draw b's stream, built the explicit
+    way: a fresh SeedSequence and Generator for (seed mod 2**64, b)."""
+    return np.random.default_rng(np.random.SeedSequence([seed % 2**64, b])).random(n)
+
+
 def explicit_multipliers(n: int, seed: int, b: int) -> np.ndarray:
-    """Bootstrap draw b's Mammen multipliers, built the explicit way: a fresh
-    SeedSequence and Generator for the stream (seed mod 2**64, b)."""
-    u = np.random.default_rng(np.random.SeedSequence([seed % 2**64, b])).random(n)
+    """Bootstrap draw b's Mammen multipliers, from ``explicit_uniforms``."""
+    u = explicit_uniforms(n, seed, b)
     return np.where(u < MAMMEN_P_LOW, MAMMEN_LOW, MAMMEN_HIGH)
 
 

@@ -23,7 +23,7 @@ from npsigtest.selfcheck import multiplier_moment_exact, _Q5
 from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import CvmEngine, DegenerateStatisticError, StatEngine
 
-from conftest import explicit_multipliers, make_dataset, wide_case
+from conftest import explicit_multipliers, explicit_uniforms, make_dataset, wide_case
 
 
 class TestMultipliers:
@@ -65,21 +65,21 @@ class TestMultiplierStreams:
             assert np.array_equal(draw_multipliers(n, seed, draws), want)
 
     def test_bootstrap_reads_draws_in_blocks_in_order(self, monkeypatch):
-        calls = []
+        calls, uniforms = [], bootstrap._uniforms
 
-        def spy(n, seed, draws):
-            calls.append((draws, draw_multipliers(n, seed, draws)))
+        def spy(words, n):
+            calls.append((words.copy(), uniforms(words, n)))
             return calls[-1][1]
 
-        monkeypatch.setattr(bootstrap, "draw_multipliers", spy)
+        monkeypatch.setattr(bootstrap, "_uniforms", spy)
         _, sd, sm, bw = wide_case()
         B = 2 * DRAW_BLOCK + 22
         decide_scaled(sd, sm, TestConfig(bandwidths=bw, B=B, seed=2**64 + 9))
-        assert [d for d, _ in calls] == [
-            range(0, DRAW_BLOCK), range(DRAW_BLOCK, 2 * DRAW_BLOCK), range(2 * DRAW_BLOCK, B)
-        ]
-        want = np.stack([explicit_multipliers(sd.n, 9, b) for b in range(B)])
-        assert np.array_equal(np.concatenate([eta for _, eta in calls]), want)
+        assert [len(words) for words, _ in calls] == [DRAW_BLOCK, DRAW_BLOCK, 22]
+        want_words = bootstrap._start_states(9, np.arange(B))
+        assert np.array_equal(np.concatenate([words for words, _ in calls]), want_words)
+        want = np.stack([explicit_uniforms(sd.n, 9, b) for b in range(B)])
+        assert np.array_equal(np.concatenate([u for _, u in calls]), want)
 
     def test_start_states_are_the_seed_sequence_words(self):
         seed, b = 2**63 + 1, np.array([0, 1, DRAW_BLOCK, MAX_DRAWS - 1])
@@ -88,10 +88,38 @@ class TestMultiplierStreams:
         for row, bi in zip(words, b):
             want = np.random.SeedSequence([seed, int(bi)]).generate_state(4, np.uint64)
             assert np.array_equal(row, want)
-        state = bootstrap._StartState(words[0])
+        seeds = bootstrap._Words(words)
         for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
             with pytest.raises(ValueError, match="4 uint64 words"):
-                state.generate_state(n_words, dtype)
+                seeds.generate_state(n_words, dtype)
+        # a refused request takes no row; each accepted one takes the next
+        for row, dtype in zip(words, (np.uint64, np.dtype("<u8"), "uint64", np.uint64)):
+            assert np.array_equal(seeds.generate_state(4, dtype), row)
+
+    def test_start_states_are_derived_a_bounded_number_at_a_time(self, monkeypatch):
+        sizes, start_states = [], bootstrap._start_states
+
+        def spy(seed, b):
+            sizes.append(len(b))
+            return start_states(seed, b)
+
+        monkeypatch.setattr(bootstrap, "_start_states", spy)
+        chunk = bootstrap._STATE_BLOCKS * DRAW_BLOCK
+        first = next(bootstrap._uniform_blocks(3, 5, range(MAX_DRAWS)))
+        assert sizes == [chunk] and first.shape == (DRAW_BLOCK, 3)
+        want = np.stack([explicit_uniforms(3, 5, b) for b in range(DRAW_BLOCK)])
+        assert np.array_equal(first, want)
+        sizes.clear()
+        _, sd, sm, bw = wide_case()
+        decide_scaled(sd, sm, TestConfig(bandwidths=bw, B=199, seed=3))
+        assert sizes == [199]
+        # chunks of one block: the rows read across two chunk boundaries
+        sizes.clear()
+        monkeypatch.setattr(bootstrap, "_STATE_BLOCKS", 1)
+        draws = range(5, 2 * DRAW_BLOCK + 9)
+        want = np.stack([explicit_multipliers(4, 2**64 - 1, b) for b in draws])
+        assert np.array_equal(draw_multipliers(4, 2**64 - 1, draws), want)
+        assert sizes == [DRAW_BLOCK, DRAW_BLOCK, 4]
 
     def test_draw_index_beyond_one_word_refused(self):
         with pytest.raises(ValueError, match="draw indices"):
@@ -159,6 +187,31 @@ class TestResample:
         uf, uf_poked = recompute_uf(sm.pairwise, ystar), recompute_uf(sm.pairwise, poked)
         assert eng.itilde(ystar, uf) == eng.itilde(poked, uf_poked)
         assert eng.var_hat(uf) == eng.var_hat(uf_poked)
+
+
+class TestResampledBlocks:
+    """The draw path takes each resampled response by selection between two
+    responses computed once per test; every block must equal
+    null_resample of the block's multipliers."""
+
+    @pytest.mark.parametrize("isolated", [False, True])
+    @pytest.mark.parametrize("seed", [2**64 + 9, 12345])
+    @pytest.mark.parametrize("state_blocks", [2, None])
+    def test_blocks_are_the_resampled_multipliers(self, monkeypatch, isolated, seed, state_blocks):
+        if state_blocks is not None:  # a chunk boundary of the start states at draw 128
+            monkeypatch.setattr(bootstrap, "_STATE_BLOCKS", state_blocks)
+        if isolated:
+            sd = standardize(make_dataset(43, 40, q=1))
+            sm = compute_smoother(sd, 0.35)
+            assert (sm.fhat <= 0).any()
+        else:
+            _, sd, sm, _ = wide_case()
+        B = 2 * DRAW_BLOCK + 22
+        blocks = list(bootstrap._resampled_blocks(sm, sd.y, seed, B))
+        assert [len(ystar) for ystar in blocks] == [DRAW_BLOCK, DRAW_BLOCK, 22]
+        for start, ystar in zip(range(0, B, DRAW_BLOCK), blocks):
+            eta = draw_multipliers(sd.n, seed, range(start, min(start + DRAW_BLOCK, B)))
+            assert np.array_equal(ystar, null_resample(sm, sd.y, eta))
 
 
 class TestBootstrapCriticalValue:

@@ -285,6 +285,11 @@ class TestCmdTest:
             (1e-80, ["--boot", "19"], "itilde statistic or its variance"),
             (1e-80, ["--boot", "19", "--variance", "var_tilde"], "itilde statistic or its variance"),
             (1e-300, ["--stat", "dgm", "--boot", "19"], "dgm statistic"),
+            # the variance underflows into the subnormal floats, not to 0
+            # (1e-323, 5e-324 and 8.3e-321), and keeps too few bits to decide
+            (1e-80, ["--stat", "lv", "--asymptotic"], "lv statistic or its variance"),
+            (1e-80, ["--stat", "lv", "--asymptotic", "--variance", "var_tilde"], "lv statistic or its variance"),
+            (1e-79, ["--asymptotic"], "itilde statistic or its variance"),
         ],
     )
     def test_underflow_names_the_scale_of_y(self, tmp_path, capsys, scale, extra, statistic):

@@ -482,6 +482,15 @@ class TestStandardize:
         )
         assert np.isnan(t[[0, 2, 3, 4]]).all() and math.isfinite(t[1])
 
+    def test_subnormal_variance_flagged(self):
+        # a variance below the normal floats has lost bits to underflow and
+        # is degenerate like 0; the smallest normal one still standardizes
+        tiny = np.finfo(float).tiny
+        t = studentize(
+            np.full(4, 1e-160), np.array([tiny, tiny / 2, 1e-323, 5e-324]), 50, 0.3, 2
+        )
+        assert math.isfinite(t[0]) and np.isnan(t[1:]).all()
+
     def test_unit_algebra(self):
         n, h, p_c, omega = 40, 0.25, 2, 1.7
         t = studentize(np.float64(omega / (n * h ** (p_c / 2))), np.float64(omega**2), n, h, p_c)
