@@ -114,7 +114,9 @@ class TestResult:
 
     ``raw`` is the statistic, ``variance_estimate`` its variance estimate
     (NaN for dgm, which is not studentized) and ``standardized`` the value
-    compared with ``critical_value``.
+    compared with ``critical_value``. All are taken on the standardized y,
+    times the power of two 2**k that brings its range into [0.5, 1); only
+    ``raw``, ``variance_estimate`` and dgm's values depend on k.
     """
 
     __test__ = False  # not a pytest class
@@ -357,31 +359,14 @@ def run_test(d: Dataset, cfg: TestConfig) -> TestResult:
     return decide_scaled(sd, sm, cfg)
 
 
-def _underflow(eng, cfg: TestConfig, y: np.ndarray, uf: np.ndarray) -> str | None:
-    """The refusal of an observed test that is degenerate (for dgm: whose
-    statistic is 0) only at this scale of the response, else None. The test
-    is evaluated again on y and uf times the power of two that brings y's
-    spread, its range, into [0.5, 1); that product is exact."""
-    with np.errstate(over="ignore"):
-        spread = float(np.ptp(y))
-    k = -math.frexp(spread)[1]  # 0 for a range of 0 or inf
-    if k == 0:
-        return None
-    with np.errstate(all="ignore"):
-        raw, _, t, _ = _evaluate(eng, cfg, np.ldexp(y, k), np.ldexp(uf, k))
-    degenerate = raw == 0.0 if cfg.statistic == "dgm" else np.isnan(t)
-    if degenerate:
-        return None
-    what = "statistic" if cfg.weight is None else "statistic or its variance"
-    return (
-        f"the {cfg.statistic} {what} underflows a float at this scale of the "
-        f"response (y spans {spread:.6g}); rescale y (multiply it by a constant)"
-    )
-
-
-def _refusal(eng, cfg: TestConfig, y, uf, raw, omega2, vanishes: bool) -> str:
+def _refusal(eng, sm: SmootherOutput, cfg: TestConfig, vanishes: bool) -> str:
     """Why the observed statistic decides no test, and what to change."""
     h, g = cfg.bandwidths.h, cfg.bandwidths.g
+    if not np.any(sm.fhat > 0.0):
+        return (
+            "test degenerate at this bandwidth: no observation has a neighbour in the w "
+            f"columns within the smoothing bandwidth g = {g:.6g} (n = {len(sm.uf)})"
+        )
     if cfg.weight is not None and not eng.M.values.any():
         message = (
             f"no two observations within the test bandwidth h = {h:.6g} carry a "
@@ -400,14 +385,10 @@ def _refusal(eng, cfg: TestConfig, y, uf, raw, omega2, vanishes: bool) -> str:
             f"g = {g:.6g}, two distinct ones, so {cfg.statistic} is 0 for every "
             "response; increase the bandwidth factor c (--c)"
         )
-    if cfg.weight is None or not np.isfinite([raw, omega2]).all():
-        # dgm's statistic is NaN here only where it is not finite
-        what = "statistic" if cfg.weight is None else "statistic or its variance"
-        return (
-            f"the {cfg.statistic} {what} overflows a float at this scale of the "
-            "response; rescale y (divide it by a constant)"
-        )
-    return _underflow(eng, cfg, y, uf) or "test degenerate at this bandwidth"
+    return (
+        f"test degenerate at this bandwidth: {cfg.statistic} standardizes to no finite "
+        f"value at the test bandwidth h = {h:.6g}; change the bandwidth factor c (--c)"
+    )
 
 
 def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResult:
@@ -417,13 +398,10 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
     ``sm.cache`` holds the pair-weight engines only, so tests that share an
     engine share its build; each test evaluates its own observed statistic.
     A smoother computed at another g than ``cfg.bandwidths.g`` is refused,
-    and so is an ``itilde`` or ``lv`` test on a sample where the statistic
-    is 0 for every response (``StatEngine.itilde_vanishes``). The observed
-    statistic is taken with numpy's overflow raised, so an overflow is
-    refused at once and numpy prints no warning for it. A test that would be
-    refused as degenerate, or a dgm statistic of exactly 0, is evaluated
-    again on the response rescaled by a power of two (``_underflow``); if
-    that one is not degenerate, the refusal names the scale of y.
+    and so is a degenerate observed statistic, and an ``itilde`` or ``lv``
+    test on a sample where the statistic is 0 for every response
+    (``StatEngine.itilde_vanishes``). The range of ``sd.y`` is in [0.5, 1)
+    (``standardize``), so no scale of y overflows or underflows a statistic.
     """
     if sm.g != cfg.bandwidths.g:
         raise ValueError(
@@ -431,22 +409,11 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
             f"configured with g = {cfg.bandwidths.g!r}"
         )
     eng = _engine(sd, sm, cfg)
-    y = sd.y
-    try:
-        with np.errstate(over="raise"):
-            raw, omega2, t, fallback = _evaluate(eng, cfg, y, sm.uf)
-    except FloatingPointError:
-        raw = omega2 = t = math.nan
-        fallback = False
+    raw, omega2, t, fallback = _evaluate(eng, cfg, sd.y, sm.uf)
     vanishes = cfg.statistic in ("itilde", "lv") and eng.itilde_vanishes()
     if np.isnan(t) or vanishes:
-        if not np.any(sm.fhat > 0.0):
-            raise DegenerateStatisticError("test degenerate at this bandwidth", cause="no_support")
-        raise DegenerateStatisticError(
-            _refusal(eng, cfg, y, sm.uf, raw, omega2, vanishes), cause="observed"
-        )
-    if cfg.statistic == "dgm" and raw == 0.0 and (message := _underflow(eng, cfg, y, sm.uf)):
-        raise DegenerateStatisticError(message, cause="observed")
+        cause = "observed" if np.any(sm.fhat > 0.0) else "no_support"
+        raise DegenerateStatisticError(_refusal(eng, sm, cfg, vanishes), cause=cause)
     t = float(t)
     diagnostics = {"fallback_used": bool(fallback), "fhat_zeros": int(np.sum(sm.fhat <= 0.0))}
 
@@ -455,13 +422,14 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
         critical = NormalDist().inv_cdf(1.0 - cfg.alpha)
         p_value = 0.5 * math.erfc(t / math.sqrt(2.0))
     else:
-        t_draws, fallback_draws = _draw_statistics(eng, sm, y, cfg)
+        t_draws, fallback_draws = _draw_statistics(eng, sm, sd.y, cfg)
         degenerate = np.isnan(t_draws)
         n_degenerate = int(degenerate.sum())
         if n_degenerate > MAX_DEGENERATE_DRAW_FRACTION * cfg.B:
             raise DegenerateStatisticError(
                 f"{n_degenerate} of {cfg.B} bootstrap draws had degenerate "
-                "variance; the test is unreliable at this bandwidth",
+                "variance; the test is unreliable at this bandwidth; change the "
+                "bandwidth factor c (--c)",
                 cause="draws",
             )
         diagnostics["degenerate_draws"] = n_degenerate

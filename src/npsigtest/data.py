@@ -286,30 +286,46 @@ def save_dataset(path: str | Path, dataset: Dataset, schema: ColumnSchema) -> No
             writer.writerow([repr(float(col[r])) for col in cols])
 
 
+def response_exponent(y: np.ndarray) -> int:
+    """The k for which 2**k times the range of y lies in [0.5, 1), or 0 for
+    a constant y. The ends are halved only where their difference could
+    overflow (an end of size 1 or more), so a subnormal range is not lost."""
+    top, bottom = float(np.max(y)), float(np.min(y))
+    if top == bottom:
+        return 0
+    halve = top >= 1.0 or bottom <= -1.0
+    spread = top / 2.0 - bottom / 2.0 if halve else top - bottom
+    return -math.frexp(spread)[1] - halve
+
+
 def _scale_columns(m: np.ndarray, kinds, role: str) -> np.ndarray:
     """m with its continuous columns divided by their sample sd; an error
-    names a constant one by its role and 1-based place, as in ``x column 2``."""
+    names a constant one by its role and 1-based place, as in ``x column 2``.
+    Each is first taken times its power of two (``response_exponent``), an
+    exact product, so no squared deviation overflows."""
     out = m.copy()
     for j, kind in enumerate(kinds):
         if kind is not ColumnKind.CONTINUOUS:
             continue
-        sd = float(np.std(m[:, j], ddof=1))
-        if sd <= 0.0:
+        column = m[:, j]
+        if column.min() == column.max():
             raise DataError(
                 f"{role} column {j + 1} has zero sample standard deviation; "
                 "mark it discrete or remove it"
             )
-        out[:, j] = m[:, j] / sd
+        column = np.ldexp(column, response_exponent(column))
+        out[:, j] = column / np.std(column, ddof=1)
     return out
 
 
 def standardize(d: Dataset) -> Dataset:
     """The sample with its continuous w/x columns divided by their sample sd
-    (n-1 denominator).
-
-    ``y`` passes through untouched since studentized statistics are
-    invariant to its scale.
+    (n-1 denominator), and y times the power of two that brings its range
+    into [0.5, 1) (``response_exponent``). That product is exact, so no
+    studentized statistic, p-value or decision depends on the scale of y,
+    and no scale of y makes one overflow or underflow.
     """
     w = _scale_columns(d.w, d.w_kinds, "w")
     x = _scale_columns(d.x, d.x_kinds, "x")
-    return Dataset(y=d.y, w=w, x=x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+    y = np.ldexp(d.y, response_exponent(d.y))
+    return Dataset(y=y, w=w, x=x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)

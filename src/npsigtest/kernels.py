@@ -609,7 +609,10 @@ def psi_matrix(psi: str, x: np.ndarray, pairs: PairWeights) -> PairWeights:
     if psi == "indicator":
         weight = _disc_equal(x, i, j).astype(float)
     else:
-        weight = psi_profile(psi, np.sqrt(_sq_dists(x, i, j)))
+        # discrete x columns are labels, never rescaled: a distance past
+        # the largest float is inf, where psi is 0
+        with np.errstate(over="ignore"):
+            weight = psi_profile(psi, np.sqrt(_sq_dists(x, i, j)))
     return pairs.with_values(pairs.values * weight)
 
 

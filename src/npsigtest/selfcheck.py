@@ -9,10 +9,11 @@ shipped command and CI exercise identical code.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .bootstrap import MAMMEN_P_LOW, TestConfig, draw_multipliers, null_resample, run_test
+from .bootstrap import MAMMEN_P_LOW, TestConfig, decide_scaled, draw_multipliers, null_resample
 from .data import ColumnKind, Dataset, all_continuous, standardize
 from .kernels import Bandwidths, default_bandwidths
 from .oracles import (
@@ -186,10 +187,16 @@ def check_multiplier_moments():
     return ("multiplier-moments", True, f"{ndraws} draws, 4-sigma bands")
 
 
-def _tn(data: Dataset) -> float:
-    """Standardized itilde at the default bandwidths with c = 2."""
-    cfg = TestConfig(bandwidths=default_bandwidths(data.n, 2.0), critical="asymptotic")
-    return run_test(data, cfg).standardized
+def _scale_free(sd: Dataset, bw: Bandwidths) -> list[float]:
+    """What no scale of y may move, on the sample sd as it is: t of each
+    studentized statistic with each variance, and dgm's p-value (B = 19)."""
+    sm = compute_smoother(sd, bw.g)
+    t = [
+        decide_scaled(sd, sm, TestConfig(bw, s, variance=v, critical="asymptotic")).standardized
+        for s in ("itilde", "ihat", "lv")
+        for v in ("var_hat", "var_tilde")
+    ]
+    return t + [decide_scaled(sd, sm, TestConfig(bw, "dgm", B=19)).p_value]
 
 
 def check_invariances() -> tuple[str, bool, str]:
@@ -206,21 +213,15 @@ def check_invariances() -> tuple[str, bool, str]:
         return eng_.ihat(sm_.uf), eng_.itilde(sd_.y, sm_.uf), eng_.var_hat(sm_.uf)
 
     raw_ihat, raw_itilde, raw_var = raw_statistics(sd, sm)
-    t_base = _tn(data)
+    unit = _scale_free(sd, bw)
 
-    def remake(y=None, w=None, x=None):
-        return Dataset(
-            y=data.y if y is None else y,
-            w=data.w if w is None else w,
-            x=data.x if x is None else x,
-            w_kinds=data.w_kinds,
-            x_kinds=data.x_kinds,
-        )
+    def near_unit(values):
+        return all(close(a, b) for a, b in zip(values, unit))
 
     failures = []
 
     # response shift leaves raw statistics unchanged
-    shifted = remake(y=data.y + 3.7)
+    shifted = replace(data, y=data.y + 3.7)
     sds = standardize(shifted)
     sms = compute_smoother(sds, bw.g)
     for name, a, b in zip(
@@ -231,12 +232,10 @@ def check_invariances() -> tuple[str, bool, str]:
         if not close(a, b):
             failures.append(name)
 
-    # response scaling cancels in the standardized statistic
+    # on the standardized sample, the raw statistic scales by lam^2 and its
+    # variance by lam^4
     lam = 3.0
-    if not close(_tn(remake(y=lam * data.y)), t_base):
-        failures.append("scale-tn")
-    scaled = remake(y=lam * data.y)
-    sdl = standardize(scaled)
+    sdl = replace(sd, y=lam * sd.y)
     sml = compute_smoother(sdl, bw.g)
     _, scaled_itilde, scaled_var = raw_statistics(sdl, sml)
     if not close(scaled_itilde, lam ** 2 * raw_itilde):
@@ -244,23 +243,35 @@ def check_invariances() -> tuple[str, bool, str]:
     if not close(scaled_var, lam ** 4 * raw_var):
         failures.append("scale-var")
 
+    # any scale of y decides as unit scale does; a power of two bit for bit,
+    # as the response as given does (the rescale is exact)
+    if unit != _scale_free(replace(sd, y=data.y), bw):
+        failures.append("scale-bits")
+    for factor in (1e100, 1e-100):
+        if not near_unit(_scale_free(standardize(replace(data, y=factor * data.y)), bw)):
+            failures.append(f"scale-{factor:g}")
+    for j in (-200, -1, 1, 200):
+        if _scale_free(standardize(replace(data, y=np.ldexp(data.y, j))), bw) != unit:
+            failures.append(f"scale-2^{j}-bits")
+
     # rescaling an input column is absorbed by standardization
     w2 = data.w.copy()
     w2[:, 0] *= 13.0
     x2 = data.x.copy()
     x2[:, 1] *= 0.25
-    if not close(_tn(remake(w=w2, x=x2)), t_base):
-        failures.append("column-rescale-tn")
+    if not near_unit(_scale_free(standardize(replace(data, w=w2, x=x2)), bw)):
+        failures.append("column-rescale")
 
-    # permuting observations permutes nothing observable
+    # permuting observations permutes nothing observable but the bootstrap
+    # streams, so dgm's p-value
     perm = np.random.default_rng(seed + 1).permutation(n)
-    permuted = remake(y=data.y[perm], w=data.w[perm], x=data.x[perm])
-    if not close(_tn(permuted), t_base):
-        failures.append("permutation-tn")
+    permuted = replace(data, y=data.y[perm], w=data.w[perm], x=data.x[perm])
+    if not near_unit(_scale_free(standardize(permuted), bw)[:-1]):
+        failures.append("permutation")
 
     # unit multipliers reproduce the original statistic
     eta = np.ones(n)
-    ystar = null_resample(sm, data.y, eta)
+    ystar = null_resample(sm, sd.y, eta)
     eng = StatEngine(sd, sm, bw.h)
     ufstar = recompute_uf(sm.pairwise, ystar)
     if not close(eng.itilde(ystar, ufstar), raw_itilde, rel=1e-12):

@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .data import ColumnKind, Dataset
+from .data import ColumnKind, Dataset, response_exponent
 from .kernels import PairWeights, joint_x_kernel_matrix, mixed_kernel_matrix, psi_matrix
 from .smoother import SmootherOutput, centred
 
@@ -152,7 +152,7 @@ class StatEngine:
         self.L = sm.pairwise
         w_cont, w_disc = d.w_split()
         if psi == "joint" and any(k is not ColumnKind.CONTINUOUS for k in d.x_kinds):
-            raise ValueError("LV requires continuous X")
+            raise ValueError("LV requires continuous X: take its columns out of --disc")
         self.rate_dim = rate_dimension(d.p_cont, d.q, psi)
         check_bandwidth(h, self.rate_dim)
         self._M_within_L = h <= sm.g
@@ -302,7 +302,9 @@ def fisher_min_n(p: int, q: int) -> int:
 
 def fisher_test(d: Dataset, alpha: float) -> tuple[float, bool]:
     """F-test of the x coefficients in a linear regression of y on (1, w, x):
-    the statistic f, and whether P(F >= f) < alpha (``f_tail``)."""
+    the statistic f, and whether P(F >= f) < alpha (``f_tail``). y is taken
+    times its power of two (``response_exponent``), so f is scale-free; a full
+    model fitting within 1e-12 y·y gives inf, or 0 where the restricted does."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     n, p, q = d.n, d.p, d.q
@@ -311,21 +313,20 @@ def fisher_test(d: Dataset, alpha: float) -> tuple[float, bool]:
     if n < fisher_min_n(p, q):
         raise ValueError(f"F-test needs n > 1 + p + q (n={n}, p={p}, q={q})")
     df2 = n - 1 - p - q
+    y = np.ldexp(d.y, response_exponent(d.y))
     ones = np.ones((n, 1))
     z0 = np.hstack([ones, d.w])
     z1 = np.hstack([ones, d.w, d.x])
-    beta1, _, rank, _ = np.linalg.lstsq(z1, d.y, rcond=None)
+    beta1, _, rank, _ = np.linalg.lstsq(z1, y, rcond=None)
     if rank < z1.shape[1]:  # e.g. a discrete x column that is constant
         raise DegenerateStatisticError("F-test design matrix is rank deficient", cause="observed")
-    rss0 = float(np.sum(np.square(d.y - z0 @ np.linalg.lstsq(z0, d.y, rcond=None)[0])))
-    rss1 = float(np.sum(np.square(d.y - z1 @ beta1)))
-    scale = float(np.dot(d.y, d.y)) + 1.0
-    if rss1 <= 1e-12 * scale:
-        # exact fit under the full model: infinite F unless the restricted
-        # model already fits exactly too
-        if rss0 - rss1 <= 1e-12 * scale:
-            return 0.0, False
-        return math.inf, True
+    if np.all(y == y[0]):  # no model explains a constant y, of any size
+        return 0.0, False
+    rss0 = float(np.sum(np.square(y - z0 @ np.linalg.lstsq(z0, y, rcond=None)[0])))
+    rss1 = float(np.sum(np.square(y - z1 @ beta1)))
+    exact = 1e-12 * float(np.dot(y, y))
+    if rss1 <= exact:
+        return (0.0, False) if rss0 - rss1 <= exact else (math.inf, True)
     f = ((rss0 - rss1) / q) / (rss1 / df2)
     return f, f_tail(f, q, df2) < alpha
 

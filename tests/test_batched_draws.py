@@ -23,7 +23,7 @@ from npsigtest.bootstrap import (
     null_resample,
     run_test,
 )
-from npsigtest.data import ColumnKind, Dataset, all_continuous, standardize
+from npsigtest.data import ColumnKind, Dataset, all_continuous, response_exponent, standardize
 from npsigtest.kernels import PSI_FAMILIES, Bandwidths, PairWeights, default_bandwidths
 from npsigtest.selfcheck import ABS_TOL, REL_TOL, close
 from npsigtest.smoother import compute_smoother, recompute_uf
@@ -312,12 +312,19 @@ class TestIsolatedResponses:
         )
         isolated = compute_smoother(standardize(d), cfg.bandwidths.g).fhat == 0.0
         assert isolated.sum() == 13
-        draws = []
+        results, powers = [], []
         for y in (d.y, d.y + 123.0 * isolated):
             sd = standardize(Dataset(y=y, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds))
             sm = compute_smoother(sd, cfg.bandwidths.g)
-            draws.append(decide_scaled(sd, sm, cfg).bootstrap_draws)
-        assert np.array_equal(draws[0], draws[1])
+            results.append(decide_scaled(sd, sm, cfg))
+            powers.append(response_exponent(y))
+        # the isolated response moves the range of y, so standardize's power
+        # of two; dgm's draws carry y's units squared, the studentized not
+        shift = 2 * (powers[1] - powers[0]) if statistic == "dgm" else 0
+        assert powers[0] != powers[1]
+        a, b = results
+        assert np.array_equal(b.bootstrap_draws, np.ldexp(a.bootstrap_draws, shift))
+        assert (a.p_value, a.reject) == (b.p_value, b.reject)
 
 
 class TestItildeOperator:
@@ -404,42 +411,40 @@ class TestDegenerateCause:
             run_test(d, cfg)
         assert info.value.cause == "no_support"
 
-    def test_dgm_draws_that_overflow_are_degenerate(self):
-        # y times 2^k scales dgm's statistic and draws by exactly 4^k. At
-        # the first k where a draw overflows, the observed statistic stays
-        # finite; the draws that overflow are counted as degenerate and
-        # dropped, and the others are kept, scaled
+    def test_dgm_draws_at_the_largest_scales_of_y(self):
+        # y times 2^k scales dgm's statistic and draws of the unscaled y by
+        # exactly 4^k, up to the scale where a draw would overflow, and
+        # past it; standardize takes each such y to the same bits, so every
+        # draw is kept and the test is decided as at unit scale
         d = make_dataset(5, 200, q=2)
         cfg = TestConfig(bandwidths=default_bandwidths(200, 2.0), statistic="dgm", B=99)
         base = run_test(d, cfg)
         assert base.diagnostics["degenerate_draws"] == 0
-        k = 0
-        while not np.any(base.bootstrap_draws > sys.float_info.max / 4.0**k):
-            k += 1
-        over = base.bootstrap_draws > sys.float_info.max / 4.0**k
-        assert base.raw <= sys.float_info.max / 4.0**k
-        assert 0 < over.sum() <= MAX_DEGENERATE_DRAW_FRACTION * cfg.B
-        scaled = Dataset(
-            y=d.y * 2.0**k, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds
-        )
-        got = run_test(scaled, cfg)
-        assert got.diagnostics["degenerate_draws"] == over.sum()
-        assert np.array_equal(got.bootstrap_draws, base.bootstrap_draws[~over] * 4.0**k)
-        assert got.raw == base.raw * 4.0**k
+        top = np.ldexp(base.bootstrap_draws, -2 * response_exponent(d.y)).max()
+        first = math.ceil(math.log(sys.float_info.max / top, 4.0))
+        for k in (first, first + 10, 500):
+            scaled = Dataset(
+                y=np.ldexp(d.y, k), w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds
+            )
+            got = run_test(scaled, cfg)
+            assert got.diagnostics["degenerate_draws"] == 0
+            assert np.array_equal(got.bootstrap_draws, base.bootstrap_draws)
+            assert (got.raw, got.p_value, got.reject) == (base.raw, base.p_value, base.reject)
 
     @pytest.mark.parametrize("critical", CRITICALS)
     @pytest.mark.parametrize("variance, scale", [("var_hat", 1e78), ("var_tilde", 1e75)])
     def test_variance_overflow(self, variance, scale, critical):
-        # at this scale of y the variance overflows to inf; the test is
-        # refused, not decided on t = 0
+        # at this scale of the unscaled y its variance overflows a float;
+        # the standardized y decides, with the unit-scale t
         d = make_dataset(5, 200, q=2)
-        d = Dataset(y=d.y * scale, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
         cfg = TestConfig(
             bandwidths=default_bandwidths(200, 2.0), variance=variance, critical=critical, B=19
         )
-        with pytest.raises(DegenerateStatisticError, match="overflows.*rescale y") as info:
-            run_test(d, cfg)
-        assert info.value.cause == "observed"
+        unit = run_test(d, cfg)
+        d = Dataset(y=d.y * scale, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+        got = run_test(d, cfg)
+        assert close(got.standardized, unit.standardized)
+        assert (got.reject, got.diagnostics) == (unit.reject, unit.diagnostics)
 
     @pytest.mark.parametrize("critical", CRITICALS)
     @pytest.mark.parametrize("statistic", ["itilde", "lv"])

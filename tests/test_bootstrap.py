@@ -16,7 +16,7 @@ from npsigtest.bootstrap import (
     null_resample,
     run_test,
 )
-from npsigtest.data import Dataset, all_continuous, standardize
+from npsigtest.data import Dataset, all_continuous, response_exponent, standardize
 from npsigtest.kernels import Bandwidths, default_bandwidths
 from npsigtest.oracles import OracleTables, oracle_dgm, oracle_smoother
 from npsigtest.selfcheck import multiplier_moment_exact, _Q5
@@ -357,12 +357,43 @@ class TestRunTest:
         assert all(np.isscalar(v) or isinstance(v, (bool, str)) for v in rec.values())
 
 
+class TestScaleOfY:
+    @pytest.mark.parametrize(
+        "statistic, critical",
+        [("itilde", "asymptotic"), ("itilde", "bootstrap"), ("lv", "asymptotic"), ("dgm", "bootstrap")],
+    )
+    def test_powers_of_two_decide_with_the_bits_of_y_as_given(self, statistic, critical):
+        # standardize's rescale is exact: y times 2**j, j = -200 ... 200,
+        # decides with the t, critical value and p-value that the response
+        # as given has on the same smoother, bit for bit; dgm's statistic
+        # and critical value carry y's units squared, so they are 4**k of
+        # those, for the power of two 2**k that standardize applies to y
+        d = make_dataset(62, 40, q=1)
+        cfg = TestConfig(
+            bandwidths=default_bandwidths(40, 2.0),
+            statistic=statistic,
+            critical=critical,
+            B=19,
+            seed=3,
+        )
+        sd = standardize(d)
+        as_given = Dataset(y=d.y, w=sd.w, x=sd.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+        want = decide_scaled(as_given, compute_smoother(as_given, cfg.bandwidths.g), cfg)
+        units = 2 * response_exponent(d.y) if statistic == "dgm" else 0
+        for j in range(-200, 201, 4):
+            y = np.ldexp(d.y, j)
+            got = run_test(Dataset(y=y, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds), cfg)
+            assert got.standardized == np.ldexp(want.standardized, units)
+            assert got.critical_value == np.ldexp(want.critical_value, units)
+            assert (got.p_value, got.reject) == (want.p_value, want.reject)
+
+
 class TestReuseCorrectness:
     def test_scratch_equals_cached(self):
         d, sd, sm, bw = wide_case(seed=60, n=30)
         eng = StatEngine(sd, sm, bw.h, psi="normal")
         eta = draw_multipliers(30, 17, range(1))[0]
-        ystar = null_resample(sm, d.y, eta)
+        ystar = null_resample(sm, sd.y, eta)
         fast_uf = recompute_uf(sm.pairwise, ystar)
         fast_itilde = eng.itilde(ystar, fast_uf)
         fast_var = eng.var_hat(fast_uf)
@@ -374,9 +405,15 @@ class TestReuseCorrectness:
         smf = compute_smoother(sdf, bw.g)
         scratch = StatEngine(sdf, smf, bw.h, psi="normal")
 
-        assert np.allclose(smf.uf, fast_uf, rtol=1e-12, atol=1e-15)
-        assert scratch.itilde(sdf.y, smf.uf) == pytest.approx(fast_itilde, rel=1e-12)
-        assert scratch.var_hat(smf.uf) == pytest.approx(fast_var, rel=1e-12)
+        # standardize takes ystar times its own power of two, 2**k: back in
+        # the units of ystar, times 2**-k, 4**-k and 16**-k (exact)
+        k = response_exponent(ystar)
+        assert np.array_equal(sdf.y, np.ldexp(ystar, k))
+        assert np.allclose(np.ldexp(smf.uf, -k), fast_uf, rtol=1e-12, atol=1e-15)
+        assert np.ldexp(scratch.itilde(sdf.y, smf.uf), -2 * k) == pytest.approx(
+            fast_itilde, rel=1e-12
+        )
+        assert np.ldexp(scratch.var_hat(smf.uf), -4 * k) == pytest.approx(fast_var, rel=1e-12)
 
 
 class TestSampleSharing:

@@ -1,17 +1,23 @@
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import npsigtest
 from npsigtest import cli
+from npsigtest.bootstrap import STATISTICS, VARIANCES
 from npsigtest.cli import EXIT_OK, EXIT_REJECT, EXIT_RUNTIME, EXIT_USAGE, main
 from npsigtest.data import ColumnKind, ColumnSchema, Dataset, save_dataset
 from npsigtest.designs import TEMPLATES, figure_design
+from npsigtest.kernels import PSI_FAMILIES
 from npsigtest.simulation import DgpSpec, ResultTable, generate, grid_cells
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(npsigtest.__file__)))
@@ -34,6 +40,39 @@ def discrete_csv(tmp_path):
     path = tmp_path / "disc.csv"
     save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1",)))
     return path
+
+
+def scaled_sample(tmp_path, scale: float):
+    """A CSV of the n = 200, q = 2 continuous sample with y times scale."""
+    d = generate(DgpSpec(family="continuous", n=200, q=2), np.random.default_rng(5))
+    d = Dataset(y=d.y * scale, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+    path = tmp_path / f"scaled-{scale:g}.csv"
+    save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1", "x2")))
+    return path
+
+
+def sample_args(path):
+    return ["test", "--data", str(path), "--y", "y", "--w", "w1,w2", "--x", "x1,x2"]
+
+
+def scaled_decision(tmp_path, capsys, scale: float, extra) -> dict:
+    """The --json record of a test of ``scaled_sample``, which must decide
+    with nothing on stderr."""
+    code = main(sample_args(scaled_sample(tmp_path, scale)) + ["--seed", "1", "--json", *extra])
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_REJECT) and captured.err == ""
+    return json.loads(captured.out)
+
+
+def assert_same_decision(got: dict, unit: dict, dgm: bool) -> None:
+    """The decision of a rescaled y is that of unit scale: the same p-value
+    for dgm, whose values carry the units of the standardized y, and t
+    within 1e-10 relative for a studentized statistic."""
+    if dgm:
+        assert got["p_value"] == unit["p_value"]
+    else:
+        assert abs(got["standardized"] - unit["standardized"]) <= 1e-10 * abs(unit["standardized"])
+    assert got["reject"] == unit["reject"]
 
 
 def base_args(path):
@@ -178,20 +217,12 @@ class TestCmdTest:
         assert "increase the bandwidth factor c (--c)" in err
         assert "continuous x columns need psi=normal or psi=triangular" in err
 
-    def test_variance_overflow_runtime_error(self, tmp_path, capsys):
-        # y at 1e78 overflows var_hat: one error line, no decision
-        d = generate(DgpSpec(family="continuous", n=200, q=2), np.random.default_rng(5))
-        d = Dataset(y=d.y * 1e78, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
-        path = tmp_path / "big.csv"
-        save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1", "x2")))
-        args = ["test", "--data", str(path), "--y", "y", "--w", "w1,w2", "--x", "x1,x2"]
-        code = main(args + ["--seed", "1", "--asymptotic"])
-        assert code == EXIT_RUNTIME
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "overflows a float" in lines[0] and "rescale y" in lines[0]
+    def test_variance_at_a_scale_that_overflows_decides(self, tmp_path, capsys):
+        # y at 1e78, where var_hat of the unscaled y overflows a float: the
+        # test decides, with the unit-scale t and nothing on stderr
+        unit = scaled_decision(tmp_path, capsys, 1.0, ["--asymptotic"])
+        got = scaled_decision(tmp_path, capsys, 1e78, ["--asymptotic"])
+        assert_same_decision(got, unit, dgm=False)
 
     @pytest.mark.parametrize(
         "extra, statistic",
@@ -201,28 +232,23 @@ class TestCmdTest:
             (["--asymptotic", "--variance", "var_tilde"], "itilde statistic or its variance"),
         ],
     )
-    def test_overflow_is_one_error_line(self, tmp_path, extra, statistic):
-        # y at 1e300 overflows dgm's statistic, var_hat's uf * uf and
-        # var_tilde's y * y: refused with exit 1 and the error line alone on
-        # stderr, no numpy warning before it, and not decided on inf > inf.
-        # A fresh process, so that no warning filter of the tests applies
-        d = generate(DgpSpec(family="continuous", n=200, q=2), np.random.default_rng(5))
-        d = Dataset(y=d.y * 1e300, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
-        path = tmp_path / "huge.csv"
-        save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1", "x2")))
-        args = ["test", "--data", str(path), "--y", "y", "--w", "w1,w2", "--x", "x1,x2"]
+    def test_overflow_is_one_error_line(self, tmp_path, capsys, extra, statistic):
+        # y at 1e300, where dgm's statistic, var_hat's uf * uf and
+        # var_tilde's y * y of the unscaled y overflow a float: the test
+        # decides as at unit scale, with nothing on stderr, no numpy warning
+        # included. A fresh process, so that no warning filter of the tests
+        # applies
+        unit = scaled_decision(tmp_path, capsys, 1.0, extra)
+        args = sample_args(scaled_sample(tmp_path, 1e300)) + ["--seed", "1", "--json", *extra]
         proc = subprocess.run(
-            [sys.executable, "-m", "npsigtest.cli", *args, "--seed", "1", *extra],
+            [sys.executable, "-m", "npsigtest.cli", *args],
             env={**os.environ, "PYTHONPATH": SRC},
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == EXIT_RUNTIME
-        assert proc.stdout == ""
-        assert proc.stderr == (
-            f"error: the {statistic} overflows a float at this scale of the response; "
-            "rescale y (divide it by a constant)\n"
-        )
+        assert proc.returncode in (EXIT_OK, EXIT_REJECT)
+        assert proc.stderr == ""
+        assert_same_decision(json.loads(proc.stdout), unit, statistic.startswith("dgm"))
 
     def test_empty_csv_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
@@ -260,7 +286,7 @@ class TestCmdTest:
         # w rows in 30 identical pairs: at c = 1e-80 each pair weighs
         # 0.75 h**-2, finite, but M∘M holds h**-4, which overflows. Refused
         # before any weight is built, with the one error line naming h and
-        # --c, not y; at c = 1e-60 the test decides
+        # --c, not y; from c = 1e-76, where M∘M is finite, the test decides
         d = generate(DgpSpec(family="continuous", n=60, q=1), np.random.default_rng(1))
         w = d.w.copy()
         w[1::2] = w[0::2]
@@ -275,7 +301,9 @@ class TestCmdTest:
             "error: the test bandwidth h = 2.38587e-81 is out of range: h**-4 overflows a "
             "float; choose a larger bandwidth factor c (--c, or --cs of simulate)\n"
         )
-        assert main(args + ["--c", "1e-60"]) in (EXIT_OK, EXIT_REJECT)
+        for c in ("1e-76", "1e-75", "1e-60"):
+            assert main(args + ["--c", c]) in (EXIT_OK, EXIT_REJECT)
+            assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "scale, extra, statistic",
@@ -285,29 +313,20 @@ class TestCmdTest:
             (1e-80, ["--boot", "19"], "itilde statistic or its variance"),
             (1e-80, ["--boot", "19", "--variance", "var_tilde"], "itilde statistic or its variance"),
             (1e-300, ["--stat", "dgm", "--boot", "19"], "dgm statistic"),
-            # the variance underflows into the subnormal floats, not to 0
-            # (1e-323, 5e-324 and 8.3e-321), and keeps too few bits to decide
+            # the variance of the unscaled y underflows into the subnormal
+            # floats, not to 0 (1e-323, 5e-324 and 8.3e-321)
             (1e-80, ["--stat", "lv", "--asymptotic"], "lv statistic or its variance"),
             (1e-80, ["--stat", "lv", "--asymptotic", "--variance", "var_tilde"], "lv statistic or its variance"),
             (1e-79, ["--asymptotic"], "itilde statistic or its variance"),
         ],
     )
     def test_underflow_names_the_scale_of_y(self, tmp_path, capsys, scale, extra, statistic):
-        # at this scale of y the variance, or dgm's statistic, underflows to
-        # 0: refused with the one error line naming y's scale, not the
-        # bandwidth, and dgm is not decided on 0
-        d = generate(DgpSpec(family="continuous", n=200, q=2), np.random.default_rng(5))
-        d = Dataset(y=d.y * scale, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
-        path = tmp_path / "tiny.csv"
-        save_dataset(path, d, ColumnSchema(y="y", w=("w1", "w2"), x=("x1", "x2")))
-        args = ["test", "--data", str(path), "--y", "y", "--w", "w1,w2", "--x", "x1,x2"]
-        assert main(args + ["--seed", "1", *extra]) == EXIT_RUNTIME
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: the {statistic} underflows a float at this scale of the response "
-            f"(y spans {float(np.ptp(d.y)):.6g}); rescale y (multiply it by a constant)\n"
-        )
+        # at this scale of the unscaled y the variance, or dgm's statistic,
+        # underflows to 0; the standardized y decides, with the unit-scale
+        # t (dgm: the same p-value) and nothing on stderr
+        unit = scaled_decision(tmp_path, capsys, 1.0, extra)
+        got = scaled_decision(tmp_path, capsys, scale, extra)
+        assert_same_decision(got, unit, statistic.startswith("dgm"))
 
     def test_asymptotic_flag(self, null_csv, capsys):
         code = main(base_args(null_csv) + ["--seed", "99", "--asymptotic", "--json"])
@@ -748,3 +767,72 @@ def test_parser_is_built_once(null_csv, capsys):
     assert cli._build_parser.cache_info().misses == 1
     assert together == alone
     assert [code for code, _ in alone] == [EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+
+
+# an error line names what to change: a flag, a column, or n
+NAMES_A_REMEDY = re.compile(r"--[a-z]|column|\bn\b|observations")
+
+
+@st.composite
+def generated_tables(draw):
+    """A CSV table (header and rows of cells) and the flags of a test on it:
+    1-3 w and x columns, y of magnitude 1e-300 to 1e300, n at and below
+    each floor of the statistics, and now and then a quoted, empty, NaN or
+    inf cell, a constant column or a column that repeats another."""
+    n = draw(st.one_of(st.integers(0, 7), st.sampled_from([12, 30, 60])))
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = ["y"] + [f"w{j + 1}" for j in range(p)] + [f"x{j + 1}" for j in range(q)]
+    columns = rng.standard_normal((p + q + 1, n))
+    columns[0] = (columns[0] + columns[1]) * 10.0 ** draw(st.integers(-300, 300))
+    for _ in range(draw(st.integers(0, 2))):
+        column = draw(st.integers(0, p + q))
+        if draw(st.booleans()):
+            columns[column] = columns[column][:1].sum()  # its first value (0 when n = 0)
+        else:
+            columns[column] = columns[draw(st.integers(0, p + q))]
+    cells = [[repr(float(v)) for v in row] for row in columns.T]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        row, column = draw(st.integers(0, n - 1)), draw(st.integers(0, p + q))
+        cell = cells[row][column]
+        odd = [f'"{cell}"', f'" {cell} "', "", "nan", "inf", "-inf"]
+        cells[row][column] = draw(st.sampled_from(odd))
+    flags = ["--stat", draw(st.sampled_from(STATISTICS)), "--psi", draw(st.sampled_from(PSI_FAMILIES))]
+    flags += ["--variance", draw(st.sampled_from(VARIANCES))]
+    flags += draw(st.sampled_from([["--asymptotic"], ["--boot", "9"]]))
+    flags += ["--c", draw(st.sampled_from(["0.5", "2", "8"])), "--seed", "1", "--json"]
+    if draw(st.booleans()):
+        flags += ["--disc", f"x{q}"]
+    return names, cells, p, q, flags
+
+
+class TestGeneratedInputs:
+    @given(generated_tables())
+    @settings(
+        max_examples=500,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    def test_every_input_decides_or_names_a_remedy(self, tmp_path, capsys, table):
+        # no input ends in a traceback or a numpy warning (Tier-1 makes a
+        # RuntimeWarning an error): a decision gives a finite statistic and
+        # a p-value in (0, 1], a refusal one error line naming what to change
+        names, cells, p, q, flags = table
+        path = tmp_path / "generated.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(names) + "\n")
+            for row in cells:
+                fh.write(",".join(row) + "\n")
+        w = ",".join(names[1 : 1 + p])
+        x = ",".join(names[1 + p :])
+        code = main(["test", "--data", str(path), "--y", "y", "--w", w, "--x", x, *flags])
+        captured = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_REJECT)
+        if code in (EXIT_OK, EXIT_REJECT):
+            record = json.loads(captured.out)
+            assert math.isfinite(record["standardized"])
+            assert 0.0 < record["p_value"] <= 1.0
+        else:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+            assert NAMES_A_REMEDY.search(lines[0]), lines[0]

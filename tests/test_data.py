@@ -9,6 +9,7 @@ from npsigtest.data import (
     Dataset,
     all_continuous,
     load_dataset,
+    response_exponent,
     save_dataset,
     standardize,
 )
@@ -267,6 +268,30 @@ class TestStandardize:
         sd = standardize(d)
         assert np.allclose(sd.w[:, 0], col, atol=1e-12)
 
+    @pytest.mark.parametrize("value", [0.1, 2.7e205, -1e300])
+    def test_constant_continuous_column_of_any_value_errors(self, value):
+        # its computed sd need not be 0 (0.1 has no exact mean), and its
+        # squared deviations may overflow (2.7e205)
+        d = Dataset(
+            y=[1.0, 2.0, 3.0],
+            w=np.full((3, 1), value),
+            x=np.ones((3, 0)),
+            w_kinds=all_continuous(1),
+            x_kinds=(),
+        )
+        with pytest.raises(DataError, match="w column 1 has zero sample standard deviation"):
+            standardize(d)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1e150, 1e300])
+    def test_columns_of_any_scale_standardize_alike(self, scale):
+        d = make_dataset(9, 20, q=2)
+        sd = standardize(d)
+        scaled = standardize(
+            Dataset(y=d.y, w=d.w * scale, x=d.x / scale, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+        )
+        assert np.allclose(scaled.w, sd.w, rtol=1e-14, atol=0.0)
+        assert np.allclose(scaled.x, sd.x, rtol=1e-14, atol=0.0)
+
     def test_constant_continuous_column_errors(self):
         d = Dataset(
             y=[1.0, 2.0, 3.0],
@@ -296,7 +321,41 @@ class TestStandardize:
         assert np.allclose(twice.w, once.w, rtol=0.0, atol=1e-12)
         assert np.allclose(twice.x, once.x, rtol=0.0, atol=1e-12)
 
-    def test_y_untouched(self):
+    def test_y_rescaled_by_a_power_of_two(self):
+        # y times the 2**k that brings its range into [0.5, 1); the product
+        # is exact, so 2**-k gives y back bit for bit
         d = make_dataset(8, 15)
         sd = standardize(d)
-        assert np.array_equal(sd.y, d.y)
+        k = response_exponent(d.y)
+        assert k != 0 and 0.5 <= np.ptp(sd.y) < 1.0
+        assert np.array_equal(sd.y, np.ldexp(d.y, k))
+        assert np.array_equal(np.ldexp(sd.y, -k), d.y)
+        assert np.array_equal(standardize(sd).y, sd.y)
+
+    @pytest.mark.parametrize("j", [-1000, -200, -1, 1, 200, 1000])
+    def test_y_times_a_power_of_two_standardizes_to_the_same_bits(self, j):
+        d = make_dataset(8, 15)
+        scaled = Dataset(y=np.ldexp(d.y, j), w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds)
+        assert np.array_equal(standardize(scaled).y, standardize(d).y)
+
+    @pytest.mark.parametrize(
+        "y, k",
+        [
+            ([3.0, 3.0, 3.0], 0),  # a constant y is left as it is
+            ([0.0, 0.0], 0),
+            ([0.0, 0.5], 0),
+            ([0.0, 0.75], 0),
+            ([-0.5, 0.5], -1),
+            ([0.25, 0.5], 1),
+            ([1e300, 2e300], -997),
+            ([-1.5e308, 1.5e308], -1025),  # its range overflows a float
+            ([0.0, 1e-310], 1029),  # subnormal
+            ([0.0, 5e-324], 1073),
+            ([-1.0, -5e-324], -1),
+        ],
+    )
+    def test_response_exponent(self, y, k):
+        y = np.array(y)
+        assert response_exponent(y) == k
+        if k:
+            assert 0.5 <= np.ptp(np.ldexp(y, k)) < 1.0

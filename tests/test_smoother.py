@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from npsigtest.data import Dataset, all_continuous, standardize
+from npsigtest.data import Dataset, all_continuous, response_exponent, standardize
 from npsigtest.oracles import oracle_smoother
 from npsigtest.smoother import MAX_OBSERVATIONS, compute_smoother, recompute_uf
 
@@ -51,7 +51,7 @@ class TestComputeSmoother:
         mask = sm.fhat > 0
         assert np.allclose(
             sm.uf[mask],
-            sm.fhat[mask] * (d.y[mask] - sm.rhat[mask]),
+            sm.fhat[mask] * (sd.y[mask] - sm.rhat[mask]),
             rtol=1e-10,
             atol=1e-12,
         )
@@ -85,28 +85,37 @@ class TestComputeSmoother:
 
 class TestEquivariance:
     def test_shift(self):
+        # a shift leaves the range of y, so its power of two 2**k, as it
+        # is; compared in the units of y, times 2**-k (exact)
         d = make_dataset(13, 25)
         sd = standardize(d)
         sm = compute_smoother(sd, 1.0)
         shifted = Dataset(
             y=d.y + 5.5, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds
         )
+        k = response_exponent(d.y)
+        assert response_exponent(shifted.y) == k
         sms = compute_smoother(standardize(shifted), 1.0)
-        assert np.allclose(sms.uf, sm.uf, atol=1e-12)
-        assert np.allclose(sms.rhat, sm.rhat + 5.5, rtol=1e-12, equal_nan=True)
+        assert np.allclose(np.ldexp(sms.uf, -k), np.ldexp(sm.uf, -k), atol=1e-12)
+        assert np.allclose(
+            np.ldexp(sms.rhat, -k), np.ldexp(sm.rhat, -k) + 5.5, rtol=1e-12, equal_nan=True
+        )
 
     def test_scale(self):
+        # the smoother of lam times a standardized response; standardize
+        # itself takes lam * y back to the same bits
         d = make_dataset(14, 25)
         sd = standardize(d)
         sm = compute_smoother(sd, 1.0)
         lam = 2.0  # power of two keeps the scaling exact in floating point
         scaled = Dataset(
-            y=lam * d.y, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds
+            y=lam * sd.y, w=sd.w, x=sd.x, w_kinds=sd.w_kinds, x_kinds=sd.x_kinds
         )
-        sms = compute_smoother(standardize(scaled), 1.0)
+        sms = compute_smoother(scaled, 1.0)
         assert np.array_equal(sms.uf, lam * sm.uf)
         mask = sm.fhat > 0
         assert np.allclose(sms.rhat[mask], lam * sm.rhat[mask], rtol=1e-12)
+        assert np.array_equal(standardize(scaled).y, sd.y)
 
     def test_permutation(self):
         d = make_dataset(15, 25)
@@ -129,7 +138,7 @@ class TestRecomputeUf:
         d = make_dataset(16, 20)
         sd = standardize(d)
         sm = compute_smoother(sd, 1.0)
-        again = recompute_uf(sm.pairwise, d.y)
+        again = recompute_uf(sm.pairwise, sd.y)
         assert np.array_equal(again, sm.uf)
 
     def test_linear_in_response(self):
@@ -137,7 +146,7 @@ class TestRecomputeUf:
         sd = standardize(d)
         sm = compute_smoother(sd, 1.0)
         y2 = np.random.default_rng(1).standard_normal(20)
-        both = recompute_uf(sm.pairwise, d.y + y2)
+        both = recompute_uf(sm.pairwise, sd.y + y2)
         assert np.allclose(
             both, sm.uf + recompute_uf(sm.pairwise, y2), rtol=1e-10, atol=1e-14
         )

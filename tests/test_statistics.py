@@ -21,6 +21,7 @@ from npsigtest.oracles import (
     oracle_var_tilde_nested,
 )
 from npsigtest.selfcheck import close, oracle_case, random_dataset
+from npsigtest.simulation import DgpSpec, generate
 from npsigtest.smoother import compute_smoother, recompute_uf
 from npsigtest.statistics import (
     CvmEngine,
@@ -634,6 +635,24 @@ class TestFisher:
         x = rng.standard_normal((n, 1))
         d = Dataset(y=y, w=w, x=x, w_kinds=all_continuous(2), x_kinds=all_continuous(1))
         assert fisher_test(standardize(d), 0.05) == (0.0, False)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1e154, 1e300])
+    def test_scale_free(self, scale):
+        # y is taken times an exact power of two, so f is that of unit
+        # scale at any scale of y that fits in a float, bit for bit at a
+        # power of two; the exact-fit guard is relative to y·y
+        d = generate(DgpSpec(family="continuous", n=200, q=2), np.random.default_rng(5))
+        unit, reject = fisher_test(standardize(d), 0.05)
+        assert unit == pytest.approx(1.32671017367575, rel=1e-12)
+
+        def scaled(y):
+            return standardize(Dataset(y=y, w=d.w, x=d.x, w_kinds=d.w_kinds, x_kinds=d.x_kinds))
+
+        assert fisher_test(scaled(d.y * scale), 0.05) == (pytest.approx(unit, rel=1e-10), reject)
+        assert fisher_test(scaled(np.ldexp(d.y, 100)), 0.05) == (unit, reject)
+        assert fisher_test(scaled(np.full(200, scale)), 0.05) == (0.0, False)
+        fit = 1.0 + d.w @ [1.0, 2.0] + d.x @ [3.0, -1.0]
+        assert fisher_test(scaled(fit * scale), 0.05) == (math.inf, True)
 
     def test_matches_normal_equations_oracle(self):
         d = make_dataset(33, 20, q=2)
