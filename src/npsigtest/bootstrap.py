@@ -39,7 +39,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .data import Dataset, standardize
 from .kernels import PSI_FAMILIES, Bandwidths
-from .smoother import SmootherOutput, compute_smoother, recompute_uf
+from .smoother import SmootherOutput, centred, compute_smoother, recompute_uf
 from .statistics import CvmEngine, DegenerateStatisticError, StatEngine, studentize
 
 SQRT5 = math.sqrt(5.0)
@@ -300,7 +300,8 @@ def _resampled_blocks(sm: SmootherOutput, y: np.ndarray, seed: int, B: int):
     operations."""
     y_low, y_high = null_resample(sm, y, np.array([[MAMMEN_LOW], [MAMMEN_HIGH]]))
     for u in _uniform_blocks(len(y), seed, range(B)):
-        yield np.where(u < MAMMEN_P_LOW, y_low, y_high)
+        u = u < MAMMEN_P_LOW  # the uniforms are not held while the block is evaluated
+        yield np.where(u, y_low, y_high)
 
 
 def _quantile_rank(alpha: float, b: int) -> int:
@@ -343,11 +344,13 @@ def _draw_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standardized statistic of every multiplier draw of the response y
     (NaN if degenerate) and whether it used the variance fallback,
-    ``DRAW_BLOCK`` draws at a time."""
-    blocks = [
-        _evaluate(eng, cfg, ystar, recompute_uf(sm.pairwise, ystar))[2:]
-        for ystar in _resampled_blocks(sm, y, cfg.seed, cfg.B)
-    ]
+    ``DRAW_BLOCK`` draws at a time. Each block is centred once, and only
+    the centred block is kept; ``recompute_uf``, ``itilde`` and
+    ``var_tilde`` read it without a copy (``centred``)."""
+    blocks = []
+    for ystar in _resampled_blocks(sm, y, cfg.seed, cfg.B):
+        ystar = centred(ystar, sm.pairwise)
+        blocks.append(_evaluate(eng, cfg, ystar, recompute_uf(sm.pairwise, ystar))[2:])
     t, fallback = zip(*blocks)
     return np.concatenate(t), np.concatenate(fallback)
 

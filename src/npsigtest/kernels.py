@@ -86,8 +86,11 @@ _TERMS_PER_N2 = 10
 _TILE = 16
 
 # bytes of the block's columns that PairWeights.product gathers for one
-# group of tiles: about a core's L2 cache
-_GATHER_BYTES = 1 << 19
+# group of tiles. Every tile is its own GEMM, so the grouping moves no bit.
+# The gather is live at the peak of the bootstrap's draws: on the boot-n500
+# design (n = 500, B = 199) they peaked at 2.93 MB (tracemalloc) with 2^17
+# bytes, and 3.12 MB with 2^19 (about a core's L2 cache)
+_GATHER_BYTES = 1 << 17
 
 # PairWeights.product multiplies a block by tiles while
 # _VOLUME_PER_N2 * (their padded volume + _TILE_CALL) <= n^2, else by the
@@ -188,17 +191,18 @@ class PairWeights:
     the row blocks of the dense triple sums (``_dense_triple_sums``) and
     nothing else.
 
-    ``degree`` and ``row_sums`` (W 1) are taken from the lists once. A
+    ``degree``, ``row_sums`` (W 1) and ``centre``, the first observation
+    with an entry, are taken from the lists once. A
     product with one vector is a gather and an ``np.bincount`` over the
     lists, so it costs O(entries). A product with a block of rows, one
     bootstrap draw per row, is one of two BLAS forms. Where the
     neighbourhoods are narrow it multiplies tiles: runs of ``_TILE`` rows
     in ``order``, each with only the columns its entries touch
     (``_tile_layout``). Elsewhere it multiplies the dense matrix. Either
-    is built from the lists on first use and kept. ``rank``, ``degree`` and
-    the tables behind the band lookup and the tiles depend only on the
-    entries, so weights made by ``with_values`` share them. Which form a
-    product takes is decided in ``product`` and nowhere else.
+    is built from the lists on first use and kept. ``rank``, ``degree``,
+    ``centre`` and the tables behind the band lookup and the tiles depend
+    only on the entries, so weights made by ``with_values`` share them.
+    Which form a product takes is decided in ``product`` and nowhere else.
     """
 
     def __init__(self, n: int, rows, cols, values, order, block_order):
@@ -210,6 +214,8 @@ class PairWeights:
         self.block_order = block_order
         self.rank = _rank(order)
         self.degree = np.bincount(rows, minlength=n)
+        # the response's origin in ``smoother.centred`` (0 if no row has an entry)
+        self.centre = int(np.argmax(self.degree > 0))
         self.row_sums = np.bincount(rows, values, n)
         # tables of the entries, whatever their values: shared by with_values
         self._layouts = {}
@@ -218,9 +224,9 @@ class PairWeights:
 
     def with_values(self, values: np.ndarray) -> PairWeights:
         """Weights with the same entries and new values, one per entry. They
-        share ``rank``, ``degree`` and the band and tile tables, which
-        depend on the entries only; ``row_sums``, the dense matrix and the
-        tiles' values are their own."""
+        share ``rank``, ``degree``, ``centre`` and the band and tile tables,
+        which depend on the entries only; ``row_sums``, the dense matrix and
+        the tiles' values are their own."""
         out = copy.copy(self)
         out.values = values
         out.row_sums = np.bincount(self.rows, values, self.n)
@@ -602,7 +608,14 @@ def mixed_kernel_matrix(
 def psi_matrix(psi: str, x: np.ndarray, pairs: PairWeights) -> PairWeights:
     """The pair weights ``pairs`` times psi of the x difference, evaluated on
     their entries only. Every entry is kept, also where psi is 0, so the
-    weights share the entries of ``pairs`` and their tables."""
+    weights share the entries of ``pairs`` and their tables.
+
+    ``normal`` and ``triangular`` read a discrete x column's codes as
+    distances, so the test depends on how its levels are spaced: on
+    ``generate(DgpSpec("discrete_x", n=100), default_rng(2))`` at c = 2,
+    the asymptotic ``itilde`` test with psi=normal gives t = -0.4195,
+    -0.3641 and -0.3621 with x coded 0/1, 0/3 and 0/1000. ``indicator``
+    weighs only pairs with equal x, and gives -0.3621 under every coding."""
     if psi not in PSI_FAMILIES:
         raise ValueError(f"unknown psi family {psi!r}")
     i, j = pairs.rows, pairs.cols

@@ -100,13 +100,20 @@ def recompute_uf(pairwise: PairWeights, y: np.ndarray) -> np.ndarray:
 
 def centred(y: np.ndarray, pairwise: PairWeights) -> np.ndarray:
     """y, or each row of y, less its value at the first observation with a
-    neighbour (a nonzero kernel row).
+    neighbour (a nonzero kernel row, ``PairWeights.centre``).
 
     Every statistic depends on the response only through differences
     y_i - y_k of neighbours, so the shift changes none of them in exact
     arithmetic. It makes a constant response exactly zero, and the response
     of an isolated observation, whose kernel row and column vanish, enters
     no sum at all.
+
+    A centred y is +0.0 there in every row, and y - (+0.0) is y bit for
+    bit, so such a y is returned as it is, not copied: the bootstrap
+    centres each block of draws once, and every statistic then reads that
+    block.
     """
-    centre = int(np.argmax(pairwise.degree > 0))
-    return y - y[..., centre, None]
+    shift = y[..., pairwise.centre, None]
+    if not (shift.any() or np.signbit(shift).any()):
+        return y
+    return y - shift

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,31 @@ class TestResampledBlocks:
         for start, ystar in zip(range(0, B, DRAW_BLOCK), blocks):
             eta = draw_multipliers(sd.n, seed, range(start, min(start + DRAW_BLOCK, B)))
             assert np.array_equal(ystar, null_resample(sm, sd.y, eta))
+
+
+class TestDrawMemory:
+    def test_draw_phase_peak(self):
+        # the boot-n500 design (n = 500, two continuous w columns, itilde,
+        # var_hat, B = 199, c = 2). The draws hold one centred block, not
+        # its uniforms or a second copy, and a block product gathers at
+        # most 2^17 bytes of rows at a time: they peak 2.93 MB above their
+        # start, 1.35 MB of it the tiles' values that the first block
+        # products build. At 3.58 MB, each of a process's repeated tests
+        # handed its heap back to the system and faulted it in again,
+        # about 1,000 minor page faults a test
+        sd = standardize(make_dataset(5, 500, q=5))
+        cfg = TestConfig(bandwidths=default_bandwidths(sd.n, 2.0), B=199)
+        sm = compute_smoother(sd, cfg.bandwidths.g)
+        eng = bootstrap._engine(sd, sm, cfg)
+        bootstrap._evaluate(eng, cfg, sd.y, sm.uf)  # builds itilde's coefficients
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bootstrap._draw_statistics(eng, sm, sd.y, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.4 * 2**20
 
 
 class TestBootstrapCriticalValue:

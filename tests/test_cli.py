@@ -232,7 +232,7 @@ class TestCmdTest:
             (["--asymptotic", "--variance", "var_tilde"], "itilde statistic or its variance"),
         ],
     )
-    def test_overflow_is_one_error_line(self, tmp_path, capsys, extra, statistic):
+    def test_huge_y_decides_as_unit_scale_does(self, tmp_path, capsys, extra, statistic):
         # y at 1e300, where dgm's statistic, var_hat's uf * uf and
         # var_tilde's y * y of the unscaled y overflow a float: the test
         # decides as at unit scale, with nothing on stderr, no numpy warning
@@ -320,7 +320,7 @@ class TestCmdTest:
             (1e-79, ["--asymptotic"], "itilde statistic or its variance"),
         ],
     )
-    def test_underflow_names_the_scale_of_y(self, tmp_path, capsys, scale, extra, statistic):
+    def test_tiny_y_decides_as_unit_scale_does(self, tmp_path, capsys, scale, extra, statistic):
         # at this scale of the unscaled y the variance, or dgm's statistic,
         # underflows to 0; the standardized y decides, with the unit-scale
         # t (dgm: the same p-value) and nothing on stderr

@@ -539,6 +539,21 @@ class TestTiledProducts:
         assert V._tile_layout() is W._tile_layout()
         assert np.all(np.abs(V.product(y) - y @ V.dense()) <= 1e-13 * (np.abs(y) @ V.dense()))
 
+    def test_gather_groups_move_no_bit(self, monkeypatch):
+        # every tile is its own GEMM, so the bytes a group of tiles gathers
+        # (on the boot-n500 design, 1, 2 and 11 of L's 32 tiles per group)
+        # change neither the values of a block product nor their layout
+        bw = default_bandwidths(500, 2.0)
+        L = compute_smoother(make_dataset(1, 500, q=5), bw.g).pairwise
+        assert product_form(L) == "tiles"
+        y = np.random.default_rng(4).standard_normal((64, 500))
+        products = []
+        for budget in (1 << 13, 1 << 17, 1 << 19):
+            monkeypatch.setattr(kernels, "_GATHER_BYTES", budget)
+            products.append(L.product(y))
+        for got in products[1:]:
+            assert np.array_equal(got, products[0]) and got.strides == products[0].strides
+
     def test_no_entries(self, tiles_forced):
         W = mixed_kernel_matrix(np.arange(20.0)[:, None], np.empty((20, 0)), 0.5)
         assert len(W.values) == 0 and product_form(W) == "tiles"
