@@ -600,7 +600,6 @@ class TestDgm:
         assert peak < 1.5 * E.nbytes
 
 
-@pytest.mark.chosen_form_only  # the F-test builds no pair weights
 class TestFisher:
     def test_orthogonal_x_gives_zero_f(self):
         rng = np.random.default_rng(31)
@@ -707,7 +706,6 @@ class TestFisher:
 F_TAIL_DF2 = (1, 2, 3, 4, 5, 7, 10, 20, 50, 100, 200, 500, 1000, 2000, 3990, 4000)
 
 
-@pytest.mark.chosen_form_only  # the F tail builds no pair weights
 class TestFTail:
     def test_matches_scipy(self):
         from scipy.special import fdtrc, fdtri
