@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -422,6 +421,10 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
 
     draws = None
     if cfg.critical == "asymptotic":
+        # imported here: statistics loads fractions and decimal, which a
+        # bootstrap test never needs
+        from statistics import NormalDist
+
         critical = NormalDist().inv_cdf(1.0 - cfg.alpha)
         p_value = 0.5 * math.erfc(t / math.sqrt(2.0))
     else:

@@ -3,6 +3,11 @@
 Exit codes: 0 success (test: null not rejected), 1 runtime failure,
 2 usage error, and 3 when the test command rejects the null, so shell
 pipelines can branch on the decision directly.
+
+Each command imports only the modules it runs. ``test`` loads the data,
+kernel, smoother, statistic and bootstrap modules; ``simulate`` adds
+``designs`` and ``simulation``, and ``selfcheck`` adds ``selfcheck`` and
+``oracles``.
 """
 
 from __future__ import annotations
@@ -20,10 +25,7 @@ import time
 
 from .bootstrap import MAX_DRAWS, STATISTICS, VARIANCES, TestConfig, run_test
 from .data import ColumnSchema, DataError, load_dataset
-from .designs import FIGURE_TAGS, TEMPLATES, figure_design, replications
 from .kernels import PSI_FAMILIES, Bandwidths, default_bandwidths
-from .selfcheck import run_all
-from .simulation import ALTERNATIVES, FAMILIES, ExperimentConfig, grid_cells, run_experiment
 from .statistics import DegenerateStatisticError
 
 EXIT_OK = 0
@@ -157,8 +159,11 @@ def _load_config_args(argv: list[str]) -> list[str]:
     return rest[:1] + injected + rest[1:]
 
 
-@functools.cache  # built once per process; parsing leaves it as it was
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built once per process and kind; parsing leaves it as it was
+def _build_parser(simulate: bool) -> argparse.ArgumentParser:
+    """The parser of every command. The simulate arguments take their
+    choices from ``designs`` and ``simulation``, so they are added, and
+    those modules imported, only when ``simulate`` is the command."""
     parser = argparse.ArgumentParser(
         prog="npsigtest",
         description="Kernel significance test for covariates in nonparametric regression",
@@ -199,29 +204,35 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser(
         "simulate", help="run a Monte Carlo design, write a CSV table", allow_abbrev=False
     )
-    group = _exclusive_groups(s, "simulate", required=True)
-    group["figure"].add_argument("--figure", choices=FIGURE_TAGS, help="preset design tag")
-    group["family"].add_argument("--family", choices=FAMILIES, help="explicit grid: DGP family")
-    grid = s.add_argument_group(
-        "explicit grid", "comma-separated lists that span the cells (not with --figure)"
-    )
-    for name, kind, text in (
-        ("alt", _listed(choices=ALTERNATIVES), "alternatives"),
-        ("n", _listed(int), "sample sizes"),
-        ("q", _listed(int), "dimensions under test"),
-        ("deltas", _listed(float), "departure sizes"),
-        ("cs", _listed(_bounded(float, 0)), "bandwidth factors"),
-        ("tests", _listed(choices=TEMPLATES), f"test names ({', '.join(TEMPLATES)})"),
-    ):
-        default = ",".join(map(str, _GRID_DEFAULTS[name]))
-        grid.add_argument(f"--{name}", type=kind, help=f"{text}; default {default}")
-    s.add_argument("--reps", type=_bounded(int, 0), default=None)
-    s.add_argument("--boot", type=_BOOT, default=199, help="bootstrap replications")
-    s.add_argument("--alpha", type=_bounded(float, 0, 1), default=0.10)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--out", required=True, help="output CSV path")
-    s.add_argument("--paper-scale", action="store_true", help="full replication counts")
-    s.add_argument("--threads", type=_bounded(int, 0), default=1, help="worker processes")
+    if simulate:
+        from .designs import FIGURE_TAGS, TEMPLATES
+        from .simulation import ALTERNATIVES, FAMILIES
+
+        group = _exclusive_groups(s, "simulate", required=True)
+        group["figure"].add_argument("--figure", choices=FIGURE_TAGS, help="preset design tag")
+        group["family"].add_argument(
+            "--family", choices=FAMILIES, help="explicit grid: DGP family"
+        )
+        grid = s.add_argument_group(
+            "explicit grid", "comma-separated lists that span the cells (not with --figure)"
+        )
+        for name, kind, text in (
+            ("alt", _listed(choices=ALTERNATIVES), "alternatives"),
+            ("n", _listed(int), "sample sizes"),
+            ("q", _listed(int), "dimensions under test"),
+            ("deltas", _listed(float), "departure sizes"),
+            ("cs", _listed(_bounded(float, 0)), "bandwidth factors"),
+            ("tests", _listed(choices=TEMPLATES), f"test names ({', '.join(TEMPLATES)})"),
+        ):
+            default = ",".join(map(str, _GRID_DEFAULTS[name]))
+            grid.add_argument(f"--{name}", type=kind, help=f"{text}; default {default}")
+        s.add_argument("--reps", type=_bounded(int, 0), default=None)
+        s.add_argument("--boot", type=_BOOT, default=199, help="bootstrap replications")
+        s.add_argument("--alpha", type=_bounded(float, 0, 1), default=0.10)
+        s.add_argument("--seed", type=int, default=None)
+        s.add_argument("--out", required=True, help="output CSV path")
+        s.add_argument("--paper-scale", action="store_true", help="full replication counts")
+        s.add_argument("--threads", type=_bounded(int, 0), default=1, help="worker processes")
 
     c = sub.add_parser(
         "selfcheck", help="oracle, invariance, and multiplier checks", allow_abbrev=False
@@ -288,6 +299,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulation
+    from .designs import TEMPLATES, figure_design, replications
+
     given = {k: v for k in _GRID_DEFAULTS if (v := getattr(args, k)) is not None}
     if args.figure is not None and given:
         flags = ", ".join(f"--{k}" for k in given)
@@ -298,11 +312,11 @@ def _cmd_simulate(args) -> int:
             cells, tests = figure_design(args.figure)
         else:
             grid = {**_GRID_DEFAULTS, **given}
-            cells = grid_cells(
+            cells = simulation.grid_cells(
                 args.family, grid["alt"], grid["n"], grid["q"], grid["deltas"], grid["cs"]
             )
             tests = tuple(TEMPLATES[t] for t in grid["tests"])
-        cfg = ExperimentConfig(
+        cfg = simulation.ExperimentConfig(
             cells=cells,
             tests=tests,
             replications=args.reps or replications(cells, args.paper_scale),
@@ -320,7 +334,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_RUNTIME
     t0 = time.perf_counter()
-    table = run_experiment(cfg, progress=lambda line: print(line, file=sys.stderr))
+    table = simulation.run_experiment(cfg, progress=lambda line: print(line, file=sys.stderr))
     table.save(args.out)
     print(
         f"wrote {len(table.rows)} rows to {args.out} "
@@ -331,6 +345,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .selfcheck import run_all
+
     if args.fast:
         ok = run_all(oracle_seeds=range(1, 4), deco_seeds=range(100, 103))
     else:
@@ -342,7 +358,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _load_config_args(argv)
-        parser = _build_parser()
+        # the first word that is not a flag is the command; only simulate's
+        # arguments import designs and simulation
+        command = next((a for a in argv if not a.startswith("-")), None)
+        parser = _build_parser(command == "simulate")
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -267,6 +267,7 @@ class PairWeights:
         for lo in range(0, len(cols), step):
             part = slice(lo, lo + step)
             np.matmul(self._tiled[part], np.take(yt, cols[part], axis=0), out=tiles[part])
+        del yt  # so that two B-by-n arrays, not three, are live at the gather
         return np.take(tiles.reshape(-1, len(y)), place, axis=0).T
 
     def _tile_layout(self):

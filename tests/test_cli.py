@@ -523,7 +523,8 @@ class TestCmdSimulate:
     def test_grid_flag_defaults(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr(
-            cli, "run_experiment", lambda cfg, progress: seen.append(cfg) or ResultTable(rows=())
+            "npsigtest.simulation.run_experiment",
+            lambda cfg, progress: seen.append(cfg) or ResultTable(rows=()),
         )
         code = main(["simulate", "--family", "continuous", "--n", "40", "--seed", "1",
                      "--out", str(tmp_path / "t.csv")])
@@ -535,7 +536,8 @@ class TestCmdSimulate:
     def test_explicit_figure_beats_config_grid(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr(
-            cli, "run_experiment", lambda cfg, progress: seen.append(cfg) or ResultTable(rows=())
+            "npsigtest.simulation.run_experiment",
+            lambda cfg, progress: seen.append(cfg) or ResultTable(rows=()),
         )
         conf = tmp_path / "e.conf"
         conf.write_text("family = continuous\nn = 50\n")
@@ -640,7 +642,8 @@ class TestCmdSimulate:
         # nothing is simulated: the stand-in records the experiment it is given
         seen = []
         monkeypatch.setattr(
-            cli, "run_experiment", lambda cfg, progress: seen.append(cfg) or ResultTable(rows=())
+            "npsigtest.simulation.run_experiment",
+            lambda cfg, progress: seen.append(cfg) or ResultTable(rows=()),
         )
         code = main(["simulate", *extra, "--seed", "1", "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_OK
@@ -741,6 +744,39 @@ def test_import_does_not_load_scipy_stats(null_csv, tmp_path):
     env = {**os.environ, "PYTHONPATH": SRC}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     assert len((tmp_path / "sim.csv").read_text().splitlines()) == 1 + 2 * 2
+
+
+def test_test_command_loads_only_what_it_runs(null_csv, tmp_path):
+    # a test runs none of the experiment harness, the designs, the
+    # self-check or its oracles, and a bootstrap test reads no normal
+    # quantile, so stdlib statistics (with fractions and decimal) stays
+    # unloaded too; the harness's names still import from the package,
+    # and simulate and selfcheck still run in the same process
+    harness = ["npsigtest.simulation", "npsigtest.designs", "npsigtest.selfcheck",
+               "npsigtest.oracles"]
+    runs = [
+        (base_args(null_csv) + ["--boot", "9", "--seed", "1"], [*harness, "statistics"]),
+        (base_args(null_csv) + ["--asymptotic", "--seed", "1"], harness),
+    ]
+    sim = ["simulate", "--family", "continuous", "--n", "30", "--tests", "lmp-asym",
+           "--reps", "2", "--seed", "3", "--out", str(tmp_path / "sim.csv")]
+    code = (
+        "import sys\n"
+        "from npsigtest import cli\n"
+        f"for args, unloaded in {runs!r}:\n"
+        "    code = cli.main(args)\n"
+        f"    assert code in ({EXIT_OK}, {EXIT_REJECT}), (args, code)\n"
+        "    loaded = [m for m in unloaded if m in sys.modules]\n"
+        "    assert not loaded, (args, loaded)\n"
+        "from npsigtest import DgpSpec, run_experiment\n"
+        "from npsigtest import simulation\n"
+        "assert (DgpSpec, run_experiment) == (simulation.DgpSpec, simulation.run_experiment)\n"
+        f"assert cli.main({sim!r}) == {EXIT_OK}\n"
+        f"assert cli.main(['selfcheck', '--fast']) == {EXIT_OK}\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert len((tmp_path / "sim.csv").read_text().splitlines()) == 1 + 1
 
 
 def test_parser_is_built_once(null_csv, capsys):

@@ -554,6 +554,26 @@ class TestTiledProducts:
         for got in products[1:]:
             assert np.array_equal(got, products[0]) and got.strides == products[0].strides
 
+    def test_block_product_peak(self):
+        # a 64-row product with L on the boot-n500 design holds the block
+        # transposed, the tiles' output and one group's gather while it
+        # multiplies, about 609,000 bytes above its start; the result's
+        # gather follows once the transposed block is gone. Kept to the
+        # end, that block put a third 64-by-n array at the gather: 774,936
+        bw = default_bandwidths(500, 2.0)
+        L = compute_smoother(make_dataset(1, 500, q=5), bw.g).pairwise
+        assert product_form(L) == "tiles"
+        y = np.random.default_rng(4).standard_normal((64, 500))
+        L.product(y)  # builds the tiles' values, which L keeps
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            L.product(y)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 650_000
+
     def test_no_entries(self, tiles_forced):
         W = mixed_kernel_matrix(np.arange(20.0)[:, None], np.empty((20, 0)), 0.5)
         assert len(W.values) == 0 and product_form(W) == "tiles"
