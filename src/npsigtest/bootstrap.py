@@ -39,7 +39,13 @@ from numpy.random.bit_generator import ISeedSequence
 from .data import Dataset, standardize
 from .kernels import PSI_FAMILIES, Bandwidths
 from .smoother import SmootherOutput, centred, compute_smoother, recompute_uf
-from .statistics import CvmEngine, DegenerateStatisticError, StatEngine, studentize
+from .statistics import (
+    CvmEngine,
+    DegenerateStatisticError,
+    StatEngine,
+    normal_upper_quantile,
+    studentize,
+)
 
 SQRT5 = math.sqrt(5.0)
 MAMMEN_LOW = (1.0 - SQRT5) / 2.0
@@ -404,6 +410,9 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
     test on a sample where the statistic is 0 for every response
     (``StatEngine.itilde_vanishes``). The range of ``sd.y`` is in [0.5, 1)
     (``standardize``), so no scale of y overflows or underflows a statistic.
+    An asymptotic test's p-value is the standard normal tail ½·erfc(t/√2),
+    and its critical value the upper-alpha point of that same tail
+    (``normal_upper_quantile``), which is finite at every alpha in (0, 1).
     """
     if sm.g != cfg.bandwidths.g:
         raise ValueError(
@@ -421,11 +430,7 @@ def decide_scaled(sd: Dataset, sm: SmootherOutput, cfg: TestConfig) -> TestResul
 
     draws = None
     if cfg.critical == "asymptotic":
-        # imported here: statistics loads fractions and decimal, which a
-        # bootstrap test never needs
-        from statistics import NormalDist
-
-        critical = NormalDist().inv_cdf(1.0 - cfg.alpha)
+        critical = normal_upper_quantile(cfg.alpha)
         p_value = 0.5 * math.erfc(t / math.sqrt(2.0))
     else:
         t_draws, fallback_draws = _draw_statistics(eng, sm, sd.y, cfg)

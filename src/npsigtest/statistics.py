@@ -9,7 +9,10 @@ jointly-smoothed variant (``StatEngine`` with ``psi="joint"``), a Cramer-von-Mis
 functional of the marked residual process (``CvmEngine``), and an F-test
 against a linear specification (``fisher_test``), which rejects where the
 F distribution's tail probability of its statistic (``f_tail``, a continued
-fraction in ``math``) is below alpha.
+fraction in ``math``) is below alpha. An asymptotic test's critical value is
+the standard normal upper-alpha point (``normal_upper_quantile``, Newton
+steps on erfc's tail in ``math``), so no test loads the standard library's
+``statistics``.
 
 Every statistic is a quadratic form in the response, over the kernel weights
 L and the test weights M = K_h(w)∘psi, which ``kernels.PairWeights`` holds as
@@ -45,6 +48,10 @@ _TINY = np.finfo(float).tiny
 # up to 30 x columns and 1e8 residual degrees of freedom took at most 42,
 # at every f from the 1e-9 quantile to a tail of 1e-12
 _FRACTION_MAX_TERMS = 10_000
+# Newton steps of the normal quantile: four reached full precision from
+# either start at every alpha tried
+_QUANTILE_STEPS = 6
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class DegenerateStatisticError(RuntimeError):
@@ -341,6 +348,48 @@ def f_tail(f: float, d1: int, d2: int) -> float:
     s = d2 + d1 * f
     # x and 1 - x each from its own quotient, so neither loses digits
     return _beta_reg(d2 / 2.0, d1 / 2.0, d2 / s, d1 * f / s)
+
+
+def normal_upper_quantile(alpha: float) -> float:
+    """The standard normal upper-alpha point: the z with ½·erfc(z/√2) =
+    alpha, the tail that gives an asymptotic test's p-value, for every alpha
+    in (0, 1).
+
+    For alpha <= ½, Newton steps on log P(Z >= z) - log alpha start from a
+    rational approximation in √(-2 log alpha) (Abramowitz and Stegun 26.2.23,
+    within 4.5e-4), or from √(2π)(½ - alpha) where alpha >= ¼. There the
+    difference is taken from erf and 1 - 2 alpha, which is exact, so z keeps
+    its digits near 0. For an alpha below the smallest normal float, where
+    erfc underflows, the tail is φ(z) times Laplace's continued fraction of
+    its Mills ratio. For alpha > ½ it is -z(1 - alpha), and 1 - alpha is
+    exact.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    if alpha > 0.5:
+        return -normal_upper_quantile(1.0 - alpha)
+    log_alpha = math.log(alpha)
+    if alpha >= 0.25:
+        z = _SQRT_2PI * (0.5 - alpha)
+    else:
+        t = math.sqrt(-2.0 * log_alpha)
+        z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+            1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+        )
+    for _ in range(_QUANTILE_STEPS):
+        x = z / math.sqrt(2.0)
+        if alpha >= 0.25:
+            log_ratio = math.log1p((1.0 - 2.0 * alpha - math.erf(x)) / (2.0 * alpha))
+        elif alpha >= sys.float_info.min:
+            log_ratio = math.log(math.erfc(x) / (2.0 * alpha))
+        else:  # z > 37.5, where ten terms of the fraction give every digit
+            r = z
+            for k in range(10, 0, -1):
+                r = z + k / r
+            log_ratio = -math.log(_SQRT_2PI * r) - 0.5 * z * z - log_alpha
+        # d(log tail)/dz = -φ(z)/P(Z >= z), and P(Z >= z) = alpha·e^log_ratio
+        z += log_ratio * _SQRT_2PI * math.exp(0.5 * z * z + log_alpha + log_ratio)
+    return z
 
 
 def _beta_reg(a: float, b: float, x: float, y: float) -> float:

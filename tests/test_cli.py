@@ -334,6 +334,18 @@ class TestCmdTest:
         assert record["critical_method"] == "asymptotic"
         assert code in (EXIT_OK, EXIT_REJECT)
 
+    @pytest.mark.parametrize("alpha", ["1e-17", "5e-324", "0.9999999999999999"])
+    def test_asymptotic_test_decides_at_every_alpha(self, null_csv, capsys, alpha):
+        # 1 - alpha rounds to 1 at the first two, where the upper-alpha
+        # point is still finite
+        args = base_args(null_csv) + ["--asymptotic", "--alpha", alpha, "--seed", "1", "--json"]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_REJECT) and captured.err == ""
+        record = json.loads(captured.out)
+        assert math.isfinite(record["critical_value"])
+        assert record["reject"] == (record["p_value"] < float(alpha))
+
     def test_omitted_seed_is_logged(self, null_csv, capsys):
         code = main(base_args(null_csv) + ["--boot", "29"])
         err = capsys.readouterr().err
@@ -477,6 +489,16 @@ class TestCmdSimulate:
         lines = out.read_text().splitlines()
         # cells: null (1 delta) x 2 q x 2 c + quadratic x 2 q x 2 c, 2 tests each
         assert len(lines) == 1 + (4 + 4) * 2
+
+    def test_asymptotic_test_at_an_alpha_below_machine_epsilon(self, tmp_path, capsys):
+        out = tmp_path / "tiny.csv"
+        code = main(
+            ["simulate", "--family", "continuous", "--n", "30", "--tests", "lmp-asym",
+             "--alpha", "1e-17", "--reps", "2", "--seed", "3", "--out", str(out)]
+        )
+        assert code == EXIT_OK, capsys.readouterr().err
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(r["test"], r["alpha"], r["reps"]) for r in rows] == [("lmp-asym", "1e-17", "2")]
 
     def test_explicit_grid_unknown_test_name(self, tmp_path, capsys):
         code = main(
@@ -748,25 +770,25 @@ def test_import_does_not_load_scipy_stats(null_csv, tmp_path):
 
 def test_test_command_loads_only_what_it_runs(null_csv, tmp_path):
     # a test runs none of the experiment harness, the designs, the
-    # self-check or its oracles, and a bootstrap test reads no normal
-    # quantile, so stdlib statistics (with fractions and decimal) stays
-    # unloaded too; the harness's names still import from the package,
-    # and simulate and selfcheck still run in the same process
-    harness = ["npsigtest.simulation", "npsigtest.designs", "npsigtest.selfcheck",
-               "npsigtest.oracles"]
+    # self-check or its oracles, and an asymptotic test takes its normal
+    # quantile from math, so stdlib statistics (with fractions and decimal)
+    # stays unloaded too; the harness's names still import from the
+    # package, and simulate and selfcheck still run in the same process
+    unloaded = ["npsigtest.simulation", "npsigtest.designs", "npsigtest.selfcheck",
+                "npsigtest.oracles", "statistics", "fractions", "decimal"]
     runs = [
-        (base_args(null_csv) + ["--boot", "9", "--seed", "1"], [*harness, "statistics"]),
-        (base_args(null_csv) + ["--asymptotic", "--seed", "1"], harness),
+        base_args(null_csv) + ["--boot", "9", "--seed", "1"],
+        base_args(null_csv) + ["--asymptotic", "--seed", "1"],
     ]
     sim = ["simulate", "--family", "continuous", "--n", "30", "--tests", "lmp-asym",
            "--reps", "2", "--seed", "3", "--out", str(tmp_path / "sim.csv")]
     code = (
         "import sys\n"
         "from npsigtest import cli\n"
-        f"for args, unloaded in {runs!r}:\n"
+        f"for args in {runs!r}:\n"
         "    code = cli.main(args)\n"
         f"    assert code in ({EXIT_OK}, {EXIT_REJECT}), (args, code)\n"
-        "    loaded = [m for m in unloaded if m in sys.modules]\n"
+        f"    loaded = [m for m in {unloaded!r} if m in sys.modules]\n"
         "    assert not loaded, (args, loaded)\n"
         "from npsigtest import DgpSpec, run_experiment\n"
         "from npsigtest import simulation\n"

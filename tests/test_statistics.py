@@ -29,6 +29,7 @@ from npsigtest.statistics import (
     StatEngine,
     f_tail,
     fisher_test,
+    normal_upper_quantile,
     studentize,
 )
 
@@ -745,6 +746,76 @@ class TestFTail:
         assert f_tail(0.0, 3, 10) == 1.0
         assert f_tail(-1e-17, 3, 10) == 1.0
         assert f_tail(math.inf, 3, 10) == 0.0
+
+
+def stdlib_upper_quantile(alpha):
+    # the standard library's AS241 quantile, loaded by this test only
+    from statistics import NormalDist
+
+    return -NormalDist().inv_cdf(alpha)
+
+
+@pytest.mark.chosen_form_only  # the normal quantile builds no pair weights
+class TestNormalUpperQuantile:
+    def test_matches_the_standard_library(self):
+        alphas = [
+            *(2.0**-k for k in range(1, 1022)),
+            *(10.0**-k for k in range(1, 308)),
+            *np.random.default_rng(41).random(1000).tolist(),
+        ]
+        for alpha in alphas:
+            want = stdlib_upper_quantile(alpha)
+            assert abs(normal_upper_quantile(alpha) - want) <= 4e-15 * abs(want), alpha
+
+    def test_keeps_the_digits_of_a_small_alpha(self):
+        # NormalDist().inv_cdf(1 - alpha) gives 7.941444 here, because
+        # 1 - 1e-15 is 1 - 9.992e-16 in floats; the true point is mpmath's
+        assert normal_upper_quantile(1e-15) == pytest.approx(7.9413453261709968, rel=1e-15)
+
+    def test_upper_half_is_the_reflection(self):
+        halves = [0.5, *(1.0 - 2.0**-k for k in range(2, 54))]
+        halves += (0.5 + 0.5 * np.random.default_rng(42).random(200)).tolist()
+        for alpha in halves:
+            assert normal_upper_quantile(alpha) == -normal_upper_quantile(1.0 - alpha), alpha
+        assert normal_upper_quantile(0.5) == 0.0
+
+    def test_does_not_increase(self):
+        small = [*(2.0**-k for k in range(1, 1075)), *(10.0**-k for k in range(1, 324))]
+        upper = (1.0 - a for a in small if 1.0 - a < 1.0)
+        grid = sorted({*small, *upper, *np.linspace(0.001, 0.999, 999).tolist()})
+        z = [normal_upper_quantile(a) for a in grid]
+        assert all(b <= a for a, b in zip(z, z[1:]))
+
+    def test_ends(self):
+        # the smallest subnormal, where erfc underflows, and the largest
+        # double below 1
+        top, bottom = normal_upper_quantile(5e-324), normal_upper_quantile(math.nextafter(1.0, 0.0))
+        assert math.isfinite(top) and math.isfinite(bottom)
+        assert top == pytest.approx(stdlib_upper_quantile(5e-324), rel=4e-15)
+        assert bottom == pytest.approx(stdlib_upper_quantile(math.nextafter(1.0, 0.0)), rel=4e-15)
+        for alpha in (0.0, 1.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+                normal_upper_quantile(alpha)
+
+    def test_asymptotic_decisions_match_the_p_value(self):
+        rng = np.random.default_rng(43)
+        decisions = set()
+        for seed in range(50):
+            d = make_dataset(seed, 40, q=1)
+            alpha = float(rng.uniform(0.01, 0.99))
+            cfg = TestConfig(default_bandwidths(d.n, 2.0), critical="asymptotic", alpha=alpha)
+            r = run_test(d, cfg)
+            assert r.reject == (r.p_value < alpha), (seed, alpha)
+            assert r.critical_value == normal_upper_quantile(alpha)
+            decisions.add(r.reject)
+        assert decisions == {False, True}
+
+    def test_smallest_alpha_decides(self):
+        d = make_dataset(7, 40, q=1)
+        cfg = TestConfig(default_bandwidths(d.n, 2.0), critical="asymptotic", alpha=5e-324)
+        r = run_test(d, cfg)
+        assert math.isfinite(r.critical_value) and r.critical_value > 38.0
+        assert not r.reject
 
 
 class TestInvariancesSeeded:
